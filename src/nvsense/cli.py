@@ -321,6 +321,8 @@ def _fit_report(result: FitResult, extra: dict) -> dict:
         "adj_r2": result.adj_r2,
         "converged": bool(result.converged),
         "n_iter": result.n_iter,
+        "n_starts": result.n_starts,
+        "n_model_evals": result.n_model_evals,
     }
     report.update(extra)
     return report
@@ -347,6 +349,7 @@ def _cmd_fit(args) -> int:
     channel = _merge(config, None, "channel", args.channel, None)
     trace = read_trace(in_path)
     work = _prepare_fit_input(trace, kind, channel)
+    n_spins = None
     if kind == "gaussian":
         result = fit_gaussian_peak(work, channel=channel, min_snr=0.0)
     elif kind == "rabi":
@@ -356,8 +359,7 @@ def _cmd_fit(args) -> int:
         result = fit_deer_rabi(work, n_spins=n_spins, channel=channel)
     _print_fit(result)
     effective = {"command": "fit", "kind": kind, "in": str(in_path),
-                 "channel": channel,
-                 "n_spins": args.n_spins if kind == "deer-rabi" else None}
+                 "channel": channel, "n_spins": n_spins}
     out = _merge(config, None, "out", args.out, None)
     if out:
         report = _fit_report(result, {
@@ -502,6 +504,8 @@ def _cmd_select_spins(args) -> int:
                     "adj_r2": entry.adj_r2,
                     "converged": bool(entry.fit.converged),
                     "ss_res": entry.fit.ss_res,
+                    "n_starts": entry.fit.n_starts,
+                    "n_model_evals": entry.fit.n_model_evals,
                     "omegas_mhz": [float(w / TWO_PI)
                                    for w in entry.fit.params[:-1]],
                     "t0_us": float(entry.fit.params[-1]),

@@ -138,6 +138,43 @@ def nv_epr_signal(model: TargetSpinModel, t):
     return float(signal) if np.ndim(t) == 0 else signal
 
 
+def nv_epr_signal_grid(omegas, t0, t):
+    """nv_epr_signal for many parameter sets at once, without validation.
+
+    omegas is (s, n) in rad/us, t0 is (s,) in us (finite), t is (m,);
+    returns the (s, m) signals.  Used inside fits, where the bounds
+    already keep every parameter valid.
+    """
+    envelope = np.exp(-((t / t0[:, None]) ** 2))
+    product = np.prod(np.cos(omegas[:, :, None] * t), axis=1)
+    return 0.5 + 0.5 * envelope * product
+
+
+def nv_epr_jacobian_grid(omegas, t0, t):
+    """Closed-form derivatives of nv_epr_signal_grid, shape (s, m, n + 1).
+
+    With E = exp(-(t/T0)^2) and C = prod_j cos(omega_j t):
+        dI/domega_j = -1/2 E t sin(omega_j t) prod_{i != j} cos(omega_i t)
+        dI/dT0      = C E t^2 / T0^3
+    The last column is the T0 derivative.
+    """
+    n = omegas.shape[1]
+    phase = omegas[:, :, None] * t
+    cos, sin = np.cos(phase), np.sin(phase)
+    envelope = np.exp(-((t / t0[:, None]) ** 2))
+    jac = np.empty((omegas.shape[0], t.size, n + 1))
+    # prod_{i != j} cos as (product of cos_i, i < j) (product, i > j)
+    left = [np.ones_like(envelope)]
+    for j in range(n):
+        left.append(left[-1] * cos[:, j])
+    right = -0.5 * envelope * t
+    for j in reversed(range(n)):
+        jac[:, :, j] = right * sin[:, j] * left[j]
+        right = right * cos[:, j]
+    jac[:, :, n] = left[n] * envelope * t ** 2 / t0[:, None] ** 3
+    return jac
+
+
 @dataclass(frozen=True)
 class DeerSpectrumModel:
     """Gaussian line of the swept-frequency double-resonance spectrum.

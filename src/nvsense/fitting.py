@@ -4,7 +4,9 @@ The engine is a small bounded Levenberg-Marquardt: damped normal
 equations, steps clipped into box bounds, acceptance only on strict
 objective decrease.  Recipes wrap it with model functions, data-driven
 starting values (FFT peaks for oscillatory models) and multi-start
-loops, and return a uniform FitResult record.
+loops, and return a uniform FitResult record.  The double-resonance fit
+runs all its starts at once through a lockstep copy of the engine that
+takes a closed-form Jacobian; nlls_fit is its reference.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NoPeakError, Trace, XKind
-from .deer import DeerSpectrumModel, TargetSpinModel, nv_epr_signal
+from .deer import (DeerSpectrumModel, TargetSpinModel, nv_epr_jacobian_grid,
+                   nv_epr_signal, nv_epr_signal_grid)
 
 _COST_FLOOR = 1e-300
+# damping schedule shared by nlls_fit and _lockstep_lm (Madsen, Nielsen
+# & Tingleff 2004): start, floor, stall limit and cap of the growth nu
+_LAM_START, _LAM_MIN, _LAM_STALL, _NU_MAX = 1e-3, 1e-12, 1e14, 64.0
 
 
 @dataclass
@@ -77,7 +83,10 @@ class FitResult:
     param_errors is None when the covariance is not available (singular
     Jacobian or zero degrees of freedom).  cost_history holds the
     optimizer objective after each accepted step, first entry included,
-    and is non-increasing by construction.
+    and is non-increasing by construction.  n_starts counts the LM runs
+    behind the result and n_model_evals the parameter vectors at which
+    they evaluated the model, over all runs: a forward-difference
+    Jacobian costs k of them, a closed-form Jacobian one.
     """
 
     params: np.ndarray
@@ -88,6 +97,8 @@ class FitResult:
     n_iter: int
     param_names: tuple = ()
     cost_history: np.ndarray = field(default_factory=lambda: np.empty(0))
+    n_starts: int = 1
+    n_model_evals: int = 0
 
 
 def _fd_jacobian(fun, p, lo, hi, r0):
@@ -108,8 +119,11 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     """Minimize sum(w (model(p, x) - y)^2) over box-bounded p."""
     lo, hi = problem.lo, problem.hi
     sw = np.sqrt(problem.weights) if problem.weights is not None else None
+    n_evals = 0
 
     def residuals(q):
+        nonlocal n_evals
+        n_evals += 1
         r = np.asarray(problem.model(q, problem.x), dtype=float) - problem.y
         return r * sw if sw is not None else r
 
@@ -117,7 +131,7 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     r = residuals(p)
     cost = float(r @ r)
     history = [cost]
-    lam, nu = 1e-3, 2.0
+    lam, nu = _LAM_START, 2.0
     converged = False
     n_accept = 0
 
@@ -142,7 +156,7 @@ def nlls_fit(problem: FitProblem) -> FitResult:
                     p, r, cost = trial, r_t, cost_t
                     n_accept += 1
                     history.append(cost)
-                    lam = max(lam / 3.0, 1e-12)
+                    lam = max(lam / 3.0, _LAM_MIN)
                     nu = 2.0
                     if gain <= problem.tol * max(cost, _COST_FLOOR):
                         converged = True
@@ -153,8 +167,8 @@ def nlls_fit(problem: FitProblem) -> FitResult:
                     converged = True
                     break
             lam = lam * nu
-            nu = min(2.0 * nu, 64.0)
-            if lam > 1e14:
+            nu = min(2.0 * nu, _NU_MAX)
+            if lam > _LAM_STALL:
                 stalled = True  # no acceptable step even at heavy damping
                 break
         if converged or stalled:
@@ -168,17 +182,153 @@ def nlls_fit(problem: FitProblem) -> FitResult:
     param_errors = None
     if n > k:
         jac = _fd_jacobian(residuals, p, lo, hi, r)
-        try:
-            cov = np.linalg.inv(jac.T @ jac) * (cost / (n - k))
-            diag = np.diag(cov)
-            if np.all(np.isfinite(diag)) and np.all(diag >= 0):
-                param_errors = np.sqrt(diag)
-        except np.linalg.LinAlgError:
-            param_errors = None
+        param_errors = _param_errors(jac, cost, n - k)
 
     return FitResult(params=p, param_errors=param_errors, ss_res=ss_res,
                      adj_r2=adj, converged=converged, n_iter=n_accept,
-                     cost_history=np.asarray(history))
+                     cost_history=np.asarray(history),
+                     n_model_evals=n_evals + 1)
+
+
+def _param_errors(jac, cost, dof):
+    """1-sigma errors from the covariance inv(J^T J) cost / dof.
+
+    None when J^T J is singular or the covariance has a non-finite or
+    negative diagonal.
+    """
+    try:
+        cov = np.linalg.inv(jac.T @ jac) * (cost / dof)
+    except np.linalg.LinAlgError:
+        return None
+    diag = np.diag(cov)
+    if np.all(np.isfinite(diag)) and np.all(diag >= 0):
+        return np.sqrt(diag)
+    return None
+
+
+@dataclass
+class _LockstepRuns:
+    """Per-start outcome of _lockstep_lm, one entry or row per start."""
+
+    params: np.ndarray
+    cost: np.ndarray
+    converged: np.ndarray
+    n_iter: np.ndarray
+    n_evals: np.ndarray
+    history: list
+
+    def extend(self, other: "_LockstepRuns") -> "_LockstepRuns":
+        """These runs followed by other's, as if started together."""
+        def cat(name):
+            return np.concatenate([getattr(self, name), getattr(other, name)])
+
+        return _LockstepRuns(params=cat("params"), cost=cat("cost"),
+                             converged=cat("converged"), n_iter=cat("n_iter"),
+                             n_evals=cat("n_evals"),
+                             history=self.history + other.history)
+
+
+def _solve_each(mats, rhs):
+    """Solve mats[i] x = rhs[i] for every i.
+
+    Returns (x, ok).  A singular matrix leaves only its own row unsolved
+    (ok False, x nan), so one degenerate start cannot stop the others.
+    """
+    try:
+        return (np.linalg.solve(mats, rhs[..., None])[..., 0],
+                np.ones(len(rhs), dtype=bool))
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+        ok = np.zeros(len(rhs), dtype=bool)
+        for i in range(len(rhs)):
+            try:
+                x[i] = np.linalg.solve(mats[i], rhs[i])
+                ok[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, ok
+
+
+def _lockstep_lm(model, jacobian, y, starts, lo, hi, tol=1e-10,
+                 max_iter=200) -> _LockstepRuns:
+    """Unweighted bounded LM from every row of starts, all in lockstep.
+
+    model(P) maps an (s, k) block of parameter rows to (s, m)
+    predictions of y, jacobian(P) to their (s, m, k) derivatives.  Each
+    start follows the rules of nlls_fit on its own: damped normal
+    equations with per-start lambda and nu, acceptance only on strict
+    decrease, convergence on a gain or a flat trial within tol, lambda/3
+    after an accepted step and lambda*nu after a rejected one, a stall
+    above lambda 1e14 and at most max_iter accepted steps.  Each round
+    takes the Jacobian only where the last step was accepted and drops
+    finished starts.
+    """
+    p = np.array(starts, dtype=float)
+    if np.any(p < lo) or np.any(p > hi):
+        raise ValueError("starts must lie within bounds")
+    n_start, k = p.shape
+    r = model(p) - y
+    cost = np.einsum("ij,ij->i", r, r)
+    runs = _LockstepRuns(params=p.copy(), cost=cost.copy(),
+                         converged=np.zeros(n_start, dtype=bool),
+                         n_iter=np.zeros(n_start, dtype=int),
+                         n_evals=np.ones(n_start, dtype=int),
+                         history=[[c] for c in cost.tolist()])
+    # one row per unfinished start; live[row] is its index in runs
+    live = np.arange(n_start)
+    lam = np.full(n_start, _LAM_START)
+    nu = np.full(n_start, 2.0)
+    n_iter = np.zeros(n_start, dtype=int)
+    stale = np.ones(n_start, dtype=bool)  # Jacobian due at p
+    a = np.empty((n_start, k, k))
+    g = np.empty((n_start, k))
+    d = np.empty((n_start, k))
+    eye = np.eye(k)
+
+    while live.size:
+        if stale.any():
+            jac = jacobian(p[stale])
+            jt = jac.transpose(0, 2, 1)
+            a[stale] = jt @ jac
+            g[stale] = (jt @ r[stale][:, :, None])[:, :, 0]
+            diag = np.diagonal(a[stale], axis1=1, axis2=2).copy()
+            diag[diag <= 0] = 1.0  # keep damping effective, as in nlls_fit
+            d[stale] = diag
+            runs.n_evals[live[stale]] += 1
+        delta, solved = _solve_each(
+            a + (lam[:, None] * d)[:, :, None] * eye, -g)
+        # an unsolved row has a nan trial and cost: rejected below
+        trial = np.clip(p + delta, lo, hi)
+        r_t = model(trial) - y
+        cost_t = np.einsum("ij,ij->i", r_t, r_t)
+        runs.n_evals[live[solved]] += 1
+        better = cost_t < cost
+        # flat to within tolerance: at an optimum or pinned to a bound
+        flat = ~better & (np.abs(cost_t - cost)
+                          <= tol * np.maximum(cost, _COST_FLOOR))
+        conv = flat | (better & (cost - cost_t
+                                 <= tol * np.maximum(cost_t, _COST_FLOOR)))
+        for i, c in zip(live[better].tolist(), cost_t[better].tolist()):
+            runs.history[i].append(c)
+        p[better], r[better], cost[better] = (trial[better], r_t[better],
+                                              cost_t[better])
+        n_iter += better
+        lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN), lam * nu)
+        nu = np.where(better, 2.0, np.minimum(2.0 * nu, _NU_MAX))
+        stale = better
+        # stalled: no acceptable step even at heavy damping
+        end = conv | (n_iter >= max_iter) | (lam > _LAM_STALL)
+        if end.any():
+            done = live[end]
+            runs.params[done], runs.cost[done] = p[end], cost[end]
+            runs.converged[done], runs.n_iter[done] = conv[end], n_iter[end]
+            keep = ~end
+            live, p, r, cost, lam, nu, n_iter, stale, a, g, d = (
+                v[keep] for v in (live, p, r, cost, lam, nu, n_iter, stale,
+                                  a, g, d))
+
+    runs.history = [np.asarray(h) for h in runs.history]
+    return runs
 
 
 def _adj_r2_or_nan(y, yhat, k):
@@ -345,7 +495,7 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     peaks = [f for f in _fft_peak_frequencies(x, y, count=2)
              if f_lo < f < f_hi] or [min(max(1.0 / span, f_lo * 1.01),
                                          f_hi * 0.99)]
-    best = None
+    best, n_starts, n_evals = None, 0, 0
     for f0 in peaks:
         for t00 in (span / 5.0, span / 2.0):
             problem = FitProblem(
@@ -354,9 +504,12 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
                 bounds=((f_lo, f_hi), (2.0 * dt, 50.0 * span)),
             )
             result = nlls_fit(problem)
+            n_starts += 1
+            n_evals += result.n_model_evals
             if best is None or result.ss_res < best.ss_res:
                 best = result
     best.param_names = ("f_mhz", "t0_us")
+    best.n_starts, best.n_model_evals = n_starts, n_evals
     return best
 
 
@@ -433,7 +586,11 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     synth.coherence_trace).  Returns params (omega_1 .. omega_n in
     rad/us, ascending, then t0_us).  Coupling bounds follow the grid:
     at least a quarter oscillation over the record (pi / 2 span) and at
-    most one oscillation per four samples (pi / dt).
+    most one oscillation per four samples (pi / 2 dt).  The upper bound
+    keeps sum lines of the cosine product below the Nyquist limit, where
+    an aliased coupling set would fit the samples equally well.  All
+    starts run in lockstep (see _lockstep_lm) with the closed-form
+    Jacobian; the first start with the lowest cost wins.
     """
     if not 1 <= n_spins <= 5:
         raise ValueError(f"n_spins must be between 1 and 5, got {n_spins}")
@@ -446,45 +603,58 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
             "difference signal before fitting")
     span = float(x[-1] - x[0])
     dt = float(np.median(np.diff(x)))
-    w_lo, w_hi = 0.5 * np.pi / span, np.pi / dt
+    w_lo, w_hi = 0.5 * np.pi / span, 0.5 * np.pi / dt
     peaks_w = [2.0 * np.pi * f for f in _fft_peak_frequencies(x, y, count=4)
                if f > 0]
-    t0_bounds = (dt, 10.0 * span)
-    bounds = tuple([(w_lo, w_hi)] * n_spins) + (t0_bounds,)
-    best = None
-    for omegas0 in _deer_rabi_candidates(peaks_w, n_spins, w_lo, w_hi):
-        for t00 in (span / 3.0, span / 8.0):
-            problem = FitProblem(
-                model=_epr_model, x=x, y=y,
-                init=np.array(list(omegas0) + [t00]),
-                bounds=bounds,
-            )
-            result = nlls_fit(problem)
-            if best is None or result.ss_res < best.ss_res:
-                best = result
+    lo = np.array([w_lo] * n_spins + [dt])
+    hi = np.array([w_hi] * n_spins + [10.0 * span])
+
+    def model(p):
+        return nv_epr_signal_grid(p[:, :-1], p[:, -1], x)
+
+    def jacobian(p):
+        return nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x)
+
+    starts = [list(omegas0) + [t00]
+              for omegas0 in _deer_rabi_candidates(peaks_w, n_spins,
+                                                   w_lo, w_hi)
+              for t00 in (span / 3.0, span / 8.0)]
+    runs = _lockstep_lm(model, jacobian, y, starts, lo, hi)
+    win = int(np.argmin(runs.cost))
     # the spectral starts can strand the solver one resolution element
     # from the optimum; a fixed perturbation ring around the winner is
     # deterministic and cheap insurance against that
     scale = float(np.sum((y - y.mean()) ** 2))
-    if best.ss_res > 1e-12 * max(scale, 1e-30):
-        for ws in _perturbation_starts(best.params[:-1],
-                                       2.0 * np.pi * 0.3 / span, w_lo, w_hi):
-            problem = FitProblem(
-                model=_epr_model, x=x, y=y,
-                init=np.array(list(ws) + [best.params[-1]]),
-                bounds=bounds,
-            )
-            result = nlls_fit(problem)
-            if result.ss_res < best.ss_res:
-                best = result
-    order = np.argsort(best.params[:-1])
-    best.params = np.concatenate([best.params[:-1][order], best.params[-1:]])
-    if best.param_errors is not None:
-        best.param_errors = np.concatenate(
-            [best.param_errors[:-1][order], best.param_errors[-1:]])
-    best.param_names = tuple(f"omega_{i + 1}_rad_us"
-                             for i in range(n_spins)) + ("t0_us",)
-    return best
+    if runs.cost[win] > 1e-12 * max(scale, 1e-30):
+        ring = [list(ws) + [runs.params[win, -1]]
+                for ws in _perturbation_starts(runs.params[win, :-1],
+                                               2.0 * np.pi * 0.3 / span,
+                                               w_lo, w_hi)]
+        runs = runs.extend(_lockstep_lm(model, jacobian, y, ring, lo, hi))
+        win = int(np.argmin(runs.cost))
+
+    p = runs.params[win]
+    cost = float(runs.cost[win])
+    n, k = y.size, p.size
+    yhat = model(p[None])[0]
+    n_evals = int(runs.n_evals.sum()) + 1
+    param_errors = None
+    if n > k:
+        param_errors = _param_errors(jacobian(p[None])[0], cost, n - k)
+        n_evals += 1
+    order = np.argsort(p[:-1])
+    params = np.concatenate([p[:-1][order], p[-1:]])
+    if param_errors is not None:
+        param_errors = np.concatenate(
+            [param_errors[:-1][order], param_errors[-1:]])
+    return FitResult(
+        params=params, param_errors=param_errors, ss_res=cost,
+        adj_r2=_adj_r2_or_nan(y, yhat, k),
+        converged=bool(runs.converged[win]), n_iter=int(runs.n_iter[win]),
+        param_names=tuple(f"omega_{i + 1}_rad_us"
+                          for i in range(n_spins)) + ("t0_us",),
+        cost_history=runs.history[win], n_starts=len(runs.cost),
+        n_model_evals=n_evals)
 
 
 def target_model_from_fit(result: FitResult) -> TargetSpinModel:

@@ -169,6 +169,8 @@ class TestFit:
         assert report["version"] == __version__
         assert "config_hash" in report
         assert "timestamp" not in report
+        assert report["n_starts"] >= 2
+        assert report["n_model_evals"] > report["n_starts"]
 
     def test_gaussian_end_to_end(self, tmp_path):
         trace = tmp_path / "deer.csv"
@@ -179,6 +181,23 @@ class TestFit:
                    "--out", str(out)) == 0
         report = read_json(out)
         assert abs(report["params"]["center_mhz"] - 914.7) <= 1.0
+
+    def test_config_n_spins_enters_hash(self, tmp_path):
+        trace = tmp_path / "dr.csv"
+        assert run("simulate", "--kind", "deer-rabi", "--noiseless",
+                   "--out", str(trace)) == 0
+        hashes = []
+        for n_spins in (1, 2):
+            cfg = tmp_path / f"c{n_spins}.json"
+            cfg.write_text(json.dumps({"kind": "deer-rabi",
+                                       "n_spins": n_spins}))
+            out = tmp_path / f"fit{n_spins}.json"
+            run("fit", "--config", str(cfg), "--in", str(trace),
+                "--out", str(out))
+            report = read_json(out)
+            assert len(report["params"]) == n_spins + 1
+            hashes.append(report["config_hash"])
+        assert hashes[0] != hashes[1]
 
     def test_kind_required(self, tmp_path, capsys):
         assert run("fit", "--in", str(tmp_path / "x.csv")) == 1
@@ -228,6 +247,9 @@ class TestSelectSpins:
         report = read_json(out)
         assert report["best_n"] == 2
         assert sorted(report["models"]) == ["1", "2", "3"]
+        for model in report["models"].values():
+            assert model["n_starts"] >= 2
+            assert model["n_model_evals"] > model["n_starts"]
         got = sorted(report["models"]["2"]["omegas_mhz"])
         assert abs(got[0] - 1.12) <= 0.2
         assert abs(got[1] - 2.24) <= 0.2

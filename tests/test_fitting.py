@@ -2,13 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvsense.core import NoPeakError, TWO_PI, Trace, XKind
-from nvsense.deer import TargetSpinModel, nv_epr_signal
-from nvsense.fitting import (FitProblem, adjusted_r_squared, fit_deer_rabi,
+from nvsense.deer import (TargetSpinModel, nv_epr_jacobian_grid,
+                          nv_epr_signal, nv_epr_signal_grid)
+from nvsense.fitting import (FitProblem, _deer_rabi_candidates,
+                             _epr_model, _fd_jacobian,
+                             _fft_peak_frequencies, _lockstep_lm,
+                             _perturbation_starts, _solve_each,
+                             adjusted_r_squared, fit_deer_rabi,
                              fit_gaussian_peak, fit_rabi, nlls_fit,
                              select_spin_count, spectrum_model_from_fit,
                              target_model_from_fit)
+from nvsense.presets import default_sequence, detector, target_pair
+from nvsense.synth import SequenceKind, coherence_trace, synthesize
 
 INF = math.inf
 
@@ -358,3 +366,228 @@ class TestModelComparison:
             assert sel.best_n == 1
         else:
             assert sel.best_n == 1  # single-spin data: n=1 wins anyway
+
+
+def _decay_model(p, x):
+    return p[:, :1] * np.exp(-p[:, 1:] * x)
+
+
+def _decay_jacobian(p, x):
+    e = np.exp(-p[:, 1:] * x)
+    return np.stack([e, -p[:, :1] * x * e], axis=2)
+
+
+def _decay_data():
+    rng = np.random.default_rng(8)
+    x = np.linspace(0.0, 3.0, 60)
+    return x, 2.0 * np.exp(-1.3 * x) + 0.01 * rng.standard_normal(60)
+
+
+class TestLockstepEngine:
+    """_lockstep_lm against the serial nlls_fit rules, start by start."""
+
+    lo, hi = np.array([0.0, 0.0]), np.array([10.0, 10.0])
+    starts = np.array([[1.0, 1.0], [0.5, 3.0], [5.0, 0.2], [2.0, 1.3]])
+
+    def run(self, starts, max_iter=200):
+        x, y = _decay_data()
+        return _lockstep_lm(lambda p: _decay_model(p, x),
+                            lambda p: _decay_jacobian(p, x), y, starts,
+                            self.lo, self.hi, max_iter=max_iter)
+
+    def serial(self, start, max_iter=200):
+        x, y = _decay_data()
+        return nlls_fit(FitProblem(
+            model=lambda p, x: _decay_model(p[None], x)[0], x=x, y=y,
+            init=start, bounds=tuple(zip(self.lo, self.hi)),
+            max_iter=max_iter))
+
+    def test_each_start_matches_nlls_fit(self):
+        runs = self.run(self.starts)
+        for i, start in enumerate(self.starts):
+            ref = self.serial(start)
+            assert runs.converged[i] == ref.converged
+            assert np.allclose(runs.params[i], ref.params, atol=1e-6)
+            assert runs.cost[i] == pytest.approx(ref.ss_res, rel=1e-9)
+            # same accepted steps: only the Jacobians differ (closed form
+            # against forward differences), so the paths agree closely
+            assert runs.n_iter[i] == ref.n_iter
+            np.testing.assert_allclose(runs.history[i], ref.cost_history,
+                                       rtol=1e-4)
+
+    def test_max_iter_exhaustion_is_not_convergence(self):
+        runs = self.run(self.starts, max_iter=1)
+        assert not np.any(runs.converged)
+        assert np.all(runs.n_iter == 1)
+        assert not self.serial(self.starts[0], max_iter=1).converged
+
+    def test_start_pinned_at_bound(self):
+        # unconstrained optimum (slope 3) outside the box; one start sits
+        # on the wall from the outset
+        x = np.linspace(0.0, 1.0, 10)
+        runs = _lockstep_lm(lambda p: p * x, lambda p: np.broadcast_to(
+            x[None, :, None], (len(p), x.size, 1)), 3.0 * x,
+            np.array([[1.0], [2.0]]), np.array([0.0]), np.array([2.0]))
+        assert np.all(runs.converged)
+        assert np.allclose(runs.params, 2.0, atol=1e-9)
+
+    def test_degenerate_start_leaves_others_untouched(self):
+        # a start whose Jacobian is nan gets a nan normal matrix, never
+        # accepts a step and stalls; the other rows must come out exactly
+        # as they do without it
+        x, y = _decay_data()
+
+        def jacobian(p):
+            jac = _decay_jacobian(p, x)
+            jac[p[:, 0] == 7.0] = np.nan
+            return jac
+
+        def run(starts):
+            return _lockstep_lm(lambda p: _decay_model(p, x), jacobian, y,
+                                starts, self.lo, self.hi)
+
+        clean = run(self.starts)
+        mixed = run(np.insert(self.starts, 1, [7.0, 1.0], axis=0))
+        others = [0, 2, 3, 4]
+        assert np.array_equal(mixed.params[others], clean.params)
+        assert np.array_equal(mixed.cost[others], clean.cost)
+        assert np.array_equal(mixed.n_iter[others], clean.n_iter)
+        assert not mixed.converged[1] and mixed.n_iter[1] == 0
+        assert np.array_equal(mixed.params[1], [7.0, 1.0])
+
+    def test_singular_matrix_solved_alone(self):
+        mats = np.array([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
+        rhs = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, 4.0]])
+        x, ok = _solve_each(mats, rhs)
+        assert ok.tolist() == [True, False, True]
+        assert np.array_equal(x[0], [1.0, 2.0])
+        assert np.array_equal(x[2], [1.5, 2.0])
+        assert np.all(np.isnan(x[1]))
+
+    def test_starts_outside_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            self.run(np.array([[11.0, 1.0]]))
+
+
+# the DEER-Rabi preset grid and the coupling and T0 bounds fit_deer_rabi
+# derives from it
+GRID = np.linspace(0.0, 1.0, 101)
+DT, SPAN = 0.01, 1.0
+W_LO, W_HI = 0.5 * math.pi / SPAN, 0.5 * math.pi / DT
+
+
+def _fd_jacobian_extrapolated(f, p, lo, hi):
+    """_fd_jacobian with its first-order truncation error removed.
+
+    A forward difference D(h) = J + (h/2) f'' + O(h^2); 2 D(h/2) - D(h)
+    cancels the f'' term.  D(h/2) comes from the same routine applied to
+    f with its argument compressed about p, so the step in p halves.
+    """
+    def half(q):
+        return f(p + 0.5 * (q - p))
+
+    coarse = _fd_jacobian(f, p, lo, hi, f(p))
+    fine = 2.0 * _fd_jacobian(half, p, lo, hi, half(p))
+    return 2.0 * fine - coarse
+
+
+def _serial_best_cost(x, y, n_spins):
+    """Best cost of the serial recipe fit_deer_rabi runs in lockstep: one
+    nlls_fit per spectral start, then the perturbation ring."""
+    span, dt = x[-1] - x[0], float(np.median(np.diff(x)))
+    w_lo, w_hi = 0.5 * math.pi / span, 0.5 * math.pi / dt
+    bounds = ((w_lo, w_hi),) * n_spins + ((dt, 10.0 * span),)
+    peaks = [TWO_PI * f for f in _fft_peak_frequencies(x, y, count=4)]
+    best = None
+    for ws in _deer_rabi_candidates(peaks, n_spins, w_lo, w_hi):
+        for t00 in (span / 3.0, span / 8.0):
+            fit = nlls_fit(FitProblem(model=_epr_model, x=x, y=y,
+                                      init=np.array(ws + (t00,)),
+                                      bounds=bounds))
+            if best is None or fit.ss_res < best.ss_res:
+                best = fit
+    for ws in _perturbation_starts(best.params[:-1], TWO_PI * 0.3 / span,
+                                   w_lo, w_hi):
+        fit = nlls_fit(FitProblem(model=_epr_model, x=x, y=y,
+                                  init=np.array(ws + (best.params[-1],)),
+                                  bounds=bounds))
+        best = fit if fit.ss_res < best.ss_res else best
+    return best.ss_res
+
+
+class TestDeerRabiLockstep:
+    @settings(max_examples=200, deadline=None)
+    @given(omegas=st.lists(st.floats(W_LO, W_HI), min_size=1, max_size=5),
+           t0=st.floats(DT, 10.0 * SPAN))
+    def test_grid_model_and_jacobian_match_references(self, omegas, t0):
+        p = np.array(omegas + [t0])
+        grid = nv_epr_signal_grid(p[None, :-1], p[-1:], GRID)[0]
+        np.testing.assert_allclose(
+            grid, nv_epr_signal(TargetSpinModel(omegas, t0), GRID),
+            rtol=1e-12, atol=1e-15)
+
+        def f(q):
+            return nv_epr_signal_grid(q[None, :-1], q[-1:], GRID)[0]
+
+        lo = np.array([W_LO] * len(omegas) + [DT])
+        hi = np.array([W_HI] * len(omegas) + [10.0 * SPAN])
+        jac = nv_epr_jacobian_grid(p[None, :-1], p[-1:], GRID)[0]
+        ref = _fd_jacobian_extrapolated(f, p, lo, hi)
+        # 1e-5 of each column's scale, over a 1e-9 floor for the rounding
+        # of differences taken at steps of ~1e-6
+        tol = 1e-5 * np.max(np.abs(jac), axis=0) + 1e-9
+        assert np.all(np.abs(jac - ref) <= tol)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_best_cost_matches_serial_oracle(self, seed):
+        tr = epr_trace([1.12, 2.24], noise=0.05, seed=seed)
+        y = tr.channel("coherence")
+        for n in (1, 2):
+            fit = fit_deer_rabi(tr, n_spins=n)
+            assert fit.ss_res == pytest.approx(
+                _serial_best_cost(tr.x, y, n), rel=1e-8)
+
+    def test_alias_of_coupling_pair_not_selected(self):
+        # at this seed (criterion 06) the pair (1.12, 2.26) MHz and its
+        # alias (47.74, 48.88) MHz fit the samples equally well; the
+        # sum line of the alias lies above the Nyquist limit
+        trace = coherence_trace(synthesize(
+            default_sequence(SequenceKind.DEER_RABI), target_pair(),
+            detector(n_avg=1_260_000, seed=47)))
+        fit = fit_deer_rabi(trace, n_spins=2)
+        dt = float(np.median(np.diff(trace.x)))
+        assert np.all(fit.params[:2] <= 0.5 * math.pi / dt)
+        assert np.all(np.abs(fit.params[:2] - np.array(target_pair().omegas))
+                      <= TWO_PI * 0.2)
+        # on t = k dt, cos((pi/dt - w) t) = (-1)^k cos(w t): the alias
+        # pair reproduces the fitted samples and only the bound excludes it
+        w1, w2, t0 = fit.params
+        alias = np.array([[math.pi / dt - w2, math.pi / dt - w1]])
+        yhat = nv_epr_signal_grid(alias, np.array([t0]), trace.x)[0]
+        y = trace.channel(next(iter(trace.channels)))
+        assert np.sum((yhat - y) ** 2) == pytest.approx(fit.ss_res, rel=1e-9)
+        assert np.all(alias > 0.5 * math.pi / dt)
+
+    def test_work_counters(self):
+        x = np.linspace(0.0, 1.0, 40)
+        calls = []
+
+        def model(p, x):
+            calls.append(1)
+            return p[0] * np.sin(p[1] * x)
+
+        fit = nlls_fit(FitProblem(model=model, x=x, y=np.sin(3.0 * x),
+                                  init=np.array([0.5, 2.5]),
+                                  bounds=((-5.0, 5.0), (0.1, 10.0))))
+        assert fit.n_starts == 1 and fit.n_model_evals == len(calls)
+
+        tr = epr_trace([1.12, 2.24], noise=0.05, seed=3)
+        fit = fit_deer_rabi(tr, 2)
+        peaks = [TWO_PI * f for f in
+                 _fft_peak_frequencies(tr.x, tr.channel("coherence"), 4)]
+        # two T0 starts per spectral start, then the 3^2 - 1 ring
+        n_cand = len(_deer_rabi_candidates(peaks, 2, W_LO, W_HI))
+        assert fit.n_starts == 2 * n_cand + 8
+        assert fit.n_model_evals > 2 * fit.n_starts
+        rabi = fit_rabi(epr_trace([1.3], t0=0.6))
+        assert rabi.n_starts >= 2 and rabi.n_model_evals > rabi.n_starts
