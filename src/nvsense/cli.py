@@ -23,14 +23,16 @@ from . import __version__
 from .core import (TWO_PI, ConfigError, DEFAULT_CONSTANTS, NvSenseError, Trace,
                    TraceFormatError, XKind)
 from .deer import DeerSpectrumModel, TargetSpinModel
-from .eseem import (BathModel, EseemNucleus, bath_decoherence, cpmg_echo_model,
+from .eseem import (EseemNucleus, bath_decoherence, cpmg_echo_model,
                     eseem_modulation, load_hyperfine_table, nucleus_from_record)
-from .fitting import (FitResult, fit_deer_rabi, fit_gaussian_peak, fit_rabi,
-                      select_spin_count)
+from .fitting import (_GAUSSIAN_PARAMS, _RABI_PARAMS, FitResult, _epr_model,
+                      _gaussian_model, _rabi_model, fit_deer_rabi,
+                      fit_gaussian_peak, fit_rabi, select_spin_count)
 from .hamiltonian import TransitionPair, g_value, invert_field
 from .io import read_json, read_trace, write_columns, write_json, write_trace
-from .presets import (DEFAULT_N_AVG, NULL_CENTERS, carbon_bath,
-                      default_sequence, default_truth, detector, main_field)
+from .presets import (BATH_B_RMS_UT, DEFAULT_N_AVG, NULL_CENTERS, carbon_bath,
+                      default_sequence, default_truth, detector, echo_truth,
+                      main_field)
 from .synth import (Cpmg8Truth, DetectorModel, OdmrTruth, RabiTruth,
                     SequenceKind, SequenceSpec, coherence_trace,
                     difference_signal, normalized_channels, synthesize)
@@ -243,16 +245,16 @@ def _build_truth(kind, args, config, null_center):
     field = main_field()
     b0 = t.get("b0_mt", null_center.b0 if null_center else field.b0)
     theta = math.radians(t.get("theta_deg", math.degrees(field.theta)))
+    base = default_truth(kind)
 
     if kind is SequenceKind.PULSED_ODMR:
-        base = OdmrTruth(b0=b0, theta=theta)
         return OdmrTruth(b0=b0, theta=theta,
                          linewidth_mhz=t.get("linewidth_mhz",
                                              base.linewidth_mhz),
                          transfer=t.get("transfer", base.transfer))
     if kind is SequenceKind.RABI:
-        return RabiTruth(f_mhz=t.get("f_mhz", 5.50),
-                         t0_us=t.get("t0_us", 0.67))
+        return RabiTruth(f_mhz=t.get("f_mhz", base.f_mhz),
+                         t0_us=t.get("t0_us", base.t0_us))
     if kind is SequenceKind.CPMG8:
         labels = t.get("nuclei")
         if labels is None:
@@ -263,31 +265,29 @@ def _build_truth(kind, args, config, null_center):
             raise ConfigError(f"unknown nuclei {unknown}; table has "
                               f"{sorted(table)}")
         nuclei = tuple(nucleus_from_record(table[lab], b0) for lab in labels)
-        bath = None
-        b_rms = t.get("b_rms_ut", 4.0)
-        if b_rms > 0:
-            bath = BathModel(b_rms=b_rms,
-                             omega_i=TWO_PI * DEFAULT_CONSTANTS.gamma_c13 * b0,
-                             n_pulses=8)
-        t2_default = null_center.t2_us if null_center else 38.0
+        b_rms = t.get("b_rms_ut", BATH_B_RMS_UT)
+        bath = carbon_bath(b0, 8, b_rms=b_rms) if b_rms > 0 else None
+        t2_default = null_center.t2_us if null_center else base.t2_us
         return Cpmg8Truth(nuclei=nuclei, bath=bath,
                           t2_us=t.get("t2_us", t2_default))
     if kind is SequenceKind.CPMG_DEER:
-        amplitude_default = 0.0 if null_center else -0.3
-        return DeerSpectrumModel(center=t.get("center_mhz", 914.7),
-                                 width=t.get("width_mhz", 9.0),
+        amplitude_default = 0.0 if null_center else base.amplitude
+        return DeerSpectrumModel(center=t.get("center_mhz", base.center),
+                                 width=t.get("width_mhz", base.width),
                                  amplitude=t.get("amplitude",
                                                  amplitude_default),
-                                 baseline=t.get("baseline", 0.5))
+                                 baseline=t.get("baseline", base.baseline))
     if kind is SequenceKind.DEER_RABI:
         if null_center:
             raise ConfigError(
                 f"preset {null_center.name!r} has no coupled target spins; "
                 "deer-rabi needs the coupled-pair preset or explicit "
                 "--omegas-mhz")
-        omegas = t.get("omegas_mhz", [1.12, 2.24])
-        return TargetSpinModel(omegas=tuple(TWO_PI * f for f in omegas),
-                               t0=t.get("t0_us", 0.34))
+        omegas = t.get("omegas_mhz")
+        return TargetSpinModel(
+            omegas=(base.omegas if omegas is None
+                    else tuple(TWO_PI * f for f in omegas)),
+            t0=t.get("t0_us", base.t0))
     raise ConfigError(f"unhandled kind {kind!r}")
 
 
@@ -440,9 +440,7 @@ def _cmd_eseem(args) -> int:
             values = {"V": eseem_modulation(grid, n_pulses, nucleus)}
             comment = f"echo modulation V(tau), N={n_pulses}, B0={b0} mT"
         elif args.mode == "bath":
-            bath = BathModel(b_rms=args.b_rms_ut,
-                             omega_i=TWO_PI * DEFAULT_CONSTANTS.gamma_c13 * b0,
-                             n_pulses=n_pulses)
+            bath = carbon_bath(b0, n_pulses, b_rms=args.b_rms_ut)
             values = {"C": bath_decoherence(grid, bath)}
             comment = (f"bath coherence C(tau), N={n_pulses}, "
                        f"B_rms={args.b_rms_ut} uT, B0={b0} mT")
@@ -450,16 +448,14 @@ def _cmd_eseem(args) -> int:
             labels = [s.strip() for s in (args.nuclei or "near-13c,14n").split(",")
                       if s.strip()]
             nuclei = tuple(build_nucleus(lab) for lab in labels)
-            bath = None
-            if args.b_rms_ut > 0:
-                bath = BathModel(b_rms=args.b_rms_ut,
-                                 omega_i=TWO_PI * DEFAULT_CONSTANTS.gamma_c13 * b0,
-                                 n_pulses=n_pulses)
-            s = cpmg_echo_model(grid, nuclei, bath, args.t2_us,
-                                n_pulses=n_pulses)
+            bath = (carbon_bath(b0, n_pulses, b_rms=args.b_rms_ut)
+                    if args.b_rms_ut > 0 else None)
+            t2_us = (args.t2_us if args.t2_us is not None
+                     else echo_truth().t2_us)
+            s = cpmg_echo_model(grid, nuclei, bath, t2_us, n_pulses=n_pulses)
             values = {"s": s, "population": 0.5 * (1.0 + s)}
             comment = (f"echo coherence s(t_total), N={n_pulses}, "
-                       f"T2={args.t2_us} us, B0={b0} mT")
+                       f"T2={t2_us} us, B0={b0} mT")
         trace = Trace(grid, XKind.EVOLUTION_TIME, values, n_avg=1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -522,26 +518,20 @@ def _model_from_report(report: dict):
     kind = report.get("model")
     params = report.get("params", {})
     if kind == "gaussian":
-        def fn(x):
-            return (params["baseline"] + params["amplitude"]
-                    * np.exp(-((x - params["center_mhz"]) ** 2)
-                             / (2.0 * params["width_mhz"] ** 2)))
-        return fn, "gaussian"
-    if kind == "rabi":
-        def fn(x):
-            return 0.5 * (1.0 + np.exp(-((x / params["t0_us"]) ** 2))
-                          * np.cos(2.0 * np.pi * params["f_mhz"] * x))
-        return fn, "rabi"
-    if kind == "deer-rabi":
-        omegas = [value for name, value in sorted(params.items())
-                  if name.startswith("omega_")]
-        from .deer import nv_epr_signal
-        model = TargetSpinModel(omegas=tuple(omegas), t0=params["t0_us"])
-
-        def fn(x):
-            return nv_epr_signal(model, x)
-        return fn, "deer-rabi"
-    raise ConfigError(f"fit report has unknown model {kind!r}")
+        model, names = _gaussian_model, _GAUSSIAN_PARAMS
+    elif kind == "rabi":
+        model, names = _rabi_model, _RABI_PARAMS
+    elif kind == "deer-rabi":
+        model = _epr_model
+        names = sorted(name for name in params if name.startswith("omega_"))
+        names.append("t0_us")
+    else:
+        raise ConfigError(f"fit report has unknown model {kind!r}")
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise TraceFormatError(f"{kind} fit report lacks params {missing}")
+    p = np.array([params[name] for name in names])
+    return (lambda x: model(p, x)), kind
 
 
 def _cmd_report(args) -> int:
@@ -583,7 +573,9 @@ def _build_parser() -> _Parser:
     sim.add_argument("--preset", choices=_PRESET_NAMES)
     sim.add_argument("--config")
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--workers", type=int)
+    sim.add_argument("--workers", type=int,
+                     help="accepted for compatibility (>= 1); changes "
+                          "neither the output nor the speed")
     sim.add_argument("--out")
     sim.add_argument("--n-avg", type=int, dest="n_avg")
     sim.add_argument("--n-avg-total", action="store_true", dest="n_avg_total",
@@ -649,8 +641,10 @@ def _build_parser() -> _Parser:
     ese.add_argument("--a-mhz", type=float, dest="a_mhz")
     ese.add_argument("--b-mhz", type=float, dest="b_mhz")
     ese.add_argument("--species", choices=["13C", "14N"], default="13C")
-    ese.add_argument("--b-rms-ut", type=float, default=4.0, dest="b_rms_ut")
-    ese.add_argument("--t2-us", type=float, default=38.0, dest="t2_us")
+    ese.add_argument("--b-rms-ut", type=float, default=BATH_B_RMS_UT,
+                     dest="b_rms_ut")
+    ese.add_argument("--t2-us", type=float, dest="t2_us",
+                     help="echo T2 (default: the coupled-pair preset's)")
     ese.add_argument("--x-start", type=float, dest="x_start")
     ese.add_argument("--x-stop", type=float, dest="x_stop")
     ese.add_argument("--x-num", type=int, dest="x_num")

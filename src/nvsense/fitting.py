@@ -332,12 +332,10 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, tol=1e-10,
 
 
 def _adj_r2_or_nan(y, yhat, k):
-    n = y.size
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot <= 0 or n - k - 1 <= 0:
+    try:
+        return adjusted_r_squared(y, yhat, k)
+    except ValueError:
         return float("nan")
-    ss_res = float(np.sum((y - yhat) ** 2))
-    return 1.0 - (ss_res / ss_tot) * (n - 1) / (n - k - 1)
 
 
 def adjusted_r_squared(y, yhat, k: int) -> float:
@@ -408,6 +406,16 @@ def _fft_peak_frequencies(x, y, count=4):
     return chosen
 
 
+_GAUSSIAN_PARAMS = ("center_mhz", "width_mhz", "amplitude", "baseline")
+_RABI_PARAMS = ("f_mhz", "t0_us")
+
+
+def _gaussian_model(p, f):
+    center, width, amplitude, baseline = p
+    return baseline + amplitude * np.exp(-((f - center) ** 2)
+                                         / (2.0 * width ** 2))
+
+
 def fit_gaussian_peak(trace: Trace, channel: str | None = None,
                       min_snr: float = 2.0,
                       width_bounds: tuple | None = None) -> FitResult:
@@ -449,15 +457,13 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     if amp0 == 0.0:
         amp0 = float(np.ptp(y)) or 1.0
     problem = FitProblem(
-        model=lambda p, f: p[3] + p[2] * np.exp(-((f - p[0]) ** 2)
-                                                / (2.0 * p[1] ** 2)),
-        x=x, y=y,
+        model=_gaussian_model, x=x, y=y,
         init=np.array([center0, width0, amp0, baseline0]),
         bounds=((x[0], x[-1]), (w_lo, w_hi),
                 (-np.inf, np.inf), (-np.inf, np.inf)),
     )
     result = nlls_fit(problem)
-    result.param_names = ("center_mhz", "width_mhz", "amplitude", "baseline")
+    result.param_names = _GAUSSIAN_PARAMS
     noise = math.sqrt(result.ss_res / (n - 4)) if n > 4 else 0.0
     if min_snr > 0 and abs(result.params[2]) < min_snr * noise:
         raise NoPeakError(
@@ -508,7 +514,7 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
             n_evals += result.n_model_evals
             if best is None or result.ss_res < best.ss_res:
                 best = result
-    best.param_names = ("f_mhz", "t0_us")
+    best.param_names = _RABI_PARAMS
     best.n_starts, best.n_model_evals = n_starts, n_evals
     return best
 
@@ -615,10 +621,13 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     def jacobian(p):
         return nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x)
 
+    # below 9 points span / 8 falls under the T0 bound dt
+    t0_starts = dict.fromkeys(min(max(t00, dt), 10.0 * span)
+                              for t00 in (span / 3.0, span / 8.0))
     starts = [list(omegas0) + [t00]
               for omegas0 in _deer_rabi_candidates(peaks_w, n_spins,
                                                    w_lo, w_hi)
-              for t00 in (span / 3.0, span / 8.0)]
+              for t00 in t0_starts]
     runs = _lockstep_lm(model, jacobian, y, starts, lo, hi)
     win = int(np.argmin(runs.cost))
     # the spectral starts can strand the solver one resolution element

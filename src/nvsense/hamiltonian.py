@@ -136,95 +136,77 @@ def transition_frequencies(b0: float, theta: float,
         raise DegenerateTransitionError(str(exc)) from None
 
 
-def _forward_pair(b0, theta, constants) -> np.ndarray:
-    pair = transition_frequencies(b0, theta, constants)
-    return np.array([pair.f_minus, pair.f_plus])
-
-
-# Starting tilts for the inversion; the forward map is even in theta, so a
-# start at exactly 0 has zero gradient and would stick there.
-_THETA_STARTS_DEG = (0.0, 5.0, 10.0, 20.0)
-
-
 def invert_field(pair: TransitionPair,
                  freq_errors: tuple[float, float] = (0.0, 0.0),
                  constants: PhysicalConstants = DEFAULT_CONSTANTS,
                  b_max: float = 300.0) -> FieldEstimate:
-    """Recover (B0, theta) from a measured transition pair.
+    """Recover (B0, theta) from a measured transition pair, in closed form.
 
-    Solves the 2x2 nonlinear least-squares problem with multiple tilt
-    starts and propagates freq_errors (1 sigma, MHz) through the inverse
-    Jacobian.  Raises ValueError when the pair cannot come from the S=1
-    model within b0 <= b_max.
+    The eigenvalue invariants of the axial S=1 Hamiltonian give, with
+    s = f-^2 + f+^2 - f- f+,
+
+        B0^2     = (s - D^2) / (3 gamma^2),
+        cos 2theta = [7D^3 + 2(f- + f+)(2f-^2 + 2f+^2 - 5f- f+) - 3Ds]
+                     / [9D(s - D^2)]
+
+    (Balasubramanian et al., Nature 455, 648 (2008); Doherty et al.,
+    Phys. Rep. 528, 1 (2013)).  freq_errors (1 sigma, MHz, independent)
+    propagate through the analytic gradients of B0 and c = cos 2theta;
+    theta_err = sigma_c / (2 |sin 2theta|), capped at pi/2, the whole
+    theta domain, which also covers sin 2theta = 0.
+
+    Raises ValueError when no field within b0 <= b_max produces the
+    pair: s <= D^2, B0 > b_max, or |c| > 1 by more than sigma_c plus
+    the rounding allowance 16 eps T, where T is the sum of the
+    magnitudes of the terms of the c quotient divided by its
+    denominator.  On forward-map pairs at theta = 0 and 1e-7 rad below
+    90 deg, B0 in [1, 90] mT, c errs by at most 1.9 eps T.  Inside
+    the allowance c is clamped to +-1, so a noisy pair near zero tilt
+    still inverts to theta = 0.
     """
-    from .fitting import FitProblem, nlls_fit
-
     sig_m, sig_p = (float(freq_errors[0]), float(freq_errors[1]))
     if sig_m < 0 or sig_p < 0:
         raise ValueError("freq_errors must be non-negative")
-    d = constants.zero_field_d
-    if abs(pair.f_minus + pair.f_plus - 2.0 * d) > constants.gamma_nv * b_max:
+    d, gamma = constants.zero_field_d, constants.gamma_nv
+    fm, fp = pair.f_minus, pair.f_plus
+    s = fm * fm + fp * fp - fm * fp
+    if s <= d * d:
         raise ValueError(
-            f"f_minus + f_plus = {pair.f_minus + pair.f_plus:.1f} MHz is too far "
-            f"from 2D = {2 * d:.1f} MHz for any field below {b_max} mT")
+            f"f_minus^2 + f_plus^2 - f_minus f_plus = {s:.6g} MHz^2 is not "
+            f"above D^2 = {d * d:.6g} MHz^2; no field produces this pair")
+    b0 = math.sqrt((s - d * d) / 3.0) / gamma
+    if b0 > b_max:
+        raise ValueError(f"the pair needs B0 = {b0:.3f} mT, above b_max = "
+                         f"{b_max} mT")
+    u, q = fm + fp, 2.0 * fm * fm + 2.0 * fp * fp - 5.0 * fm * fp
+    den = 9.0 * d * (s - d * d)
+    c = (7.0 * d ** 3 + 2.0 * u * q - 3.0 * d * s) / den
 
-    target = np.array([pair.f_minus, pair.f_plus])
-    b_init = min(max((pair.f_plus - pair.f_minus) / (2.0 * constants.gamma_nv),
-                     1e-3), b_max)
-
-    def model(params, _x):
-        # The search box corners (large tilt at high field) can hit a
-        # genuinely degenerate labelling; a huge finite residual there makes
-        # the solver reject the trial instead of dying.
-        try:
-            return _forward_pair(params[0], params[1], constants)
-        except DegenerateTransitionError:
-            return np.array([1e9, -1e9])
-
-    best = None
-    for theta0 in _THETA_STARTS_DEG:
-        problem = FitProblem(
-            model=model,
-            x=np.array([0.0, 1.0]),
-            y=target,
-            init=np.array([b_init, math.radians(theta0)]),
-            bounds=((1e-3, b_max), (0.0, math.pi / 2)),
-            tol=1e-14,
-            max_iter=200,
-        )
-        result = nlls_fit(problem)
-        if best is None or result.ss_res < best.ss_res:
-            best = result
-    b_fit, theta_fit = best.params
+    # gradients of s and of the c numerator with respect to (f-, f+)
+    ds = (2.0 * fm - fp, 2.0 * fp - fm)
+    dnum = (2.0 * q + 2.0 * u * (4.0 * fm - 5.0 * fp) - 3.0 * d * ds[0],
+            2.0 * q + 2.0 * u * (4.0 * fp - 5.0 * fm) - 3.0 * d * ds[1])
+    dc = [(dn - c * 9.0 * d * dsi) / den for dn, dsi in zip(dnum, ds)]
+    sig_c = math.hypot(dc[0] * sig_m, dc[1] * sig_p)
+    rounding = 16.0 * np.finfo(float).eps * (
+        7.0 * d ** 3 + abs(2.0 * u * q) + 3.0 * d * s
+        + 9.0 * d * (s + d * d)) / den
+    if abs(c) > 1.0 + sig_c + rounding:
+        raise ValueError(
+            f"the pair needs cos(2 theta) = {c:.6g}, outside [-1, 1] by more "
+            f"than its error {sig_c:.3g}; no field tilt produces this pair")
+    c = min(max(c, -1.0), 1.0)
+    theta = 0.5 * math.acos(c)
 
     b0_err = theta_err = 0.0
     if sig_m > 0 or sig_p > 0:
-        jac = _pair_jacobian(b_fit, theta_fit, constants)
-        sigma = np.diag([sig_m ** 2, sig_p ** 2])
-        try:
-            jinv = np.linalg.inv(jac)
-        except np.linalg.LinAlgError:
-            jinv = np.linalg.pinv(jac)
-        cov = jinv @ sigma @ jinv.T
-        b0_err = math.sqrt(max(cov[0, 0], 0.0))
-        theta_err = math.sqrt(max(cov[1, 1], 0.0))
-    return FieldEstimate(b0=float(b_fit), theta=float(theta_fit),
-                         b0_err=b0_err, theta_err=theta_err)
-
-
-def _pair_jacobian(b0, theta, constants) -> np.ndarray:
-    """d(f_minus, f_plus)/d(b0, theta) by central differences."""
-    db = 1e-5 * max(abs(b0), 1.0)
-    dth = 1e-5
-    jac = np.empty((2, 2))
-    jac[:, 0] = (_forward_pair(b0 + db, theta, constants)
-                 - _forward_pair(max(b0 - db, 0.0), theta, constants)) / (
-                     b0 + db - max(b0 - db, 0.0))
-    th_hi = min(theta + dth, math.pi / 2)
-    th_lo = max(theta - dth, 0.0)
-    jac[:, 1] = (_forward_pair(b0, th_hi, constants)
-                 - _forward_pair(b0, th_lo, constants)) / (th_hi - th_lo)
-    return jac
+        db = [dsi / (6.0 * gamma * gamma * b0) for dsi in ds]
+        b0_err = math.hypot(db[0] * sig_m, db[1] * sig_p)
+        slope = 2.0 * abs(math.sin(2.0 * theta))
+        theta_err = (sig_c / slope if sig_c < slope * math.pi / 2
+                     else math.pi / 2)
+    return FieldEstimate(b0=b0, theta=theta, b0_err=b0_err,
+                         theta_err=theta_err)
 
 
 def g_value(f_res: float, b0: float,

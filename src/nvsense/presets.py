@@ -49,8 +49,10 @@ def epr_line() -> DeerSpectrumModel:
 
 
 def carbon_bath(b0: float, n_pulses: int = 8,
-                constants=DEFAULT_CONSTANTS) -> BathModel:
-    return BathModel(b_rms=BATH_B_RMS_UT,
+                constants=DEFAULT_CONSTANTS,
+                b_rms: float = BATH_B_RMS_UT) -> BathModel:
+    """Carbon-13 bath at field b0 (mT): RMS field b_rms (uT), 13C Larmor."""
+    return BathModel(b_rms=b_rms,
                      omega_i=TWO_PI * constants.gamma_c13 * b0,
                      n_pulses=n_pulses)
 

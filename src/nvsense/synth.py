@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fitting
 from .core import (DEFAULT_CONSTANTS, DegenerateReferenceError,
                    PhysicalConstants, Trace, XKind)
 from .deer import DeerSpectrumModel, TargetSpinModel, deer_spectrum, nv_epr_signal
@@ -211,8 +211,7 @@ def _model_values(spec: SequenceSpec, truth, constants) -> np.ndarray:
         if not isinstance(truth, RabiTruth):
             raise ValueError(f"kind {kind.value} needs RabiTruth, "
                              f"got {type(truth).__name__}")
-        return 0.5 * (1.0 + np.exp(-((x / truth.t0_us) ** 2))
-                      * np.cos(2.0 * np.pi * truth.f_mhz * x))
+        return fitting._rabi_model((truth.f_mhz, truth.t0_us), x)
     if kind is SequenceKind.CPMG8:
         if not isinstance(truth, Cpmg8Truth):
             raise ValueError(f"kind {kind.value} needs Cpmg8Truth, "
@@ -249,8 +248,10 @@ def synthesize(spec: SequenceSpec, truth, det: DetectorModel,
 
     Each (channel, grid point) pair draws from its own counter-derived
     random stream (seed plus indices), so the output is reproducible
-    and independent of evaluation order or worker count.  Channel
-    values are photons per repetition (counts / n_avg).
+    and independent of evaluation order.  Channel values are photons
+    per repetition (counts / n_avg).  workers (>= 1) is accepted for
+    compatibility and changes neither the output nor the speed: the
+    draws run serially.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -266,22 +267,12 @@ def synthesize(spec: SequenceSpec, truth, det: DetectorModel,
         return Trace(spec.grid, spec.x_kind, rates, n_avg=n_eff)
 
     out = {name: np.empty(spec.grid.size) for name in names}
-
-    def fill(point_range):
-        for i in point_range:
-            for name in names:
-                ci = _CHANNEL_ORDER.index(name)
-                rng = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence(det.seed, spawn_key=(ci, i))))
-                out[name][i] = rng.poisson(n_eff * rates[name][i]) / n_eff
-
-    indices = range(spec.grid.size)
-    if workers == 1:
-        fill(indices)
-    else:
-        chunks = np.array_split(np.asarray(indices), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, chunks))
+    for i in range(spec.grid.size):
+        for name in names:
+            ci = _CHANNEL_ORDER.index(name)
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(det.seed, spawn_key=(ci, i))))
+            out[name][i] = rng.poisson(n_eff * rates[name][i]) / n_eff
     return Trace(spec.grid, spec.x_kind, out, n_avg=n_eff)
 
 
@@ -351,15 +342,13 @@ def snr_estimate(trace: Trace, min_relative_width: float = 0.10) -> float:
     single-channel one.  Returns a large value (capped at 1e12) when the
     residual noise underflows.
     """
-    from .fitting import fit_gaussian_peak
-
     if len(trace.channels) == 1:
         y = trace.channel(trace.channel_names[0])
     else:
         y = difference_signal(trace)
     work = Trace(trace.x, trace.x_kind, {"diff": y}, trace.n_avg)
     span = float(trace.x[-1] - trace.x[0])
-    result = fit_gaussian_peak(
+    result = fitting.fit_gaussian_peak(
         work, min_snr=0.0,
         width_bounds=(min_relative_width * span, 0.5 * span))
     dof = trace.x.size - 4

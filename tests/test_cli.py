@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import nvsense.cli as cli
-from nvsense import __version__
+from nvsense import __version__, presets
 from nvsense.core import Trace
-from nvsense.fitting import FitResult
-from nvsense.io import read_json, read_trace
-from nvsense.synth import difference_signal
+from nvsense.fitting import (FitResult, _epr_model, _gaussian_model,
+                             _rabi_model)
+from nvsense.io import read_json, read_trace, write_columns
+from nvsense.synth import (SequenceKind, coherence_trace, difference_signal,
+                           normalized_channels)
 
 
 def run(*argv):
@@ -37,6 +39,13 @@ class TestInvertField:
         assert run("invert-field", "--f-minus", "7000", "--f-plus",
                    "7200") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_b_max_rejects_field_above_it(self, capsys):
+        pair = ("--f-minus", "1960.00", "--f-plus", "3783.39")
+        assert run("invert-field", *pair, "--b-max", "33") == 0
+        capsys.readouterr()
+        assert run("invert-field", *pair, "--b-max", "30") == 1
+        assert "b_max" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -86,6 +95,13 @@ class TestSimulate:
                    "--out", str(out)) == 0
         tr = read_trace(out)
         assert np.all(tr.channel("REF1") == 0.05)
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_default_truth_comes_from_presets(self, kind):
+        args = cli._build_parser().parse_args(
+            ["simulate", "--kind", kind.value])
+        assert cli._build_truth(kind, args, {}, None) \
+            == presets.default_truth(kind)
 
     def test_header_provenance_comments(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -319,12 +335,54 @@ class TestReport:
                                                               abs=1e-12)
         assert "residual rms" in capsys.readouterr().out
 
+    def test_model_columns_match_fitting_models(self, tmp_path):
+        names = {"gaussian": ("center_mhz", "width_mhz", "amplitude",
+                              "baseline"),
+                 "rabi": ("f_mhz", "t0_us"),
+                 "deer-rabi": ("omega_1_rad_us", "omega_2_rad_us", "t0_us")}
+        cases = (("gaussian", "cpmg-deer", _gaussian_model,
+                  lambda tr: difference_signal(tr)),
+                 ("rabi", "rabi", _rabi_model,
+                  lambda tr: normalized_channels(tr)["SIG1n"]),
+                 ("deer-rabi", "deer-rabi", _epr_model,
+                  lambda tr: coherence_trace(tr).channel("coherence")))
+        for model, sim_kind, fn, prepare in cases:
+            trace = tmp_path / f"{model}.csv"
+            fit_json = tmp_path / f"{model}.json"
+            cols, expected = tmp_path / f"{model}-cols.csv", tmp_path / "x.csv"
+            run("simulate", "--kind", sim_kind, "--seed", "3",
+                "--out", str(trace))
+            run("fit", "--kind", model, "--in", str(trace),
+                "--out", str(fit_json))
+            assert run("report", "--in", str(trace), "--fit", str(fit_json),
+                       "--out", str(cols)) == 0
+            params = read_json(fit_json)["params"]
+            tr = read_trace(trace)
+            data = prepare(tr)
+            yhat = fn(np.array([params[n] for n in names[model]]), tr.x)
+            write_columns(expected, ("x", "data", "model", "residual"),
+                          (tr.x, data, yhat, data - yhat),
+                          comments=(f"model: {model}",
+                                    "params: " + json.dumps(params,
+                                                            sort_keys=True),
+                                    f"source trace: {trace}",
+                                    f"version: {__version__}"))
+            assert cols.read_bytes() == expected.read_bytes()
+
     def test_unknown_model_rejected(self, tmp_path):
         trace = tmp_path / "rabi.csv"
         run("simulate", "--kind", "rabi", "--noiseless", "--out", str(trace))
         bad = tmp_path / "bad.json"
         bad.write_text('{"model": "mystery", "params": {}}')
         assert run("report", "--in", str(trace), "--fit", str(bad)) == 1
+
+    def test_missing_param_is_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "rabi.csv"
+        run("simulate", "--kind", "rabi", "--noiseless", "--out", str(trace))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"model": "rabi", "params": {"f_mhz": 5.5}}')
+        assert run("report", "--in", str(trace), "--fit", str(bad)) == 2
+        assert "t0_us" in capsys.readouterr().err
 
 
 class TestParser:

@@ -166,6 +166,21 @@ class TestAdjustedR2:
         with pytest.raises(ValueError):
             adjusted_r_squared(y, y, 4)  # n <= k + 1
 
+    def test_fit_result_reports_nan_where_undefined(self):
+        def line(p, x):
+            return p[0] + p[1] * x
+
+        bounds = ((-INF, INF), (-INF, INF))
+        x = np.arange(6.0)
+        fit = nlls_fit(FitProblem(model=line, x=x, y=1.0 + 2.0 * x,
+                                  init=np.zeros(2), bounds=bounds))
+        assert fit.adj_r2 == pytest.approx(1.0)
+        for xs, ys in ((x, np.full(6, 3.0)),           # constant target
+                       (x[:3], 1.0 + 2.0 * x[:3])):   # n = k + 1
+            fit = nlls_fit(FitProblem(model=line, x=xs, y=ys,
+                                      init=np.zeros(2), bounds=bounds))
+            assert math.isnan(fit.adj_r2)
+
 
 class TestGaussianPeak:
     def x(self):
@@ -284,6 +299,22 @@ class TestDeerRabiFit:
             fit_deer_rabi(tr, n_spins=0)
         with pytest.raises(ValueError):
             fit_deer_rabi(tr, n_spins=6)
+
+    @pytest.mark.parametrize("n_points", [4, 6, 8])
+    def test_short_trace(self, n_points):
+        # below 9 points the T0 start span / 8 lies under the bound dt
+        tr = epr_trace([0.6], t0=0.5, n=n_points)
+        fit = fit_deer_rabi(tr, n_spins=1)
+        assert fit.params[0] / TWO_PI == pytest.approx(0.6, abs=1e-6)
+        assert fit.params[1] == pytest.approx(0.5, abs=1e-6)
+        if n_points == 4:
+            # span / 3 and span / 8 both clamp to dt: one T0 start each
+            dt = 1.0 / 3.0
+            peaks = [TWO_PI * f for f in
+                     _fft_peak_frequencies(tr.x, tr.channel("coherence"), 4)]
+            n_cand = len(_deer_rabi_candidates(
+                peaks, 1, 0.5 * math.pi, 0.5 * math.pi / dt))
+            assert fit.n_starts == n_cand
 
     def test_model_export(self):
         fit = fit_deer_rabi(epr_trace([1.12, 2.24]), n_spins=2)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import nvsense.fitting
 from nvsense.core import DEFAULT_CONSTANTS, DegenerateTransitionError
 from nvsense.hamiltonian import (TransitionPair, build_hamiltonian,
                                  eigen_hermitian_3, g_value, invert_field,
@@ -183,6 +185,103 @@ class TestInvertField:
     def test_negative_errors_rejected(self):
         with pytest.raises(ValueError):
             invert_field(TransitionPair(1960.0, 3783.39), (-1.0, 0.0))
+
+
+def _forward(b0, theta):
+    pair = transition_frequencies(b0, theta)
+    return np.array([pair.f_minus, pair.f_plus])
+
+
+def _reference_errors(b0, theta, errors):
+    """1-sigma (B0, theta) errors from J^-1 Sigma J^-T, J the central-
+    difference Jacobian of the forward map d(f-, f+)/d(B0, theta)."""
+    db, dth = 1e-5 * b0, 1e-5
+    jac = np.column_stack([
+        (_forward(b0 + db, theta) - _forward(b0 - db, theta)) / (2 * db),
+        (_forward(b0, theta + dth) - _forward(b0, theta - dth)) / (2 * dth)])
+    jinv = np.linalg.inv(jac)
+    cov = jinv @ np.diag(np.square(errors)) @ jinv.T
+    return np.sqrt(np.diag(cov))
+
+
+class TestClosedFormInversion:
+    @settings(max_examples=300, deadline=None)
+    @given(b0=st.floats(1.0, 90.0), theta_deg=st.floats(0.0, 90.0))
+    def test_round_trip_against_forward_map(self, b0, theta_deg):
+        theta = math.radians(theta_deg)
+        try:
+            pair = transition_frequencies(b0, theta)
+        except DegenerateTransitionError:
+            assume(False)  # the oracle cannot label levels at 90 deg
+        est = invert_field(pair)
+        assert abs(est.b0 - b0) <= 1e-9
+        if abs(math.sin(2 * theta)) >= 1e-3:
+            assert abs(est.theta - theta) <= 1e-6
+        # the pair is even about 90 deg, so backing off 1e-9 rad where the
+        # oracle cannot label the levels changes it by O(1e-18)
+        back = _forward(est.b0, min(est.theta, math.pi / 2 - 1e-9))
+        np.testing.assert_allclose(back, [pair.f_minus, pair.f_plus],
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("b0, theta_deg", [
+        (32.59, 3.5), (10.0, 30.0), (60.0, 60.0), (80.0, 45.0), (5.0, 80.0)])
+    def test_errors_match_inverse_jacobian_propagation(self, b0, theta_deg):
+        theta = math.radians(theta_deg)
+        errors = (6.78, 3.39)
+        est = invert_field(transition_frequencies(b0, theta), errors)
+        ref = _reference_errors(est.b0, est.theta, errors)
+        np.testing.assert_allclose([est.b0_err, est.theta_err], ref,
+                                   rtol=1e-6)
+
+    def test_measured_pair_matches_iterative_solution(self):
+        # values of the four-start Levenberg-Marquardt solver this
+        # closed form replaced
+        est = invert_field(TransitionPair(1960.00, 3783.39), (6.78, 3.39))
+        assert est.b0 == pytest.approx(32.596074893394125, rel=1e-9)
+        assert est.theta == pytest.approx(0.059160891302354995, rel=1e-9)
+        assert est.b0_err == pytest.approx(0.123894, rel=1e-3)
+        assert est.theta_err == pytest.approx(0.066157, rel=1e-3)
+
+    def test_no_eigensolve_and_no_iterative_fit(self, monkeypatch):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("invert_field must stay closed-form")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(nvsense.fitting, "nlls_fit", forbidden)
+        est = invert_field(TransitionPair(1960.00, 3783.39), (6.78, 3.39))
+        assert abs(est.b0 - 32.59) < 0.05
+
+    def test_theta_error_capped_at_zero_tilt(self):
+        pair = TransitionPair(D - GB, D + GB)
+        est = invert_field(pair, (6.78, 3.39))
+        assert est.theta == pytest.approx(0.0, abs=1e-6)
+        assert est.theta_err == pytest.approx(math.pi / 2)
+        assert est.b0_err > 0
+        assert invert_field(pair).theta_err == 0.0
+
+    def test_noisy_pair_near_zero_tilt_clamps(self):
+        # 0.5 MHz below the zero-tilt line: cos 2theta exceeds 1, but by
+        # less than its propagated error
+        pair = TransitionPair(D - GB - 0.5, D + GB)
+        est = invert_field(pair, (6.78, 3.39))
+        assert est.theta == 0.0 and est.theta_err == math.pi / 2
+        with pytest.raises(ValueError, match="cos"):
+            invert_field(pair)
+
+    def test_off_model_pair_inside_sum_window_rejected(self):
+        # |f- + f+ - 2D| = 8 MHz is far inside gamma * b_max, yet no tilt
+        # produces a pair this far below the zero-tilt line
+        with pytest.raises(ValueError, match="cos"):
+            invert_field(TransitionPair(D - GB - 8.0, D + GB))
+        # f-^2 + f+^2 - f- f+ below D^2: no field at all
+        with pytest.raises(ValueError, match="D\\^2"):
+            invert_field(TransitionPair(1000.0, 1500.0))
+
+    def test_field_above_b_max_rejected(self):
+        pair = transition_frequencies(32.59, math.radians(3.5))
+        assert invert_field(pair, b_max=33.0).b0 == pytest.approx(32.59)
+        with pytest.raises(ValueError, match="b_max"):
+            invert_field(pair, b_max=30.0)
 
 
 class TestGValue:
