@@ -11,6 +11,7 @@ the API.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,14 +31,15 @@ from .fitting import (_GAUSSIAN_PARAMS, _RABI_PARAMS, FitResult, _epr_model,
                       fit_gaussian_peak, fit_rabi, select_spin_count)
 from .hamiltonian import TransitionPair, g_value, invert_field
 from .io import read_json, read_trace, write_columns, write_json, write_trace
-from .presets import (BATH_B_RMS_UT, DEFAULT_N_AVG, NULL_CENTERS, carbon_bath,
-                      default_sequence, default_truth, detector, echo_truth,
-                      main_field)
-from .synth import (Cpmg8Truth, DetectorModel, OdmrTruth, RabiTruth,
-                    SequenceKind, SequenceSpec, coherence_trace,
-                    difference_signal, normalized_channels, synthesize)
+from .presets import (BATH_B_RMS_UT, CONTRAST, DEFAULT_N_AVG, ECHO_NUCLEI,
+                      NULL_CENTERS, carbon_bath, default_sequence,
+                      default_truth, detector, echo_truth, main_field)
+from .synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
+                    SequenceSpec, coherence_trace, difference_signal,
+                    normalized_channels, synthesize)
 
 _PRESET_NAMES = ("coupled-pair",) + tuple(NULL_CENTERS)
+_FIT_KINDS = ("gaussian", "rabi", "deer-rabi")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,15 +49,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _float_list(text: str) -> list:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}")
+def _comma_list(item_type):
+    """argparse type for a comma-separated list of item_type."""
+    def parse(text: str) -> list:
+        try:
+            return [item_type(part.strip()) for part in text.split(",")
+                    if part.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated {item_type.__name__} list, "
+                f"got {text!r}") from None
+    return parse
 
 
 # ---------------------------------------------------------------- config
 
+# The schemas are the one list of simulate and fit parameters: they
+# validate config files, and each leaf key, unique across sections, is
+# also a flag --key-with-dashes of its type (see _add_schema_flags).
 _DETECTOR_SCHEMA = {"counts_bright": float, "counts_dark": float,
                     "contrast": float, "n_avg": int, "noiseless": bool,
                     "n_avg_is_total": bool}
@@ -73,6 +84,22 @@ _SIMULATE_SCHEMA = {"seed": int, "workers": int, "out": str, "preset": str,
                     "truth": _TRUTH_SCHEMA}
 _FIT_SCHEMA = {"kind": str, "channel": str, "n_spins": int, "in": str,
                "out": str}
+
+# add_argument settings beyond the schema type, per leaf key; "flag"
+# renames the flag and None marks a key that is config-only
+_SIMULATE_FLAGS = {
+    "kind": {"choices": [k.value for k in SequenceKind]},
+    "preset": {"choices": _PRESET_NAMES},
+    "workers": {"help": "accepted for compatibility (>= 1); changes "
+                        "neither the output nor the speed"},
+    "n_avg_is_total": {"flag": "--n-avg-total",
+                       "help": "interpret n_avg as a total split across "
+                               "points"},
+    "channels": None,
+    "nuclei": {"help": "comma-separated table labels"},
+    "omegas_mhz": {"help": "comma-separated couplings in MHz"},
+}
+_FIT_FLAGS = {"kind": {"choices": _FIT_KINDS}, "in": {"metavar": "IN_PATH"}}
 
 
 def _check_scalar(value, expected, where):
@@ -108,6 +135,28 @@ def _validate_config(obj, schema, path="") -> None:
             _check_scalar(value, expected, where)
 
 
+def _add_schema_flags(parser, schema, settings) -> None:
+    """One flag per schema leaf, stored under the leaf key.
+
+    Flags default to None, so _overlay can tell a flag that was not
+    given from one that was.
+    """
+    for key, expected in schema.items():
+        if isinstance(expected, dict):
+            _add_schema_flags(parser, expected, settings)
+            continue
+        if key in settings and settings[key] is None:
+            continue
+        kwargs = dict(settings.get(key, {}), dest=key)
+        flag = kwargs.pop("flag", "--" + key.replace("_", "-"))
+        if expected is bool:
+            kwargs.update(action="store_true", default=None)
+        else:
+            kwargs["type"] = (_comma_list(expected[0])
+                              if isinstance(expected, list) else expected)
+        parser.add_argument(flag, **kwargs)
+
+
 def _load_config(name, schema) -> dict:
     if name is None:
         return {}
@@ -128,25 +177,37 @@ def _load_config(name, schema) -> dict:
     return obj
 
 
+def _overlay(config: dict, schema, args) -> dict:
+    """Effective config: each flag given over the config value of its key.
+
+    Keys set by neither are left out, so callers supply defaults with
+    dict.get.  Sections are always present.
+    """
+    effective = {}
+    for key, expected in schema.items():
+        if isinstance(expected, dict):
+            effective[key] = _overlay(config.get(key, {}), expected, args)
+            continue
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        if value is not None:
+            effective[key] = value
+    return effective
+
+
 def _config_hash(effective: dict) -> str:
     canonical = json.dumps(effective, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _merge(config: dict, section: str, key: str, flag_value, default):
-    """flag > config > default."""
-    if flag_value is not None:
-        return flag_value
-    block = config.get(section, {}) if section else config
-    value = block.get(key)
-    return default if value is None else value
-
-
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config, _SIMULATE_SCHEMA)
-    kind_str = _merge(config, "sequence", "kind", args.kind, None)
+    config = _overlay(_load_config(args.config, _SIMULATE_SCHEMA),
+                      _SIMULATE_SCHEMA, args)
+    seq_cfg, det_cfg = config["sequence"], config["detector"]
+    kind_str = seq_cfg.get("kind")
     if kind_str is None:
         raise ConfigError("simulate needs --kind (or sequence.kind in config)")
     try:
@@ -154,62 +215,50 @@ def _cmd_simulate(args) -> int:
     except ValueError:
         raise ConfigError(f"unknown kind {kind_str!r}; choose from "
                           f"{[k.value for k in SequenceKind]}") from None
-    preset = _merge(config, None, "preset", args.preset, "coupled-pair")
+    preset = config.get("preset", "coupled-pair")
     if preset not in _PRESET_NAMES:
         raise ConfigError(f"unknown preset {preset!r}; choose from "
                           f"{_PRESET_NAMES}")
     null_center = NULL_CENTERS.get(preset)
 
     base_seq = default_sequence(kind)
-    x_start = _merge(config, "sequence", "x_start", args.x_start,
-                     float(base_seq.grid[0]))
-    x_stop = _merge(config, "sequence", "x_stop", args.x_stop,
-                    float(base_seq.grid[-1]))
-    x_num = _merge(config, "sequence", "x_num", args.x_num, base_seq.grid.size)
+    x_num = seq_cfg.get("x_num", base_seq.grid.size)
     tau_default = null_center.tau_us if (null_center and base_seq.tau) else base_seq.tau
-    tau = _merge(config, "sequence", "tau_us", args.tau_us, tau_default)
-    n_pulses = _merge(config, "sequence", "n_pulses", args.n_pulses,
-                      base_seq.n_pulses)
-    channels = config.get("sequence", {}).get("channels")
     if x_num < 2:
         raise ConfigError("sequence.x_num must be at least 2")
     try:
-        seq = SequenceSpec(kind=kind, grid=np.linspace(x_start, x_stop, x_num),
-                           tau=tau, n_pulses=n_pulses,
-                           channels=tuple(channels) if channels else None)
-        truth = _build_truth(kind, args, config, null_center)
+        seq = SequenceSpec(
+            kind=kind,
+            grid=np.linspace(seq_cfg.get("x_start", float(base_seq.grid[0])),
+                             seq_cfg.get("x_stop", float(base_seq.grid[-1])),
+                             x_num),
+            tau=seq_cfg.get("tau_us", tau_default),
+            n_pulses=seq_cfg.get("n_pulses", base_seq.n_pulses),
+            channels=seq_cfg.get("channels"))
+        truth = _build_truth(kind, config["truth"], null_center)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    contrast_default = null_center.contrast if null_center else 0.166
-    contrast = _merge(config, "detector", "contrast", args.contrast,
-                      contrast_default)
-    n_avg_default = (null_center.n_avg
-                     if null_center and kind is SequenceKind.CPMG_DEER
-                     else DEFAULT_N_AVG[kind])
-    n_avg = _merge(config, "detector", "n_avg", args.n_avg, n_avg_default)
-    seed = _merge(config, None, "seed", args.seed, 1)
-    workers = _merge(config, None, "workers", args.workers, 1)
+    contrast = det_cfg.get("contrast",
+                           null_center.contrast if null_center else CONTRAST)
+    n_avg = det_cfg.get("n_avg", null_center.n_avg
+                        if null_center and kind is SequenceKind.CPMG_DEER
+                        else DEFAULT_N_AVG[kind])
+    seed = config.get("seed", 1)
+    if config.get("workers", 1) < 1:
+        raise ConfigError("workers must be >= 1")
     try:
         det = detector(n_avg=n_avg, contrast=contrast, seed=seed,
-                       noiseless=args.noiseless
-                       or config.get("detector", {}).get("noiseless", False),
-                       n_avg_is_total=args.n_avg_total
-                       or config.get("detector", {}).get("n_avg_is_total", False))
-        bright = _merge(config, "detector", "counts_bright", args.counts_bright,
-                        None)
-        dark = _merge(config, "detector", "counts_dark", args.counts_dark, None)
-        if bright is not None or dark is not None:
-            det = DetectorModel(
-                counts_bright=bright if bright is not None else det.counts_bright,
-                counts_dark=dark if dark is not None else det.counts_dark,
-                n_avg=det.n_avg, seed=det.seed, noiseless=det.noiseless,
-                n_avg_is_total=det.n_avg_is_total)
-        trace = synthesize(seq, truth, det, workers=workers)
+                       noiseless=det_cfg.get("noiseless", False),
+                       n_avg_is_total=det_cfg.get("n_avg_is_total", False))
+        det = dataclasses.replace(det, **{
+            key: det_cfg[key] for key in ("counts_bright", "counts_dark")
+            if key in det_cfg})
+        trace = synthesize(seq, truth, det)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    out = _merge(config, None, "out", args.out, "trace.csv")
+    out = config.get("out", "trace.csv")
     comments = (
         f"kind: {kind.value}",
         f"preset: {preset}",
@@ -224,24 +273,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _build_truth(kind, args, config, null_center):
-    t = dict(config.get("truth", {}))
-    for key, flag in (("b0_mt", args.b0_mt), ("theta_deg", args.theta_deg),
-                      ("linewidth_mhz", args.linewidth_mhz),
-                      ("transfer", args.transfer), ("f_mhz", args.f_mhz),
-                      ("t0_us", args.t0_us), ("t2_us", args.t2_us),
-                      ("b_rms_ut", args.b_rms_ut),
-                      ("center_mhz", args.center_mhz),
-                      ("width_mhz", args.width_mhz),
-                      ("amplitude", args.amplitude),
-                      ("baseline", args.baseline)):
-        if flag is not None:
-            t[key] = flag
-    if args.omegas_mhz is not None:
-        t["omegas_mhz"] = _float_list(args.omegas_mhz)
-    if args.nuclei is not None:
-        t["nuclei"] = [s.strip() for s in args.nuclei.split(",") if s.strip()]
-
+def _build_truth(kind, t: dict, null_center):
+    """Truth model of one kind: the truth section t over preset values."""
     field = main_field()
     b0 = t.get("b0_mt", null_center.b0 if null_center else field.b0)
     theta = math.radians(t.get("theta_deg", math.degrees(field.theta)))
@@ -256,9 +289,7 @@ def _build_truth(kind, args, config, null_center):
         return RabiTruth(f_mhz=t.get("f_mhz", base.f_mhz),
                          t0_us=t.get("t0_us", base.t0_us))
     if kind is SequenceKind.CPMG8:
-        labels = t.get("nuclei")
-        if labels is None:
-            labels = [] if null_center else ["near-13c", "14n"]
+        labels = t.get("nuclei", [] if null_center else ECHO_NUCLEI)
         table = load_hyperfine_table()
         unknown = [lab for lab in labels if lab not in table]
         if unknown:
@@ -266,7 +297,7 @@ def _build_truth(kind, args, config, null_center):
                               f"{sorted(table)}")
         nuclei = tuple(nucleus_from_record(table[lab], b0) for lab in labels)
         b_rms = t.get("b_rms_ut", BATH_B_RMS_UT)
-        bath = carbon_bath(b0, 8, b_rms=b_rms) if b_rms > 0 else None
+        bath = carbon_bath(b0, b_rms=b_rms) if b_rms > 0 else None
         t2_default = null_center.t2_us if null_center else base.t2_us
         return Cpmg8Truth(nuclei=nuclei, bath=bath,
                           t2_us=t.get("t2_us", t2_default))
@@ -339,14 +370,15 @@ def _print_fit(result: FitResult) -> None:
 
 
 def _cmd_fit(args) -> int:
-    config = _load_config(args.config, _FIT_SCHEMA)
-    kind = _merge(config, None, "kind", args.kind, None)
-    if kind not in ("gaussian", "rabi", "deer-rabi"):
+    config = _overlay(_load_config(args.config, _FIT_SCHEMA), _FIT_SCHEMA,
+                      args)
+    kind = config.get("kind")
+    if kind not in _FIT_KINDS:
         raise ConfigError("fit needs --kind gaussian | rabi | deer-rabi")
-    in_path = _merge(config, None, "in", getattr(args, "in_path"), None)
+    in_path = config.get("in")
     if in_path is None:
         raise ConfigError("fit needs --in <trace.csv>")
-    channel = _merge(config, None, "channel", args.channel, None)
+    channel = config.get("channel")
     trace = read_trace(in_path)
     work = _prepare_fit_input(trace, kind, channel)
     n_spins = None
@@ -355,12 +387,12 @@ def _cmd_fit(args) -> int:
     elif kind == "rabi":
         result = fit_rabi(work, channel=channel)
     else:
-        n_spins = _merge(config, None, "n_spins", args.n_spins, 2)
+        n_spins = config.get("n_spins", 2)
         result = fit_deer_rabi(work, n_spins=n_spins, channel=channel)
     _print_fit(result)
     effective = {"command": "fit", "kind": kind, "in": str(in_path),
                  "channel": channel, "n_spins": n_spins}
-    out = _merge(config, None, "out", args.out, None)
+    out = config.get("out")
     if out:
         report = _fit_report(result, {
             "command": "fit", "model": kind, "input": str(in_path),
@@ -408,14 +440,13 @@ def _cmd_invert_field(args) -> int:
 def _cmd_eseem(args) -> int:
     b0 = args.b0_mt if args.b0_mt is not None else main_field().b0
     n_pulses = args.n_pulses
-    if args.x_start is None or args.x_stop is None:
-        defaults = {"modulation": (0.0, 2.5, 251), "bath": (0.0, 4.0, 201),
-                    "echo": (0.8, 64.0, 199)}
-        start, stop, num = defaults[args.mode]
+    if args.x_start is not None and args.x_stop is not None:
+        grid = np.linspace(args.x_start, args.x_stop, args.x_num or 201)
+    elif args.mode == "echo":
+        grid = default_sequence(SequenceKind.CPMG8).grid
     else:
-        start, stop = args.x_start, args.x_stop
-        num = args.x_num or 201
-    grid = np.linspace(start, stop, num)
+        grid = np.linspace(*{"modulation": (0.0, 2.5, 251),
+                             "bath": (0.0, 4.0, 201)}[args.mode])
 
     table = load_hyperfine_table()
 
@@ -436,19 +467,18 @@ def _cmd_eseem(args) -> int:
                                        b=TWO_PI * args.b_mhz,
                                        omega_i=TWO_PI * gamma * b0)
             else:
-                nucleus = build_nucleus(args.nucleus or "near-13c")
+                nucleus = build_nucleus(args.nucleus or ECHO_NUCLEI[0])
             values = {"V": eseem_modulation(grid, n_pulses, nucleus)}
             comment = f"echo modulation V(tau), N={n_pulses}, B0={b0} mT"
         elif args.mode == "bath":
-            bath = carbon_bath(b0, n_pulses, b_rms=args.b_rms_ut)
-            values = {"C": bath_decoherence(grid, bath)}
+            bath = carbon_bath(b0, b_rms=args.b_rms_ut)
+            values = {"C": bath_decoherence(grid, bath, n_pulses)}
             comment = (f"bath coherence C(tau), N={n_pulses}, "
                        f"B_rms={args.b_rms_ut} uT, B0={b0} mT")
         else:
-            labels = [s.strip() for s in (args.nuclei or "near-13c,14n").split(",")
-                      if s.strip()]
-            nuclei = tuple(build_nucleus(lab) for lab in labels)
-            bath = (carbon_bath(b0, n_pulses, b_rms=args.b_rms_ut)
+            nuclei = tuple(build_nucleus(lab)
+                           for lab in args.nuclei or ECHO_NUCLEI)
+            bath = (carbon_bath(b0, b_rms=args.b_rms_ut)
                     if args.b_rms_ut > 0 else None)
             t2_us = (args.t2_us if args.t2_us is not None
                      else echo_truth().t2_us)
@@ -569,50 +599,13 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", help="synthesize a photon-count trace",
                          description="Synthesize a photon-count trace for one "
                                      "experiment kind")
-    sim.add_argument("--kind", choices=[k.value for k in SequenceKind])
-    sim.add_argument("--preset", choices=_PRESET_NAMES)
     sim.add_argument("--config")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--workers", type=int,
-                     help="accepted for compatibility (>= 1); changes "
-                          "neither the output nor the speed")
-    sim.add_argument("--out")
-    sim.add_argument("--n-avg", type=int, dest="n_avg")
-    sim.add_argument("--n-avg-total", action="store_true", dest="n_avg_total",
-                     help="interpret n_avg as a total split across points")
-    sim.add_argument("--noiseless", action="store_true")
-    sim.add_argument("--counts-bright", type=float, dest="counts_bright")
-    sim.add_argument("--counts-dark", type=float, dest="counts_dark")
-    sim.add_argument("--contrast", type=float)
-    sim.add_argument("--x-start", type=float, dest="x_start")
-    sim.add_argument("--x-stop", type=float, dest="x_stop")
-    sim.add_argument("--x-num", type=int, dest="x_num")
-    sim.add_argument("--tau-us", type=float, dest="tau_us")
-    sim.add_argument("--n-pulses", type=int, dest="n_pulses")
-    sim.add_argument("--b0-mt", type=float, dest="b0_mt")
-    sim.add_argument("--theta-deg", type=float, dest="theta_deg")
-    sim.add_argument("--linewidth-mhz", type=float, dest="linewidth_mhz")
-    sim.add_argument("--transfer", type=float)
-    sim.add_argument("--f-mhz", type=float, dest="f_mhz")
-    sim.add_argument("--t0-us", type=float, dest="t0_us")
-    sim.add_argument("--t2-us", type=float, dest="t2_us")
-    sim.add_argument("--b-rms-ut", type=float, dest="b_rms_ut")
-    sim.add_argument("--nuclei", help="comma-separated table labels")
-    sim.add_argument("--center-mhz", type=float, dest="center_mhz")
-    sim.add_argument("--width-mhz", type=float, dest="width_mhz")
-    sim.add_argument("--amplitude", type=float)
-    sim.add_argument("--baseline", type=float)
-    sim.add_argument("--omegas-mhz", dest="omegas_mhz",
-                     help="comma-separated couplings in MHz")
+    _add_schema_flags(sim, _SIMULATE_SCHEMA, _SIMULATE_FLAGS)
     sim.set_defaults(func=_cmd_simulate)
 
     fit = sub.add_parser("fit", help="fit a model to a trace CSV")
-    fit.add_argument("--kind", choices=["gaussian", "rabi", "deer-rabi"])
-    fit.add_argument("--in", dest="in_path")
-    fit.add_argument("--channel")
-    fit.add_argument("--n-spins", type=int, dest="n_spins")
     fit.add_argument("--config")
-    fit.add_argument("--out")
+    _add_schema_flags(fit, _FIT_SCHEMA, _FIT_FLAGS)
     fit.set_defaults(func=_cmd_fit)
 
     inv = sub.add_parser("invert-field",
@@ -637,7 +630,8 @@ def _build_parser() -> _Parser:
     ese.add_argument("--b0-mt", type=float, dest="b0_mt")
     ese.add_argument("--n-pulses", type=int, default=8, dest="n_pulses")
     ese.add_argument("--nucleus", help="table label for --mode modulation")
-    ese.add_argument("--nuclei", help="comma-separated labels for --mode echo")
+    ese.add_argument("--nuclei", type=_comma_list(str),
+                     help="comma-separated labels for --mode echo")
     ese.add_argument("--a-mhz", type=float, dest="a_mhz")
     ese.add_argument("--b-mhz", type=float, dest="b_mhz")
     ese.add_argument("--species", choices=["13C", "14N"], default="13C")

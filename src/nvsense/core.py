@@ -123,12 +123,9 @@ def spin1_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 SX, SY, SZ = spin1_operators()
 
-# Basis kets, handy for overlap labelling.
-KET_PLUS1 = np.array([1.0, 0.0, 0.0], dtype=complex)
+# The |0> basis ket, for overlap labelling.
 KET_ZERO = np.array([0.0, 1.0, 0.0], dtype=complex)
-KET_MINUS1 = np.array([0.0, 0.0, 1.0], dtype=complex)
-for _k in (KET_PLUS1, KET_ZERO, KET_MINUS1):
-    _k.setflags(write=False)
+KET_ZERO.setflags(write=False)
 
 
 class XKind(enum.Enum):

@@ -212,21 +212,16 @@ def density_matrix_eseem_oracle(tau, n_pulses: int, nucleus: EseemNucleus):
 
 @dataclass(frozen=True)
 class BathModel:
-    """Gaussian nuclear bath: RMS field (uT), bath Larmor (rad/us), N."""
+    """Gaussian nuclear bath: RMS field (uT) and bath Larmor (rad/us)."""
 
     b_rms: float
     omega_i: float
-    n_pulses: int = 8
 
     def __post_init__(self):
         if not (math.isfinite(self.b_rms) and self.b_rms >= 0):
             raise ValueError(f"b_rms must be >= 0 uT, got {self.b_rms!r}")
         if not (math.isfinite(self.omega_i) and self.omega_i >= 0):
             raise ValueError(f"omega_i must be >= 0, got {self.omega_i!r}")
-        if not (isinstance(self.n_pulses, (int, np.integer))
-                and self.n_pulses >= 1):
-            raise ValueError(f"n_pulses must be a positive integer, "
-                             f"got {self.n_pulses!r}")
 
 
 def electron_gamma_per_ut(constants: PhysicalConstants = DEFAULT_CONSTANTS,
@@ -235,25 +230,28 @@ def electron_gamma_per_ut(constants: PhysicalConstants = DEFAULT_CONSTANTS,
     return TWO_PI * constants.gamma_nv * 1e-3
 
 
-def bath_decoherence(tau, bath: BathModel, gamma_e: float | None = None,
+def bath_decoherence(tau, bath: BathModel, n_pulses: int,
+                     gamma_e: float | None = None,
                      constants: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Coherence factor C(tau) of a CPMG-N train in a Gaussian bath.
+    """Coherence C(tau) of an N = n_pulses CPMG train in a Gaussian bath.
 
     C = exp[-(2/pi^2) gamma_e^2 B_rms^2 K] with the filter
     K = (N tau)^2 sinc^2[(N tau / 2)(omega_i - pi / tau)], which peaks
     (deepest decoherence) where the pulse spacing is resonant with the
     bath Larmor precession, omega_i = pi / tau.  C(0) = 1 by the limit.
     """
+    if not (isinstance(n_pulses, (int, np.integer)) and n_pulses >= 1):
+        raise ValueError(f"n_pulses must be a positive integer, "
+                         f"got {n_pulses!r}")
     if gamma_e is None:
         gamma_e = electron_gamma_per_ut(constants)
     tau_arr = np.asarray(tau, dtype=float)
     if np.any(tau_arr < 0):
         raise ValueError("tau must be >= 0")
-    n = bath.n_pulses
     with np.errstate(divide="ignore", invalid="ignore"):
         detune = bath.omega_i - np.pi / tau_arr
-        arg = 0.5 * n * tau_arr * detune
-        filt = (n * tau_arr) ** 2 * np.sinc(arg / np.pi) ** 2
+        arg = 0.5 * n_pulses * tau_arr * detune
+        filt = (n_pulses * tau_arr) ** 2 * np.sinc(arg / np.pi) ** 2
     filt = np.where(tau_arr == 0.0, 0.0, filt)
     c = np.exp(-(2.0 / np.pi ** 2) * gamma_e ** 2 * bath.b_rms ** 2 * filt)
     return float(c) if np.ndim(tau) == 0 else c
@@ -261,7 +259,7 @@ def bath_decoherence(tau, bath: BathModel, gamma_e: float | None = None,
 
 def cpmg_echo_model(t_total, nuclei, bath: BathModel | None, t2: float,
                     constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                    n_pulses: int | None = None):
+                    n_pulses: int = 8):
     """Echo coherence s(t) of a CPMG train versus total evolution time.
 
     t_total = 2 N tau covers all free evolution periods.  The model is
@@ -271,18 +269,11 @@ def cpmg_echo_model(t_total, nuclei, bath: BathModel | None, t2: float,
         s(t) = exp(-t / T2) * C(t / 2N) * prod_i V_i(t / 2N)
 
     s lies in [-1, 1]; the measured population channel is (1 + s) / 2.
-    n_pulses defaults to the bath's pulse count (or 8 with no bath).
     """
     if not (math.isfinite(t2) and t2 > 0):
         raise ValueError(f"t2 must be positive, got {t2!r}")
-    if n_pulses is None:
-        n_pulses = bath.n_pulses if bath is not None else 8
     if n_pulses % 2 != 0 or n_pulses < 2:
         raise ValueError(f"n_pulses must be even and >= 2, got {n_pulses!r}")
-    if bath is not None and bath.n_pulses != n_pulses:
-        raise ValueError(
-            f"bath carries n_pulses = {bath.n_pulses} but the echo model "
-            f"was asked for {n_pulses}; grids would be inconsistent")
     t_arr = np.asarray(t_total, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError(
@@ -291,7 +282,7 @@ def cpmg_echo_model(t_total, nuclei, bath: BathModel | None, t2: float,
     tau = t_arr / (2.0 * n_pulses)
     s = np.exp(-t_arr / t2)
     if bath is not None:
-        s = s * bath_decoherence(tau, bath, constants=constants)
+        s = s * bath_decoherence(tau, bath, n_pulses, constants=constants)
     for nucleus in nuclei:
         s = s * eseem_modulation(tau, n_pulses, nucleus)
     return float(s) if np.ndim(t_total) == 0 else s

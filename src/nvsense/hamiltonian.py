@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_CONSTANTS, KET_MINUS1, KET_PLUS1, KET_ZERO, SX, SZ,
+from .core import (DEFAULT_CONSTANTS, KET_ZERO, SX, SZ,
                    DegenerateTransitionError, FieldEstimate, NvSenseError,
                    PhysicalConstants)
 
@@ -94,11 +94,13 @@ def eigen_hermitian_3(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _labelled_levels(ham: NvHamiltonian) -> dict[str, float]:
-    """Map zero-field labels '+1', '0', '-1' to eigenenergies by overlap.
+    """Map zero-field labels '+1', '0', '-1' to eigenenergies.
 
-    The |0>-like state is found first (its overlap tie is the spec'd
-    degeneracy signal); the remaining pair is assigned as the permutation
-    with the larger total overlap, so the labelling is always one-to-one.
+    The |0>-like state is found by overlap (its overlap tie is the
+    spec'd degeneracy signal).  The remaining pair is labelled by
+    energy, the lower as |-1> and the higher as |+1>: this agrees with
+    labelling by overlap wherever that is defined, and stays defined
+    at theta = pi/2, where the two states carry equal |+-1> character.
     """
     w, v = eigen_hermitian_3(ham)
     overlap_0 = np.abs(v.conj().T @ KET_ZERO) ** 2
@@ -109,18 +111,8 @@ def _labelled_levels(ham: NvHamiltonian) -> dict[str, float]:
             f"(overlaps {overlap_0[order[0]]:.6f} vs "
             f"{overlap_0[order[1]]:.6f}); labels are ambiguous at this field")
     idx0 = int(order[0])
-    i, j = (idx for idx in range(3) if idx != idx0)
-    op = np.abs(v.conj().T @ KET_PLUS1) ** 2
-    om = np.abs(v.conj().T @ KET_MINUS1) ** 2
-    straight = op[i] + om[j]   # i -> +1, j -> -1
-    swapped = op[j] + om[i]
-    if abs(straight - swapped) <= 1e-9:
-        raise DegenerateTransitionError(
-            "the |+1>-like and |-1>-like eigenstates mix equally; labels "
-            "are ambiguous at this field")
-    if swapped > straight:
-        i, j = j, i
-    return {"0": float(w[idx0]), "+1": float(w[i]), "-1": float(w[j])}
+    lower, upper = (idx for idx in range(3) if idx != idx0)  # w ascends
+    return {"0": float(w[idx0]), "+1": float(w[upper]), "-1": float(w[lower])}
 
 
 def transition_frequencies(b0: float, theta: float,

@@ -26,6 +26,8 @@ MAIN_TRANSITIONS = TransitionPair(f_minus=1960.00, f_plus=3783.39)
 MAIN_TRANSITION_ERRORS = (6.78, 3.39)
 
 BATH_B_RMS_UT = 4.0  # RMS field of the carbon bath at natural abundance
+ECHO_NUCLEI = ("near-13c", "14n")  # hyperfine table labels seen in the echo
+CONTRAST = 0.166  # readout contrast of the main center
 
 
 def main_field() -> FieldEstimate:
@@ -48,22 +50,19 @@ def epr_line() -> DeerSpectrumModel:
                              baseline=0.5)
 
 
-def carbon_bath(b0: float, n_pulses: int = 8,
-                constants=DEFAULT_CONSTANTS,
+def carbon_bath(b0: float, constants=DEFAULT_CONSTANTS,
                 b_rms: float = BATH_B_RMS_UT) -> BathModel:
     """Carbon-13 bath at field b0 (mT): RMS field b_rms (uT), 13C Larmor."""
-    return BathModel(b_rms=b_rms,
-                     omega_i=TWO_PI * constants.gamma_c13 * b0,
-                     n_pulses=n_pulses)
+    return BathModel(b_rms=b_rms, omega_i=TWO_PI * constants.gamma_c13 * b0)
 
 
 def echo_truth(constants=DEFAULT_CONSTANTS) -> Cpmg8Truth:
     """Echo decay of the main center: weak carbon + nitrogen + bath, T2."""
     table = load_hyperfine_table()
     b0 = main_field().b0
-    nuclei = (nucleus_from_record(table["near-13c"], b0, constants),
-              nucleus_from_record(table["14n"], b0, constants))
-    return Cpmg8Truth(nuclei=nuclei, bath=carbon_bath(b0, 8, constants),
+    nuclei = tuple(nucleus_from_record(table[label], b0, constants)
+                   for label in ECHO_NUCLEI)
+    return Cpmg8Truth(nuclei=nuclei, bath=carbon_bath(b0, constants),
                       t2_us=38.0)
 
 
@@ -72,7 +71,7 @@ def odmr_truth() -> OdmrTruth:
     return OdmrTruth(b0=field.b0, theta=field.theta)
 
 
-def detector(n_avg: int, contrast: float = 0.166, seed: int = 1,
+def detector(n_avg: int, contrast: float = CONTRAST, seed: int = 1,
              noiseless: bool = False,
              n_avg_is_total: bool = False) -> DetectorModel:
     """Detector with the default 0.05 bright counts and a given contrast."""

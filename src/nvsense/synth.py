@@ -242,19 +242,14 @@ _CHANNEL_VALUE = {
 
 
 def synthesize(spec: SequenceSpec, truth, det: DetectorModel,
-               constants: PhysicalConstants = DEFAULT_CONSTANTS,
-               workers: int = 1) -> Trace:
+               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> Trace:
     """Generate a photon-count Trace for the sweep.
 
     Each (channel, grid point) pair draws from its own counter-derived
     random stream (seed plus indices), so the output is reproducible
     and independent of evaluation order.  Channel values are photons
-    per repetition (counts / n_avg).  workers (>= 1) is accepted for
-    compatibility and changes neither the output nor the speed: the
-    draws run serially.
+    per repetition (counts / n_avg).
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     model = _model_values(spec, truth, constants)
     names = spec.resolved_channels()
     n_eff = det.n_avg

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv): exit codes, files, reports."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import nvsense.cli as cli
 from nvsense import __version__, presets
-from nvsense.core import Trace
+from nvsense.eseem import bath_decoherence
 from nvsense.fitting import (FitResult, _epr_model, _gaussian_model,
                              _rabi_model)
 from nvsense.io import read_json, read_trace, write_columns
@@ -65,6 +66,10 @@ class TestSimulate:
         assert run(*args, "--workers", "4", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_validated(self, capsys):
+        assert run("simulate", "--kind", "rabi", "--workers", "0") == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+
     def test_kind_required(self, capsys):
         assert run("simulate") == 1
         assert "--kind" in capsys.readouterr().err
@@ -100,8 +105,48 @@ class TestSimulate:
     def test_default_truth_comes_from_presets(self, kind):
         args = cli._build_parser().parse_args(
             ["simulate", "--kind", kind.value])
-        assert cli._build_truth(kind, args, {}, None) \
-            == presets.default_truth(kind)
+        assert cli._build_truth(kind, {}, None) == presets.default_truth(kind)
+
+    # sha256 of each `simulate --noiseless` CSV, version line left out;
+    # deer-rabi has no null-preset run (it exits 1)
+    NOISELESS_SHA256 = {
+        ("pulsed-odmr", "coupled-pair"): "6a47dde694a967b14c09254bae6c2cefac634d9e4d6c925e1fcd750a36f60a6c",
+        ("pulsed-odmr", "null-a"): "267307cc23ddcac529ba2367a390090de122e6655ed5240188eb900d4ea0b5ac",
+        ("pulsed-odmr", "null-b"): "f13b8d498d3c25be8b0672107b16cc632ae24d88fa1c19ca2cb91cb538e039cb",
+        ("pulsed-odmr", "null-c"): "ce1b3e61274e207cc93a08f5805312d5f26ea514e0b27741d42a8047f1f55288",
+        ("rabi", "coupled-pair"): "ddca33106ef0f806455b695f53db3cd9f2bf754702b785e8263f79dccac4002b",
+        ("rabi", "null-a"): "c144a50df05d64b068d499cfa06a45ca8f44ce4f0f432a2dcf7db521c3443226",
+        ("rabi", "null-b"): "37eac33041f4f9a141514e066e1ce3ec13c18c9580963d5e8d5fd355cba39b7e",
+        ("rabi", "null-c"): "caa7ee594476bc93e1a738d5608dd52650a41dd1319045a247147198d4e142b3",
+        ("cpmg8", "coupled-pair"): "ecbfc7a30a3ddfc42dc01dd57f5857feab433dc5f6053127b7df6dc73084d336",
+        ("cpmg8", "null-a"): "36ffcb76a4e7d3c912d124e726d6a8d465cc187edb5a3e635bb1dd1ba13d91bb",
+        ("cpmg8", "null-b"): "0236147c9bbe4026b2a786db2996959ab3c540ba1ee1924f750a51fb296621ed",
+        ("cpmg8", "null-c"): "1e1d2684689490c3b8b96789e7abbfcf77cdd4bb11ca72b118678eb4e85dd599",
+        ("cpmg-deer", "coupled-pair"): "76a913c2ee726cb2bf7e3aa569c01f8a22a7dce6e588596361f484292dd5b956",
+        ("cpmg-deer", "null-a"): "80033ef7ca70f3ccd082274605f06b0a7ff003ec629693209c4cc13ecc78bd43",
+        ("cpmg-deer", "null-b"): "a69354f9635dcd78ad817688845dd080eb36f0f0b57829db305fb0779d8ce5d0",
+        ("cpmg-deer", "null-c"): "9168a3c5add2083abb0831afe7880f206758c612bd0d195d27822861bbc8b562",
+        ("deer-rabi", "coupled-pair"): "3e488c5024a2cef193b2c5428d03740ce14d6f360732956805a3ea210a99a775",
+    }
+
+    @pytest.mark.parametrize("kind, preset", sorted(NOISELESS_SHA256))
+    def test_noiseless_bytes_pinned(self, tmp_path, kind, preset):
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--kind", kind, "--preset", preset,
+                   "--noiseless", "--out", str(out)) == 0
+        data = b"".join(line for line in out.read_bytes().splitlines(True)
+                        if not line.startswith(b"# version:"))
+        assert hashlib.sha256(data).hexdigest() \
+            == self.NOISELESS_SHA256[kind, preset]
+
+    def test_cpmg8_pulse_count_reaches_the_bath(self, tmp_path):
+        # the bath filter takes the sequence's pulse count
+        paths = {n: tmp_path / f"p{n}.csv" for n in (4, 8)}
+        for n, path in paths.items():
+            assert run("simulate", "--kind", "cpmg8", "--n-pulses", str(n),
+                       "--noiseless", "--out", str(path)) == 0
+        assert not np.array_equal(read_trace(paths[4]).channel("SIG1"),
+                                  read_trace(paths[8]).channel("SIG1"))
 
     def test_header_provenance_comments(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -287,6 +332,15 @@ class TestEseem:
         c = tr.channel("C")
         assert c[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(c <= 1.0 + 1e-12)
+
+    def test_bath_mode_pulse_count(self, tmp_path):
+        out = tmp_path / "bath4.csv"
+        assert run("eseem", "--mode", "bath", "--n-pulses", "4",
+                   "--out", str(out)) == 0
+        tr = read_trace(out)
+        bath = presets.carbon_bath(presets.main_field().b0)
+        expected = bath_decoherence(np.linspace(0.0, 4.0, 201), bath, 4)
+        np.testing.assert_array_equal(tr.channel("C"), expected)
 
     def test_echo_mode(self, tmp_path):
         out = tmp_path / "echo.csv"

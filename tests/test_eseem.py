@@ -152,9 +152,9 @@ class TestModulation:
 
 
 class TestBath:
-    def bath(self, n=8):
+    def bath(self):
         omega_i = TWO_PI * DEFAULT_CONSTANTS.gamma_c13 * B0_MAIN
-        return BathModel(b_rms=4.0, omega_i=omega_i, n_pulses=n)
+        return BathModel(b_rms=4.0, omega_i=omega_i)
 
     def test_gamma_conversion(self):
         # 2 pi * 28.024 MHz/mT in rad/(us uT)
@@ -162,7 +162,7 @@ class TestBath:
 
     def test_starts_at_unity_and_bounded(self):
         taus = np.linspace(0.0, 5.0, 301)
-        c = bath_decoherence(taus, self.bath())
+        c = bath_decoherence(taus, self.bath(), 8)
         assert c[0] == pytest.approx(1.0)
         assert np.all(c <= 1.0 + 1e-15)
         assert np.all(c > 0.0)
@@ -175,20 +175,25 @@ class TestBath:
         gamma_e = electron_gamma_per_ut()
         expected = math.exp(-(2.0 / math.pi ** 2)
                             * (gamma_e * bath.b_rms) ** 2
-                            * (bath.n_pulses * tau_star) ** 2)
-        assert bath_decoherence(tau_star, bath) == pytest.approx(expected,
-                                                                 rel=1e-12)
+                            * (8 * tau_star) ** 2)
+        assert bath_decoherence(tau_star, bath, 8) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_stronger_bath_decoheres_more(self):
         taus = np.linspace(0.1, 5.0, 50)
         omega_i = self.bath().omega_i
-        weak = bath_decoherence(taus, BathModel(2.0, omega_i, 8))
-        strong = bath_decoherence(taus, BathModel(8.0, omega_i, 8))
+        weak = bath_decoherence(taus, BathModel(2.0, omega_i), 8)
+        strong = bath_decoherence(taus, BathModel(8.0, omega_i), 8)
         assert np.all(strong <= weak + 1e-15)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
-            bath_decoherence(-0.1, self.bath())
+            bath_decoherence(-0.1, self.bath(), 8)
+
+    @pytest.mark.parametrize("n_pulses", [0, -2, 4.0])
+    def test_bad_pulse_count_rejected(self, n_pulses):
+        with pytest.raises(ValueError):
+            bath_decoherence(0.1, self.bath(), n_pulses)
 
 
 class TestEchoModel:
@@ -202,11 +207,11 @@ class TestEchoModel:
         nuc1 = nucleus_from_record(table["near-13c"], B0_MAIN)
         nuc2 = nucleus_from_record(table["14n"], B0_MAIN)
         omega_i = TWO_PI * DEFAULT_CONSTANTS.gamma_c13 * B0_MAIN
-        bath = BathModel(4.0, omega_i, 8)
+        bath = BathModel(4.0, omega_i)
         t = np.linspace(0.8, 64.0, 73)
         tau = t / 16.0
         s = cpmg_echo_model(t, (nuc1, nuc2), bath, 38.0)
-        manual = (np.exp(-t / 38.0) * bath_decoherence(tau, bath)
+        manual = (np.exp(-t / 38.0) * bath_decoherence(tau, bath, 8)
                   * eseem_modulation(tau, 8, nuc1)
                   * eseem_modulation(tau, 8, nuc2))
         assert np.allclose(s, manual, rtol=1e-12)
@@ -218,11 +223,6 @@ class TestEchoModel:
         a = cpmg_echo_model(t, tuple(nuclei), None, 20.0)
         b = cpmg_echo_model(t, tuple(reversed(nuclei)), None, 20.0)
         assert np.allclose(a, b, rtol=1e-12)
-
-    def test_pulse_count_mismatch_rejected(self):
-        bath = BathModel(4.0, 2.0, n_pulses=8)
-        with pytest.raises(ValueError):
-            cpmg_echo_model(np.array([1.0, 2.0]), (), bath, 38.0, n_pulses=4)
 
     def test_bad_t2_rejected(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nvsense.fitting
 from nvsense.core import DEFAULT_CONSTANTS, DegenerateTransitionError
@@ -126,6 +126,20 @@ class TestTransitionFrequencies:
         w, _ = eigen_hermitian_3(build_hamiltonian(b0, 0.0))
         assert abs(w[0]) < 1e-9  # |0> state is the bottom of the spectrum
 
+    @pytest.mark.parametrize("b0", [1.0, 30.0, 90.0])
+    @pytest.mark.parametrize("theta", [math.pi / 2, math.pi / 2 - 1e-12])
+    def test_transverse_field_pair(self, b0, theta):
+        # at 90 deg the two upper states carry equal |+1> and |-1>
+        # character; the levels are D and D/2 + r around |0> at D/2 - r,
+        # r = sqrt(D^2 / 4 + (gamma B0)^2)
+        r = math.hypot(D / 2, DEFAULT_CONSTANTS.gamma_nv * b0)
+        pair = transition_frequencies(b0, theta)
+        assert pair.f_minus == pytest.approx(D / 2 + r, rel=1e-12)
+        assert pair.f_plus == pytest.approx(2 * r, rel=1e-12)
+        est = invert_field(pair)
+        assert est.b0 == pytest.approx(b0, rel=1e-9)
+        assert abs(est.theta - math.pi / 2) <= 1e-6
+
     def test_beyond_crossing_flagged(self):
         # past gamma B = D the f_minus transition goes negative and the
         # two-sided labelling contract no longer applies
@@ -209,17 +223,12 @@ class TestClosedFormInversion:
     @given(b0=st.floats(1.0, 90.0), theta_deg=st.floats(0.0, 90.0))
     def test_round_trip_against_forward_map(self, b0, theta_deg):
         theta = math.radians(theta_deg)
-        try:
-            pair = transition_frequencies(b0, theta)
-        except DegenerateTransitionError:
-            assume(False)  # the oracle cannot label levels at 90 deg
+        pair = transition_frequencies(b0, theta)
         est = invert_field(pair)
         assert abs(est.b0 - b0) <= 1e-9
         if abs(math.sin(2 * theta)) >= 1e-3:
             assert abs(est.theta - theta) <= 1e-6
-        # the pair is even about 90 deg, so backing off 1e-9 rad where the
-        # oracle cannot label the levels changes it by O(1e-18)
-        back = _forward(est.b0, min(est.theta, math.pi / 2 - 1e-9))
+        back = _forward(est.b0, est.theta)
         np.testing.assert_allclose(back, [pair.f_minus, pair.f_plus],
                                    rtol=1e-9, atol=0)
 

@@ -243,26 +243,12 @@ class TestDeterminism:
         for name in a.channel_names:
             assert a.channel(name).tobytes() == b.channel(name).tobytes()
 
-    def test_worker_count_does_not_change_output(self):
-        spec = default_sequence(SequenceKind.CPMG_DEER)
-        truth = epr_line()
-        det = DetectorModel(n_avg=50_000, seed=3)
-        one = synthesize(spec, truth, det, workers=1)
-        four = synthesize(spec, truth, det, workers=4)
-        for name in one.channel_names:
-            assert one.channel(name).tobytes() == four.channel(name).tobytes()
-
     def test_different_seeds_differ(self):
         spec = default_sequence(SequenceKind.RABI)
         truth = rabi_truth()
         a = synthesize(spec, truth, DetectorModel(n_avg=1000, seed=0))
         b = synthesize(spec, truth, DetectorModel(n_avg=1000, seed=1))
         assert not np.array_equal(a.channel("SIG1"), b.channel("SIG1"))
-
-    def test_workers_validated(self):
-        spec = default_sequence(SequenceKind.RABI)
-        with pytest.raises(ValueError):
-            synthesize(spec, rabi_truth(), DetectorModel(), workers=0)
 
 
 class TestPhotonStatistics:
