@@ -21,10 +21,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import (TWO_PI, ConfigError, DEFAULT_CONSTANTS, NvSenseError, Trace,
-                   TraceFormatError, XKind)
+from .core import (TWO_PI, ConfigError, NvSenseError, Trace, TraceFormatError,
+                   XKind)
 from .deer import DeerSpectrumModel, TargetSpinModel
-from .eseem import (EseemNucleus, bath_decoherence, cpmg_echo_model,
+from .eseem import (HyperfineRecord, bath_decoherence, cpmg_echo_model,
                     eseem_modulation, load_hyperfine_table, nucleus_from_record)
 from .fitting import (_GAUSSIAN_PARAMS, _RABI_PARAMS, FitResult, _epr_model,
                       _gaussian_model, _rabi_model, fit_deer_rabi,
@@ -33,7 +33,7 @@ from .hamiltonian import TransitionPair, g_value, invert_field
 from .io import read_json, read_trace, write_columns, write_json, write_trace
 from .presets import (BATH_B_RMS_UT, CONTRAST, DEFAULT_N_AVG, ECHO_NUCLEI,
                       NULL_CENTERS, carbon_bath, default_sequence,
-                      default_truth, detector, echo_truth, main_field)
+                      default_truth, detector, main_field)
 from .synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
                     SequenceSpec, coherence_trace, difference_signal,
                     normalized_channels, synthesize)
@@ -82,6 +82,11 @@ _SIMULATE_SCHEMA = {"seed": int, "workers": int, "out": str, "preset": str,
                     "detector": _DETECTOR_SCHEMA,
                     "sequence": _SEQUENCE_SCHEMA,
                     "truth": _TRUTH_SCHEMA}
+# the simulate leaves that eseem takes too; it reads them with the same
+# defaults, except that a grid default is the eseem mode's
+_ESEEM_SCHEMA = {key: {**_SEQUENCE_SCHEMA, **_TRUTH_SCHEMA}[key]
+                 for key in ("x_start", "x_stop", "x_num", "n_pulses", "b0_mt",
+                             "nuclei", "b_rms_ut", "t2_us")}
 _FIT_SCHEMA = {"kind": str, "channel": str, "n_spins": int, "in": str,
                "out": str}
 
@@ -222,16 +227,11 @@ def _cmd_simulate(args) -> int:
     null_center = NULL_CENTERS.get(preset)
 
     base_seq = default_sequence(kind)
-    x_num = seq_cfg.get("x_num", base_seq.grid.size)
     tau_default = null_center.tau_us if (null_center and base_seq.tau) else base_seq.tau
-    if x_num < 2:
-        raise ConfigError("sequence.x_num must be at least 2")
+    grid = _grid(seq_cfg, base_seq.grid)
     try:
         seq = SequenceSpec(
-            kind=kind,
-            grid=np.linspace(seq_cfg.get("x_start", float(base_seq.grid[0])),
-                             seq_cfg.get("x_stop", float(base_seq.grid[-1])),
-                             x_num),
+            kind=kind, grid=grid,
             tau=seq_cfg.get("tau_us", tau_default),
             n_pulses=seq_cfg.get("n_pulses", base_seq.n_pulses),
             channels=seq_cfg.get("channels"))
@@ -273,6 +273,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _grid(seq_cfg: dict, default: np.ndarray) -> np.ndarray:
+    """The default grid with the given x_start, x_stop and x_num put in."""
+    x_num = seq_cfg.get("x_num", default.size)
+    if x_num < 2:
+        raise ConfigError("x_num must be at least 2")
+    return np.linspace(seq_cfg.get("x_start", float(default[0])),
+                       seq_cfg.get("x_stop", float(default[-1])), x_num)
+
+
+def _table_nuclei(labels, b0: float) -> tuple:
+    """One EseemNucleus at field b0 (mT) per hyperfine table label."""
+    table = load_hyperfine_table()
+    for label in labels:
+        if label not in table:
+            raise ConfigError(f"unknown nucleus {label!r}; table has "
+                              f"{sorted(table)}")
+    return tuple(nucleus_from_record(table[label], b0) for label in labels)
+
+
 def _build_truth(kind, t: dict, null_center):
     """Truth model of one kind: the truth section t over preset values."""
     field = main_field()
@@ -289,13 +308,8 @@ def _build_truth(kind, t: dict, null_center):
         return RabiTruth(f_mhz=t.get("f_mhz", base.f_mhz),
                          t0_us=t.get("t0_us", base.t0_us))
     if kind is SequenceKind.CPMG8:
-        labels = t.get("nuclei", [] if null_center else ECHO_NUCLEI)
-        table = load_hyperfine_table()
-        unknown = [lab for lab in labels if lab not in table]
-        if unknown:
-            raise ConfigError(f"unknown nuclei {unknown}; table has "
-                              f"{sorted(table)}")
-        nuclei = tuple(nucleus_from_record(table[lab], b0) for lab in labels)
+        nuclei = _table_nuclei(
+            t.get("nuclei", [] if null_center else ECHO_NUCLEI), b0)
         b_rms = t.get("b_rms_ut", BATH_B_RMS_UT)
         bath = carbon_bath(b0, b_rms=b_rms) if b_rms > 0 else None
         t2_default = null_center.t2_us if null_center else base.t2_us
@@ -309,12 +323,12 @@ def _build_truth(kind, t: dict, null_center):
                                                  amplitude_default),
                                  baseline=t.get("baseline", base.baseline))
     if kind is SequenceKind.DEER_RABI:
-        if null_center:
+        omegas = t.get("omegas_mhz")
+        if null_center and omegas is None:
             raise ConfigError(
                 f"preset {null_center.name!r} has no coupled target spins; "
                 "deer-rabi needs the coupled-pair preset or explicit "
                 "--omegas-mhz")
-        omegas = t.get("omegas_mhz")
         return TargetSpinModel(
             omegas=(base.omegas if omegas is None
                     else tuple(TWO_PI * f for f in omegas)),
@@ -437,55 +451,40 @@ def _cmd_invert_field(args) -> int:
 
 # ---------------------------------------------------------------- eseem
 
+_ESEEM_GRIDS = {"modulation": (0.0, 2.5, 251), "bath": (0.0, 4.0, 201)}
+
+
 def _cmd_eseem(args) -> int:
-    b0 = args.b0_mt if args.b0_mt is not None else main_field().b0
-    n_pulses = args.n_pulses
-    if args.x_start is not None and args.x_stop is not None:
-        grid = np.linspace(args.x_start, args.x_stop, args.x_num or 201)
-    elif args.mode == "echo":
-        grid = default_sequence(SequenceKind.CPMG8).grid
-    else:
-        grid = np.linspace(*{"modulation": (0.0, 2.5, 251),
-                             "bath": (0.0, 4.0, 201)}[args.mode])
-
-    table = load_hyperfine_table()
-
-    def build_nucleus(label):
-        if label not in table:
-            raise ConfigError(f"unknown nucleus {label!r}; table has "
-                              f"{sorted(table)}")
-        return nucleus_from_record(table[label], b0)
-
+    cfg = _overlay({}, _ESEEM_SCHEMA, args)
+    b0 = cfg.get("b0_mt", main_field().b0)
+    echo_seq = default_sequence(SequenceKind.CPMG8)
+    n_pulses = cfg.get("n_pulses", echo_seq.n_pulses)
+    grid = _grid(cfg, echo_seq.grid if args.mode == "echo"
+                 else np.linspace(*_ESEEM_GRIDS[args.mode]))
     try:
         if args.mode == "modulation":
             if args.a_mhz is not None or args.b_mhz is not None:
                 if args.a_mhz is None or args.b_mhz is None:
                     raise ConfigError("--a-mhz and --b-mhz go together")
-                gamma = (DEFAULT_CONSTANTS.gamma_n14 if args.species == "14N"
-                         else DEFAULT_CONSTANTS.gamma_c13)
-                nucleus = EseemNucleus(a=TWO_PI * args.a_mhz,
-                                       b=TWO_PI * args.b_mhz,
-                                       omega_i=TWO_PI * gamma * b0)
+                nucleus = nucleus_from_record(HyperfineRecord(
+                    "custom", args.species, args.a_mhz, args.b_mhz), b0)
             else:
-                nucleus = build_nucleus(args.nucleus or ECHO_NUCLEI[0])
+                nucleus, = _table_nuclei([args.nucleus or ECHO_NUCLEI[0]], b0)
             values = {"V": eseem_modulation(grid, n_pulses, nucleus)}
             comment = f"echo modulation V(tau), N={n_pulses}, B0={b0} mT"
         elif args.mode == "bath":
-            bath = carbon_bath(b0, b_rms=args.b_rms_ut)
+            b_rms = cfg.get("b_rms_ut", BATH_B_RMS_UT)
+            bath = carbon_bath(b0, b_rms=b_rms)
             values = {"C": bath_decoherence(grid, bath, n_pulses)}
             comment = (f"bath coherence C(tau), N={n_pulses}, "
-                       f"B_rms={args.b_rms_ut} uT, B0={b0} mT")
+                       f"B_rms={b_rms} uT, B0={b0} mT")
         else:
-            nuclei = tuple(build_nucleus(lab)
-                           for lab in args.nuclei or ECHO_NUCLEI)
-            bath = (carbon_bath(b0, b_rms=args.b_rms_ut)
-                    if args.b_rms_ut > 0 else None)
-            t2_us = (args.t2_us if args.t2_us is not None
-                     else echo_truth().t2_us)
-            s = cpmg_echo_model(grid, nuclei, bath, t2_us, n_pulses=n_pulses)
+            truth = _build_truth(SequenceKind.CPMG8, cfg, None)
+            s = cpmg_echo_model(grid, truth.nuclei, truth.bath, truth.t2_us,
+                                n_pulses=n_pulses)
             values = {"s": s, "population": 0.5 * (1.0 + s)}
             comment = (f"echo coherence s(t_total), N={n_pulses}, "
-                       f"T2={t2_us} us, B0={b0} mT")
+                       f"T2={truth.t2_us} us, B0={b0} mT")
         trace = Trace(grid, XKind.EVOLUTION_TIME, values, n_avg=1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -627,21 +626,11 @@ def _build_parser() -> _Parser:
     ese.add_argument("--mode", choices=["modulation", "bath", "echo"],
                      required=True)
     ese.add_argument("--out", default="eseem.csv")
-    ese.add_argument("--b0-mt", type=float, dest="b0_mt")
-    ese.add_argument("--n-pulses", type=int, default=8, dest="n_pulses")
+    _add_schema_flags(ese, _ESEEM_SCHEMA, _SIMULATE_FLAGS)
     ese.add_argument("--nucleus", help="table label for --mode modulation")
-    ese.add_argument("--nuclei", type=_comma_list(str),
-                     help="comma-separated labels for --mode echo")
     ese.add_argument("--a-mhz", type=float, dest="a_mhz")
     ese.add_argument("--b-mhz", type=float, dest="b_mhz")
     ese.add_argument("--species", choices=["13C", "14N"], default="13C")
-    ese.add_argument("--b-rms-ut", type=float, default=BATH_B_RMS_UT,
-                     dest="b_rms_ut")
-    ese.add_argument("--t2-us", type=float, dest="t2_us",
-                     help="echo T2 (default: the coupled-pair preset's)")
-    ese.add_argument("--x-start", type=float, dest="x_start")
-    ese.add_argument("--x-stop", type=float, dest="x_stop")
-    ese.add_argument("--x-num", type=int, dest="x_num")
     ese.set_defaults(func=_cmd_eseem)
 
     sel = sub.add_parser("select-spins",

@@ -122,28 +122,23 @@ def nv_epr_signal(model: TargetSpinModel, t):
 
     The product form is the closed statistical average over unpolarized
     target configurations (see statistical_average_bruteforce).  I(0) = 1
-    and I stays in [0, 1].
+    and I stays in [0, 1].  This is nv_epr_signal_grid on one parameter
+    row, after checking t.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("t must be >= 0")
-    if math.isinf(model.t0):
-        envelope = np.ones_like(t_arr)
-    else:
-        envelope = np.exp(-((t_arr / model.t0) ** 2))
-    product = np.ones_like(t_arr)
-    for w in model.omegas:
-        product = product * np.cos(w * t_arr)
-    signal = 0.5 + 0.5 * envelope * product
+    signal = nv_epr_signal_grid(np.array([model.omegas]), np.array([model.t0]),
+                                t_arr.ravel())[0].reshape(t_arr.shape)
     return float(signal) if np.ndim(t) == 0 else signal
 
 
 def nv_epr_signal_grid(omegas, t0, t):
     """nv_epr_signal for many parameter sets at once, without validation.
 
-    omegas is (s, n) in rad/us, t0 is (s,) in us (finite), t is (m,);
-    returns the (s, m) signals.  Used inside fits, where the bounds
-    already keep every parameter valid.
+    omegas is (s, n) in rad/us, t0 is (s,) in us (math.inf for no
+    decay), t is (m,); returns the (s, m) signals.  Used inside fits,
+    where the bounds already keep every parameter valid.
     """
     envelope = np.exp(-((t / t0[:, None]) ** 2))
     product = np.prod(np.cos(omegas[:, :, None] * t), axis=1)
@@ -197,9 +192,18 @@ class DeerSpectrumModel:
             raise ValueError(f"width must be positive, got {self.width!r}")
 
 
+def gaussian_line(f, center, width, amplitude, baseline=0.0):
+    """baseline + amplitude exp(-(f - center)^2 / (2 width^2)), unchecked.
+
+    The one body of the Gaussian line: deer_spectrum, the peak fit and
+    the synthesized resonance dips all evaluate it.
+    """
+    return baseline + amplitude * np.exp(-((f - center) ** 2)
+                                         / (2.0 * width ** 2))
+
+
 def deer_spectrum(f, model: DeerSpectrumModel):
     """Evaluate the Gaussian spectrum at frequency f (MHz)."""
-    f_arr = np.asarray(f, dtype=float)
-    line = model.baseline + model.amplitude * np.exp(
-        -((f_arr - model.center) ** 2) / (2.0 * model.width ** 2))
+    line = gaussian_line(np.asarray(f, dtype=float), model.center,
+                         model.width, model.amplitude, model.baseline)
     return float(line) if np.ndim(f) == 0 else line

@@ -18,13 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NoPeakError, Trace, XKind
-from .deer import (DeerSpectrumModel, TargetSpinModel, nv_epr_jacobian_grid,
-                   nv_epr_signal, nv_epr_signal_grid)
+from .deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
+                   nv_epr_jacobian_grid, nv_epr_signal, nv_epr_signal_grid)
 
 _COST_FLOOR = 1e-300
 # damping schedule shared by nlls_fit and _lockstep_lm (Madsen, Nielsen
 # & Tingleff 2004): start, floor, stall limit and cap of the growth nu
 _LAM_START, _LAM_MIN, _LAM_STALL, _NU_MAX = 1e-3, 1e-12, 1e14, 64.0
+# default relative convergence tolerance and accepted-step cap of both
+_TOL, _MAX_ITER = 1e-10, 200
+# a larger spin count must beat the incumbent's adjusted R^2 by more
+_SPIN_COUNT_MARGIN = 1e-3
 
 
 @dataclass
@@ -43,8 +47,8 @@ class FitProblem:
     init: np.ndarray
     bounds: tuple
     weights: np.ndarray | None = None
-    tol: float = 1e-10
-    max_iter: int = 200
+    tol: float = _TOL
+    max_iter: int = _MAX_ITER
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -249,8 +253,8 @@ def _solve_each(mats, rhs):
         return x, ok
 
 
-def _lockstep_lm(model, jacobian, y, starts, lo, hi, tol=1e-10,
-                 max_iter=200) -> _LockstepRuns:
+def _lockstep_lm(model, jacobian, y, starts, lo, hi, tol=_TOL,
+                 max_iter=_MAX_ITER) -> _LockstepRuns:
     """Unweighted bounded LM from every row of starts, all in lockstep.
 
     model(P) maps an (s, k) block of parameter rows to (s, m)
@@ -411,9 +415,7 @@ _RABI_PARAMS = ("f_mhz", "t0_us")
 
 
 def _gaussian_model(p, f):
-    center, width, amplitude, baseline = p
-    return baseline + amplitude * np.exp(-((f - center) ** 2)
-                                         / (2.0 * width ** 2))
+    return gaussian_line(f, *p)
 
 
 def fit_gaussian_peak(trace: Trace, channel: str | None = None,
@@ -710,22 +712,18 @@ def _canonicalize_unit(y):
 def select_spin_count(trace: Trace, max_n: int = 3,
                       channel: str | None = None,
                       k_fixed: int | None = None,
-                      canonicalize: bool = True,
-                      margin: float = 1e-3) -> SpinCountSelection:
+                      canonicalize: bool = True) -> SpinCountSelection:
     """Pick the spin count whose model has the best adjusted R^2.
 
     Fits the 1..max_n spin models and compares adjusted R^2 with
     k = n + 1 parameters each (couplings plus decay time), or a fixed k
     for all models when k_fixed is given.  A larger count must beat the
-    incumbent by more than margin, so ties and sub-margin improvements
-    go to the smaller count.  no_signal is set when every model does
-    worse than the mean (adjusted R^2 <= 0 for all n).
+    incumbent by more than _SPIN_COUNT_MARGIN, so ties and smaller
+    improvements go to the smaller count.  no_signal is set when every
+    model does worse than the mean (adjusted R^2 <= 0 for all n).
     """
     if not 1 <= max_n <= 5:
         raise ValueError(f"max_n must be between 1 and 5, got {max_n}")
-    if not (math.isfinite(margin) and margin >= 0.0):
-        raise ValueError(f"margin must be a finite non-negative float, "
-                         f"got {margin!r}")
     x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH,
                             "select_spin_count")
     if canonicalize:
@@ -739,7 +737,7 @@ def select_spin_count(trace: Trace, max_n: int = 3,
         yhat = _epr_model(fit.params, x)
         adj = adjusted_r_squared(y, yhat, k)
         entries[n] = SpinCountEntry(n_spins=n, k=k, adj_r2=adj, fit=fit)
-        if math.isfinite(adj) and adj > best_adj + margin:
+        if math.isfinite(adj) and adj > best_adj + _SPIN_COUNT_MARGIN:
             best_n, best_adj = n, adj
     if best_n is None:
         best_n = 1

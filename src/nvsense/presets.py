@@ -74,8 +74,8 @@ def odmr_truth() -> OdmrTruth:
 def detector(n_avg: int, contrast: float = CONTRAST, seed: int = 1,
              noiseless: bool = False,
              n_avg_is_total: bool = False) -> DetectorModel:
-    """Detector with the default 0.05 bright counts and a given contrast."""
-    bright = 0.05
+    """Detector with DetectorModel's bright counts and a given contrast."""
+    bright = DetectorModel.counts_bright
     return DetectorModel(counts_bright=bright,
                          counts_dark=bright * (1.0 - contrast),
                          n_avg=n_avg, seed=seed, noiseless=noiseless,

@@ -19,11 +19,14 @@ import numpy as np
 from . import fitting
 from .core import (DEFAULT_CONSTANTS, DegenerateReferenceError,
                    PhysicalConstants, Trace, XKind)
-from .deer import DeerSpectrumModel, TargetSpinModel, deer_spectrum, nv_epr_signal
+from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
+                   gaussian_line, nv_epr_signal)
 from .eseem import BathModel, EseemNucleus, cpmg_echo_model
 from .hamiltonian import transition_frequencies
 
 _CHANNEL_ORDER = ("SIG1", "SIG2", "REF1", "REF2")
+# snr_estimate's narrowest Gaussian, as a fraction of the sweep span
+_SNR_MIN_RELATIVE_WIDTH = 0.10
 
 
 class SequenceKind(enum.Enum):
@@ -94,15 +97,15 @@ class SequenceSpec:
     """What was swept and how the sequence was timed.
 
     grid is the swept variable: MHz for frequency sweeps, us for pulse
-    length and evolution time sweeps.  tau (us) and pulse lengths (ns)
-    are sequence metadata carried into file headers.
+    length and evolution time sweeps.  tau (us) is sequence metadata
+    carried into file headers; n_pulses is the pi-pulse count of the
+    CPMG-style kinds.
     """
 
     kind: SequenceKind
     grid: np.ndarray
     tau: float | None = None
     n_pulses: int = 8
-    pi_len_ns: float = 92.0
     channels: tuple | None = None
 
     def __post_init__(self):
@@ -203,9 +206,8 @@ def _model_values(spec: SequenceSpec, truth, constants) -> np.ndarray:
             raise ValueError(f"kind {kind.value} needs OdmrTruth, "
                              f"got {type(truth).__name__}")
         pair = transition_frequencies(truth.b0, truth.theta, constants)
-        sig2 = 2.0 * truth.linewidth_mhz ** 2
-        dips = (np.exp(-((x - pair.f_minus) ** 2) / sig2)
-                + np.exp(-((x - pair.f_plus) ** 2) / sig2))
+        dips = (gaussian_line(x, pair.f_minus, truth.linewidth_mhz, 1.0)
+                + gaussian_line(x, pair.f_plus, truth.linewidth_mhz, 1.0))
         return np.clip(1.0 - truth.transfer * dips, 0.0, 1.0)
     if kind is SequenceKind.RABI:
         if not isinstance(truth, RabiTruth):
@@ -327,11 +329,11 @@ def coherence_trace(trace: Trace) -> Trace:
     return Trace(trace.x, trace.x_kind, {"coherence": u}, trace.n_avg)
 
 
-def snr_estimate(trace: Trace, min_relative_width: float = 0.10) -> float:
+def snr_estimate(trace: Trace) -> float:
     """Peak amplitude over residual noise for a frequency-sweep trace.
 
     Fits a Gaussian whose width is constrained to a physically plausible
-    band (at least min_relative_width of the sweep span), so a bare
+    band (at least _SNR_MIN_RELATIVE_WIDTH of the sweep span), so a bare
     noise spike cannot masquerade as a peak.  Accepts a raw multichannel
     trace (difference taken internally) or an already-normalized
     single-channel one.  Returns a large value (capped at 1e12) when the
@@ -345,7 +347,7 @@ def snr_estimate(trace: Trace, min_relative_width: float = 0.10) -> float:
     span = float(trace.x[-1] - trace.x[0])
     result = fitting.fit_gaussian_peak(
         work, min_snr=0.0,
-        width_bounds=(min_relative_width * span, 0.5 * span))
+        width_bounds=(_SNR_MIN_RELATIVE_WIDTH * span, 0.5 * span))
     dof = trace.x.size - 4
     noise = math.sqrt(result.ss_res / dof) if dof > 0 else 0.0
     amp = abs(float(result.params[2]))

@@ -83,6 +83,24 @@ class TestSimulate:
                    "null-a") == 1
         assert "no coupled target spins" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, code", [((), 1),
+                                             (("--omegas-mhz", "1.5"), 0)])
+    def test_null_preset_deer_rabi_needs_couplings(self, tmp_path, capsys,
+                                                   extra, code):
+        out = tmp_path / "dr.csv"
+        assert run("simulate", "--kind", "deer-rabi", "--preset", "null-a",
+                   *extra, "--out", str(out)) == code
+        if code:
+            assert "explicit --omegas-mhz" in capsys.readouterr().err
+        else:
+            tr = read_trace(out)
+            np.testing.assert_array_less(0.0, tr.channel("SIG1"))
+
+    def test_unknown_nucleus(self, tmp_path, capsys):
+        assert run("simulate", "--kind", "cpmg8", "--nuclei", "14n,bogus",
+                   "--out", str(tmp_path / "x.csv")) == 1
+        assert "unknown nucleus 'bogus'" in capsys.readouterr().err
+
     def test_null_preset_spectrum_is_flat(self, tmp_path):
         out = tmp_path / "null.csv"
         assert run("simulate", "--kind", "cpmg-deer", "--preset", "null-a",
@@ -317,6 +335,41 @@ class TestSelectSpins:
 
 
 class TestEseem:
+    # sha256 of each eseem CSV at its default grid
+    SHA256 = {
+        ("modulation", ()): "e894e0c3e8298f5aebb4ebf37be31dd140477347eb8053a24575803cb617cc1c",
+        ("modulation", ("--n-pulses", "4")): "e2d6783b9d3f392bd2394331daf06aae08b61466616116e2ce9d51e4e14ac9f1",
+        ("bath", ()): "3d86c0d73ff7c9840e6dc1925a8c1db3f6eb13066470485282bc1611d210201b",
+        ("bath", ("--n-pulses", "4")): "576c7611cf382e87e93e46332120e1e0b474e7794fc8e40790453e60b4b0b6bf",
+        ("echo", ()): "38b866b2d6222769191b59f6be591c9a544e3336d8ac15e9f79ac2ae29c3baeb",
+        ("echo", ("--n-pulses", "4")): "adbc2f960cbe3d4b1ea3d702bbeaa9d68f6a1bbd25481e70e0084d4f9d7e19f4",
+    }
+
+    @pytest.mark.parametrize("mode, extra", sorted(SHA256))
+    def test_bytes_pinned(self, tmp_path, mode, extra):
+        out = tmp_path / "e.csv"
+        assert run("eseem", "--mode", mode, *extra, "--out", str(out)) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() \
+            == self.SHA256[mode, extra]
+
+    @pytest.mark.parametrize("mode, extra, first, last, size", [
+        ("bath", ("--x-num", "11"), 0.0, 4.0, 11),
+        ("bath", ("--x-start", "1.0"), 1.0, 4.0, 201),
+        ("modulation", ("--x-stop", "2.0"), 0.0, 2.0, 251),
+        ("echo", ("--x-start", "1.6", "--x-num", "5"), 1.6, 64.0, 5),
+    ])
+    def test_partial_grid(self, tmp_path, mode, extra, first, last, size):
+        # each grid flag replaces its own part of the mode's default grid
+        out = tmp_path / "e.csv"
+        assert run("eseem", "--mode", mode, *extra, "--out", str(out)) == 0
+        np.testing.assert_array_equal(read_trace(out).x,
+                                      np.linspace(first, last, size))
+
+    def test_grid_needs_two_points(self, tmp_path, capsys):
+        assert run("eseem", "--mode", "bath", "--x-num", "1",
+                   "--out", str(tmp_path / "e.csv")) == 1
+        assert "x_num must be at least 2" in capsys.readouterr().err
+
     def test_modulation_mode(self, tmp_path):
         out = tmp_path / "mod.csv"
         assert run("eseem", "--mode", "modulation", "--out", str(out)) == 0

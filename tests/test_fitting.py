@@ -8,7 +8,7 @@ from nvsense.core import NoPeakError, TWO_PI, Trace, XKind
 from nvsense.deer import (TargetSpinModel, nv_epr_jacobian_grid,
                           nv_epr_signal, nv_epr_signal_grid)
 from nvsense.fitting import (FitProblem, _deer_rabi_candidates,
-                             _epr_model, _fd_jacobian,
+                             _epr_model, _fd_jacobian, _rabi_model,
                              _fft_peak_frequencies, _lockstep_lm,
                              _perturbation_starts, _solve_each,
                              adjusted_r_squared, fit_deer_rabi,
@@ -259,6 +259,18 @@ class TestRabi:
         y = 0.5 * (1 + np.exp(-((t / 1.5) ** 2)) * np.cos(TWO_PI * 0.8 * t))
         fit = fit_rabi(make_trace(t, y, XKind.PULSE_LENGTH))
         assert fit.params[0] == pytest.approx(0.8, abs=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=st.floats(0.01, 50.0), t0=st.floats(0.01, 100.0),
+           t=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=30))
+    def test_model_is_the_one_spin_signal(self, f, t0, t):
+        # _rabi_model keeps its own body for speed; it must stay the
+        # one-spin double-resonance signal bit for bit
+        t = np.array(t)
+        np.testing.assert_array_equal(
+            _rabi_model((f, t0), t),
+            nv_epr_signal_grid(np.array([[TWO_PI * f]]), np.array([t0]),
+                               t)[0])
 
 
 class TestDeerRabiFit:
