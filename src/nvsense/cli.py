@@ -82,11 +82,13 @@ _SIMULATE_SCHEMA = {"seed": int, "workers": int, "out": str, "preset": str,
                     "detector": _DETECTOR_SCHEMA,
                     "sequence": _SEQUENCE_SCHEMA,
                     "truth": _TRUTH_SCHEMA}
-# the simulate leaves that eseem takes too; it reads them with the same
-# defaults, except that a grid default is the eseem mode's
-_ESEEM_SCHEMA = {key: {**_SEQUENCE_SCHEMA, **_TRUTH_SCHEMA}[key]
-                 for key in ("x_start", "x_stop", "x_num", "n_pulses", "b0_mt",
-                             "nuclei", "b_rms_ut", "t2_us")}
+# the simulate leaves that eseem takes too, read with the same defaults
+# except that a grid default is the eseem mode's; then the nucleus flags
+_ESEEM_SCHEMA = {**{key: {**_SEQUENCE_SCHEMA, **_TRUTH_SCHEMA}[key]
+                    for key in ("x_start", "x_stop", "x_num", "n_pulses",
+                                "b0_mt", "nuclei", "b_rms_ut", "t2_us")},
+                 "nucleus": str, "a_mhz": float, "b_mhz": float,
+                 "species": str}
 _FIT_SCHEMA = {"kind": str, "channel": str, "n_spins": int, "in": str,
                "out": str}
 
@@ -103,6 +105,9 @@ _SIMULATE_FLAGS = {
     "channels": None,
     "nuclei": {"help": "comma-separated table labels"},
     "omegas_mhz": {"help": "comma-separated couplings in MHz"},
+    "nucleus": {"help": "table label for --mode modulation"},
+    "species": {"choices": ["13C", "14N"],
+                "help": "species of --a-mhz/--b-mhz (default 13C)"},
 }
 _FIT_FLAGS = {"kind": {"choices": _FIT_KINDS}, "in": {"metavar": "IN_PATH"}}
 
@@ -225,19 +230,18 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"unknown preset {preset!r}; choose from "
                           f"{_PRESET_NAMES}")
     null_center = NULL_CENTERS.get(preset)
+    _reject_unread(config["truth"], _TRUTH_KEYS[kind.value],
+                   f"kind {kind.value}")
 
     base_seq = default_sequence(kind)
     tau_default = null_center.tau_us if (null_center and base_seq.tau) else base_seq.tau
     grid = _grid(seq_cfg, base_seq.grid)
-    try:
-        seq = SequenceSpec(
-            kind=kind, grid=grid,
-            tau=seq_cfg.get("tau_us", tau_default),
-            n_pulses=seq_cfg.get("n_pulses", base_seq.n_pulses),
-            channels=seq_cfg.get("channels"))
-        truth = _build_truth(kind, config["truth"], null_center)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    seq = SequenceSpec(
+        kind=kind, grid=grid,
+        tau=seq_cfg.get("tau_us", tau_default),
+        n_pulses=seq_cfg.get("n_pulses", base_seq.n_pulses),
+        channels=seq_cfg.get("channels"))
+    truth = _build_truth(kind, config["truth"], null_center)
 
     contrast = det_cfg.get("contrast",
                            null_center.contrast if null_center else CONTRAST)
@@ -247,16 +251,13 @@ def _cmd_simulate(args) -> int:
     seed = config.get("seed", 1)
     if config.get("workers", 1) < 1:
         raise ConfigError("workers must be >= 1")
-    try:
-        det = detector(n_avg=n_avg, contrast=contrast, seed=seed,
-                       noiseless=det_cfg.get("noiseless", False),
-                       n_avg_is_total=det_cfg.get("n_avg_is_total", False))
-        det = dataclasses.replace(det, **{
-            key: det_cfg[key] for key in ("counts_bright", "counts_dark")
-            if key in det_cfg})
-        trace = synthesize(seq, truth, det)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    det = detector(n_avg=n_avg, contrast=contrast, seed=seed,
+                   noiseless=det_cfg.get("noiseless", False),
+                   n_avg_is_total=det_cfg.get("n_avg_is_total", False))
+    det = dataclasses.replace(det, **{
+        key: det_cfg[key] for key in ("counts_bright", "counts_dark")
+        if key in det_cfg})
+    trace = synthesize(seq, truth, det)
 
     out = config.get("out", "trace.csv")
     comments = (
@@ -290,6 +291,24 @@ def _table_nuclei(labels, b0: float) -> tuple:
             raise ConfigError(f"unknown nucleus {label!r}; table has "
                               f"{sorted(table)}")
     return tuple(nucleus_from_record(table[label], b0) for label in labels)
+
+
+# the truth keys that _build_truth reads for each kind
+_TRUTH_KEYS = {
+    "pulsed-odmr": ("b0_mt", "theta_deg", "linewidth_mhz", "transfer"),
+    "rabi": ("f_mhz", "t0_us"),
+    "cpmg8": ("b0_mt", "nuclei", "b_rms_ut", "t2_us"),
+    "cpmg-deer": ("center_mhz", "width_mhz", "amplitude", "baseline"),
+    "deer-rabi": ("omegas_mhz", "t0_us"),
+}
+
+
+def _reject_unread(given, reads: tuple, subject: str) -> None:
+    """ConfigError naming the given keys that subject never reads."""
+    unread = [key for key in given if key not in reads]
+    if unread:
+        raise ConfigError(f"{subject} does not read {', '.join(unread)}; "
+                          f"it reads {', '.join(reads)}")
 
 
 def _build_truth(kind, t: dict, null_center):
@@ -421,12 +440,9 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------- invert-field
 
 def _cmd_invert_field(args) -> int:
-    try:
-        pair = TransitionPair(f_minus=args.f_minus, f_plus=args.f_plus)
-        estimate = invert_field(pair, (args.f_minus_err, args.f_plus_err),
-                                b_max=args.b_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    pair = TransitionPair(f_minus=args.f_minus, f_plus=args.f_plus)
+    estimate = invert_field(pair, (args.f_minus_err, args.f_plus_err),
+                            b_max=args.b_max)
     theta_deg = math.degrees(estimate.theta)
     theta_err_deg = math.degrees(estimate.theta_err)
     print(f"B0 = {estimate.b0:.3f} +/- {estimate.b0_err:.3f} mT")
@@ -452,42 +468,47 @@ def _cmd_invert_field(args) -> int:
 # ---------------------------------------------------------------- eseem
 
 _ESEEM_GRIDS = {"modulation": (0.0, 2.5, 251), "bath": (0.0, 4.0, 201)}
+# the keys each mode reads besides the grid keys and n_pulses
+_ESEEM_KEYS = {"modulation": ("b0_mt", "nucleus", "a_mhz", "b_mhz",
+                              "species"),
+               "bath": ("b0_mt", "b_rms_ut"), "echo": _TRUTH_KEYS["cpmg8"]}
 
 
 def _cmd_eseem(args) -> int:
     cfg = _overlay({}, _ESEEM_SCHEMA, args)
+    _reject_unread(cfg, ("x_start", "x_stop", "x_num", "n_pulses")
+                   + _ESEEM_KEYS[args.mode], f"--mode {args.mode}")
     b0 = cfg.get("b0_mt", main_field().b0)
     echo_seq = default_sequence(SequenceKind.CPMG8)
     n_pulses = cfg.get("n_pulses", echo_seq.n_pulses)
     grid = _grid(cfg, echo_seq.grid if args.mode == "echo"
                  else np.linspace(*_ESEEM_GRIDS[args.mode]))
-    try:
-        if args.mode == "modulation":
-            if args.a_mhz is not None or args.b_mhz is not None:
-                if args.a_mhz is None or args.b_mhz is None:
-                    raise ConfigError("--a-mhz and --b-mhz go together")
-                nucleus = nucleus_from_record(HyperfineRecord(
-                    "custom", args.species, args.a_mhz, args.b_mhz), b0)
-            else:
-                nucleus, = _table_nuclei([args.nucleus or ECHO_NUCLEI[0]], b0)
-            values = {"V": eseem_modulation(grid, n_pulses, nucleus)}
-            comment = f"echo modulation V(tau), N={n_pulses}, B0={b0} mT"
-        elif args.mode == "bath":
-            b_rms = cfg.get("b_rms_ut", BATH_B_RMS_UT)
-            bath = carbon_bath(b0, b_rms=b_rms)
-            values = {"C": bath_decoherence(grid, bath, n_pulses)}
-            comment = (f"bath coherence C(tau), N={n_pulses}, "
-                       f"B_rms={b_rms} uT, B0={b0} mT")
+    if args.mode == "modulation":
+        a, b = cfg.get("a_mhz"), cfg.get("b_mhz")
+        if a is not None or b is not None:
+            if a is None or b is None:
+                raise ConfigError("--a-mhz and --b-mhz go together")
+            nucleus = nucleus_from_record(HyperfineRecord(
+                "custom", cfg.get("species", "13C"), a, b), b0)
         else:
-            truth = _build_truth(SequenceKind.CPMG8, cfg, None)
-            s = cpmg_echo_model(grid, truth.nuclei, truth.bath, truth.t2_us,
-                                n_pulses=n_pulses)
-            values = {"s": s, "population": 0.5 * (1.0 + s)}
-            comment = (f"echo coherence s(t_total), N={n_pulses}, "
-                       f"T2={truth.t2_us} us, B0={b0} mT")
-        trace = Trace(grid, XKind.EVOLUTION_TIME, values, n_avg=1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            nucleus, = _table_nuclei(
+                [cfg.get("nucleus") or ECHO_NUCLEI[0]], b0)
+        values = {"V": eseem_modulation(grid, n_pulses, nucleus)}
+        comment = f"echo modulation V(tau), N={n_pulses}, B0={b0} mT"
+    elif args.mode == "bath":
+        b_rms = cfg.get("b_rms_ut", BATH_B_RMS_UT)
+        bath = carbon_bath(b0, b_rms=b_rms)
+        values = {"C": bath_decoherence(grid, bath, n_pulses)}
+        comment = (f"bath coherence C(tau), N={n_pulses}, "
+                   f"B_rms={b_rms} uT, B0={b0} mT")
+    else:
+        truth = _build_truth(SequenceKind.CPMG8, cfg, None)
+        s = cpmg_echo_model(grid, truth.nuclei, truth.bath, truth.t2_us,
+                            n_pulses=n_pulses)
+        values = {"s": s, "population": 0.5 * (1.0 + s)}
+        comment = (f"echo coherence s(t_total), N={n_pulses}, "
+                   f"T2={truth.t2_us} us, B0={b0} mT")
+    trace = Trace(grid, XKind.EVOLUTION_TIME, values, n_avg=1)
     x_name = "t_total (us)" if args.mode == "echo" else "tau (us)"
     write_trace(args.out, trace, comments=(comment, f"x is {x_name}"))
     print(f"wrote {args.out}: {args.mode}, {grid.size} points")
@@ -627,10 +648,6 @@ def _build_parser() -> _Parser:
                      required=True)
     ese.add_argument("--out", default="eseem.csv")
     _add_schema_flags(ese, _ESEEM_SCHEMA, _SIMULATE_FLAGS)
-    ese.add_argument("--nucleus", help="table label for --mode modulation")
-    ese.add_argument("--a-mhz", type=float, dest="a_mhz")
-    ese.add_argument("--b-mhz", type=float, dest="b_mhz")
-    ese.add_argument("--species", choices=["13C", "14N"], default="13C")
     ese.set_defaults(func=_cmd_eseem)
 
     sel = sub.add_parser("select-spins",

@@ -12,7 +12,6 @@ Unit conventions used throughout the package:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass, field
@@ -53,7 +52,7 @@ class ConfigError(NvSenseError, ValueError):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Bundle of constants; pass a modified copy to override any of them.
+    """Physical constants; every physics function reads DEFAULT_CONSTANTS.
 
     gamma_nv, gamma_c13, gamma_n14 and mu_b_over_h are gyromagnetic ratios
     in MHz/mT.  zero_field_d is the S=1 zero-field splitting in MHz.
@@ -87,13 +86,6 @@ class PhysicalConstants:
         pref = (self.gamma_nv * (_G_FREE_ELECTRON * self.mu_b_over_h)
                 * _MU0_SI * _PLANCK_SI / (4.0 * math.pi) * 1e39)
         object.__setattr__(self, "dipolar_prefactor", pref)
-
-    def replace(self, **changes) -> "PhysicalConstants":
-        """Copy with fields overridden (dipolar_prefactor is re-derived)."""
-        base = {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self) if f.init}
-        base.update(changes)
-        return PhysicalConstants(**base)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
@@ -168,6 +160,9 @@ class Trace:
             raise ValueError("trace needs at least one channel")
         clean = {}
         for name, values in self.channels.items():
+            name = str(name)
+            if "".join(name.splitlines()) != name:  # CSV rows are lines
+                raise ValueError(f"channel name {name!r} has a line break")
             v = np.asarray(values, dtype=float)
             if v.shape != x.shape:
                 raise ValueError(
@@ -176,7 +171,7 @@ class Trace:
                 raise ValueError(f"channel {name!r} contains non-finite values")
             v = v.copy()
             v.setflags(write=False)
-            clean[str(name)] = v
+            clean[name] = v
         x = x.copy()
         x.setflags(write=False)
         object.__setattr__(self, "x", x)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, DEFAULT_CONSTANTS, PhysicalConstants
+from .core import TWO_PI, DEFAULT_CONSTANTS
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ class TargetSpin:
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
 
 
-def coupling_from_geometry(spin: TargetSpin,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                           ) -> float:
+def coupling_from_geometry(spin: TargetSpin) -> float:
     """Secular dipolar coupling omega (rad/us) for a spin at (r, theta_d).
 
     omega = 2 pi * prefactor * (3 cos^2(theta_d) - 1) / r^3, signed; it
@@ -48,7 +46,7 @@ def coupling_from_geometry(spin: TargetSpin,
     and 90 degrees.
     """
     c = math.cos(spin.theta_d)
-    return (TWO_PI * constants.dipolar_prefactor * (3.0 * c * c - 1.0)
+    return (TWO_PI * DEFAULT_CONSTANTS.dipolar_prefactor * (3.0 * c * c - 1.0)
             / spin.r ** 3)
 
 

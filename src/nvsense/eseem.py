@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 from scipy.linalg import expm
 
-from .core import TWO_PI, DEFAULT_CONSTANTS, PhysicalConstants
+from .core import TWO_PI, DEFAULT_CONSTANTS
 
 
 @dataclass(frozen=True)
@@ -224,41 +224,44 @@ class BathModel:
             raise ValueError(f"omega_i must be >= 0, got {self.omega_i!r}")
 
 
-def electron_gamma_per_ut(constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                          ) -> float:
+def electron_gamma_per_ut() -> float:
     """NV gyromagnetic ratio in rad/(us uT), for the bath filter."""
-    return TWO_PI * constants.gamma_nv * 1e-3
+    return TWO_PI * DEFAULT_CONSTANTS.gamma_nv * 1e-3
 
 
-def bath_decoherence(tau, bath: BathModel, n_pulses: int,
-                     gamma_e: float | None = None,
-                     constants: PhysicalConstants = DEFAULT_CONSTANTS):
+def bath_decoherence(tau, bath: BathModel, n_pulses: int):
     """Coherence C(tau) of an N = n_pulses CPMG train in a Gaussian bath.
 
-    C = exp[-(2/pi^2) gamma_e^2 B_rms^2 K] with the filter
+    C = exp[-(2/pi^2) gamma_e^2 B_rms^2 K], gamma_e the NV gyromagnetic
+    ratio (electron_gamma_per_ut), with the filter
     K = (N tau)^2 sinc^2[(N tau / 2)(omega_i - pi / tau)], which peaks
     (deepest decoherence) where the pulse spacing is resonant with the
     bath Larmor precession, omega_i = pi / tau.  C(0) = 1 by the limit.
+    Raises ValueError where K or B_rms^2 leaves the float range, which
+    takes tau, N, omega_i or B_rms far past any physical value.
     """
     if not (isinstance(n_pulses, (int, np.integer)) and n_pulses >= 1):
         raise ValueError(f"n_pulses must be a positive integer, "
                          f"got {n_pulses!r}")
-    if gamma_e is None:
-        gamma_e = electron_gamma_per_ut(constants)
     tau_arr = np.asarray(tau, dtype=float)
-    if np.any(tau_arr < 0):
+    if not np.all(tau_arr >= 0):
         raise ValueError("tau must be >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         detune = bath.omega_i - np.pi / tau_arr
         arg = 0.5 * n_pulses * tau_arr * detune
         filt = (n_pulses * tau_arr) ** 2 * np.sinc(arg / np.pi) ** 2
-    filt = np.where(tau_arr == 0.0, 0.0, filt)
-    c = np.exp(-(2.0 / np.pi ** 2) * gamma_e ** 2 * bath.b_rms ** 2 * filt)
+        # pi / tau overflows at tau = 0 and subnormal tau: the K -> 0 limit
+        filt = np.where(np.isinf(detune), 0.0, filt)
+        rate = (2.0 / np.pi ** 2) * electron_gamma_per_ut() ** 2 * np.float64(
+            bath.b_rms) ** 2
+        if not (np.isfinite(rate) and np.all(np.isfinite(filt))):
+            raise ValueError("the bath filter leaves the float range at "
+                             "these tau, n_pulses and bath values")
+        c = np.exp(-rate * filt)  # past the float range, C = 0
     return float(c) if np.ndim(tau) == 0 else c
 
 
 def cpmg_echo_model(t_total, nuclei, bath: BathModel | None, t2: float,
-                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
                     n_pulses: int = 8):
     """Echo coherence s(t) of a CPMG train versus total evolution time.
 
@@ -282,7 +285,7 @@ def cpmg_echo_model(t_total, nuclei, bath: BathModel | None, t2: float,
     tau = t_arr / (2.0 * n_pulses)
     s = np.exp(-t_arr / t2)
     if bath is not None:
-        s = s * bath_decoherence(tau, bath, n_pulses, constants=constants)
+        s = s * bath_decoherence(tau, bath, n_pulses)
     for nucleus in nuclei:
         s = s * eseem_modulation(tau, n_pulses, nucleus)
     return float(s) if np.ndim(t_total) == 0 else s
@@ -325,12 +328,10 @@ def load_hyperfine_table() -> dict[str, HyperfineRecord]:
     return records
 
 
-def nucleus_from_record(record: HyperfineRecord, b0: float,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                        ) -> EseemNucleus:
+def nucleus_from_record(record: HyperfineRecord, b0: float) -> EseemNucleus:
     """Build an EseemNucleus for a tabulated site at field b0 (mT)."""
-    gamma_n = (constants.gamma_c13 if record.species == "13C"
-               else constants.gamma_n14)
+    gamma_n = (DEFAULT_CONSTANTS.gamma_c13 if record.species == "13C"
+               else DEFAULT_CONSTANTS.gamma_n14)
     return EseemNucleus(a=TWO_PI * record.a_mhz,
                         b=TWO_PI * record.b_mhz,
                         omega_i=TWO_PI * gamma_n * b0)

@@ -25,7 +25,7 @@ _COST_FLOOR = 1e-300
 # damping schedule shared by nlls_fit and _lockstep_lm (Madsen, Nielsen
 # & Tingleff 2004): start, floor, stall limit and cap of the growth nu
 _LAM_START, _LAM_MIN, _LAM_STALL, _NU_MAX = 1e-3, 1e-12, 1e14, 64.0
-# default relative convergence tolerance and accepted-step cap of both
+# relative convergence tolerance and default accepted-step cap of both
 _TOL, _MAX_ITER = 1e-10, 200
 # a larger spin count must beat the incumbent's adjusted R^2 by more
 _SPIN_COUNT_MARGIN = 1e-3
@@ -37,8 +37,8 @@ class FitProblem:
 
     model(params, x) -> predicted y.  bounds is one (low, high) pair per
     parameter; use -inf/inf for free parameters.  weights multiply the
-    squared residuals (1/sigma^2 for Poisson-style weighting).  tol is
-    the relative objective-change convergence threshold.
+    squared residuals (1/sigma^2 for Poisson-style weighting).  The
+    relative objective-change convergence threshold is _TOL.
     """
 
     model: object
@@ -47,7 +47,6 @@ class FitProblem:
     init: np.ndarray
     bounds: tuple
     weights: np.ndarray | None = None
-    tol: float = _TOL
     max_iter: int = _MAX_ITER
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class FitProblem:
                 raise ValueError("weights must match y in shape")
             if np.any(~np.isfinite(self.weights)) or np.any(self.weights <= 0):
                 raise ValueError("weights must be finite and positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -162,10 +159,10 @@ def nlls_fit(problem: FitProblem) -> FitResult:
                     history.append(cost)
                     lam = max(lam / 3.0, _LAM_MIN)
                     nu = 2.0
-                    if gain <= problem.tol * max(cost, _COST_FLOOR):
+                    if gain <= _TOL * max(cost, _COST_FLOOR):
                         converged = True
                     break
-                if abs(cost_t - cost) <= problem.tol * max(cost, _COST_FLOOR):
+                if abs(cost_t - cost) <= _TOL * max(cost, _COST_FLOOR):
                     # flat to within tolerance: at an optimum or pinned
                     # to a bound
                     converged = True
@@ -253,7 +250,7 @@ def _solve_each(mats, rhs):
         return x, ok
 
 
-def _lockstep_lm(model, jacobian, y, starts, lo, hi, tol=_TOL,
+def _lockstep_lm(model, jacobian, y, starts, lo, hi,
                  max_iter=_MAX_ITER) -> _LockstepRuns:
     """Unweighted bounded LM from every row of starts, all in lockstep.
 
@@ -261,7 +258,7 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, tol=_TOL,
     predictions of y, jacobian(P) to their (s, m, k) derivatives.  Each
     start follows the rules of nlls_fit on its own: damped normal
     equations with per-start lambda and nu, acceptance only on strict
-    decrease, convergence on a gain or a flat trial within tol, lambda/3
+    decrease, convergence on a gain or a flat trial within _TOL, lambda/3
     after an accepted step and lambda*nu after a rejected one, a stall
     above lambda 1e14 and at most max_iter accepted steps.  Each round
     takes the Jacobian only where the last step was accepted and drops
@@ -309,9 +306,9 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, tol=_TOL,
         better = cost_t < cost
         # flat to within tolerance: at an optimum or pinned to a bound
         flat = ~better & (np.abs(cost_t - cost)
-                          <= tol * np.maximum(cost, _COST_FLOOR))
+                          <= _TOL * np.maximum(cost, _COST_FLOOR))
         conv = flat | (better & (cost - cost_t
-                                 <= tol * np.maximum(cost_t, _COST_FLOOR)))
+                                 <= _TOL * np.maximum(cost_t, _COST_FLOOR)))
         for i, c in zip(live[better].tolist(), cost_t[better].tolist()):
             runs.history[i].append(c)
         p[better], r[better], cost[better] = (trial[better], r_t[better],

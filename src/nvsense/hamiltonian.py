@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_CONSTANTS, KET_ZERO, SX, SZ,
-                   DegenerateTransitionError, FieldEstimate, NvSenseError,
-                   PhysicalConstants)
+                   DegenerateTransitionError, FieldEstimate, NvSenseError)
 
 
 class EigenConvergenceError(NvSenseError, ArithmeticError):
@@ -57,17 +56,15 @@ class TransitionPair:
                 "outside the B0 < D/gamma regime this labelling breaks down")
 
 
-def build_hamiltonian(b0: float, theta: float,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                      ) -> NvHamiltonian:
+def build_hamiltonian(b0: float, theta: float) -> NvHamiltonian:
     """Zeeman + zero-field-splitting Hamiltonian for field (b0, theta)."""
     if not (math.isfinite(b0) and b0 >= 0):
         raise ValueError(f"b0 must be finite and >= 0 mT, got {b0!r}")
     if not (math.isfinite(theta) and 0 <= theta <= math.pi / 2):
         raise ValueError(f"theta must lie in [0, pi/2] rad, got {theta!r}")
-    gb = constants.gamma_nv * b0
+    gb = DEFAULT_CONSTANTS.gamma_nv * b0
     h = gb * (math.sin(theta) * SX + math.cos(theta) * SZ)
-    h = h + constants.zero_field_d * (SZ @ SZ)
+    h = h + DEFAULT_CONSTANTS.zero_field_d * (SZ @ SZ)
     return NvHamiltonian(h, b0=b0, theta=theta)
 
 
@@ -115,11 +112,9 @@ def _labelled_levels(ham: NvHamiltonian) -> dict[str, float]:
     return {"0": float(w[idx0]), "+1": float(w[upper]), "-1": float(w[lower])}
 
 
-def transition_frequencies(b0: float, theta: float,
-                           constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                           ) -> TransitionPair:
+def transition_frequencies(b0: float, theta: float) -> TransitionPair:
     """Resonances |0> -> |-1> (f_minus) and |0> -> |+1> (f_plus), MHz."""
-    levels = _labelled_levels(build_hamiltonian(b0, theta, constants))
+    levels = _labelled_levels(build_hamiltonian(b0, theta))
     try:
         return TransitionPair(f_minus=levels["-1"] - levels["0"],
                               f_plus=levels["+1"] - levels["0"])
@@ -130,7 +125,6 @@ def transition_frequencies(b0: float, theta: float,
 
 def invert_field(pair: TransitionPair,
                  freq_errors: tuple[float, float] = (0.0, 0.0),
-                 constants: PhysicalConstants = DEFAULT_CONSTANTS,
                  b_max: float = 300.0) -> FieldEstimate:
     """Recover (B0, theta) from a measured transition pair, in closed form.
 
@@ -159,7 +153,7 @@ def invert_field(pair: TransitionPair,
     sig_m, sig_p = (float(freq_errors[0]), float(freq_errors[1]))
     if sig_m < 0 or sig_p < 0:
         raise ValueError("freq_errors must be non-negative")
-    d, gamma = constants.zero_field_d, constants.gamma_nv
+    d, gamma = DEFAULT_CONSTANTS.zero_field_d, DEFAULT_CONSTANTS.gamma_nv
     fm, fp = pair.f_minus, pair.f_plus
     s = fm * fm + fp * fp - fm * fp
     if s <= d * d:
@@ -201,11 +195,10 @@ def invert_field(pair: TransitionPair,
                          theta_err=theta_err)
 
 
-def g_value(f_res: float, b0: float,
-            constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def g_value(f_res: float, b0: float) -> float:
     """Electron g-factor of a bare spin resonant at f_res (MHz) in b0 (mT)."""
     if not (math.isfinite(b0) and b0 > 0):
         raise ValueError(f"b0 must be positive, got {b0!r}")
     if not (math.isfinite(f_res) and f_res > 0):
         raise ValueError(f"f_res must be positive, got {f_res!r}")
-    return f_res / (constants.mu_b_over_h * b0)
+    return f_res / (DEFAULT_CONSTANTS.mu_b_over_h * b0)

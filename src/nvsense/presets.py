@@ -17,7 +17,7 @@ import numpy as np
 from .core import TWO_PI, DEFAULT_CONSTANTS, FieldEstimate
 from .deer import DeerSpectrumModel, TargetSpinModel
 from .eseem import BathModel, load_hyperfine_table, nucleus_from_record
-from .hamiltonian import TransitionPair
+from .hamiltonian import TransitionPair, transition_frequencies
 from .synth import (Cpmg8Truth, DetectorModel, OdmrTruth, RabiTruth,
                     SequenceKind, SequenceSpec)
 
@@ -50,19 +50,19 @@ def epr_line() -> DeerSpectrumModel:
                              baseline=0.5)
 
 
-def carbon_bath(b0: float, constants=DEFAULT_CONSTANTS,
-                b_rms: float = BATH_B_RMS_UT) -> BathModel:
+def carbon_bath(b0: float, b_rms: float = BATH_B_RMS_UT) -> BathModel:
     """Carbon-13 bath at field b0 (mT): RMS field b_rms (uT), 13C Larmor."""
-    return BathModel(b_rms=b_rms, omega_i=TWO_PI * constants.gamma_c13 * b0)
+    return BathModel(b_rms=b_rms,
+                     omega_i=TWO_PI * DEFAULT_CONSTANTS.gamma_c13 * b0)
 
 
-def echo_truth(constants=DEFAULT_CONSTANTS) -> Cpmg8Truth:
+def echo_truth() -> Cpmg8Truth:
     """Echo decay of the main center: weak carbon + nitrogen + bath, T2."""
     table = load_hyperfine_table()
     b0 = main_field().b0
-    nuclei = tuple(nucleus_from_record(table[label], b0, constants)
+    nuclei = tuple(nucleus_from_record(table[label], b0)
                    for label in ECHO_NUCLEI)
-    return Cpmg8Truth(nuclei=nuclei, bath=carbon_bath(b0, constants),
+    return Cpmg8Truth(nuclei=nuclei, bath=carbon_bath(b0),
                       t2_us=38.0)
 
 
@@ -104,13 +104,11 @@ NULL_CENTERS = {
 }
 
 
-def default_sequence(kind: SequenceKind,
-                     constants=DEFAULT_CONSTANTS) -> SequenceSpec:
+def default_sequence(kind: SequenceKind) -> SequenceSpec:
     """Default sweep grid per experiment kind."""
     if kind is SequenceKind.PULSED_ODMR:
-        from .hamiltonian import transition_frequencies
         field = main_field()
-        pair = transition_frequencies(field.b0, field.theta, constants)
+        pair = transition_frequencies(field.b0, field.theta)
         grid = np.linspace(pair.f_minus - 25.0, pair.f_minus + 25.0, 101)
         return SequenceSpec(kind=kind, grid=grid)
     if kind is SequenceKind.RABI:
@@ -136,13 +134,13 @@ DEFAULT_N_AVG = {
 }
 
 
-def default_truth(kind: SequenceKind, constants=DEFAULT_CONSTANTS):
+def default_truth(kind: SequenceKind):
     if kind is SequenceKind.PULSED_ODMR:
         return odmr_truth()
     if kind is SequenceKind.RABI:
         return rabi_truth()
     if kind is SequenceKind.CPMG8:
-        return echo_truth(constants)
+        return echo_truth()
     if kind is SequenceKind.CPMG_DEER:
         return epr_line()
     if kind is SequenceKind.DEER_RABI:

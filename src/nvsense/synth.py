@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitting
-from .core import (DEFAULT_CONSTANTS, DegenerateReferenceError,
-                   PhysicalConstants, Trace, XKind)
+from .core import DegenerateReferenceError, Trace, XKind
 from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
                    gaussian_line, nv_epr_signal)
 from .eseem import BathModel, EseemNucleus, cpmg_echo_model
@@ -79,9 +78,8 @@ class DetectorModel:
             raise ValueError(
                 f"need counts_bright > counts_dark >= 0, got "
                 f"({self.counts_bright!r}, {self.counts_dark!r})")
-        contrast = (self.counts_bright - self.counts_dark) / self.counts_bright
-        if not 0 < contrast < 1:
-            raise ValueError(f"contrast {contrast!r} must lie in (0, 1)")
+        if not 0 < self.contrast < 1:
+            raise ValueError(f"contrast {self.contrast!r} must lie in (0, 1)")
         if not (isinstance(self.n_avg, (int, np.integer)) and self.n_avg >= 1):
             raise ValueError(f"n_avg must be a positive integer, got {self.n_avg!r}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
@@ -198,14 +196,14 @@ class Cpmg8Truth:
             raise ValueError("t2_us must be positive")
 
 
-def _model_values(spec: SequenceSpec, truth, constants) -> np.ndarray:
+def _model_values(spec: SequenceSpec, truth) -> np.ndarray:
     """SIG1 population in [0, 1] on the sweep grid."""
     kind, x = spec.kind, spec.grid
     if kind is SequenceKind.PULSED_ODMR:
         if not isinstance(truth, OdmrTruth):
             raise ValueError(f"kind {kind.value} needs OdmrTruth, "
                              f"got {type(truth).__name__}")
-        pair = transition_frequencies(truth.b0, truth.theta, constants)
+        pair = transition_frequencies(truth.b0, truth.theta)
         dips = (gaussian_line(x, pair.f_minus, truth.linewidth_mhz, 1.0)
                 + gaussian_line(x, pair.f_plus, truth.linewidth_mhz, 1.0))
         return np.clip(1.0 - truth.transfer * dips, 0.0, 1.0)
@@ -219,7 +217,7 @@ def _model_values(spec: SequenceSpec, truth, constants) -> np.ndarray:
             raise ValueError(f"kind {kind.value} needs Cpmg8Truth, "
                              f"got {type(truth).__name__}")
         s = cpmg_echo_model(x, truth.nuclei, truth.bath, truth.t2_us,
-                            constants, n_pulses=spec.n_pulses)
+                            n_pulses=spec.n_pulses)
         return 0.5 * (1.0 + s)
     if kind is SequenceKind.CPMG_DEER:
         if not isinstance(truth, DeerSpectrumModel):
@@ -243,8 +241,7 @@ _CHANNEL_VALUE = {
 }
 
 
-def synthesize(spec: SequenceSpec, truth, det: DetectorModel,
-               constants: PhysicalConstants = DEFAULT_CONSTANTS) -> Trace:
+def synthesize(spec: SequenceSpec, truth, det: DetectorModel) -> Trace:
     """Generate a photon-count Trace for the sweep.
 
     Each (channel, grid point) pair draws from its own counter-derived
@@ -252,7 +249,7 @@ def synthesize(spec: SequenceSpec, truth, det: DetectorModel,
     and independent of evaluation order.  Channel values are photons
     per repetition (counts / n_avg).
     """
-    model = _model_values(spec, truth, constants)
+    model = _model_values(spec, truth)
     names = spec.resolved_channels()
     n_eff = det.n_avg
     if det.n_avg_is_total:
@@ -273,11 +270,11 @@ def synthesize(spec: SequenceSpec, truth, det: DetectorModel,
     return Trace(spec.grid, spec.x_kind, out, n_avg=n_eff)
 
 
-def normalize_channels(sig, ref1, ref2, noise_floor: float = 0.0) -> np.ndarray:
+def normalize_channels(sig, ref1, ref2) -> np.ndarray:
     """(sig - ref2) / (ref1 - ref2) elementwise.
 
     Raises DegenerateReferenceError when the reference separation drops
-    to noise_floor or below anywhere (the normalization would blow up).
+    to zero or below anywhere (the normalization would blow up).
     """
     sig = np.asarray(sig, dtype=float)
     ref1 = np.asarray(ref1, dtype=float)
@@ -285,11 +282,10 @@ def normalize_channels(sig, ref1, ref2, noise_floor: float = 0.0) -> np.ndarray:
     if not sig.shape == ref1.shape == ref2.shape:
         raise ValueError("sig, ref1, ref2 must have matching shapes")
     denom = ref1 - ref2
-    if np.any(denom <= noise_floor):
+    if np.any(denom <= 0.0):
         worst = float(np.min(denom))
         raise DegenerateReferenceError(
-            f"reference separation reaches {worst:.3g} (floor {noise_floor:g}); "
-            "cannot normalize")
+            f"reference separation reaches {worst:.3g}; cannot normalize")
     return (sig - ref2) / denom
 
 

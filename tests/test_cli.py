@@ -101,6 +101,14 @@ class TestSimulate:
                    "--out", str(tmp_path / "x.csv")) == 1
         assert "unknown nucleus 'bogus'" in capsys.readouterr().err
 
+    def test_unread_truth_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--kind", "rabi", "--nuclei", "bogus",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "kind rabi does not read nuclei" in err
+        assert not out.exists()
+
     def test_null_preset_spectrum_is_flat(self, tmp_path):
         out = tmp_path / "null.csv"
         assert run("simulate", "--kind", "cpmg-deer", "--preset", "null-a",
@@ -230,6 +238,14 @@ class TestConfig:
         assert run("simulate", "--kind", "rabi", "--config",
                    "/nonexistent/cfg.json") == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_unread_truth_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"sequence": {"kind": "rabi"}, "truth": {"nuclei": ["14n"]}}))
+        assert run("simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "t.csv")) == 1
+        assert "kind rabi does not read nuclei" in capsys.readouterr().err
 
 
 class TestFit:
@@ -369,6 +385,18 @@ class TestEseem:
         assert run("eseem", "--mode", "bath", "--x-num", "1",
                    "--out", str(tmp_path / "e.csv")) == 1
         assert "x_num must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, extra, unread", [
+        ("modulation", ("--b-rms-ut", "0"), "b_rms_ut"),
+        ("bath", ("--nuclei", "14n"), "nuclei"),
+        ("echo", ("--a-mhz", "1", "--b-mhz", "1"), "a_mhz, b_mhz"),
+    ])
+    def test_unread_flag_rejected(self, tmp_path, capsys, mode, extra,
+                                  unread):
+        assert run("eseem", "--mode", mode, *extra,
+                   "--out", str(tmp_path / "e.csv")) == 1
+        assert (f"--mode {mode} does not read {unread}"
+                in capsys.readouterr().err)
 
     def test_modulation_mode(self, tmp_path):
         out = tmp_path / "mod.csv"

@@ -1,6 +1,13 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import nvsense
+from nvsense.fitting import FitProblem
 from nvsense.core import (DEFAULT_CONSTANTS, TWO_PI, FieldEstimate,
                           PhysicalConstants, Trace, XKind, angular_to_mhz,
                           mhz_to_angular, spin1_operators)
@@ -32,17 +39,39 @@ def test_dipolar_prefactor_against_si_constants():
     assert 51.5 < DEFAULT_CONSTANTS.dipolar_prefactor < 52.5
 
 
-def test_constants_replace_rederives_prefactor():
-    c = DEFAULT_CONSTANTS.replace(gamma_nv=28.03)
-    assert c.gamma_nv == 28.03
-    assert c.dipolar_prefactor == pytest.approx(
-        DEFAULT_CONSTANTS.dipolar_prefactor * 28.03 / 28.024, rel=1e-12)
-
-
 def test_constants_g_sanity_check():
     # gamma/mu_b must stay near the electron g; a wild ratio is a unit slip
     with pytest.raises(ValueError):
         PhysicalConstants(gamma_nv=100.0)
+
+
+_FIXED_SETTINGS = {"constants", "gamma_e", "noise_floor", "tol"}
+
+
+def _package_callables():
+    """Every function and method (__init__ included) of an nvsense module."""
+    for info in pkgutil.iter_modules(nvsense.__path__):
+        module = importlib.import_module(f"nvsense.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield obj
+            elif inspect.isclass(obj):
+                yield from (member for member in vars(obj).values()
+                            if inspect.isfunction(member))
+
+
+def test_constants_and_tolerances_are_not_settable():
+    # DEFAULT_CONSTANTS, the convergence tolerance, the bath's electron
+    # ratio and the normalization floor each have one value in use
+    callables = list(_package_callables())
+    assert len(callables) > 100
+    for obj in callables:
+        params = set(inspect.signature(obj).parameters)
+        assert not params & _FIXED_SETTINGS, (obj.__qualname__, params)
+    assert "tol" not in {f.name for f in dataclasses.fields(FitProblem)}
+    assert not hasattr(PhysicalConstants, "replace")
 
 
 def test_angular_conversions_round_trip():
@@ -107,6 +136,13 @@ class TestTrace:
         assert tr.channel("a")[0] == 1.0
         with pytest.raises(ValueError):
             tr.channel("a")[0] = 5.0
+
+    @pytest.mark.parametrize("name", ["line\nbreak", "a\r", "\r\n",
+                                      "v\x0bt", "f\x0cf", "s\x1cep",
+                                      "n\x85l", "l\u2028s"])
+    def test_channel_name_with_line_break_rejected(self, name):
+        with pytest.raises(ValueError, match="line break"):
+            Trace(np.array([0.0, 1.0]), XKind.FREQUENCY, {name: np.zeros(2)})
 
     def test_unknown_channel(self):
         tr = Trace(np.array([0.0, 1.0]), XKind.FREQUENCY, {"a": np.zeros(2)})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvsense.core import DEFAULT_CONSTANTS, TWO_PI
 from nvsense.eseem import (BathModel, EseemNucleus, HyperfineTensor,
@@ -142,6 +143,20 @@ class TestModulation:
             oracle = density_matrix_eseem_oracle(taus, 4, nuc)
             assert np.max(np.abs(closed - oracle)) < 1e-6
 
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.floats(-30.0, 30.0), b=st.floats(0.1, 30.0),
+           omega_i=st.floats(0.5, 15.0),
+           n_pulses=st.sampled_from([2, 4, 6, 8]),
+           taus=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
+    def test_matches_oracle_over_the_domain(self, a, b, omega_i, n_pulses,
+                                            taus):
+        # criterion 04's domain and tolerance, at any point of it
+        nuc = EseemNucleus(a=a, b=b, omega_i=omega_i)
+        taus = np.array(taus)
+        closed = eseem_modulation(taus, n_pulses, nuc)
+        oracle = density_matrix_eseem_oracle(taus, n_pulses, nuc)
+        assert np.max(np.abs(closed - oracle)) <= 1e-6
+
     def test_oracle_supports_single_pulse(self):
         # plain Hahn echo from the propagation route (closed form is
         # CPMG-only); V stays within [-1, 1]
@@ -185,6 +200,38 @@ class TestBath:
         weak = bath_decoherence(taus, BathModel(2.0, omega_i), 8)
         strong = bath_decoherence(taus, BathModel(8.0, omega_i), 8)
         assert np.all(strong <= weak + 1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(taus=st.lists(st.floats(0.0, 1e100), min_size=1, max_size=8),
+           b_rms=st.floats(0.0, 1e100), omega_i=st.floats(0.0, 1e100),
+           n_pulses=st.integers(1, 10 ** 6))
+    def test_bounded_and_unity_at_zero(self, taus, b_rms, omega_i, n_pulses):
+        c = bath_decoherence(np.array([0.0] + taus),
+                             BathModel(b_rms, omega_i), n_pulses)
+        assert c[0] == 1.0
+        assert np.all((c >= 0.0) & (c <= 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tau=st.floats(0.0, allow_infinity=False),
+           b_rms=st.floats(0.0, allow_infinity=False),
+           omega_i=st.floats(0.0, allow_infinity=False),
+           n_pulses=st.integers(1, 10 ** 6))
+    def test_bounded_or_rejected_past_float_range(self, tau, b_rms, omega_i,
+                                                  n_pulses):
+        try:
+            c = bath_decoherence(tau, BathModel(b_rms, omega_i), n_pulses)
+        except ValueError as exc:
+            assert "float range" in str(exc)
+        else:
+            assert 0.0 <= c <= 1.0
+
+    def test_subnormal_tau_takes_the_zero_limit(self):
+        assert bath_decoherence(5e-324, self.bath(), 8) == 1.0
+
+    @pytest.mark.parametrize("tau, b_rms", [(1e160, 4.0), (0.0, 1e200)])
+    def test_past_float_range_rejected(self, tau, b_rms):
+        with pytest.raises(ValueError, match="float range"):
+            bath_decoherence(tau, BathModel(b_rms, 1.0), 1)
 
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):

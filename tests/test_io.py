@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvsense.core import Trace, TraceFormatError, XKind
 from nvsense.io import (atomic_write_text, read_json, read_trace,
@@ -15,6 +16,23 @@ def sample_trace():
     channels = {name: rng.uniform(0.01, 0.06, x.size)
                 for name in ("SIG1", "SIG2", "REF1", "REF2")}
     return Trace(x, XKind.PULSE_LENGTH, channels, n_avg=220_000)
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, -2.5e-310]))
+_ONE_LINE = st.text().filter(lambda name: "".join(name.splitlines()) == name)
+
+
+@st.composite
+def traces(draw):
+    # unique=True counts -0.0 and 0.0 as equal, so the grid strictly rises
+    x = sorted(draw(st.lists(_FINITE, min_size=2, max_size=6, unique=True)))
+    names = draw(st.lists(_ONE_LINE, min_size=1, max_size=4, unique=True))
+    channels = {name: draw(st.lists(_FINITE, min_size=len(x),
+                                    max_size=len(x)))
+                for name in names}
+    return Trace(np.array(x), draw(st.sampled_from(XKind)), channels,
+                 n_avg=draw(st.integers(1, 2 ** 70)))
 
 
 class TestCsvRoundTrip:
@@ -43,6 +61,19 @@ class TestCsvRoundTrip:
         assert lines[0].startswith("# trace v1")
         assert lines[1] == "# alpha=1"
         assert lines[2] == "x,x_kind,channel,value,n_avg"
+
+    @settings(max_examples=200, deadline=None)
+    @given(tr=traces())
+    def test_any_trace_round_trips_bitwise(self, tr):
+        text = trace_to_csv(tr)
+        back = trace_from_csv(text)
+        assert back.x_kind is tr.x_kind
+        assert back.n_avg == tr.n_avg
+        assert back.x.tobytes() == tr.x.tobytes()
+        assert back.channel_names == tr.channel_names
+        for name in tr.channel_names:
+            assert back.channel(name).tobytes() == tr.channel(name).tobytes()
+        assert trace_to_csv(back) == text
 
     def test_channels_cycle_fastest(self):
         text = trace_to_csv(sample_trace())

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nvsense.core import (DEFAULT_CONSTANTS, TWO_PI,
-                          DegenerateReferenceError, Trace, XKind)
+from nvsense.core import TWO_PI, DegenerateReferenceError, Trace, XKind
 from nvsense.deer import DeerSpectrumModel, deer_spectrum, nv_epr_signal
 from nvsense.eseem import cpmg_echo_model
 from nvsense.fitting import fit_deer_rabi
@@ -125,12 +124,6 @@ class TestNormalize:
         with pytest.raises(DegenerateReferenceError):
             normalize_channels(ref1, ref1, ref2)
 
-    def test_noise_floor(self):
-        ref1, ref2 = np.array([0.05]), np.array([0.0495])
-        normalize_channels(ref1, ref1, ref2)
-        with pytest.raises(DegenerateReferenceError):
-            normalize_channels(ref1, ref1, ref2, noise_floor=0.001)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             normalize_channels(np.zeros(3), np.ones(3), np.zeros(4))
@@ -208,7 +201,7 @@ class TestNoiselessRoundTrip:
     def test_cpmg8(self):
         spec, truth, tr = _noiseless(SequenceKind.CPMG8)
         s = cpmg_echo_model(spec.grid, truth.nuclei, truth.bath,
-                            truth.t2_us, DEFAULT_CONSTANTS, n_pulses=8)
+                            truth.t2_us, n_pulses=8)
         got = difference_signal(tr)
         assert np.allclose(got, s, atol=1e-12)
 
