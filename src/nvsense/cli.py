@@ -34,9 +34,9 @@ from .io import read_json, read_trace, write_columns, write_json, write_trace
 from .presets import (BATH_B_RMS_UT, CONTRAST, DEFAULT_N_AVG, ECHO_NUCLEI,
                       NULL_CENTERS, carbon_bath, default_sequence,
                       default_truth, detector, main_field)
-from .synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
-                    SequenceSpec, coherence_trace, difference_signal,
-                    normalized_channels, synthesize)
+from .synth import (PULSE_TRAIN_KINDS, Cpmg8Truth, OdmrTruth, RabiTruth,
+                    SequenceKind, SequenceSpec, coherence_trace,
+                    difference_signal, normalized_channels, synthesize)
 
 _PRESET_NAMES = ("coupled-pair",) + tuple(NULL_CENTERS)
 _FIT_KINDS = ("gaussian", "rabi", "deer-rabi")
@@ -234,6 +234,13 @@ def _cmd_simulate(args) -> int:
                    f"kind {kind.value}")
 
     base_seq = default_sequence(kind)
+    seq_reads = ("x_start", "x_stop", "x_num", "channels")
+    if kind in PULSE_TRAIN_KINDS:
+        seq_reads += ("n_pulses",)
+    if base_seq.tau:
+        seq_reads += ("tau_us",)
+    _reject_unread([key for key in seq_cfg if key != "kind"], seq_reads,
+                   f"kind {kind.value}")
     tau_default = null_center.tau_us if (null_center and base_seq.tau) else base_seq.tau
     grid = _grid(seq_cfg, base_seq.grid)
     seq = SequenceSpec(
@@ -468,28 +475,33 @@ def _cmd_invert_field(args) -> int:
 # ---------------------------------------------------------------- eseem
 
 _ESEEM_GRIDS = {"modulation": (0.0, 2.5, 251), "bath": (0.0, 4.0, 201)}
-# the keys each mode reads besides the grid keys and n_pulses
-_ESEEM_KEYS = {"modulation": ("b0_mt", "nucleus", "a_mhz", "b_mhz",
-                              "species"),
+# the keys each mode reads besides the grid keys and n_pulses;
+# modulation with a_mhz or b_mhz reads _CUSTOM_NUCLEUS_KEYS instead
+_ESEEM_KEYS = {"modulation": ("b0_mt", "nucleus"),
                "bath": ("b0_mt", "b_rms_ut"), "echo": _TRUTH_KEYS["cpmg8"]}
+_CUSTOM_NUCLEUS_KEYS = ("b0_mt", "a_mhz", "b_mhz", "species")
 
 
 def _cmd_eseem(args) -> int:
     cfg = _overlay({}, _ESEEM_SCHEMA, args)
+    custom = args.mode == "modulation" and ("a_mhz" in cfg or "b_mhz" in cfg)
     _reject_unread(cfg, ("x_start", "x_stop", "x_num", "n_pulses")
-                   + _ESEEM_KEYS[args.mode], f"--mode {args.mode}")
+                   + (_CUSTOM_NUCLEUS_KEYS if custom
+                      else _ESEEM_KEYS[args.mode]),
+                   f"--mode {args.mode}"
+                   + (" with --a-mhz/--b-mhz" if custom else ""))
     b0 = cfg.get("b0_mt", main_field().b0)
     echo_seq = default_sequence(SequenceKind.CPMG8)
     n_pulses = cfg.get("n_pulses", echo_seq.n_pulses)
     grid = _grid(cfg, echo_seq.grid if args.mode == "echo"
                  else np.linspace(*_ESEEM_GRIDS[args.mode]))
     if args.mode == "modulation":
-        a, b = cfg.get("a_mhz"), cfg.get("b_mhz")
-        if a is not None or b is not None:
-            if a is None or b is None:
+        if custom:
+            if "a_mhz" not in cfg or "b_mhz" not in cfg:
                 raise ConfigError("--a-mhz and --b-mhz go together")
             nucleus = nucleus_from_record(HyperfineRecord(
-                "custom", cfg.get("species", "13C"), a, b), b0)
+                "custom", cfg.get("species", "13C"), cfg["a_mhz"],
+                cfg["b_mhz"]), b0)
         else:
             nucleus, = _table_nuclei(
                 [cfg.get("nucleus") or ECHO_NUCLEI[0]], b0)

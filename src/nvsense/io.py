@@ -46,16 +46,24 @@ def trace_to_csv(trace: Trace, comments: tuple = ()) -> str:
               "normalized units\n" % unit)
     for line in comments:
         buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
+    buf.write(",".join(TRACE_HEADER) + "\n")
     kind = trace.x_kind.value
     n_avg = trace.n_avg
-    names = list(trace.channels)
-    for i, x in enumerate(trace.x):
-        for name in names:
-            writer.writerow([repr(float(x)), kind, name,
-                             repr(float(trace.channels[name][i])), n_avg])
+    # only a channel name can need csv quoting; x, values and n_avg
+    # render as bare numbers and x_kind as a bare word
+    columns = [(_csv_field(name), values.tolist())
+               for name, values in trace.channels.items()]
+    buf.writelines(f"{x!r},{kind},{name},{values[i]!r},{n_avg}\n"
+                   for i, x in enumerate(trace.x.tolist())
+                   for name, values in columns)
     return buf.getvalue()
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer renders it as one field of a row."""
+    buf = _io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-len(",\n")]
 
 
 def write_trace(path, trace: Trace, comments: tuple = ()) -> None:
@@ -70,7 +78,11 @@ def trace_from_csv(text: str, source: str = "<string>") -> Trace:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = next(csv.reader([line]))
+        # without a quote or NUL, a csv row is its comma split
+        if '"' in line or "\0" in line:
+            fields = next(csv.reader([line]))
+        else:
+            fields = line.split(",")
         if not header_seen:
             if tuple(f.strip() for f in fields) != TRACE_HEADER:
                 raise TraceFormatError(

@@ -36,6 +36,10 @@ class SequenceKind(enum.Enum):
     DEER_RABI = "deer-rabi"
 
 
+# the CPMG-style kinds, whose sequences carry a pi-pulse count
+PULSE_TRAIN_KINDS = (SequenceKind.CPMG8, SequenceKind.CPMG_DEER,
+                     SequenceKind.DEER_RABI)
+
 _X_KIND = {
     SequenceKind.PULSED_ODMR: XKind.FREQUENCY,
     SequenceKind.RABI: XKind.PULSE_LENGTH,
@@ -117,8 +121,7 @@ class SequenceSpec:
         grid = grid.copy()
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        if self.kind in (SequenceKind.CPMG8, SequenceKind.CPMG_DEER,
-                         SequenceKind.DEER_RABI):
+        if self.kind in PULSE_TRAIN_KINDS:
             if self.n_pulses % 2 != 0 or self.n_pulses < 2:
                 raise ValueError(
                     f"CPMG-style kinds need an even pulse count >= 2, "
@@ -241,13 +244,169 @@ _CHANNEL_VALUE = {
 }
 
 
+# numpy's SeedSequence hash mix (numpy/random/bit_generator.pyx)
+_SEED_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# Philox4x64-10 round multipliers and key increments (Random123)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+# Generator.poisson's largest lam (numpy/random/_common.pyx)
+_POISSON_LAM_MAX = (np.iinfo(np.int64).max
+                    - np.sqrt(np.iinfo(np.int64).max) * 10)
+# below this lam Generator.poisson uses the multiplication method, not PTRS
+_PTRS_LAM_MIN = 10.0
+
+
+def _uint32_words(n: int) -> list:
+    """A non-negative int as little-endian uint32 words, as SeedSequence reads it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _philox_keys(seed: int, channel: np.ndarray, point: np.ndarray) -> tuple:
+    """SeedSequence(seed, spawn_key=(c, i)).generate_state(2, np.uint64)
+    for each entry of the equal-shaped uint32 arrays channel and point.
+    """
+    run = _uint32_words(seed)
+    run += [0] * (_SEED_POOL_SIZE - len(run))
+    # seed words 1-d, so that uint32 arithmetic wraps without warnings
+    entropy = [np.array([w], dtype=np.uint32) for w in run] + [channel, point]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(word) for word in entropy[:_SEED_POOL_SIZE]]
+    for src in range(_SEED_POOL_SIZE):
+        for dst in range(_SEED_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_SEED_POOL_SIZE:]:
+        for dst in range(_SEED_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * np.uint32(hash_const)
+        state.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
+    shift = np.uint64(32)
+    return state[0] | state[1] << shift, state[2] | state[3] << shift
+
+
+def _mulhilo64(a: np.uint64, b: np.ndarray) -> tuple:
+    """High and low 64-bit words of a * b, from 32-bit halves."""
+    lo32, shift = np.uint64(_MASK32), np.uint64(32)
+    a_lo, a_hi = a & lo32, a >> shift
+    b_lo, b_hi = b & lo32, b >> shift
+    lo_lo = a_lo * b_lo
+    cross = (lo_lo >> shift) + (a_hi * b_lo & lo32) + a_lo * b_hi
+    hi = a_hi * b_hi + (a_hi * b_lo >> shift) + (cross >> shift)
+    return hi, a * b
+
+
+def _philox_first_block(key0: np.ndarray, key1: np.ndarray) -> tuple:
+    """The four uint64 words a fresh Philox(key=(key0, key1)) yields first.
+
+    numpy's Philox bumps the counter before each block, so the first
+    block is Philox4x64-10 at counter (1, 0, 0, 0).
+    """
+    zero = np.zeros_like(key0)
+    c0, c1, c2, c3 = zero + np.uint64(1), zero, zero, zero
+    k0, k1 = key0, key1
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo64(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo64(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _unit_double(word: np.ndarray) -> np.ndarray:
+    """numpy's next_double: the top 53 bits of a uint64 as a double in [0, 1)."""
+    return (word >> np.uint64(11)).astype(float) * (1.0 / 9007199254740992.0)
+
+
+def _poisson_counts(seed: int, channel: np.ndarray, point: np.ndarray,
+                    lam: np.ndarray) -> np.ndarray:
+    """Generator(Philox(SeedSequence(seed, spawn_key=(c, i)))).poisson(lam)
+    for each entry, in whole arrays.
+
+    channel and point are integer arrays broadcast to lam's shape.  Most
+    draws with lam >= 10 end at the first PTRS try's quick accept, which
+    needs only the stream's first two doubles; it is replayed here with
+    numpy's arithmetic.  Every other draw (a PTRS rejection, lam < 10,
+    or a lam numpy refuses) runs numpy's own Generator.poisson on a
+    Philox reset to that stream, so it raises what numpy raises.
+    """
+    channel, point = np.broadcast_arrays(channel.astype(np.uint32),
+                                         point.astype(np.uint32))
+    key0, key1 = _philox_keys(seed, channel, point)
+    counts = np.zeros(lam.shape, dtype=np.int64)
+    todo = np.ones(lam.shape, dtype=bool)
+
+    ptrs = (lam >= _PTRS_LAM_MIN) & (lam <= _POISSON_LAM_MAX)
+    if ptrs.any():
+        w0, w1, _, _ = _philox_first_block(key0[ptrs], key1[ptrs])
+        lam_p = lam[ptrs]
+        slam = np.sqrt(lam_p)
+        b = 0.931 + 2.53 * slam
+        a = -0.059 + 0.02483 * b
+        vr = 0.9277 - 3.6224 / (b - 2)
+        u = _unit_double(w0) - 0.5
+        v = _unit_double(w1)
+        us = 0.5 - np.abs(u)
+        ok = (us >= 0.07) & (v <= vr)
+        k = np.floor((2 * a[ok] / us[ok] + b[ok]) * u[ok] + lam_p[ok] + 0.43)
+        where = np.flatnonzero(ptrs)[ok]
+        counts.flat[where] = k.astype(np.int64)
+        todo.flat[where] = False
+
+    left = np.flatnonzero(todo)
+    if left.size:
+        bitgen = np.random.Philox(key=0)
+        gen = np.random.Generator(bitgen)
+        state = bitgen.state
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        for j in left:
+            state["state"] = {"counter": [0, 0, 0, 0],
+                              "key": [key0.flat[j], key1.flat[j]]}
+            bitgen.state = state
+            counts.flat[j] = gen.poisson(lam.flat[j])
+    return counts
+
+
 def synthesize(spec: SequenceSpec, truth, det: DetectorModel) -> Trace:
     """Generate a photon-count Trace for the sweep.
 
-    Each (channel, grid point) pair draws from its own counter-derived
-    random stream (seed plus indices), so the output is reproducible
-    and independent of evaluation order.  Channel values are photons
-    per repetition (counts / n_avg).
+    Channel values are photons per repetition (counts / n_avg).  The
+    noise of each (channel, grid point) pair depends only on (seed,
+    channel, point): it is the draw of
+    Generator(Philox(SeedSequence(seed, spawn_key=(c, i)))).poisson,
+    c the channel's index in SIG1, SIG2, REF1, REF2 and i the point's
+    index.  So the output is byte-identical across runs and whatever
+    other channels or points are drawn, and it follows numpy's
+    SeedSequence, Philox and Poisson streams.  The draws are computed
+    in whole arrays; tests/test_synth.py keeps the per-point loop as
+    the oracle and requires equal bytes.
     """
     model = _model_values(spec, truth)
     names = spec.resolved_channels()
@@ -260,14 +419,17 @@ def synthesize(spec: SequenceSpec, truth, det: DetectorModel) -> Trace:
     if det.noiseless:
         return Trace(spec.grid, spec.x_kind, rates, n_avg=n_eff)
 
-    out = {name: np.empty(spec.grid.size) for name in names}
-    for i in range(spec.grid.size):
-        for name in names:
-            ci = _CHANNEL_ORDER.index(name)
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(det.seed, spawn_key=(ci, i))))
-            out[name][i] = rng.poisson(n_eff * rates[name][i]) / n_eff
-    return Trace(spec.grid, spec.x_kind, out, n_avg=n_eff)
+    lam = n_eff * np.array([rates[name] for name in names])
+    channel = np.array([_CHANNEL_ORDER.index(name) for name in names])
+    counts = _poisson_counts(det.seed, channel[:, None],
+                             np.arange(spec.grid.size), lam)
+    if n_eff <= 2 ** 53 and counts.max() <= 2 ** 53:
+        values = counts / n_eff
+    else:
+        # beyond 2**53 a double does not hold every int: divide as ints
+        values = np.array([k / n_eff for k in counts.ravel().tolist()]
+                          ).reshape(counts.shape)
+    return Trace(spec.grid, spec.x_kind, dict(zip(names, values)), n_avg=n_eff)
 
 
 def normalize_channels(sig, ref1, ref2) -> np.ndarray:

@@ -109,6 +109,20 @@ class TestSimulate:
         assert "kind rabi does not read nuclei" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, extra, unread", [
+        ("rabi", ("--n-pulses", "4", "--tau-us", "3"), "tau_us, n_pulses"),
+        ("pulsed-odmr", ("--n-pulses", "8"), "n_pulses"),
+        ("cpmg8", ("--tau-us", "1.28"), "tau_us"),
+    ])
+    def test_unread_sequence_flag_rejected(self, tmp_path, capsys, kind,
+                                           extra, unread):
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--kind", kind, "--noiseless", *extra,
+                   "--out", str(out)) == 1
+        assert f"kind {kind} does not read {unread};" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_null_preset_spectrum_is_flat(self, tmp_path):
         out = tmp_path / "null.csv"
         assert run("simulate", "--kind", "cpmg-deer", "--preset", "null-a",
@@ -164,6 +178,32 @@ class TestSimulate:
                         if not line.startswith(b"# version:"))
         assert hashlib.sha256(data).hexdigest() \
             == self.NOISELESS_SHA256[kind, preset]
+
+    # sha256 of noisy `simulate --seed 3` CSVs, version line left out,
+    # taken from the per-point synthesis loop that is now the oracle in
+    # test_synth.py: they fix numpy's SeedSequence/Philox/Poisson stream.
+    # --n-avg 100 puts every draw below lam = 10 (the multiplication
+    # method); --n-avg 220 straddles it.
+    NOISY_SHA256 = {
+        ("pulsed-odmr", ()): "4bf42b144669f9361344e2404e7c7e13517619e14512fa6efcd16567ad63e9fd",
+        ("rabi", ()): "aca1c1e5c8b5aeef0eca02b5f61daace6525ec9ddc2bf63daa330ec192337bc8",
+        ("cpmg8", ()): "17e60d0471c6f9f00dae37648bb4bcc61be9b6122e9ccd4c6f836112b5311555",
+        ("cpmg-deer", ()): "f69fdf7b8b7cd6593d75b943c633bdb026e7c3d9c3617390420b0e3fb38e7794",
+        ("deer-rabi", ()): "945d787007b35885614fe112ed9f8e58dc3fbfeb6107ca992542d6995d1a6f1c",
+        ("cpmg8", ("--n-avg", "2000000", "--n-avg-total")): "31657dbe6f064f95f998ad42f92b83f9114c1ee0122d423d269b809422c038d5",
+        ("rabi", ("--n-avg", "100")): "6ae7c77d2b2c74fee7257cc77c8968a48c2c69b58e519b5e5aa3c846d9b83814",
+        ("deer-rabi", ("--n-avg", "220")): "623376e36d320b2dbb10ea838f0813912253d49202656eddfee804afac1c5db3",
+    }
+
+    @pytest.mark.parametrize("kind, extra", sorted(NOISY_SHA256))
+    def test_noisy_bytes_pinned(self, tmp_path, kind, extra):
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--kind", kind, "--seed", "3", *extra,
+                   "--out", str(out)) == 0
+        data = b"".join(line for line in out.read_bytes().splitlines(True)
+                        if not line.startswith(b"# version:"))
+        assert hashlib.sha256(data).hexdigest() \
+            == self.NOISY_SHA256[kind, extra]
 
     def test_cpmg8_pulse_count_reaches_the_bath(self, tmp_path):
         # the bath filter takes the sequence's pulse count
@@ -246,6 +286,15 @@ class TestConfig:
         assert run("simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "t.csv")) == 1
         assert "kind rabi does not read nuclei" in capsys.readouterr().err
+
+
+    def test_unread_sequence_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sequence": {"kind": "rabi",
+                                                "n_pulses": 4}}))
+        assert run("simulate", "--config", str(cfg),
+                   "--out", str(tmp_path / "t.csv")) == 1
+        assert "kind rabi does not read n_pulses" in capsys.readouterr().err
 
 
 class TestFit:
@@ -397,6 +446,21 @@ class TestEseem:
                    "--out", str(tmp_path / "e.csv")) == 1
         assert (f"--mode {mode} does not read {unread}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--a-mhz", "1", "--b-mhz", "1", "--nucleus", "14n"),
+         "--mode modulation with --a-mhz/--b-mhz does not read nucleus"),
+        (("--nucleus", "14n", "--species", "13C"),
+         "--mode modulation does not read species"),
+        (("--species", "14N"), "--mode modulation does not read species"),
+    ])
+    def test_overridden_nucleus_flag_rejected(self, tmp_path, capsys, extra,
+                                              message):
+        out = tmp_path / "e.csv"
+        assert run("eseem", "--mode", "modulation", *extra,
+                   "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_modulation_mode(self, tmp_path):
         out = tmp_path / "mod.csv"

@@ -1,13 +1,16 @@
 """Trace CSV and JSON report round trips plus format diagnostics."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvsense.core import Trace, TraceFormatError, XKind
-from nvsense.io import (atomic_write_text, read_json, read_trace,
-                        trace_from_csv, trace_to_csv, write_columns,
-                        write_json, write_trace)
+from nvsense.io import (TRACE_HEADER, atomic_write_text, read_json,
+                        read_trace, trace_from_csv, trace_to_csv,
+                        write_columns, write_json, write_trace)
 
 
 def sample_trace():
@@ -16,6 +19,21 @@ def sample_trace():
     channels = {name: rng.uniform(0.01, 0.06, x.size)
                 for name in ("SIG1", "SIG2", "REF1", "REF2")}
     return Trace(x, XKind.PULSE_LENGTH, channels, n_avg=220_000)
+
+
+def per_row_csv(trace: Trace) -> str:
+    """The oracle for trace_to_csv: one csv.writer row per (point, channel)."""
+    buf = io.StringIO()
+    buf.write("# trace v1: x in %s, values in photons per repetition or "
+              "normalized units\n" % trace.x_kind.unit)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    for i, x in enumerate(trace.x):
+        for name in trace.channel_names:
+            writer.writerow([repr(float(x)), trace.x_kind.value, name,
+                             repr(float(trace.channel(name)[i])),
+                             trace.n_avg])
+    return buf.getvalue()
 
 
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -66,6 +84,7 @@ class TestCsvRoundTrip:
     @given(tr=traces())
     def test_any_trace_round_trips_bitwise(self, tr):
         text = trace_to_csv(tr)
+        assert text == per_row_csv(tr)
         back = trace_from_csv(text)
         assert back.x_kind is tr.x_kind
         assert back.n_avg == tr.n_avg
@@ -73,6 +92,18 @@ class TestCsvRoundTrip:
         assert back.channel_names == tr.channel_names
         for name in tr.channel_names:
             assert back.channel(name).tobytes() == tr.channel(name).tobytes()
+        assert trace_to_csv(back) == text
+
+    def test_names_that_need_quoting(self):
+        x = np.array([0.0, 1.0])
+        names = ("a,b", 'say "hi"', '"', " lead", "", "tail ")
+        tr = Trace(x, XKind.FREQUENCY,
+                   {name: np.array([0.5, -0.0]) for name in names}, n_avg=3)
+        text = trace_to_csv(tr)
+        assert text == per_row_csv(tr)
+        assert '"a,b"' in text and '"say ""hi"""' in text
+        back = trace_from_csv(text)
+        assert back.channel_names == tr.channel_names
         assert trace_to_csv(back) == text
 
     def test_channels_cycle_fastest(self):
@@ -102,6 +133,16 @@ class TestCsvDiagnostics:
                 "0.0,pulse_length,SIG1,0.05\n")
         with pytest.raises(TraceFormatError, match=r":2: expected 5 columns"):
             trace_from_csv(text)
+
+    def test_open_quote_stays_on_its_line(self):
+        # an unclosed quote ends with its line; it never swallows the next
+        text = ("x,x_kind,channel,value,n_avg\n"
+                "0.0,pulse_length,SIG1,0.05,100\n"
+                '1.0,pulse_length,"SIG1,0.05,100\n'
+                "2.0,pulse_length,SIG1,0.05,100\n")
+        with pytest.raises(TraceFormatError) as info:
+            trace_from_csv(text)
+        assert str(info.value) == "<string>:3: expected 5 columns, got 3"
 
     def test_unknown_x_kind(self):
         text = ("x,x_kind,channel,value,n_avg\n"

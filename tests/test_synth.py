@@ -1,9 +1,11 @@
 """Synthesis pipeline: detector statistics, channels, normalization, SNR."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nvsense.core import TWO_PI, DegenerateReferenceError, Trace, XKind
 from nvsense.deer import DeerSpectrumModel, deer_spectrum, nv_epr_signal
@@ -13,10 +15,11 @@ from nvsense.hamiltonian import transition_frequencies
 from nvsense.presets import (DEFAULT_N_AVG, NULL_CENTERS, default_sequence,
                              default_truth, detector, echo_truth, epr_line,
                              odmr_truth, rabi_truth, target_pair)
-from nvsense.synth import (Cpmg8Truth, DetectorModel, OdmrTruth, RabiTruth,
-                           SequenceKind, SequenceSpec, coherence_trace,
-                           difference_signal, normalize_channels,
-                           normalized_channels, snr_estimate, synthesize)
+from nvsense.synth import (_CHANNEL_ORDER, _POISSON_LAM_MAX, Cpmg8Truth,
+                           DetectorModel, OdmrTruth, RabiTruth, SequenceKind,
+                           SequenceSpec, coherence_trace, difference_signal,
+                           normalize_channels, normalized_channels,
+                           snr_estimate, synthesize)
 
 ALL_KINDS = list(SequenceKind)
 
@@ -242,6 +245,66 @@ class TestDeterminism:
         a = synthesize(spec, truth, DetectorModel(n_avg=1000, seed=0))
         b = synthesize(spec, truth, DetectorModel(n_avg=1000, seed=1))
         assert not np.array_equal(a.channel("SIG1"), b.channel("SIG1"))
+
+
+def synthesize_per_point(spec, truth, det):
+    """The oracle for synthesize: one Generator per (channel, point) draw."""
+    clean = synthesize(spec, truth, dataclasses.replace(det, noiseless=True))
+    n_eff = clean.n_avg
+    out = {name: np.empty(spec.grid.size) for name in clean.channel_names}
+    for i in range(spec.grid.size):
+        for name in clean.channel_names:
+            ci = _CHANNEL_ORDER.index(name)
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(det.seed, spawn_key=(ci, i))))
+            out[name][i] = rng.poisson(n_eff * clean.channels[name][i]) / n_eff
+    return Trace(spec.grid, spec.x_kind, out, n_avg=n_eff)
+
+
+@st.composite
+def noisy_runs(draw):
+    kind = draw(st.sampled_from(ALL_KINDS))
+    base = default_sequence(kind).grid
+    spec = SequenceSpec(
+        kind=kind, grid=np.linspace(base[0], base[-1],
+                                    draw(st.integers(2, 300))),
+        channels=draw(st.lists(st.sampled_from(_CHANNEL_ORDER), min_size=1,
+                               max_size=4, unique=True)))
+    # n_avg spans every lam regime: the multiplication method below 10,
+    # PTRS, and lam beyond numpy's maximum from ~2**67 on
+    n_avg = draw(st.integers(0, 68).flatmap(
+        lambda e: st.integers(2 ** e, 2 ** (e + 1))))
+    seed = draw(st.one_of(st.integers(0, 2 ** 32 - 1),
+                          st.integers(2 ** 32, 2 ** 128),
+                          st.integers(2 ** 128, 2 ** 200)))
+    counts_dark = draw(st.one_of(st.just(1e-9),
+                                 st.floats(1e-9, 0.049)))
+    det = DetectorModel(counts_dark=counts_dark, n_avg=n_avg, seed=seed,
+                        n_avg_is_total=draw(st.booleans()))
+    return spec, default_truth(kind), det
+
+
+class TestWholeArrayDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(run=noisy_runs())
+    def test_equals_per_point_oracle(self, run):
+        try:
+            expect = synthesize_per_point(*run)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                synthesize(*run)
+            return
+        got = synthesize(*run)
+        assert got.n_avg == expect.n_avg
+        assert got.channel_names == expect.channel_names
+        for name in expect.channel_names:
+            assert got.channel(name).tobytes() == expect.channel(name).tobytes()
+
+    def test_lam_max_is_numpys(self):
+        gen = np.random.Generator(np.random.Philox(0))
+        gen.poisson(_POISSON_LAM_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            gen.poisson(np.nextafter(_POISSON_LAM_MAX, np.inf))
 
 
 class TestPhotonStatistics:
