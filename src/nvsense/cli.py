@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -23,22 +24,19 @@ import numpy as np
 from . import __version__
 from .core import (TWO_PI, ConfigError, NvSenseError, Trace, TraceFormatError,
                    XKind)
-from .deer import DeerSpectrumModel, TargetSpinModel
 from .eseem import (HyperfineRecord, bath_decoherence, cpmg_echo_model,
-                    eseem_modulation, load_hyperfine_table, nucleus_from_record)
+                    eseem_modulation, nucleus_from_record)
 from .fitting import (_GAUSSIAN_PARAMS, _RABI_PARAMS, FitResult, _epr_model,
                       _gaussian_model, _rabi_model, fit_deer_rabi,
                       fit_gaussian_peak, fit_rabi, select_spin_count)
 from .hamiltonian import TransitionPair, g_value, invert_field
 from .io import read_json, read_trace, write_columns, write_json, write_trace
-from .presets import (BATH_B_RMS_UT, CONTRAST, DEFAULT_N_AVG, ECHO_NUCLEI,
-                      NULL_CENTERS, carbon_bath, default_sequence,
-                      default_truth, detector, main_field)
-from .synth import (PULSE_TRAIN_KINDS, Cpmg8Truth, OdmrTruth, RabiTruth,
-                    SequenceKind, SequenceSpec, coherence_trace,
+from .presets import (PRESETS, build_sequence, build_truth, carbon_bath,
+                      detector, eseem_defaults, simulate_defaults, sweep_grid,
+                      table_nuclei)
+from .synth import (DetectorModel, SequenceKind, coherence_trace,
                     difference_signal, normalized_channels, synthesize)
 
-_PRESET_NAMES = ("coupled-pair",) + tuple(NULL_CENTERS)
 _FIT_KINDS = ("gaussian", "rabi", "deer-rabi")
 
 
@@ -82,8 +80,7 @@ _SIMULATE_SCHEMA = {"seed": int, "workers": int, "out": str, "preset": str,
                     "detector": _DETECTOR_SCHEMA,
                     "sequence": _SEQUENCE_SCHEMA,
                     "truth": _TRUTH_SCHEMA}
-# the simulate leaves that eseem takes too, read with the same defaults
-# except that a grid default is the eseem mode's; then the nucleus flags
+# the simulate leaves that eseem takes too, then its nucleus flags
 _ESEEM_SCHEMA = {**{key: {**_SEQUENCE_SCHEMA, **_TRUTH_SCHEMA}[key]
                     for key in ("x_start", "x_stop", "x_num", "n_pulses",
                                 "b0_mt", "nuclei", "b_rms_ut", "t2_us")},
@@ -96,7 +93,7 @@ _FIT_SCHEMA = {"kind": str, "channel": str, "n_spins": int, "in": str,
 # renames the flag and None marks a key that is config-only
 _SIMULATE_FLAGS = {
     "kind": {"choices": [k.value for k in SequenceKind]},
-    "preset": {"choices": _PRESET_NAMES},
+    "preset": {"choices": PRESETS},
     "workers": {"help": "accepted for compatibility (>= 1); changes "
                         "neither the output nor the speed"},
     "n_avg_is_total": {"flag": "--n-avg-total",
@@ -190,8 +187,8 @@ def _load_config(name, schema) -> dict:
 def _overlay(config: dict, schema, args) -> dict:
     """Effective config: each flag given over the config value of its key.
 
-    Keys set by neither are left out, so callers supply defaults with
-    dict.get.  Sections are always present.
+    Keys set by neither are left out, so a caller can tell them from its
+    defaults.  Sections are always present.
     """
     effective = {}
     for key, expected in schema.items():
@@ -216,8 +213,7 @@ def _config_hash(effective: dict) -> str:
 def _cmd_simulate(args) -> int:
     config = _overlay(_load_config(args.config, _SIMULATE_SCHEMA),
                       _SIMULATE_SCHEMA, args)
-    seq_cfg, det_cfg = config["sequence"], config["detector"]
-    kind_str = seq_cfg.get("kind")
+    kind_str = config["sequence"].pop("kind", None)
     if kind_str is None:
         raise ConfigError("simulate needs --kind (or sequence.kind in config)")
     try:
@@ -226,45 +222,23 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"unknown kind {kind_str!r}; choose from "
                           f"{[k.value for k in SequenceKind]}") from None
     preset = config.get("preset", "coupled-pair")
-    if preset not in _PRESET_NAMES:
-        raise ConfigError(f"unknown preset {preset!r}; choose from "
-                          f"{_PRESET_NAMES}")
-    null_center = NULL_CENTERS.get(preset)
-    _reject_unread(config["truth"], _TRUTH_KEYS[kind.value],
-                   f"kind {kind.value}")
+    run = simulate_defaults(kind, preset)
+    for name in ("truth", "sequence"):
+        _reject_unread(config[name], run[name], f"kind {kind.value}")
+        run[name].update(config[name])
+    seq = build_sequence(kind, run["sequence"])
+    if None in run["truth"].values():
+        raise ConfigError(
+            f"preset {preset!r} has no coupled target spins; "
+            f"{kind.value} needs the coupled-pair preset or explicit "
+            "--omegas-mhz")
+    truth = build_truth(kind, run["truth"])
 
-    base_seq = default_sequence(kind)
-    seq_reads = ("x_start", "x_stop", "x_num", "channels")
-    if kind in PULSE_TRAIN_KINDS:
-        seq_reads += ("n_pulses",)
-    if base_seq.tau:
-        seq_reads += ("tau_us",)
-    _reject_unread([key for key in seq_cfg if key != "kind"], seq_reads,
-                   f"kind {kind.value}")
-    tau_default = null_center.tau_us if (null_center and base_seq.tau) else base_seq.tau
-    grid = _grid(seq_cfg, base_seq.grid)
-    seq = SequenceSpec(
-        kind=kind, grid=grid,
-        tau=seq_cfg.get("tau_us", tau_default),
-        n_pulses=seq_cfg.get("n_pulses", base_seq.n_pulses),
-        channels=seq_cfg.get("channels"))
-    truth = _build_truth(kind, config["truth"], null_center)
-
-    contrast = det_cfg.get("contrast",
-                           null_center.contrast if null_center else CONTRAST)
-    n_avg = det_cfg.get("n_avg", null_center.n_avg
-                        if null_center and kind is SequenceKind.CPMG_DEER
-                        else DEFAULT_N_AVG[kind])
     seed = config.get("seed", 1)
     if config.get("workers", 1) < 1:
         raise ConfigError("workers must be >= 1")
-    det = detector(n_avg=n_avg, contrast=contrast, seed=seed,
-                   noiseless=det_cfg.get("noiseless", False),
-                   n_avg_is_total=det_cfg.get("n_avg_is_total", False))
-    det = dataclasses.replace(det, **{
-        key: det_cfg[key] for key in ("counts_bright", "counts_dark")
-        if key in det_cfg})
-    trace = synthesize(seq, truth, det)
+    trace = synthesize(seq, truth,
+                       _detector(config["detector"], run["detector"], seed))
 
     out = config.get("out", "trace.csv")
     comments = (
@@ -281,85 +255,36 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _grid(seq_cfg: dict, default: np.ndarray) -> np.ndarray:
-    """The default grid with the given x_start, x_stop and x_num put in."""
-    x_num = seq_cfg.get("x_num", default.size)
-    if x_num < 2:
-        raise ConfigError("x_num must be at least 2")
-    return np.linspace(seq_cfg.get("x_start", float(default[0])),
-                       seq_cfg.get("x_stop", float(default[-1])), x_num)
+def _detector(given: dict, defaults: dict, seed: int) -> DetectorModel:
+    """The detector of the given keys over the kind's contrast and n_avg.
+
+    A given contrast and one given count fix the other count; without a
+    given contrast, a count not given is the preset detector's.
+    """
+    det = {**defaults, **given}
+    contrast = det.pop("contrast")
+    counts = {key: det.pop(key) for key in ("counts_bright", "counts_dark")
+              if key in det}
+    if "contrast" in given and counts:
+        if len(counts) == 2:
+            raise ConfigError("counts_bright, counts_dark and contrast "
+                              "cannot all be given; two fix the third")
+        if not 0 < contrast < 1:
+            raise ConfigError(f"contrast {contrast!r} must lie in (0, 1)")
+        if "counts_bright" in counts:
+            counts["counts_dark"] = counts["counts_bright"] * (1.0 - contrast)
+        else:
+            counts["counts_bright"] = counts["counts_dark"] / (1.0 - contrast)
+    return dataclasses.replace(detector(contrast=contrast, seed=seed, **det),
+                               **counts)
 
 
-def _table_nuclei(labels, b0: float) -> tuple:
-    """One EseemNucleus at field b0 (mT) per hyperfine table label."""
-    table = load_hyperfine_table()
-    for label in labels:
-        if label not in table:
-            raise ConfigError(f"unknown nucleus {label!r}; table has "
-                              f"{sorted(table)}")
-    return tuple(nucleus_from_record(table[label], b0) for label in labels)
-
-
-# the truth keys that _build_truth reads for each kind
-_TRUTH_KEYS = {
-    "pulsed-odmr": ("b0_mt", "theta_deg", "linewidth_mhz", "transfer"),
-    "rabi": ("f_mhz", "t0_us"),
-    "cpmg8": ("b0_mt", "nuclei", "b_rms_ut", "t2_us"),
-    "cpmg-deer": ("center_mhz", "width_mhz", "amplitude", "baseline"),
-    "deer-rabi": ("omegas_mhz", "t0_us"),
-}
-
-
-def _reject_unread(given, reads: tuple, subject: str) -> None:
+def _reject_unread(given, reads, subject: str) -> None:
     """ConfigError naming the given keys that subject never reads."""
     unread = [key for key in given if key not in reads]
     if unread:
         raise ConfigError(f"{subject} does not read {', '.join(unread)}; "
                           f"it reads {', '.join(reads)}")
-
-
-def _build_truth(kind, t: dict, null_center):
-    """Truth model of one kind: the truth section t over preset values."""
-    field = main_field()
-    b0 = t.get("b0_mt", null_center.b0 if null_center else field.b0)
-    theta = math.radians(t.get("theta_deg", math.degrees(field.theta)))
-    base = default_truth(kind)
-
-    if kind is SequenceKind.PULSED_ODMR:
-        return OdmrTruth(b0=b0, theta=theta,
-                         linewidth_mhz=t.get("linewidth_mhz",
-                                             base.linewidth_mhz),
-                         transfer=t.get("transfer", base.transfer))
-    if kind is SequenceKind.RABI:
-        return RabiTruth(f_mhz=t.get("f_mhz", base.f_mhz),
-                         t0_us=t.get("t0_us", base.t0_us))
-    if kind is SequenceKind.CPMG8:
-        nuclei = _table_nuclei(
-            t.get("nuclei", [] if null_center else ECHO_NUCLEI), b0)
-        b_rms = t.get("b_rms_ut", BATH_B_RMS_UT)
-        bath = carbon_bath(b0, b_rms=b_rms) if b_rms > 0 else None
-        t2_default = null_center.t2_us if null_center else base.t2_us
-        return Cpmg8Truth(nuclei=nuclei, bath=bath,
-                          t2_us=t.get("t2_us", t2_default))
-    if kind is SequenceKind.CPMG_DEER:
-        amplitude_default = 0.0 if null_center else base.amplitude
-        return DeerSpectrumModel(center=t.get("center_mhz", base.center),
-                                 width=t.get("width_mhz", base.width),
-                                 amplitude=t.get("amplitude",
-                                                 amplitude_default),
-                                 baseline=t.get("baseline", base.baseline))
-    if kind is SequenceKind.DEER_RABI:
-        omegas = t.get("omegas_mhz")
-        if null_center and omegas is None:
-            raise ConfigError(
-                f"preset {null_center.name!r} has no coupled target spins; "
-                "deer-rabi needs the coupled-pair preset or explicit "
-                "--omegas-mhz")
-        return TargetSpinModel(
-            omegas=(base.omegas if omegas is None
-                    else tuple(TWO_PI * f for f in omegas)),
-            t0=t.get("t0_us", base.t0))
-    raise ConfigError(f"unhandled kind {kind!r}")
 
 
 # ---------------------------------------------------------------- fit
@@ -435,7 +360,8 @@ def _cmd_fit(args) -> int:
     out = config.get("out")
     if out:
         report = _fit_report(result, {
-            "command": "fit", "model": kind, "input": str(in_path),
+            "command": "fit", "model": kind, "channel": channel,
+            "input": str(in_path),
             "n_points": int(work.x.size), "seed": None,
             "config_hash": _config_hash(effective),
         })
@@ -474,47 +400,33 @@ def _cmd_invert_field(args) -> int:
 
 # ---------------------------------------------------------------- eseem
 
-_ESEEM_GRIDS = {"modulation": (0.0, 2.5, 251), "bath": (0.0, 4.0, 201)}
-# the keys each mode reads besides the grid keys and n_pulses;
-# modulation with a_mhz or b_mhz reads _CUSTOM_NUCLEUS_KEYS instead
-_ESEEM_KEYS = {"modulation": ("b0_mt", "nucleus"),
-               "bath": ("b0_mt", "b_rms_ut"), "echo": _TRUTH_KEYS["cpmg8"]}
-_CUSTOM_NUCLEUS_KEYS = ("b0_mt", "a_mhz", "b_mhz", "species")
-
-
 def _cmd_eseem(args) -> int:
-    cfg = _overlay({}, _ESEEM_SCHEMA, args)
-    custom = args.mode == "modulation" and ("a_mhz" in cfg or "b_mhz" in cfg)
-    _reject_unread(cfg, ("x_start", "x_stop", "x_num", "n_pulses")
-                   + (_CUSTOM_NUCLEUS_KEYS if custom
-                      else _ESEEM_KEYS[args.mode]),
-                   f"--mode {args.mode}"
+    given = _overlay({}, _ESEEM_SCHEMA, args)
+    custom = args.mode == "modulation" and ("a_mhz" in given
+                                            or "b_mhz" in given)
+    defaults = eseem_defaults(args.mode, custom)
+    _reject_unread(given, defaults, f"--mode {args.mode}"
                    + (" with --a-mhz/--b-mhz" if custom else ""))
-    b0 = cfg.get("b0_mt", main_field().b0)
-    echo_seq = default_sequence(SequenceKind.CPMG8)
-    n_pulses = cfg.get("n_pulses", echo_seq.n_pulses)
-    grid = _grid(cfg, echo_seq.grid if args.mode == "echo"
-                 else np.linspace(*_ESEEM_GRIDS[args.mode]))
+    cfg = {**defaults, **given}
+    b0, n_pulses = cfg["b0_mt"], cfg["n_pulses"]
+    grid = sweep_grid(cfg)
     if args.mode == "modulation":
         if custom:
-            if "a_mhz" not in cfg or "b_mhz" not in cfg:
+            if cfg["a_mhz"] is None or cfg["b_mhz"] is None:
                 raise ConfigError("--a-mhz and --b-mhz go together")
             nucleus = nucleus_from_record(HyperfineRecord(
-                "custom", cfg.get("species", "13C"), cfg["a_mhz"],
-                cfg["b_mhz"]), b0)
+                "custom", cfg["species"], cfg["a_mhz"], cfg["b_mhz"]), b0)
         else:
-            nucleus, = _table_nuclei(
-                [cfg.get("nucleus") or ECHO_NUCLEI[0]], b0)
+            nucleus, = table_nuclei([cfg["nucleus"]], b0)
         values = {"V": eseem_modulation(grid, n_pulses, nucleus)}
         comment = f"echo modulation V(tau), N={n_pulses}, B0={b0} mT"
     elif args.mode == "bath":
-        b_rms = cfg.get("b_rms_ut", BATH_B_RMS_UT)
-        bath = carbon_bath(b0, b_rms=b_rms)
+        bath = carbon_bath(b0, b_rms=cfg["b_rms_ut"])
         values = {"C": bath_decoherence(grid, bath, n_pulses)}
         comment = (f"bath coherence C(tau), N={n_pulses}, "
-                   f"B_rms={b_rms} uT, B0={b0} mT")
+                   f"B_rms={cfg['b_rms_ut']} uT, B0={b0} mT")
     else:
-        truth = _build_truth(SequenceKind.CPMG8, cfg, None)
+        truth = build_truth(SequenceKind.CPMG8, cfg)
         s = cpmg_echo_model(grid, truth.nuclei, truth.bath, truth.t2_us,
                             n_pulses=n_pulses)
         values = {"s": s, "population": 0.5 * (1.0 + s)}
@@ -602,8 +514,9 @@ def _cmd_report(args) -> int:
     if not isinstance(fit_report, dict):
         raise TraceFormatError(f"{args.fit}: fit report must be a JSON object")
     fn, kind = _model_from_report(fit_report)
-    work = _prepare_fit_input(trace, kind, None)
-    name = next(iter(work.channels))
+    channel = fit_report.get("channel")  # None: fitted the prepared trace
+    work = _prepare_fit_input(trace, kind, channel)
+    name = channel or next(iter(work.channels))
     data = work.channel(name)
     model = fn(work.x)
     residual = data - model
@@ -621,7 +534,9 @@ def _cmd_report(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="nvsense",
                      description="Simulate and analyze single-spin sensing "
                                  "experiments")

@@ -36,10 +36,6 @@ class SequenceKind(enum.Enum):
     DEER_RABI = "deer-rabi"
 
 
-# the CPMG-style kinds, whose sequences carry a pi-pulse count
-PULSE_TRAIN_KINDS = (SequenceKind.CPMG8, SequenceKind.CPMG_DEER,
-                     SequenceKind.DEER_RABI)
-
 _X_KIND = {
     SequenceKind.PULSED_ODMR: XKind.FREQUENCY,
     SequenceKind.RABI: XKind.PULSE_LENGTH,
@@ -100,8 +96,8 @@ class SequenceSpec:
 
     grid is the swept variable: MHz for frequency sweeps, us for pulse
     length and evolution time sweeps.  tau (us) is sequence metadata
-    carried into file headers; n_pulses is the pi-pulse count of the
-    CPMG-style kinds.
+    carried into file headers.  n_pulses, even, is the pi-pulse count of
+    the CPMG-style kinds; only cpmg8's echo model reads it.
     """
 
     kind: SequenceKind
@@ -121,7 +117,8 @@ class SequenceSpec:
         grid = grid.copy()
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        if self.kind in PULSE_TRAIN_KINDS:
+        if self.kind in (SequenceKind.CPMG8, SequenceKind.CPMG_DEER,
+                         SequenceKind.DEER_RABI):
             if self.n_pulses % 2 != 0 or self.n_pulses < 2:
                 raise ValueError(
                     f"CPMG-style kinds need an even pulse count >= 2, "

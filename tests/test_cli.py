@@ -2,17 +2,22 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 import nvsense.cli as cli
 from nvsense import __version__, presets
-from nvsense.eseem import bath_decoherence
+from nvsense.core import DEFAULT_CONSTANTS, TWO_PI
+from nvsense.deer import DeerSpectrumModel, TargetSpinModel
+from nvsense.eseem import (BathModel, bath_decoherence, load_hyperfine_table,
+                           nucleus_from_record)
 from nvsense.fitting import (FitResult, _epr_model, _gaussian_model,
                              _rabi_model)
 from nvsense.io import read_json, read_trace, write_columns
-from nvsense.synth import (SequenceKind, coherence_trace, difference_signal,
+from nvsense.synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
+                           coherence_trace, difference_signal,
                            normalized_channels)
 
 
@@ -113,6 +118,8 @@ class TestSimulate:
         ("rabi", ("--n-pulses", "4", "--tau-us", "3"), "tau_us, n_pulses"),
         ("pulsed-odmr", ("--n-pulses", "8"), "n_pulses"),
         ("cpmg8", ("--tau-us", "1.28"), "tau_us"),
+        ("cpmg-deer", ("--n-pulses", "4"), "n_pulses"),
+        ("deer-rabi", ("--n-pulses", "4"), "n_pulses"),
     ])
     def test_unread_sequence_flag_rejected(self, tmp_path, capsys, kind,
                                            extra, unread):
@@ -141,11 +148,145 @@ class TestSimulate:
         tr = read_trace(out)
         assert np.all(tr.channel("REF1") == 0.05)
 
+    # coupled-pair defaults per kind, written out: (first, last, size) of
+    # the grid, tau, pulse count, n_avg and the truth model
+    PRESET_VALUES = {
+        SequenceKind.PULSED_ODMR: (
+            (1935.3984469318802, 1985.3984469318802, 101), None, 8, 100_000,
+            OdmrTruth(b0=32.59, theta=math.radians(3.5), linewidth_mhz=3.8,
+                      transfer=1.0)),
+        SequenceKind.RABI: ((0.0, 2.0, 201), None, 8, 100_000,
+                            RabiTruth(f_mhz=5.50, t0_us=0.67)),
+        SequenceKind.CPMG8: (
+            (0.8, 64.0, 199), None, 8, 220_000,
+            Cpmg8Truth(nuclei=tuple(
+                nucleus_from_record(load_hyperfine_table()[label], 32.59)
+                for label in ("near-13c", "14n")),
+                bath=BathModel(b_rms=4.0, omega_i=TWO_PI
+                               * DEFAULT_CONSTANTS.gamma_c13 * 32.59),
+                t2_us=38.0)),
+        SequenceKind.CPMG_DEER: (
+            (880.0, 950.0, 101), 1.28, 8, 1_325_000,
+            DeerSpectrumModel(center=914.7, width=9.0, amplitude=-0.3,
+                              baseline=0.5)),
+        SequenceKind.DEER_RABI: (
+            (0.0, 1.0, 101), 1.28, 8, 1_260_000,
+            TargetSpinModel(omegas=(TWO_PI * 1.12, TWO_PI * 2.24), t0=0.34)),
+    }
+    FACTORIES = {SequenceKind.PULSED_ODMR: presets.odmr_truth,
+                 SequenceKind.RABI: presets.rabi_truth,
+                 SequenceKind.CPMG8: presets.echo_truth,
+                 SequenceKind.CPMG_DEER: presets.epr_line,
+                 SequenceKind.DEER_RABI: presets.target_pair}
+
     @pytest.mark.parametrize("kind", list(SequenceKind))
     def test_default_truth_comes_from_presets(self, kind):
-        args = cli._build_parser().parse_args(
-            ["simulate", "--kind", kind.value])
-        assert cli._build_truth(kind, {}, None) == presets.default_truth(kind)
+        grid, tau, n_pulses, n_avg, truth = self.PRESET_VALUES[kind]
+        seq = presets.default_sequence(kind)
+        assert seq.grid[0] == grid[0] and seq.grid[-1] == grid[1]
+        assert seq.grid.size == grid[2]
+        assert seq.tau == tau and seq.n_pulses == n_pulses
+        assert presets.DEFAULT_N_AVG[kind] == n_avg
+        assert presets.default_truth(kind) == truth
+        assert self.FACTORIES[kind]() == truth
+
+    # a valid value other than the preset's, per simulate default key
+    OTHER_VALUE = {
+        "x_start": lambda v: v + 0.5, "x_stop": lambda v: v - 0.25,
+        "x_num": lambda v: v + 1, "channels": lambda v: ["SIG1", "REF1"],
+        "n_pulses": lambda v: 4, "tau_us": lambda v: 2.0 * v,
+        "b0_mt": lambda v: v + 0.5, "theta_deg": lambda v: v + 5.0,
+        "linewidth_mhz": lambda v: 1.5 * v, "transfer": lambda v: 0.5,
+        "f_mhz": lambda v: 1.1 * v, "t0_us": lambda v: 1.5 * v,
+        "t2_us": lambda v: 1.5 * v, "b_rms_ut": lambda v: 2.0 * v,
+        "nuclei": lambda v: ["14n"], "center_mhz": lambda v: v + 5.0,
+        "width_mhz": lambda v: 1.5 * v, "amplitude": lambda v: -0.2,
+        "baseline": lambda v: 0.4, "omegas_mhz": lambda v: [0.8, 1.9],
+        "contrast": lambda v: 0.2, "n_avg": lambda v: v + 1,
+    }
+
+    @pytest.mark.parametrize("preset", presets.PRESETS)
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_every_accepted_key_is_read(self, tmp_path, kind, preset):
+        # each key a kind accepts changes the output; every other
+        # sequence or truth key is rejected
+        defaults = presets.simulate_defaults(kind, preset)
+        base = {"preset": preset, "sequence": {"kind": kind.value},
+                "truth": {}, "detector": {"noiseless": True}}
+        if preset != "coupled-pair" and kind in (SequenceKind.CPMG_DEER,
+                                                 SequenceKind.DEER_RABI):
+            # a null center has no line and no couplings: without them
+            # the line's center and width show nowhere, and deer-rabi
+            # does not run
+            base["truth"] = presets.simulate_defaults(kind)["truth"]
+
+        def simulate(section, key, value):
+            cfg = json.loads(json.dumps(base))
+            cfg[section][key] = value
+            (tmp_path / "c.json").write_text(json.dumps(cfg))
+            out = tmp_path / f"{section}-{key}.csv"
+            code = run("simulate", "--config", str(tmp_path / "c.json"),
+                       "--out", str(out))
+            return code, out.read_bytes() if out.exists() else None
+
+        reference = simulate("detector", "noiseless", True)
+        assert reference[0] == 0
+        for section, values in defaults.items():
+            for key, value in values.items():
+                value = base[section].get(key, value)
+                code, data = simulate(section, key,
+                                      self.OTHER_VALUE[key](value))
+                assert code == 0 and data != reference[1], (section, key)
+        schema = {"sequence": cli._SEQUENCE_SCHEMA,
+                  "truth": cli._TRUTH_SCHEMA}
+        samples = {key: value for other in SequenceKind for section in schema
+                   for key, value in presets.simulate_defaults(
+                       other)[section].items() if value is not None}
+        for section, keys in schema.items():
+            for key in set(keys) - set(defaults[section]) - {"kind"}:
+                assert simulate(section, key, samples[key]) == (1, None)
+
+    def test_parser_keeps_no_flag_between_runs(self, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("simulate", "--kind", "rabi", "--noiseless",
+                   "--n-avg", "37", "--out", str(first)) == 0
+        assert run("simulate", "--kind", "rabi", "--noiseless",
+                   "--out", str(second)) == 0
+        assert "# n_avg: 37 per point" in first.read_text()
+        assert "# n_avg: 100000 per point" in second.read_text()
+
+    @pytest.mark.parametrize("extra, bright, dark", [
+        (("--contrast", "0.3"), 0.05, 0.05 * 0.7),
+        (("--counts-bright", "0.1"), 0.1, 0.05 * (1 - presets.CONTRAST)),
+        (("--counts-dark", "0.01"), 0.05, 0.01),
+        (("--counts-bright", "0.1", "--contrast", "0.3"), 0.1, 0.1 * 0.7),
+        (("--counts-dark", "0.01", "--contrast", "0.3"), 0.01 / 0.7, 0.01),
+        (("--counts-bright", "0.1", "--counts-dark", "0.02"), 0.1, 0.02),
+    ])
+    def test_counts_and_contrast(self, tmp_path, extra, bright, dark):
+        # a given contrast with one given count fixes the other; without
+        # one, a count not given is the preset detector's
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--kind", "rabi", "--noiseless", *extra,
+                   "--out", str(out)) == 0
+        tr = read_trace(out)
+        np.testing.assert_array_equal(tr.channel("REF1"), bright)
+        np.testing.assert_array_equal(tr.channel("REF2"), dark)
+
+    @pytest.mark.parametrize("extra, message", [
+        (("--counts-bright", "0.1", "--counts-dark", "0.02",
+          "--contrast", "0.3"), "cannot all be given"),
+        (("--counts-dark", "0.01", "--contrast", "1"),
+         "contrast 1.0 must lie in (0, 1)"),
+    ])
+    def test_counts_and_contrast_rejected(self, tmp_path, capsys, extra,
+                                          message):
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--kind", "rabi", "--noiseless", *extra,
+                   "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     # sha256 of each `simulate --noiseless` CSV, version line left out;
     # deer-rabi has no null-preset run (it exits 1)
@@ -509,6 +650,12 @@ class TestEseem:
                    "--out", str(tmp_path / "x.csv")) == 1
         assert "unknown nucleus" in capsys.readouterr().err
 
+    def test_empty_nucleus_is_unknown(self, capsys, tmp_path):
+        # an empty label names no nucleus; it is not the default one
+        assert run("eseem", "--mode", "modulation", "--nucleus", "",
+                   "--out", str(tmp_path / "x.csv")) == 1
+        assert "unknown nucleus ''" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run("eseem", "--mode", "echo", "--out", str(a))
@@ -567,6 +714,30 @@ class TestReport:
                                     f"source trace: {trace}",
                                     f"version: {__version__}"))
             assert cols.read_bytes() == expected.read_bytes()
+
+    def test_report_uses_the_fit_channel(self, tmp_path):
+        trace, fit_json = tmp_path / "rabi.csv", tmp_path / "fit.json"
+        cols = tmp_path / "cols.csv"
+        run("simulate", "--kind", "rabi", "--seed", "2", "--out", str(trace))
+        run("fit", "--kind", "rabi", "--channel", "SIG1", "--in", str(trace),
+            "--out", str(fit_json))
+        report = read_json(fit_json)
+        assert report["channel"] == "SIG1"
+        assert run("report", "--in", str(trace), "--fit", str(fit_json),
+                   "--out", str(cols)) == 0
+        tr = read_trace(trace)
+        params = np.array([report["params"][n] for n in ("f_mhz", "t0_us")])
+        data = np.loadtxt(cols, delimiter=",", comments="#", skiprows=5)
+        np.testing.assert_array_equal(data[:, 1], tr.channel("SIG1"))
+        np.testing.assert_array_equal(data[:, 2], _rabi_model(params, tr.x))
+        # a report from before the channel was recorded: normalized SIG1
+        del report["channel"]
+        fit_json.write_text(json.dumps(report))
+        assert run("report", "--in", str(trace), "--fit", str(fit_json),
+                   "--out", str(cols)) == 0
+        data = np.loadtxt(cols, delimiter=",", comments="#", skiprows=5)
+        np.testing.assert_array_equal(data[:, 1],
+                                      normalized_channels(tr)["SIG1n"])
 
     def test_unknown_model_rejected(self, tmp_path):
         trace = tmp_path / "rabi.csv"
