@@ -26,8 +26,9 @@ from .core import (TWO_PI, ConfigError, NvSenseError, Trace, TraceFormatError,
                    XKind)
 from .eseem import (HyperfineRecord, bath_decoherence, cpmg_echo_model,
                     eseem_modulation, nucleus_from_record)
-from .fitting import (_GAUSSIAN_PARAMS, _RABI_PARAMS, FitResult, _epr_model,
-                      _gaussian_model, _rabi_model, fit_deer_rabi,
+from .deer import (TargetSpinModel, gaussian_line, nv_epr_signal,
+                   nv_epr_signal_grid)
+from .fitting import (GAUSSIAN_PARAMS, RABI_PARAMS, FitResult, fit_deer_rabi,
                       fit_gaussian_peak, fit_rabi, select_spin_count)
 from .hamiltonian import TransitionPair, g_value, invert_field
 from .io import read_json, read_trace, write_columns, write_json, write_trace
@@ -36,8 +37,6 @@ from .presets import (PRESETS, build_sequence, build_truth, carbon_bath,
                       table_nuclei)
 from .synth import (DetectorModel, SequenceKind, coherence_trace,
                     difference_signal, normalized_channels, synthesize)
-
-_FIT_KINDS = ("gaussian", "rabi", "deer-rabi")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,7 +105,6 @@ _SIMULATE_FLAGS = {
     "species": {"choices": ["13C", "14N"],
                 "help": "species of --a-mhz/--b-mhz (default 13C)"},
 }
-_FIT_FLAGS = {"kind": {"choices": _FIT_KINDS}, "in": {"metavar": "IN_PATH"}}
 
 
 def _check_scalar(value, expected, where):
@@ -203,11 +201,6 @@ def _overlay(config: dict, schema, args) -> dict:
     return effective
 
 
-def _config_hash(effective: dict) -> str:
-    canonical = json.dumps(effective, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 # ---------------------------------------------------------------- simulate
 
 def _cmd_simulate(args) -> int:
@@ -283,45 +276,78 @@ def _reject_unread(given, reads, subject: str) -> None:
     """ConfigError naming the given keys that subject never reads."""
     unread = [key for key in given if key not in reads]
     if unread:
-        raise ConfigError(f"{subject} does not read {', '.join(unread)}; "
-                          f"it reads {', '.join(reads)}")
+        also = f"; it reads {', '.join(reads)}" if reads else ""
+        raise ConfigError(f"{subject} does not read {', '.join(unread)}{also}")
 
 
 # ---------------------------------------------------------------- fit
 
-def _prepare_fit_input(trace: Trace, kind: str, channel) -> Trace:
-    """Reduce a raw multichannel trace to the channel the fit expects."""
-    if channel is not None or len(trace.channels) == 1:
-        return trace
-    if "REF1" not in trace.channels or "REF2" not in trace.channels:
-        raise ConfigError(
-            "trace has multiple channels but no REF1/REF2 pair; pass "
-            "--channel to pick one")
-    if kind == "gaussian":
-        return trace.with_channels({"diff": difference_signal(trace)})
-    if kind == "rabi":
-        return trace.with_channels(
-            {"SIG1n": normalized_channels(trace)["SIG1n"]})
-    return coherence_trace(trace)
+@dataclasses.dataclass(frozen=True)
+class _FitKind:
+    """What fit, report and select-spins know of one fit kind."""
+
+    reduce: object       # raw REF1/REF2 trace -> the one channel it fits
+    recipe: object       # (trace, channel=, **reads) -> FitResult
+    model: object        # (params, x) -> the fitted curve, for report
+    param_names: object  # report params -> the order model takes them
+    # the fit config keys the recipe reads, with their defaults
+    reads: dict = dataclasses.field(default_factory=dict)
+
+    def prepare(self, trace: Trace, channel) -> Trace:
+        """The trace the recipe fits: as given, or reduced to one channel."""
+        if channel is not None and channel not in trace.channels:
+            raise ConfigError(f"no channel {channel!r}; trace has "
+                              f"{sorted(trace.channels)}")
+        if channel is not None or len(trace.channels) == 1:
+            return trace
+        if "REF1" not in trace.channels or "REF2" not in trace.channels:
+            raise ConfigError(
+                "trace has multiple channels but no REF1/REF2 pair; pass "
+                "--channel to pick one")
+        return self.reduce(trace)
 
 
-def _fit_report(result: FitResult, extra: dict) -> dict:
-    report = {
-        "version": __version__,
-        "params": {name: float(value) for name, value
-                   in zip(result.param_names, result.params)},
-        "param_errors": (None if result.param_errors is None else
-                         {name: float(err) for name, err
-                          in zip(result.param_names, result.param_errors)}),
-        "ss_res": result.ss_res,
-        "adj_r2": result.adj_r2,
-        "converged": bool(result.converged),
-        "n_iter": result.n_iter,
-        "n_starts": result.n_starts,
-        "n_model_evals": result.n_model_evals,
-    }
-    report.update(extra)
-    return report
+# the recipes are looked up when called, not when the table is built
+_FITS = {
+    "gaussian": _FitKind(
+        reduce=lambda tr: tr.with_channels({"diff": difference_signal(tr)}),
+        recipe=lambda tr, channel: fit_gaussian_peak(tr, channel=channel,
+                                                     min_snr=0.0),
+        model=lambda p, x: gaussian_line(x, *p),
+        param_names=lambda params: GAUSSIAN_PARAMS),
+    "rabi": _FitKind(
+        reduce=lambda tr: tr.with_channels(
+            {"SIG1n": normalized_channels(tr)["SIG1n"]}),
+        recipe=lambda tr, channel: fit_rabi(tr, channel=channel),
+        # the one-spin signal at omega = 2 pi f, fit_rabi's model bit for bit
+        model=lambda p, x: nv_epr_signal_grid(np.array([[TWO_PI * p[0]]]),
+                                              p[1:], x)[0],
+        param_names=lambda params: RABI_PARAMS),
+    "deer-rabi": _FitKind(
+        reduce=coherence_trace,
+        recipe=lambda tr, channel, n_spins: fit_deer_rabi(
+            tr, n_spins=n_spins, channel=channel),
+        model=lambda p, x: nv_epr_signal(
+            TargetSpinModel(omegas=tuple(p[:-1]), t0=p[-1]), x),
+        param_names=lambda params: [
+            *sorted(key for key in params if key.startswith("omega_")),
+            "t0_us"],
+        reads={"n_spins": 2}),
+}
+_FIT_FLAGS = {"kind": {"choices": tuple(_FITS)}, "in": {"metavar": "IN_PATH"}}
+
+
+def _provenance(command: str, hashed: dict) -> dict:
+    """The fields every JSON report opens with; hashed is its config."""
+    canonical = json.dumps(hashed, sort_keys=True, default=str)
+    return {"version": __version__, "command": command, "seed": None,
+            "config_hash": hashlib.sha256(canonical.encode()).hexdigest()}
+
+
+def _fit_summary(result: FitResult) -> dict:
+    """How a fit ended and what it cost, as fit and select-spins report it."""
+    return {"converged": bool(result.converged), "ss_res": result.ss_res,
+            "n_starts": result.n_starts, "n_model_evals": result.n_model_evals}
 
 
 def _print_fit(result: FitResult) -> None:
@@ -337,35 +363,34 @@ def _print_fit(result: FitResult) -> None:
 def _cmd_fit(args) -> int:
     config = _overlay(_load_config(args.config, _FIT_SCHEMA), _FIT_SCHEMA,
                       args)
-    kind = config.get("kind")
-    if kind not in _FIT_KINDS:
-        raise ConfigError("fit needs --kind gaussian | rabi | deer-rabi")
-    in_path = config.get("in")
+    kind, in_path = config.pop("kind", None), config.pop("in", None)
+    channel, out = config.pop("channel", None), config.pop("out", None)
+    if kind not in _FITS:
+        raise ConfigError(f"fit needs --kind {' | '.join(_FITS)}")
     if in_path is None:
         raise ConfigError("fit needs --in <trace.csv>")
-    channel = config.get("channel")
-    trace = read_trace(in_path)
-    work = _prepare_fit_input(trace, kind, channel)
-    n_spins = None
-    if kind == "gaussian":
-        result = fit_gaussian_peak(work, channel=channel, min_snr=0.0)
-    elif kind == "rabi":
-        result = fit_rabi(work, channel=channel)
-    else:
-        n_spins = config.get("n_spins", 2)
-        result = fit_deer_rabi(work, n_spins=n_spins, channel=channel)
+    fit = _FITS[kind]
+    _reject_unread(config, fit.reads, f"kind {kind}")
+    reads = {**fit.reads, **config}
+    work = fit.prepare(read_trace(in_path), channel)
+    result = fit.recipe(work, channel=channel, **reads)
     _print_fit(result)
-    effective = {"command": "fit", "kind": kind, "in": str(in_path),
-                 "channel": channel, "n_spins": n_spins}
-    out = config.get("out")
     if out:
-        report = _fit_report(result, {
-            "command": "fit", "model": kind, "channel": channel,
-            "input": str(in_path),
-            "n_points": int(work.x.size), "seed": None,
-            "config_hash": _config_hash(effective),
+        # the hash covers every fit key but out, null where kind reads none
+        hashed = {**{key: None for key in _FIT_SCHEMA if key != "out"},
+                  "command": "fit", "kind": kind, "in": str(in_path),
+                  "channel": channel, **reads}
+        write_json(out, {
+            **_provenance("fit", hashed), **_fit_summary(result),
+            "params": dict(zip(result.param_names,
+                               map(float, result.params))),
+            "param_errors": (None if result.param_errors is None else
+                             dict(zip(result.param_names,
+                                      map(float, result.param_errors)))),
+            "adj_r2": result.adj_r2, "n_iter": result.n_iter,
+            "model": kind, "channel": channel, "input": str(in_path),
+            "n_points": int(work.x.size),
         })
-        write_json(out, report)
         print(f"wrote {out}")
     return 0 if result.converged else 3
 
@@ -385,14 +410,12 @@ def _cmd_invert_field(args) -> int:
         print(f"g({args.g_at:g} MHz) = {g:.4f}")
     if args.out:
         write_json(args.out, {
-            "version": __version__, "command": "invert-field",
+            **_provenance("invert-field", {
+                "f_minus": args.f_minus, "f_plus": args.f_plus,
+                "errors": [args.f_minus_err, args.f_plus_err]}),
             "f_minus_mhz": args.f_minus, "f_plus_mhz": args.f_plus,
             "b0_mt": estimate.b0, "b0_err_mt": estimate.b0_err,
             "theta_deg": theta_deg, "theta_err_deg": theta_err_deg,
-            "seed": None,
-            "config_hash": _config_hash({
-                "f_minus": args.f_minus, "f_plus": args.f_plus,
-                "errors": [args.f_minus_err, args.f_plus_err]}),
         })
         print(f"wrote {args.out}")
     return 0
@@ -442,9 +465,8 @@ def _cmd_eseem(args) -> int:
 # ---------------------------------------------------------------- select-spins
 
 def _cmd_select_spins(args) -> int:
-    trace = read_trace(getattr(args, "in_path"))
-    if len(trace.channels) > 1:
-        trace = _prepare_fit_input(trace, "deer-rabi", None)
+    trace = _FITS["deer-rabi"].prepare(read_trace(getattr(args, "in_path")),
+                                       None)
     sel = select_spin_count(trace, max_n=args.max_n, k_fixed=args.k_fixed,
                             canonicalize=not args.no_canonicalize)
     print(" n  k   adj_R2     converged  couplings (MHz) and T0 (us)")
@@ -460,65 +482,48 @@ def _cmd_select_spins(args) -> int:
                                       else ""))
     best_fit = sel.entries[sel.best_n].fit
     if args.out:
-        report = {
-            "version": __version__, "command": "select-spins",
-            "input": str(getattr(args, "in_path")),
-            "best_n": sel.best_n, "no_signal": sel.no_signal,
-            "seed": None,
-            "config_hash": _config_hash({
+        write_json(args.out, {
+            **_provenance("select-spins", {
                 "max_n": args.max_n, "k_fixed": args.k_fixed,
                 "canonicalize": not args.no_canonicalize}),
+            "input": str(getattr(args, "in_path")),
+            "best_n": sel.best_n, "no_signal": sel.no_signal,
             "models": {
                 str(n): {
+                    **_fit_summary(entry.fit),
                     "k": entry.k,
                     "adj_r2": entry.adj_r2,
-                    "converged": bool(entry.fit.converged),
-                    "ss_res": entry.fit.ss_res,
-                    "n_starts": entry.fit.n_starts,
-                    "n_model_evals": entry.fit.n_model_evals,
                     "omegas_mhz": [float(w / TWO_PI)
                                    for w in entry.fit.params[:-1]],
                     "t0_us": float(entry.fit.params[-1]),
                 } for n, entry in sel.entries.items()},
-        }
-        write_json(args.out, report)
+        })
         print(f"wrote {args.out}")
     return 0 if best_fit.converged else 3
 
 
 # ---------------------------------------------------------------- report
 
-def _model_from_report(report: dict):
-    kind = report.get("model")
-    params = report.get("params", {})
-    if kind == "gaussian":
-        model, names = _gaussian_model, _GAUSSIAN_PARAMS
-    elif kind == "rabi":
-        model, names = _rabi_model, _RABI_PARAMS
-    elif kind == "deer-rabi":
-        model = _epr_model
-        names = sorted(name for name in params if name.startswith("omega_"))
-        names.append("t0_us")
-    else:
-        raise ConfigError(f"fit report has unknown model {kind!r}")
-    missing = [name for name in names if name not in params]
-    if missing:
-        raise TraceFormatError(f"{kind} fit report lacks params {missing}")
-    p = np.array([params[name] for name in names])
-    return (lambda x: model(p, x)), kind
-
-
 def _cmd_report(args) -> int:
     trace = read_trace(getattr(args, "in_path"))
     fit_report = read_json(args.fit)
     if not isinstance(fit_report, dict):
         raise TraceFormatError(f"{args.fit}: fit report must be a JSON object")
-    fn, kind = _model_from_report(fit_report)
+    kind = fit_report.get("model")
+    fit = _FITS.get(kind) if isinstance(kind, str) else None
+    if fit is None:
+        raise ConfigError(f"fit report has unknown model {kind!r}")
+    params = fit_report.get("params", {})
+    names = fit.param_names(params)
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise TraceFormatError(f"{kind} fit report lacks params {missing}")
+    p = np.array([params[name] for name in names])
     channel = fit_report.get("channel")  # None: fitted the prepared trace
-    work = _prepare_fit_input(trace, kind, channel)
+    work = fit.prepare(trace, channel)
     name = channel or next(iter(work.channels))
     data = work.channel(name)
-    model = fn(work.x)
+    model = fit.model(p, work.x)
     residual = data - model
     write_columns(args.out, ("x", "data", "model", "residual"),
                   (work.x, data, model, residual),
@@ -602,16 +607,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TraceFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NvSenseError, ValueError) as exc:
+    except (NvSenseError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

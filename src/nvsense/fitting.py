@@ -407,8 +407,8 @@ def _fft_peak_frequencies(x, y, count=4):
     return chosen
 
 
-_GAUSSIAN_PARAMS = ("center_mhz", "width_mhz", "amplitude", "baseline")
-_RABI_PARAMS = ("f_mhz", "t0_us")
+GAUSSIAN_PARAMS = ("center_mhz", "width_mhz", "amplitude", "baseline")
+RABI_PARAMS = ("f_mhz", "t0_us")
 
 
 def _gaussian_model(p, f):
@@ -462,7 +462,7 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
                 (-np.inf, np.inf), (-np.inf, np.inf)),
     )
     result = nlls_fit(problem)
-    result.param_names = _GAUSSIAN_PARAMS
+    result.param_names = GAUSSIAN_PARAMS
     noise = math.sqrt(result.ss_res / (n - 4)) if n > 4 else 0.0
     if min_snr > 0 and abs(result.params[2]) < min_snr * noise:
         raise NoPeakError(
@@ -513,7 +513,7 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
             n_evals += result.n_model_evals
             if best is None or result.ss_res < best.ss_res:
                 best = result
-    best.param_names = _RABI_PARAMS
+    best.param_names = RABI_PARAMS
     best.n_starts, best.n_model_evals = n_starts, n_evals
     return best
 

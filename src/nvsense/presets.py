@@ -203,9 +203,9 @@ def build_truth(kind: SequenceKind, truth: dict):
     if kind is SequenceKind.RABI:
         return RabiTruth(truth["f_mhz"], truth["t0_us"])
     if kind is SequenceKind.CPMG8:
-        b0, b_rms = truth["b0_mt"], truth["b_rms_ut"]
+        b0 = truth["b0_mt"]
         return Cpmg8Truth(nuclei=table_nuclei(truth["nuclei"], b0),
-                          bath=carbon_bath(b0, b_rms) if b_rms > 0 else None,
+                          bath=carbon_bath(b0, truth["b_rms_ut"]),
                           t2_us=truth["t2_us"])
     if kind is SequenceKind.CPMG_DEER:
         return DeerSpectrumModel(truth["center_mhz"], truth["width_mhz"],

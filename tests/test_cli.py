@@ -355,6 +355,31 @@ class TestSimulate:
         assert not np.array_equal(read_trace(paths[4]).channel("SIG1"),
                                   read_trace(paths[8]).channel("SIG1"))
 
+    # sha256 at b_rms = 0, version line left out, taken when a field of 0
+    # meant no bath at all: the bath's C = exp(-0) = 1 keeps the bytes
+    ZERO_BATH_SHA256 = {
+        ("eseem", "--mode", "echo"): "2f4fce20b5d1b1cdfe29b3c9189daecefa2f538a26b9a94334ee3cc3ebe0a9ee",
+        ("simulate", "--kind", "cpmg8", "--noiseless"): "435ef7ab251e4ebf69459f44a884de7caf19ec13db3b281c49b13bf9cee3060a",
+    }
+
+    @pytest.mark.parametrize("command", sorted(ZERO_BATH_SHA256))
+    def test_zero_bath_field_bytes_pinned(self, tmp_path, command):
+        out = tmp_path / "t.csv"
+        assert run(*command, "--b-rms-ut", "0", "--out", str(out)) == 0
+        data = b"".join(line for line in out.read_bytes().splitlines(True)
+                        if not line.startswith(b"# version:"))
+        assert hashlib.sha256(data).hexdigest() \
+            == self.ZERO_BATH_SHA256[command]
+
+    @pytest.mark.parametrize("command", sorted(ZERO_BATH_SHA256))
+    @pytest.mark.parametrize("b_rms", ["-1", "nan"])
+    def test_bad_bath_field_rejected(self, tmp_path, capsys, command, b_rms):
+        # an error, not a run that leaves the bath out
+        out = tmp_path / "t.csv"
+        assert run(*command, "--b-rms-ut", b_rms, "--out", str(out)) == 1
+        assert "b_rms must be >= 0 uT" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_header_provenance_comments(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run("simulate", "--kind", "rabi", "--seed", "12",
@@ -490,6 +515,37 @@ class TestFit:
 
     def test_missing_input(self):
         assert run("fit", "--kind", "rabi") == 1
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rabi", "deer-rabi"])
+    def test_missing_channel_is_config_error(self, tmp_path, capsys, kind):
+        trace, out = tmp_path / "dr.csv", tmp_path / "fit.json"
+        assert run("simulate", "--kind", "deer-rabi", "--noiseless",
+                   "--out", str(trace)) == 0
+        capsys.readouterr()
+        assert run("fit", "--kind", kind, "--channel", "BOGUS",
+                   "--in", str(trace), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: no channel 'BOGUS'; trace has "
+            "['REF1', 'REF2', 'SIG1', 'SIG2']\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, sim_kind", [("gaussian", "cpmg-deer"),
+                                                ("rabi", "rabi")])
+    def test_n_spins_only_for_deer_rabi(self, tmp_path, capsys, kind,
+                                        sim_kind):
+        trace, out = tmp_path / "t.csv", tmp_path / "fit.json"
+        assert run("simulate", "--kind", sim_kind, "--noiseless",
+                   "--out", str(trace)) == 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"kind": kind, "n_spins": 2}))
+        for given in (("--kind", kind, "--n-spins", "2"),
+                      ("--config", str(cfg))):
+            capsys.readouterr()
+            assert run("fit", *given, "--in", str(trace),
+                       "--out", str(out)) == 1
+            assert f"kind {kind} does not read n_spins" \
+                in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_trace_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -738,6 +794,22 @@ class TestReport:
         data = np.loadtxt(cols, delimiter=",", comments="#", skiprows=5)
         np.testing.assert_array_equal(data[:, 1],
                                       normalized_channels(tr)["SIG1n"])
+
+    def test_missing_fit_channel_is_config_error(self, tmp_path, capsys):
+        trace, fit_json = tmp_path / "rabi.csv", tmp_path / "fit.json"
+        cols = tmp_path / "cols.csv"
+        run("simulate", "--kind", "rabi", "--seed", "2", "--out", str(trace))
+        run("fit", "--kind", "rabi", "--channel", "SIG1", "--in", str(trace),
+            "--out", str(fit_json))
+        report = read_json(fit_json)
+        report["channel"] = "SIG2"
+        fit_json.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run("report", "--in", str(trace), "--fit", str(fit_json),
+                   "--out", str(cols)) == 1
+        assert capsys.readouterr().err == (
+            "error: no channel 'SIG2'; trace has ['REF1', 'REF2', 'SIG1']\n")
+        assert not cols.exists()
 
     def test_unknown_model_rejected(self, tmp_path):
         trace = tmp_path / "rabi.csv"
