@@ -504,6 +504,16 @@ def _cmd_select_spins(args) -> int:
 
 # ---------------------------------------------------------------- report
 
+def _finite_number(value) -> bool:
+    """A real, finite JSON number: an int or a float, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _cmd_report(args) -> int:
     trace = read_trace(getattr(args, "in_path"))
     fit_report = read_json(args.fit)
@@ -514,10 +524,17 @@ def _cmd_report(args) -> int:
     if fit is None:
         raise ConfigError(f"fit report has unknown model {kind!r}")
     params = fit_report.get("params", {})
+    if not isinstance(params, dict):
+        raise TraceFormatError(f"{kind} fit report 'params' must be a JSON "
+                               f"object, got {params!r}")
     names = fit.param_names(params)
     missing = [name for name in names if name not in params]
     if missing:
         raise TraceFormatError(f"{kind} fit report lacks params {missing}")
+    for name in names:
+        if not _finite_number(params[name]):
+            raise TraceFormatError(f"{kind} fit report param {name!r} must "
+                                   f"be a finite number, got {params[name]!r}")
     p = np.array([params[name] for name in names])
     channel = fit_report.get("channel")  # None: fitted the prepared trace
     work = fit.prepare(trace, channel)

@@ -826,6 +826,29 @@ class TestReport:
         assert run("report", "--in", str(trace), "--fit", str(bad)) == 2
         assert "t0_us" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, params, key", [
+        ("rabi", ["f_mhz", "t0_us"], "'params'"),
+        ("rabi", {"f_mhz": "5.5", "t0_us": 1.0}, "'f_mhz'"),
+        ("gaussian", {"center_mhz": None, "width_mhz": 1.0, "amplitude": 0.1,
+                      "baseline": 1.0}, "'center_mhz'"),
+        ("rabi", {"f_mhz": True, "t0_us": 1.0}, "'f_mhz'"),
+        ("rabi", {"f_mhz": 5.5, "t0_us": float("nan")}, "'t0_us'"),
+        ("rabi", {"f_mhz": 10 ** 400, "t0_us": 1.0}, "'f_mhz'"),
+        ("deer-rabi", {"omega_1": [1.0], "t0_us": 1.0}, "'omega_1'"),
+    ])
+    def test_malformed_param_is_data_error(self, tmp_path, capsys, model,
+                                           params, key):
+        trace, bad = tmp_path / "rabi.csv", tmp_path / "bad.json"
+        cols = tmp_path / "cols.csv"
+        run("simulate", "--kind", "rabi", "--noiseless", "--out", str(trace))
+        bad.write_text(json.dumps({"model": model, "params": params}))
+        capsys.readouterr()
+        assert run("report", "--in", str(trace), "--fit", str(bad),
+                   "--out", str(cols)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and key in err
+        assert not cols.exists()
+
 
 class TestParser:
     def test_help_exits_zero(self):

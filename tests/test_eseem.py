@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from nvsense.core import DEFAULT_CONSTANTS, TWO_PI
 from nvsense.eseem import (BathModel, EseemNucleus, HyperfineTensor,
@@ -23,6 +27,31 @@ def random_nucleus(rng, general_ms=False):
     return EseemNucleus(a=rng.uniform(-30.0, 30.0),
                         b=rng.uniform(0.1, 30.0),
                         omega_i=rng.uniform(0.5, 15.0), **kwargs)
+
+
+def expm_walk_oracle(tau, n_pulses, nucleus):
+    """The oracle for density_matrix_eseem_oracle: per point, four matrix
+    exponentials and the [tau, 2tau, ..., 2tau, tau] walk.  tau is 1-d."""
+    iz = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
+    ix = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+
+    def branch_h(ms):
+        return (nucleus.omega_i + ms * nucleus.a) * iz + ms * nucleus.b * ix
+
+    h_by_branch = {0: branch_h(nucleus.ms_alpha), 1: branch_h(nucleus.ms_beta)}
+    tau_arr = np.asarray(tau, dtype=float)
+    out = np.empty(tau_arr.shape)
+    for idx, t in enumerate(tau_arr):
+        u = {(br, mult): expm(-1j * h_by_branch[br] * (mult * t))
+             for br in (0, 1) for mult in (1, 2)}
+        intervals = [1] + [2] * (n_pulses - 1) + [1]
+        g_ket = np.eye(2, dtype=complex)
+        g_bra = np.eye(2, dtype=complex)
+        for j, mult in enumerate(intervals):
+            g_ket = u[(j % 2, mult)] @ g_ket
+            g_bra = u[((j + 1) % 2, mult)] @ g_bra
+        out[idx] = 0.5 * np.real(np.trace(g_ket @ g_bra.conj().T))
+    return out
 
 
 class TestProjection:
@@ -164,6 +193,76 @@ class TestModulation:
         v = density_matrix_eseem_oracle(np.linspace(0.0, 3.0, 31), 1, nuc)
         assert np.all(np.abs(v) <= 1.0 + 1e-12)
         assert v[0] == pytest.approx(1.0)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(-30.0, 30.0), b=st.floats(0.1, 30.0),
+           omega_i=st.floats(0.5, 15.0),
+           n_pulses=st.sampled_from([1, 2, 3, 5, 8]),
+           ms=st.sampled_from([(0.0, 1.0), (1.0, 0.0), (0.0, -1.0),
+                               (-1.0, 0.0), (1.0, -1.0), (-1.0, 1.0)]),
+           taus=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
+    def test_oracle_matches_expm_walk(self, a, b, omega_i, n_pulses, ms,
+                                      taus):
+        # criterion 04's domain, odd and even N, every ms pair
+        nuc = EseemNucleus(a=a, b=b, omega_i=omega_i, ms_alpha=ms[0],
+                           ms_beta=ms[1])
+        taus = np.array(taus)
+        got = density_matrix_eseem_oracle(taus, n_pulses, nuc)
+        assert np.max(np.abs(got - expm_walk_oracle(taus, n_pulses,
+                                                    nuc))) <= 1e-11
+
+    SHAPES = [(), (4,), (2, 2), (1, 3), (3, 1), (2, 0)]
+
+    def test_oracle_keeps_tau_shape(self):
+        # any tau shape gives the values of the same points passed flat
+        nuc = EseemNucleus(a=5.0, b=3.0, omega_i=4.0)
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3):
+            for shape in self.SHAPES:
+                tau = rng.uniform(0.0, 2.0, size=shape)
+                got = density_matrix_eseem_oracle(tau, n, nuc)
+                flat = density_matrix_eseem_oracle(tau.ravel(), n, nuc)
+                assert np.shape(got) == shape
+                assert isinstance(got, float) == (shape == ())
+                np.testing.assert_array_equal(np.ravel(got), flat)
+
+    def test_oracle_any_shape_matches_closed_form(self):
+        nuc = EseemNucleus(a=5.0, b=3.0, omega_i=4.0)
+        tau = np.array([[0.1, 0.2], [0.3, 0.4]])
+        assert density_matrix_eseem_oracle(tau, 2, nuc) == pytest.approx(
+            np.array([[0.99749, 0.92517], [0.79986, 0.92603]]), abs=1e-5)
+        rng = np.random.default_rng(14)
+        for n in (2, 4, 8):
+            for shape in self.SHAPES:
+                tau = rng.uniform(0.0, 2.0, size=shape)
+                np.testing.assert_allclose(
+                    density_matrix_eseem_oracle(tau, n, nuc),
+                    eseem_modulation(tau, n, nuc), rtol=0, atol=1e-9)
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: the package, the eseem command
+    # and the propagation oracle at odd N all work with scipy unimportable
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import nvsense
+        from nvsense import cli
+        from nvsense.eseem import EseemNucleus, density_matrix_eseem_oracle
+        assert cli.main(["eseem", "--mode", "echo", "--out", sys.argv[1]]) == 0
+        nuc = EseemNucleus(a=3.0, b=5.0, omega_i=2.0)
+        for n in (1, 3):
+            v = density_matrix_eseem_oracle(np.linspace(0.0, 3.0, 31), n, nuc)
+            assert np.all(np.abs(v) <= 1.0 + 1e-12), v
+        assert not any(name.startswith("scipy.") for name in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code,
+                           str(tmp_path / "e.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "e.csv").exists()
 
 
 class TestBath:
