@@ -347,7 +347,8 @@ def _provenance(command: str, hashed: dict) -> dict:
 def _fit_summary(result: FitResult) -> dict:
     """How a fit ended and what it cost, as fit and select-spins report it."""
     return {"converged": bool(result.converged), "ss_res": result.ss_res,
-            "n_starts": result.n_starts, "n_model_evals": result.n_model_evals}
+            "n_starts": result.n_starts, "n_model_evals": result.n_model_evals,
+            "n_retired": result.n_retired}
 
 
 def _print_fit(result: FitResult) -> None:

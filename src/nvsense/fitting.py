@@ -27,6 +27,10 @@ _COST_FLOOR = 1e-300
 _LAM_START, _LAM_MIN, _LAM_STALL, _NU_MAX = 1e-3, 1e-12, 1e14, 64.0
 # relative convergence tolerance and default accepted-step cap of both
 _TOL, _MAX_ITER = 1e-10, 200
+# _lockstep_lm retires a live start whose cost is above _RETIRE_FACTOR
+# times the best cost a start of the call has converged to and fell by at
+# most _RETIRE_GAIN of itself over its last _RETIRE_ROUNDS rounds
+_RETIRE_FACTOR, _RETIRE_GAIN, _RETIRE_ROUNDS = 10.0, 0.01, 10
 # a larger spin count must beat the incumbent's adjusted R^2 by more
 _SPIN_COUNT_MARGIN = 1e-3
 
@@ -87,7 +91,9 @@ class FitResult:
     and is non-increasing by construction.  n_starts counts the LM runs
     behind the result and n_model_evals the parameter vectors at which
     they evaluated the model, over all runs: a forward-difference
-    Jacobian costs k of them, a closed-form Jacobian one.
+    Jacobian costs k of them, a closed-form Jacobian one.  n_retired
+    counts the runs that _lockstep_lm ended early, stuck far above a
+    converged run (see there).
     """
 
     params: np.ndarray
@@ -100,6 +106,7 @@ class FitResult:
     cost_history: np.ndarray = field(default_factory=lambda: np.empty(0))
     n_starts: int = 1
     n_model_evals: int = 0
+    n_retired: int = 0
 
 
 def _fd_jacobian(fun, p, lo, hi, r0):
@@ -209,14 +216,22 @@ def _param_errors(jac, cost, dof):
 
 @dataclass
 class _LockstepRuns:
-    """Per-start outcome of _lockstep_lm, one entry or row per start."""
+    """Per-start outcome of _lockstep_lm, one entry or row per start.
+
+    stop says why each start ended: "converged", "max_iter", "stalled"
+    or "retired".
+    """
 
     params: np.ndarray
     cost: np.ndarray
-    converged: np.ndarray
+    stop: np.ndarray
     n_iter: np.ndarray
     n_evals: np.ndarray
     history: list
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.stop == "converged"
 
     def extend(self, other: "_LockstepRuns") -> "_LockstepRuns":
         """These runs followed by other's, as if started together."""
@@ -224,7 +239,7 @@ class _LockstepRuns:
             return np.concatenate([getattr(self, name), getattr(other, name)])
 
         return _LockstepRuns(params=cat("params"), cost=cat("cost"),
-                             converged=cat("converged"), n_iter=cat("n_iter"),
+                             stop=cat("stop"), n_iter=cat("n_iter"),
                              n_evals=cat("n_evals"),
                              history=self.history + other.history)
 
@@ -263,6 +278,18 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
     above lambda 1e14 and at most max_iter accepted steps.  Each round
     takes the Jacobian only where the last step was accepted and drops
     finished starts.
+
+    One rule couples the starts.  Let B be the lowest cost any start of
+    this call has converged to so far.  A live start is retired when its
+    cost is above _RETIRE_FACTOR * B and fell by at most _RETIRE_GAIN of
+    itself over its last _RETIRE_ROUNDS rounds: it is stuck in a losing
+    basin.  Its cost is then more than _RETIRE_FACTOR times a final
+    cost, so it is never the lowest; the lowest cost is always that of a
+    start that ran to its own end.  Rows do not interact, so retiring
+    one leaves every other row's path unchanged.  A lone start never
+    meets the rule, since B exists only once it has converged.  A
+    retired start might have left its basin later; tests/test_fitting.py
+    holds spin-count selections to their results without the rule.
     """
     p = np.array(starts, dtype=float)
     if np.any(p < lo) or np.any(p > hi):
@@ -271,12 +298,17 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
     r = model(p) - y
     cost = np.einsum("ij,ij->i", r, r)
     runs = _LockstepRuns(params=p.copy(), cost=cost.copy(),
-                         converged=np.zeros(n_start, dtype=bool),
+                         stop=np.full(n_start, "", dtype="<U9"),
                          n_iter=np.zeros(n_start, dtype=int),
                          n_evals=np.ones(n_start, dtype=int),
                          history=[[c] for c in cost.tolist()])
     # one row per unfinished start; live[row] is its index in runs
     live = np.arange(n_start)
+    best = math.inf  # lowest cost a start has converged to
+    # past[row, t % _RETIRE_ROUNDS] holds the cost after round t; it is
+    # read back, _RETIRE_ROUNDS rounds later, just before it is overwritten
+    past = np.repeat(cost[:, None], _RETIRE_ROUNDS, axis=1)
+    n_round = 0
     lam = np.full(n_start, _LAM_START)
     nu = np.full(n_start, 2.0)
     n_iter = np.zeros(n_start, dtype=int)
@@ -317,16 +349,30 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
         lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN), lam * nu)
         nu = np.where(better, 2.0, np.minimum(2.0 * nu, _NU_MAX))
         stale = better
+        maxed = n_iter >= max_iter
         # stalled: no acceptable step even at heavy damping
-        end = conv | (n_iter >= max_iter) | (lam > _LAM_STALL)
+        stalled = lam > _LAM_STALL
+        end = conv | maxed | stalled
+        if conv.any():
+            best = min(best, float(cost[conv].min()))
+        n_round += 1
+        slot = n_round % _RETIRE_ROUNDS
+        fell = past[:, slot] - cost
+        past[:, slot] = cost
+        if n_round >= _RETIRE_ROUNDS and best < math.inf:
+            end |= ((cost > _RETIRE_FACTOR * best)
+                    & (fell <= _RETIRE_GAIN * cost))
         if end.any():
             done = live[end]
             runs.params[done], runs.cost[done] = p[end], cost[end]
-            runs.converged[done], runs.n_iter[done] = conv[end], n_iter[end]
+            runs.stop[done] = np.select(
+                [conv[end], maxed[end], stalled[end]],
+                ["converged", "max_iter", "stalled"], "retired")
+            runs.n_iter[done] = n_iter[end]
             keep = ~end
-            live, p, r, cost, lam, nu, n_iter, stale, a, g, d = (
+            live, p, r, cost, lam, nu, n_iter, stale, a, g, d, past = (
                 v[keep] for v in (live, p, r, cost, lam, nu, n_iter, stale,
-                                  a, g, d))
+                                  a, g, d, past))
 
     runs.history = [np.asarray(h) for h in runs.history]
     return runs
@@ -595,7 +641,12 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     keeps sum lines of the cosine product below the Nyquist limit, where
     an aliased coupling set would fit the samples equally well.  All
     starts run in lockstep (see _lockstep_lm) with the closed-form
-    Jacobian; the first start with the lowest cost wins.
+    Jacobian; the first start with the lowest cost wins.  Starts stuck
+    far above a converged one, typically in a short-decay basin, are
+    retired early (n_retired counts them).  A retired start ends above
+    ten times a converged start's cost, so it never wins: the winner is
+    always a start that ran to its own end, on the path it takes when
+    no start is retired.
     """
     if not 1 <= n_spins <= 5:
         raise ValueError(f"n_spins must be between 1 and 5, got {n_spins}")
@@ -662,7 +713,8 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
         param_names=tuple(f"omega_{i + 1}_rad_us"
                           for i in range(n_spins)) + ("t0_us",),
         cost_history=runs.history[win], n_starts=len(runs.cost),
-        n_model_evals=n_evals)
+        n_model_evals=n_evals,
+        n_retired=int(np.count_nonzero(runs.stop == "retired")))
 
 
 def target_model_from_fit(result: FitResult) -> TargetSpinModel:

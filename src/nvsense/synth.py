@@ -26,6 +26,8 @@ from .hamiltonian import transition_frequencies
 _CHANNEL_ORDER = ("SIG1", "SIG2", "REF1", "REF2")
 # snr_estimate's narrowest Gaussian, as a fraction of the sweep span
 _SNR_MIN_RELATIVE_WIDTH = 0.10
+# rounding a cpmg-deer population may carry past [0, 1] before the clip
+_POP_SLACK = 1e-12
 
 
 class SequenceKind(enum.Enum):
@@ -223,8 +225,14 @@ def _model_values(spec: SequenceSpec, truth) -> np.ndarray:
         if not isinstance(truth, DeerSpectrumModel):
             raise ValueError(f"kind {kind.value} needs DeerSpectrumModel, "
                              f"got {type(truth).__name__}")
-        s = deer_spectrum(x, truth)
-        return np.clip(0.5 * (1.0 + s), 0.0, 1.0)
+        pop = 0.5 * (1.0 + deer_spectrum(x, truth))
+        low, high = float(pop.min()), float(pop.max())
+        if low < -_POP_SLACK or high > 1.0 + _POP_SLACK:
+            raise ValueError(
+                f"kind {kind.value}: population 0.5 (1 + s) spans "
+                f"[{low:.6g}, {high:.6g}], outside [0, 1]; amplitude and "
+                f"baseline must keep it inside")
+        return np.clip(pop, 0.0, 1.0)
     if kind is SequenceKind.DEER_RABI:
         if not isinstance(truth, TargetSpinModel):
             raise ValueError(f"kind {kind.value} needs TargetSpinModel, "

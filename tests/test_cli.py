@@ -130,6 +130,18 @@ class TestSimulate:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [("--amplitude", "-3"),
+                                       ("--baseline", "101")])
+    def test_unphysical_cpmg_deer_population_rejected(self, tmp_path, capsys,
+                                                      extra):
+        # 0.5 (1 + s) reaches -0.749 and 50.85: no clip into [0, 1]
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--kind", "cpmg-deer", "--noiseless", *extra,
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "outside [0, 1]" in err
+        assert not out.exists()
+
     def test_null_preset_spectrum_is_flat(self, tmp_path):
         out = tmp_path / "null.csv"
         assert run("simulate", "--kind", "cpmg-deer", "--preset", "null-a",
@@ -481,6 +493,7 @@ class TestFit:
         assert "timestamp" not in report
         assert report["n_starts"] >= 2
         assert report["n_model_evals"] > report["n_starts"]
+        assert report["n_retired"] == 0
 
     def test_gaussian_end_to_end(self, tmp_path):
         trace = tmp_path / "deer.csv"
@@ -591,6 +604,7 @@ class TestSelectSpins:
         for model in report["models"].values():
             assert model["n_starts"] >= 2
             assert model["n_model_evals"] > model["n_starts"]
+            assert 0 <= model["n_retired"] < model["n_starts"]
         got = sorted(report["models"]["2"]["omegas_mhz"])
         assert abs(got[0] - 1.12) <= 0.2
         assert abs(got[1] - 2.24) <= 0.2

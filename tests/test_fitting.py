@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nvsense import fitting
 from nvsense.core import NoPeakError, TWO_PI, Trace, XKind
 from nvsense.deer import (TargetSpinModel, nv_epr_jacobian_grid,
                           nv_epr_signal, nv_epr_signal_grid)
@@ -517,6 +518,93 @@ class TestLockstepEngine:
 GRID = np.linspace(0.0, 1.0, 101)
 DT, SPAN = 0.01, 1.0
 W_LO, W_HI = 0.5 * math.pi / SPAN, 0.5 * math.pi / DT
+
+
+class TestRetire:
+    """The cross-start rule of _lockstep_lm on a two-spin problem."""
+
+    lo = np.array([W_LO, W_LO, DT])
+    hi = np.array([W_HI, W_HI, 10.0 * SPAN])
+    # two starts that reach the optimum and, between them, one that
+    # falls into the short-decay basin (T0 ~ 0.08 us) and creeps there
+    starts = np.array([[7.0, 14.0, 1 / 3], [38.0, 38.0, 1 / 3],
+                       [38.0, 38.0, 0.125]])
+    stuck = 1
+
+    def run(self, starts):
+        tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
+        x, y = tr.x, tr.channel("coherence")
+        return _lockstep_lm(
+            lambda p: nv_epr_signal_grid(p[:, :-1], p[:, -1], x),
+            lambda p: nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x),
+            y, starts, self.lo, self.hi)
+
+    def test_stuck_start_retired_others_untouched(self, monkeypatch):
+        runs = self.run(self.starts)
+        assert runs.stop[self.stuck] == "retired"
+        assert not runs.converged[self.stuck]
+        others = [0, 2]
+        assert runs.stop[others].tolist() == ["converged", "converged"]
+        assert runs.cost[self.stuck] > 10.0 * runs.cost[others].min()
+        alone = self.run(self.starts[others])
+        assert np.array_equal(runs.params[others], alone.params)
+        assert np.array_equal(runs.cost[others], alone.cost)
+        assert np.array_equal(runs.n_iter[others], alone.n_iter)
+        # left to run, it converges in the losing basin after many more
+        # rounds
+        monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
+        full = self.run(self.starts)
+        assert full.stop[self.stuck] == "converged"
+        assert full.cost[self.stuck] > 10.0 * full.cost[others].min()
+        assert full.n_iter[self.stuck] > 5 * runs.n_iter[self.stuck]
+        assert np.array_equal(full.params[others], runs.params[others])
+        assert full.n_evals.sum() > runs.n_evals.sum()
+
+    def test_single_start_never_retires(self, monkeypatch):
+        alone = [self.run(start[None]) for start in self.starts]
+        monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
+        for start, runs in zip(self.starts, alone):
+            assert runs.stop[0] != "retired"
+            ref = self.run(start[None])
+            assert np.array_equal(runs.params, ref.params)
+            assert runs.stop.tolist() == ref.stop.tolist()
+
+    def test_fit_counts_retired_starts(self):
+        tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
+        fit = fit_deer_rabi(tr, 2)
+        assert 0 < fit.n_retired < fit.n_starts
+
+
+def _selection_matches_without_retiring(monkeypatch, traces, max_n):
+    with_rule = [select_spin_count(tr, max_n=max_n) for tr in traces]
+    assert sum(e.fit.n_retired for sel in with_rule
+               for e in sel.entries.values()) > 0
+    monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
+    for tr, sel in zip(traces, with_rule):
+        ref = select_spin_count(tr, max_n=max_n)
+        assert sel.best_n == ref.best_n
+        for n, entry in ref.entries.items():
+            assert entry.fit.n_retired == 0
+            assert sel.entries[n].fit.ss_res == pytest.approx(
+                entry.fit.ss_res, rel=1e-9)
+
+
+def _preset_pair_trace(n_avg, seed):
+    return coherence_trace(synthesize(
+        default_sequence(SequenceKind.DEER_RABI), target_pair(),
+        detector(n_avg=n_avg, seed=seed)))
+
+
+def test_retiring_keeps_spin_count_selection(monkeypatch):
+    traces = [_preset_pair_trace(n_avg, seed) for seed, n_avg in
+              enumerate((1_260_000, 300_000, 100_000, 30_000, 1_260_000))]
+    _selection_matches_without_retiring(monkeypatch, traces, max_n=3)
+
+
+@pytest.mark.slow
+def test_retiring_keeps_criterion_07_selection(monkeypatch):
+    traces = [_preset_pair_trace(1_260_000, seed) for seed in range(50)]
+    _selection_matches_without_retiring(monkeypatch, traces, max_n=3)
 
 
 def _fd_jacobian_extrapolated(f, p, lo, hi):
