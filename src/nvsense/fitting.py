@@ -1,12 +1,15 @@
 """Nonlinear least squares and the analysis recipes built on it.
 
-The engine is a small bounded Levenberg-Marquardt: damped normal
-equations, steps clipped into box bounds, acceptance only on strict
-objective decrease.  Recipes wrap it with model functions, data-driven
-starting values (FFT peaks for oscillatory models) and multi-start
-loops, and return a uniform FitResult record.  The double-resonance fit
-runs all its starts at once through a lockstep copy of the engine that
-takes a closed-form Jacobian; nlls_fit is its reference.
+The engine is one small bounded Levenberg-Marquardt, _lockstep_lm:
+damped normal equations, steps clipped into box bounds, parameters held
+on a bound that the descent direction points out of, acceptance only on
+strict objective decrease.  It runs all the starts of a fit at once.
+Recipes give it model functions with closed-form Jacobians and
+data-driven starting values (FFT peaks for oscillatory models), and
+return a uniform FitResult record.  nlls_fit runs one start of the same
+engine on a forward-difference Jacobian, for models without a closed
+form; tests/test_fitting.py keeps a serial copy of the loop as the
+engine's oracle.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NoPeakError, Trace, XKind
+from .core import TWO_PI, NoPeakError, Trace, XKind
 from .deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
                    nv_epr_jacobian_grid, nv_epr_signal, nv_epr_signal_grid)
 
 _COST_FLOOR = 1e-300
-# damping schedule shared by nlls_fit and _lockstep_lm (Madsen, Nielsen
-# & Tingleff 2004): start, floor, stall limit and cap of the growth nu
+# damping schedule of _lockstep_lm (Madsen, Nielsen & Tingleff 2004):
+# start, floor, stall limit and cap of the growth nu
 _LAM_START, _LAM_MIN, _LAM_STALL, _NU_MAX = 1e-3, 1e-12, 1e14, 64.0
-# relative convergence tolerance and default accepted-step cap of both
+# relative convergence tolerance and default accepted-step cap
 _TOL, _MAX_ITER = 1e-10, 200
 # _lockstep_lm retires a live start whose cost is above _RETIRE_FACTOR
 # times the best cost a start of the call has converged to and fell by at
@@ -37,12 +40,11 @@ _SPIN_COUNT_MARGIN = 1e-3
 
 @dataclass
 class FitProblem:
-    """Weighted box-bounded least-squares problem.
+    """Box-bounded least-squares problem.
 
     model(params, x) -> predicted y.  bounds is one (low, high) pair per
-    parameter; use -inf/inf for free parameters.  weights multiply the
-    squared residuals (1/sigma^2 for Poisson-style weighting).  The
-    relative objective-change convergence threshold is _TOL.
+    parameter; use -inf/inf for free parameters.  The relative
+    objective-change convergence threshold is _TOL.
     """
 
     model: object
@@ -50,7 +52,6 @@ class FitProblem:
     y: np.ndarray
     init: np.ndarray
     bounds: tuple
-    weights: np.ndarray | None = None
     max_iter: int = _MAX_ITER
 
     def __post_init__(self):
@@ -71,12 +72,6 @@ class FitProblem:
             raise ValueError("each bound must satisfy low < high")
         if np.any(self.init < self.lo) or np.any(self.init > self.hi):
             raise ValueError("init must lie within bounds")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.y.shape:
-                raise ValueError("weights must match y in shape")
-            if np.any(~np.isfinite(self.weights)) or np.any(self.weights <= 0):
-                raise ValueError("weights must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -90,8 +85,8 @@ class FitResult:
     optimizer objective after each accepted step, first entry included,
     and is non-increasing by construction.  n_starts counts the LM runs
     behind the result and n_model_evals the parameter vectors at which
-    they evaluated the model, over all runs: a forward-difference
-    Jacobian costs k of them, a closed-form Jacobian one.  n_retired
+    they evaluated the model, over all runs: a closed-form Jacobian
+    costs one of them, nlls_fit's forward-difference one k + 1.  n_retired
     counts the runs that _lockstep_lm ended early, stuck far above a
     converged run (see there).
     """
@@ -110,7 +105,7 @@ class FitResult:
 
 
 def _fd_jacobian(fun, p, lo, hi, r0):
-    """Forward-difference Jacobian of the residual vector at p."""
+    """Forward-difference Jacobian of fun at p, where r0 = fun(p)."""
     k = p.size
     jac = np.empty((r0.size, k))
     for j in range(k):
@@ -124,78 +119,32 @@ def _fd_jacobian(fun, p, lo, hi, r0):
 
 
 def nlls_fit(problem: FitProblem) -> FitResult:
-    """Minimize sum(w (model(p, x) - y)^2) over box-bounded p."""
-    lo, hi = problem.lo, problem.hi
-    sw = np.sqrt(problem.weights) if problem.weights is not None else None
+    """Minimize sum((model(p, x) - y)^2) over box-bounded p.
+
+    One _lockstep_lm start from problem.init, on a forward-difference
+    Jacobian (_fd_jacobian), for models that have no closed-form one;
+    the package's own fits pass theirs to _lockstep_lm directly.
+    n_model_evals counts every call of problem.model, k + 1 per Jacobian.
+    """
+    lo, hi, x = problem.lo, problem.hi, problem.x
     n_evals = 0
 
-    def residuals(q):
+    def fun(q):
         nonlocal n_evals
         n_evals += 1
-        r = np.asarray(problem.model(q, problem.x), dtype=float) - problem.y
-        return r * sw if sw is not None else r
+        return np.asarray(problem.model(q, x), dtype=float)
 
-    p = problem.init.copy()
-    r = residuals(p)
-    cost = float(r @ r)
-    history = [cost]
-    lam, nu = _LAM_START, 2.0
-    converged = False
-    n_accept = 0
+    def model(p):
+        return np.array([fun(q) for q in p])
 
-    for _ in range(problem.max_iter):
-        jac = _fd_jacobian(residuals, p, lo, hi, r)
-        a = jac.T @ jac
-        g = jac.T @ r
-        d = np.diag(a).copy()
-        d[d <= 0] = 1.0  # keep damping effective for insensitive parameters
-        stalled = False
-        while True:
-            try:
-                delta = np.linalg.solve(a + lam * np.diag(d), -g)
-            except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None:
-                trial = np.clip(p + delta, lo, hi)
-                r_t = residuals(trial)
-                cost_t = float(r_t @ r_t)
-                if cost_t < cost:
-                    gain = cost - cost_t
-                    p, r, cost = trial, r_t, cost_t
-                    n_accept += 1
-                    history.append(cost)
-                    lam = max(lam / 3.0, _LAM_MIN)
-                    nu = 2.0
-                    if gain <= _TOL * max(cost, _COST_FLOOR):
-                        converged = True
-                    break
-                if abs(cost_t - cost) <= _TOL * max(cost, _COST_FLOOR):
-                    # flat to within tolerance: at an optimum or pinned
-                    # to a bound
-                    converged = True
-                    break
-            lam = lam * nu
-            nu = min(2.0 * nu, _NU_MAX)
-            if lam > _LAM_STALL:
-                stalled = True  # no acceptable step even at heavy damping
-                break
-        if converged or stalled:
-            break
+    def jacobian(p):
+        return np.array([_fd_jacobian(fun, q, lo, hi, fun(q)) for q in p])
 
-    yhat = np.asarray(problem.model(p, problem.x), dtype=float)
-    ss_res = float(np.sum((yhat - problem.y) ** 2))
-    n, k = problem.y.size, p.size
-    adj = _adj_r2_or_nan(problem.y, yhat, k)
-
-    param_errors = None
-    if n > k:
-        jac = _fd_jacobian(residuals, p, lo, hi, r)
-        param_errors = _param_errors(jac, cost, n - k)
-
-    return FitResult(params=p, param_errors=param_errors, ss_res=ss_res,
-                     adj_r2=adj, converged=converged, n_iter=n_accept,
-                     cost_history=np.asarray(history),
-                     n_model_evals=n_evals + 1)
+    runs = _lockstep_lm(model, jacobian, problem.y, problem.init[None], lo,
+                        hi, max_iter=problem.max_iter)
+    result = _fit_result(runs, model, jacobian, problem.y)
+    result.n_model_evals = n_evals
+    return result
 
 
 def _param_errors(jac, cost, dof):
@@ -267,17 +216,26 @@ def _solve_each(mats, rhs):
 
 def _lockstep_lm(model, jacobian, y, starts, lo, hi,
                  max_iter=_MAX_ITER) -> _LockstepRuns:
-    """Unweighted bounded LM from every row of starts, all in lockstep.
+    """Bounded LM from every row of starts, all in lockstep.
 
     model(P) maps an (s, k) block of parameter rows to (s, m)
     predictions of y, jacobian(P) to their (s, m, k) derivatives.  Each
-    start follows the rules of nlls_fit on its own: damped normal
-    equations with per-start lambda and nu, acceptance only on strict
-    decrease, convergence on a gain or a flat trial within _TOL, lambda/3
-    after an accepted step and lambda*nu after a rejected one, a stall
-    above lambda 1e14 and at most max_iter accepted steps.  Each round
-    takes the Jacobian only where the last step was accepted and drops
-    finished starts.
+    start minimizes its sum of squared residuals on its own: damped
+    normal equations (J^T J + lambda diag(J^T J)) delta = -g with
+    g = J^T r and per-start lambda and nu, the trial p + delta clipped
+    into [lo, hi], acceptance only on strict decrease, convergence on a
+    gain or a flat trial within _TOL, lambda/3 after an accepted step
+    and lambda*nu after a rejected one, a stall above lambda 1e14 and at
+    most max_iter accepted steps.  Each round takes the Jacobian only
+    where the last step was accepted and drops finished starts.
+
+    Bound rule: a parameter that sits on a bound and whose descent
+    direction -g points out of the box is held fixed for the step.  Its
+    row and column of the damped matrix become those of the identity
+    and its gradient entry 0, so the step moves the free parameters
+    only (the free-variable subproblem of Bertsekas, SIAM J. Control
+    Optim. 20, 221 (1982)).  Without it the clipped steps of a pinned
+    parameter creep towards max_iter.
 
     One rule couples the starts.  Let B be the lowest cost any start of
     this call has converged to so far.  A live start is retired when its
@@ -325,11 +283,16 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
             a[stale] = jt @ jac
             g[stale] = (jt @ r[stale][:, :, None])[:, :, 0]
             diag = np.diagonal(a[stale], axis1=1, axis2=2).copy()
-            diag[diag <= 0] = 1.0  # keep damping effective, as in nlls_fit
+            # keep damping effective for insensitive parameters
+            diag[diag <= 0] = 1.0
             d[stale] = diag
             runs.n_evals[live[stale]] += 1
+        held = ((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0))
+        free = ~held
         delta, solved = _solve_each(
-            a + (lam[:, None] * d)[:, :, None] * eye, -g)
+            np.where(free[:, :, None] & free[:, None, :],
+                     a + (lam[:, None] * d)[:, :, None] * eye, eye),
+            np.where(held, 0.0, -g))
         # an unsolved row has a nan trial and cost: rejected below
         trial = np.clip(p + delta, lo, hi)
         r_t = model(trial) - y
@@ -376,6 +339,30 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
 
     runs.history = [np.asarray(h) for h in runs.history]
     return runs
+
+
+def _fit_result(runs: _LockstepRuns, model, jacobian, y,
+                param_names=()) -> FitResult:
+    """FitResult of the first lowest-cost start of runs.
+
+    model and jacobian are those the runs used; the fitted curve gives
+    the adjusted R^2 and the Jacobian at the winner the 1-sigma errors.
+    """
+    win = int(np.argmin(runs.cost))
+    p, cost = runs.params[win], float(runs.cost[win])
+    n, k = y.size, p.size
+    n_evals = int(runs.n_evals.sum()) + 1
+    param_errors = None
+    if n > k:
+        param_errors = _param_errors(jacobian(p[None])[0], cost, n - k)
+        n_evals += 1
+    return FitResult(
+        params=p.copy(), param_errors=param_errors, ss_res=cost,
+        adj_r2=_adj_r2_or_nan(y, model(p[None])[0], k),
+        converged=bool(runs.converged[win]), n_iter=int(runs.n_iter[win]),
+        param_names=tuple(param_names), cost_history=runs.history[win],
+        n_starts=len(runs.cost), n_model_evals=n_evals,
+        n_retired=int(np.count_nonzero(runs.stop == "retired")))
 
 
 def _adj_r2_or_nan(y, yhat, k):
@@ -457,20 +444,19 @@ GAUSSIAN_PARAMS = ("center_mhz", "width_mhz", "amplitude", "baseline")
 RABI_PARAMS = ("f_mhz", "t0_us")
 
 
-def _gaussian_model(p, f):
-    return gaussian_line(f, *p)
-
-
 def fit_gaussian_peak(trace: Trace, channel: str | None = None,
                       min_snr: float = 2.0,
                       width_bounds: tuple | None = None) -> FitResult:
     """Fit baseline + amplitude exp(-(f - center)^2 / 2 width^2).
 
-    Starting values come from the data (edge median baseline, extremal
-    residual peak, half-maximum width).  width_bounds defaults to
-    (0.2 dx, 2 span).  Raises NoPeakError when the fitted amplitude is
-    below min_snr times the residual noise; pass min_snr=0 to always get
-    the fit back.
+    One _lockstep_lm start on gaussian_line with its closed-form
+    gradient.  Starting values come from the data (edge median baseline,
+    extremal residual peak, half-maximum width).  width_bounds defaults
+    to (0.2 dx, 2 span).  On a trace without a line the width often
+    ends on a bound; the engine's bound rule holds it there while the
+    other parameters converge.  Raises NoPeakError when the fitted
+    amplitude is below min_snr times the residual noise; pass min_snr=0
+    to always get the fit back.
     """
     x, y = _resolve_channel(trace, channel, XKind.FREQUENCY, "fit_gaussian_peak")
     n = x.size
@@ -501,14 +487,23 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
                  w_hi * 0.999)
     if amp0 == 0.0:
         amp0 = float(np.ptp(y)) or 1.0
-    problem = FitProblem(
-        model=_gaussian_model, x=x, y=y,
-        init=np.array([center0, width0, amp0, baseline0]),
-        bounds=((x[0], x[-1]), (w_lo, w_hi),
-                (-np.inf, np.inf), (-np.inf, np.inf)),
-    )
-    result = nlls_fit(problem)
-    result.param_names = GAUSSIAN_PARAMS
+
+    def model(p):
+        return gaussian_line(x, *p.T[:, :, None])
+
+    def jacobian(p):
+        center, width, amplitude = p.T[:3, :, None]
+        u = x - center
+        e = np.exp(-(u ** 2) / (2.0 * width ** 2))
+        d_center = amplitude * e * u / width ** 2
+        return np.stack([d_center, d_center * u / width, e,
+                         np.ones_like(e)], axis=2)
+
+    lo = np.array([x[0], w_lo, -np.inf, -np.inf])
+    hi = np.array([x[-1], w_hi, np.inf, np.inf])
+    runs = _lockstep_lm(model, jacobian, y,
+                        [[center0, width0, amp0, baseline0]], lo, hi)
+    result = _fit_result(runs, model, jacobian, y, GAUSSIAN_PARAMS)
     noise = math.sqrt(result.ss_res / (n - 4)) if n > 4 else 0.0
     if min_snr > 0 and abs(result.params[2]) < min_snr * noise:
         raise NoPeakError(
@@ -525,17 +520,16 @@ def spectrum_model_from_fit(result: FitResult) -> DeerSpectrumModel:
                              baseline=float(baseline))
 
 
-def _rabi_model(p, t):
-    f, t0 = p
-    return 0.5 * (1.0 + np.exp(-((t / t0) ** 2)) * np.cos(2.0 * np.pi * f * t))
-
-
 def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     """Fit (1 + exp(-(t/T0)^2) cos(2 pi f t)) / 2 to a drive-length sweep.
 
-    Returns params (f_mhz, t0_us).  The frequency start comes from the
-    FFT peak, so anything below the Nyquist limit of the grid is found
-    without a prior guess.
+    Returns params (f_mhz, t0_us).  The model is the one-spin
+    double-resonance signal at omega = 2 pi f.  The frequency starts
+    come from the FFT peaks, so anything below the Nyquist limit of the
+    grid is found without a prior guess; with two T0 starts each, all
+    (at most 4) run in one _lockstep_lm call on the closed-form
+    Jacobian, and the first with the lowest cost wins.  A start stuck
+    far above a converged one can be retired (see _lockstep_lm).
     """
     x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_rabi")
     if x.size < 6:
@@ -546,22 +540,20 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     peaks = [f for f in _fft_peak_frequencies(x, y, count=2)
              if f_lo < f < f_hi] or [min(max(1.0 / span, f_lo * 1.01),
                                          f_hi * 0.99)]
-    best, n_starts, n_evals = None, 0, 0
-    for f0 in peaks:
-        for t00 in (span / 5.0, span / 2.0):
-            problem = FitProblem(
-                model=_rabi_model, x=x, y=y,
-                init=np.array([f0, t00]),
-                bounds=((f_lo, f_hi), (2.0 * dt, 50.0 * span)),
-            )
-            result = nlls_fit(problem)
-            n_starts += 1
-            n_evals += result.n_model_evals
-            if best is None or result.ss_res < best.ss_res:
-                best = result
-    best.param_names = RABI_PARAMS
-    best.n_starts, best.n_model_evals = n_starts, n_evals
-    return best
+
+    def model(p):
+        return nv_epr_signal_grid(TWO_PI * p[:, :1], p[:, 1], x)
+
+    def jacobian(p):
+        jac = nv_epr_jacobian_grid(TWO_PI * p[:, :1], p[:, 1], x)
+        jac[:, :, 0] *= TWO_PI
+        return jac
+
+    starts = [[f0, t00] for f0 in peaks for t00 in (span / 5.0, span / 2.0)]
+    runs = _lockstep_lm(model, jacobian, y, starts,
+                        np.array([f_lo, 2.0 * dt]),
+                        np.array([f_hi, 50.0 * span]))
+    return _fit_result(runs, model, jacobian, y, RABI_PARAMS)
 
 
 def _epr_model(p, t):
@@ -690,31 +682,15 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
                                                2.0 * np.pi * 0.3 / span,
                                                w_lo, w_hi)]
         runs = runs.extend(_lockstep_lm(model, jacobian, y, ring, lo, hi))
-        win = int(np.argmin(runs.cost))
 
-    p = runs.params[win]
-    cost = float(runs.cost[win])
-    n, k = y.size, p.size
-    yhat = model(p[None])[0]
-    n_evals = int(runs.n_evals.sum()) + 1
-    param_errors = None
-    if n > k:
-        param_errors = _param_errors(jacobian(p[None])[0], cost, n - k)
-        n_evals += 1
-    order = np.argsort(p[:-1])
-    params = np.concatenate([p[:-1][order], p[-1:]])
-    if param_errors is not None:
-        param_errors = np.concatenate(
-            [param_errors[:-1][order], param_errors[-1:]])
-    return FitResult(
-        params=params, param_errors=param_errors, ss_res=cost,
-        adj_r2=_adj_r2_or_nan(y, yhat, k),
-        converged=bool(runs.converged[win]), n_iter=int(runs.n_iter[win]),
-        param_names=tuple(f"omega_{i + 1}_rad_us"
-                          for i in range(n_spins)) + ("t0_us",),
-        cost_history=runs.history[win], n_starts=len(runs.cost),
-        n_model_evals=n_evals,
-        n_retired=int(np.count_nonzero(runs.stop == "retired")))
+    fit = _fit_result(runs, model, jacobian, y,
+                      tuple(f"omega_{i + 1}_rad_us" for i in range(n_spins))
+                      + ("t0_us",))
+    order = np.append(np.argsort(fit.params[:-1]), n_spins)
+    fit.params = fit.params[order]
+    if fit.param_errors is not None:
+        fit.param_errors = fit.param_errors[order]
+    return fit
 
 
 def target_model_from_fit(result: FitResult) -> TargetSpinModel:

@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitting
-from .core import DegenerateReferenceError, Trace, XKind
+from .core import TWO_PI, DegenerateReferenceError, Trace, XKind
 from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
-                   gaussian_line, nv_epr_signal)
+                   gaussian_line, nv_epr_signal, nv_epr_signal_grid)
 from .eseem import BathModel, EseemNucleus, cpmg_echo_model
 from .hamiltonian import transition_frequencies
 
 _CHANNEL_ORDER = ("SIG1", "SIG2", "REF1", "REF2")
 # snr_estimate's narrowest Gaussian, as a fraction of the sweep span
 _SNR_MIN_RELATIVE_WIDTH = 0.10
-# rounding a cpmg-deer population may carry past [0, 1] before the clip
+# rounding a population may carry past [0, 1] before the clip
 _POP_SLACK = 1e-12
 
 
@@ -198,8 +198,23 @@ class Cpmg8Truth:
             raise ValueError("t2_us must be positive")
 
 
+def _population(kind: SequenceKind, pop: np.ndarray, formula: str,
+                advice: str) -> np.ndarray:
+    """pop clipped into [0, 1], which it may leave by rounding only.
+
+    A population outside [0, 1] by more than _POP_SLACK is unphysical:
+    a ValueError naming formula and what keeps it inside (advice).
+    """
+    low, high = float(pop.min()), float(pop.max())
+    if low < -_POP_SLACK or high > 1.0 + _POP_SLACK:
+        raise ValueError(
+            f"kind {kind.value}: population {formula} spans "
+            f"[{low:.6g}, {high:.6g}], outside [0, 1]; {advice}")
+    return np.clip(pop, 0.0, 1.0)
+
+
 def _model_values(spec: SequenceSpec, truth) -> np.ndarray:
-    """SIG1 population in [0, 1] on the sweep grid."""
+    """SIG1 population in [0, 1] on the sweep grid (see _population)."""
     kind, x = spec.kind, spec.grid
     if kind is SequenceKind.PULSED_ODMR:
         if not isinstance(truth, OdmrTruth):
@@ -208,12 +223,19 @@ def _model_values(spec: SequenceSpec, truth) -> np.ndarray:
         pair = transition_frequencies(truth.b0, truth.theta)
         dips = (gaussian_line(x, pair.f_minus, truth.linewidth_mhz, 1.0)
                 + gaussian_line(x, pair.f_plus, truth.linewidth_mhz, 1.0))
-        return np.clip(1.0 - truth.transfer * dips, 0.0, 1.0)
+        # the dips add; where they overlap past what one probe pulse can
+        # transfer, the truth is rejected, not saturated
+        return _population(
+            kind, 1.0 - truth.transfer * dips,
+            "1 - transfer (dip- + dip+)",
+            "the two dips overlap; raise the field or narrow the lines")
     if kind is SequenceKind.RABI:
         if not isinstance(truth, RabiTruth):
             raise ValueError(f"kind {kind.value} needs RabiTruth, "
                              f"got {type(truth).__name__}")
-        return fitting._rabi_model((truth.f_mhz, truth.t0_us), x)
+        # the one-spin double-resonance signal at omega = 2 pi f
+        return nv_epr_signal_grid(np.array([[TWO_PI * truth.f_mhz]]),
+                                  np.array([truth.t0_us]), x)[0]
     if kind is SequenceKind.CPMG8:
         if not isinstance(truth, Cpmg8Truth):
             raise ValueError(f"kind {kind.value} needs Cpmg8Truth, "
@@ -225,14 +247,9 @@ def _model_values(spec: SequenceSpec, truth) -> np.ndarray:
         if not isinstance(truth, DeerSpectrumModel):
             raise ValueError(f"kind {kind.value} needs DeerSpectrumModel, "
                              f"got {type(truth).__name__}")
-        pop = 0.5 * (1.0 + deer_spectrum(x, truth))
-        low, high = float(pop.min()), float(pop.max())
-        if low < -_POP_SLACK or high > 1.0 + _POP_SLACK:
-            raise ValueError(
-                f"kind {kind.value}: population 0.5 (1 + s) spans "
-                f"[{low:.6g}, {high:.6g}], outside [0, 1]; amplitude and "
-                f"baseline must keep it inside")
-        return np.clip(pop, 0.0, 1.0)
+        return _population(kind, 0.5 * (1.0 + deer_spectrum(x, truth)),
+                           "0.5 (1 + s)",
+                           "amplitude and baseline must keep it inside")
     if kind is SequenceKind.DEER_RABI:
         if not isinstance(truth, TargetSpinModel):
             raise ValueError(f"kind {kind.value} needs TargetSpinModel, "

@@ -10,11 +10,11 @@ import pytest
 import nvsense.cli as cli
 from nvsense import __version__, presets
 from nvsense.core import DEFAULT_CONSTANTS, TWO_PI
-from nvsense.deer import DeerSpectrumModel, TargetSpinModel
+from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
+                          nv_epr_signal_grid)
 from nvsense.eseem import (BathModel, bath_decoherence, load_hyperfine_table,
                            nucleus_from_record)
-from nvsense.fitting import (FitResult, _epr_model, _gaussian_model,
-                             _rabi_model)
+from nvsense.fitting import FitResult, _epr_model
 from nvsense.io import read_json, read_trace, write_columns
 from nvsense.synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
                            coherence_trace, difference_signal,
@@ -23,6 +23,13 @@ from nvsense.synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def _rabi_signal(params, t):
+    """fit_rabi's model: the one-spin signal at omega = 2 pi f_mhz."""
+    f_mhz, t0_us = params
+    return nv_epr_signal_grid(np.array([[TWO_PI * f_mhz]]),
+                              np.array([t0_us]), t)[0]
 
 
 class TestInvertField:
@@ -138,6 +145,18 @@ class TestSimulate:
         out = tmp_path / "x.csv"
         assert run("simulate", "--kind", "cpmg-deer", "--noiseless", *extra,
                    "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "outside [0, 1]" in err
+        assert not out.exists()
+
+    def test_unphysical_pulsed_odmr_population_rejected(self, tmp_path,
+                                                        capsys):
+        # at 0.01 mT the two dips overlap and 1 - (dip- + dip+) reaches
+        # -0.995: no clip to the dark count
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--kind", "pulsed-odmr", "--noiseless",
+                   "--b0-mt", "0.01", "--x-start", "2850", "--x-stop",
+                   "2890", "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "outside [0, 1]" in err
         assert not out.exists()
@@ -756,9 +775,10 @@ class TestReport:
                               "baseline"),
                  "rabi": ("f_mhz", "t0_us"),
                  "deer-rabi": ("omega_1_rad_us", "omega_2_rad_us", "t0_us")}
-        cases = (("gaussian", "cpmg-deer", _gaussian_model,
+        cases = (("gaussian", "cpmg-deer",
+                  lambda p, x: gaussian_line(x, *p),
                   lambda tr: difference_signal(tr)),
-                 ("rabi", "rabi", _rabi_model,
+                 ("rabi", "rabi", _rabi_signal,
                   lambda tr: normalized_channels(tr)["SIG1n"]),
                  ("deer-rabi", "deer-rabi", _epr_model,
                   lambda tr: coherence_trace(tr).channel("coherence")))
@@ -799,7 +819,7 @@ class TestReport:
         params = np.array([report["params"][n] for n in ("f_mhz", "t0_us")])
         data = np.loadtxt(cols, delimiter=",", comments="#", skiprows=5)
         np.testing.assert_array_equal(data[:, 1], tr.channel("SIG1"))
-        np.testing.assert_array_equal(data[:, 2], _rabi_model(params, tr.x))
+        np.testing.assert_array_equal(data[:, 2], _rabi_signal(params, tr.x))
         # a report from before the channel was recorded: normalized SIG1
         del report["channel"]
         fit_json.write_text(json.dumps(report))

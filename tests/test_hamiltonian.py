@@ -257,6 +257,7 @@ class TestClosedFormInversion:
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(nvsense.fitting, "nlls_fit", forbidden)
+        monkeypatch.setattr(nvsense.fitting, "_lockstep_lm", forbidden)
         est = invert_field(TransitionPair(1960.00, 3783.39), (6.78, 3.39))
         assert abs(est.b0 - 32.59) < 0.05
 
