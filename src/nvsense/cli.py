@@ -340,7 +340,7 @@ _FIT_FLAGS = {"kind": {"choices": tuple(_FITS)}, "in": {"metavar": "IN_PATH"}}
 def _provenance(command: str, hashed: dict) -> dict:
     """The fields every JSON report opens with; hashed is its config."""
     canonical = json.dumps(hashed, sort_keys=True, default=str)
-    return {"version": __version__, "command": command, "seed": None,
+    return {"version": __version__, "command": command,
             "config_hash": hashlib.sha256(canonical.encode()).hexdigest()}
 
 

@@ -196,6 +196,10 @@ def gaussian_line(f, center, width, amplitude, baseline=0.0):
     The one body of the Gaussian line: deer_spectrum, the peak fit and
     the synthesized resonance dips all evaluate it.
     """
+    # a float's ** raises OverflowError past the float range, where the
+    # same power of a numpy float is inf
+    if isinstance(width, float):
+        width = np.float64(width)
     return baseline + amplitude * np.exp(-((f - center) ** 2)
                                          / (2.0 * width ** 2))
 

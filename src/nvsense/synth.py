@@ -38,23 +38,6 @@ class SequenceKind(enum.Enum):
     DEER_RABI = "deer-rabi"
 
 
-_X_KIND = {
-    SequenceKind.PULSED_ODMR: XKind.FREQUENCY,
-    SequenceKind.RABI: XKind.PULSE_LENGTH,
-    SequenceKind.CPMG8: XKind.EVOLUTION_TIME,
-    SequenceKind.CPMG_DEER: XKind.FREQUENCY,
-    SequenceKind.DEER_RABI: XKind.PULSE_LENGTH,
-}
-
-_DEFAULT_CHANNELS = {
-    SequenceKind.PULSED_ODMR: ("SIG1", "REF1", "REF2"),
-    SequenceKind.RABI: ("SIG1", "REF1", "REF2"),
-    SequenceKind.CPMG8: ("SIG1", "SIG2", "REF1", "REF2"),
-    SequenceKind.CPMG_DEER: ("SIG1", "SIG2", "REF1", "REF2"),
-    SequenceKind.DEER_RABI: ("SIG1", "SIG2", "REF1", "REF2"),
-}
-
-
 @dataclass(frozen=True)
 class DetectorModel:
     """Photon statistics of the readout.
@@ -119,17 +102,17 @@ class SequenceSpec:
         grid = grid.copy()
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
-        if self.kind in (SequenceKind.CPMG8, SequenceKind.CPMG_DEER,
-                         SequenceKind.DEER_RABI):
-            if self.n_pulses % 2 != 0 or self.n_pulses < 2:
-                raise ValueError(
-                    f"CPMG-style kinds need an even pulse count >= 2, "
-                    f"got {self.n_pulses!r}")
+        if _KINDS[self.kind].pulse_train and (self.n_pulses % 2 != 0
+                                              or self.n_pulses < 2):
+            raise ValueError(f"CPMG-style kinds need an even pulse count "
+                             f">= 2, got {self.n_pulses!r}")
         if self.tau is not None and not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         channels = self.channels
         if channels is not None:
             channels = tuple(channels)
+            if not channels:
+                raise ValueError("channels must name at least one channel")
             bad = [c for c in channels if c not in _CHANNEL_ORDER]
             if bad:
                 raise ValueError(f"unknown channels {bad}; "
@@ -140,10 +123,10 @@ class SequenceSpec:
 
     @property
     def x_kind(self) -> XKind:
-        return _X_KIND[self.kind]
+        return _KINDS[self.kind].x_kind
 
     def resolved_channels(self) -> tuple:
-        return self.channels or _DEFAULT_CHANNELS[self.kind]
+        return self.channels or _KINDS[self.kind].channels
 
 
 @dataclass(frozen=True)
@@ -213,49 +196,67 @@ def _population(kind: SequenceKind, pop: np.ndarray, formula: str,
     return np.clip(pop, 0.0, 1.0)
 
 
+def _odmr_population(spec: SequenceSpec, truth: OdmrTruth) -> np.ndarray:
+    pair = transition_frequencies(truth.b0, truth.theta)
+    dips = (gaussian_line(spec.grid, pair.f_minus, truth.linewidth_mhz, 1.0)
+            + gaussian_line(spec.grid, pair.f_plus, truth.linewidth_mhz, 1.0))
+    # the dips add; where they overlap past what one probe pulse can
+    # transfer, the truth is rejected, not saturated
+    return _population(
+        spec.kind, 1.0 - truth.transfer * dips, "1 - transfer (dip- + dip+)",
+        "the two dips overlap; raise the field or narrow the lines")
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """What synthesis knows of one SequenceKind."""
+
+    x_kind: XKind
+    channels: tuple      # drawn when SequenceSpec.channels is None
+    truth: type          # the ground truth that population reads
+    population: object   # (spec, truth) -> SIG1 population on spec.grid
+    pulse_train: bool    # a CPMG-style train of spec.n_pulses pi pulses
+
+
+_KINDS = {
+    SequenceKind.PULSED_ODMR: _Kind(
+        XKind.FREQUENCY, ("SIG1", "REF1", "REF2"), OdmrTruth,
+        _odmr_population, pulse_train=False),
+    SequenceKind.RABI: _Kind(
+        XKind.PULSE_LENGTH, ("SIG1", "REF1", "REF2"), RabiTruth,
+        # the one-spin double-resonance signal at omega = 2 pi f
+        lambda spec, truth: nv_epr_signal_grid(
+            np.array([[TWO_PI * truth.f_mhz]]), np.array([truth.t0_us]),
+            spec.grid)[0],
+        pulse_train=False),
+    SequenceKind.CPMG8: _Kind(
+        XKind.EVOLUTION_TIME, _CHANNEL_ORDER, Cpmg8Truth,
+        lambda spec, truth: _population(
+            spec.kind, 0.5 * (1.0 + cpmg_echo_model(
+                spec.grid, truth.nuclei, truth.bath, truth.t2_us,
+                n_pulses=spec.n_pulses)),
+            "0.5 (1 + s)", "the echo coherence s must lie in [-1, 1]"),
+        pulse_train=True),
+    SequenceKind.CPMG_DEER: _Kind(
+        XKind.FREQUENCY, _CHANNEL_ORDER, DeerSpectrumModel,
+        lambda spec, truth: _population(
+            spec.kind, 0.5 * (1.0 + deer_spectrum(spec.grid, truth)),
+            "0.5 (1 + s)", "amplitude and baseline must keep it inside"),
+        pulse_train=True),
+    SequenceKind.DEER_RABI: _Kind(
+        XKind.PULSE_LENGTH, _CHANNEL_ORDER, TargetSpinModel,
+        lambda spec, truth: nv_epr_signal(truth, spec.grid),
+        pulse_train=True),
+}
+
+
 def _model_values(spec: SequenceSpec, truth) -> np.ndarray:
     """SIG1 population in [0, 1] on the sweep grid (see _population)."""
-    kind, x = spec.kind, spec.grid
-    if kind is SequenceKind.PULSED_ODMR:
-        if not isinstance(truth, OdmrTruth):
-            raise ValueError(f"kind {kind.value} needs OdmrTruth, "
-                             f"got {type(truth).__name__}")
-        pair = transition_frequencies(truth.b0, truth.theta)
-        dips = (gaussian_line(x, pair.f_minus, truth.linewidth_mhz, 1.0)
-                + gaussian_line(x, pair.f_plus, truth.linewidth_mhz, 1.0))
-        # the dips add; where they overlap past what one probe pulse can
-        # transfer, the truth is rejected, not saturated
-        return _population(
-            kind, 1.0 - truth.transfer * dips,
-            "1 - transfer (dip- + dip+)",
-            "the two dips overlap; raise the field or narrow the lines")
-    if kind is SequenceKind.RABI:
-        if not isinstance(truth, RabiTruth):
-            raise ValueError(f"kind {kind.value} needs RabiTruth, "
-                             f"got {type(truth).__name__}")
-        # the one-spin double-resonance signal at omega = 2 pi f
-        return nv_epr_signal_grid(np.array([[TWO_PI * truth.f_mhz]]),
-                                  np.array([truth.t0_us]), x)[0]
-    if kind is SequenceKind.CPMG8:
-        if not isinstance(truth, Cpmg8Truth):
-            raise ValueError(f"kind {kind.value} needs Cpmg8Truth, "
-                             f"got {type(truth).__name__}")
-        s = cpmg_echo_model(x, truth.nuclei, truth.bath, truth.t2_us,
-                            n_pulses=spec.n_pulses)
-        return 0.5 * (1.0 + s)
-    if kind is SequenceKind.CPMG_DEER:
-        if not isinstance(truth, DeerSpectrumModel):
-            raise ValueError(f"kind {kind.value} needs DeerSpectrumModel, "
-                             f"got {type(truth).__name__}")
-        return _population(kind, 0.5 * (1.0 + deer_spectrum(x, truth)),
-                           "0.5 (1 + s)",
-                           "amplitude and baseline must keep it inside")
-    if kind is SequenceKind.DEER_RABI:
-        if not isinstance(truth, TargetSpinModel):
-            raise ValueError(f"kind {kind.value} needs TargetSpinModel, "
-                             f"got {type(truth).__name__}")
-        return nv_epr_signal(truth, x)
-    raise ValueError(f"unhandled kind {kind!r}")
+    kind = _KINDS[spec.kind]
+    if not isinstance(truth, kind.truth):
+        raise ValueError(f"kind {spec.kind.value} needs "
+                         f"{kind.truth.__name__}, got {type(truth).__name__}")
+    return kind.population(spec, truth)
 
 
 _CHANNEL_VALUE = {
@@ -267,7 +268,6 @@ _CHANNEL_VALUE = {
 
 
 # numpy's SeedSequence hash mix (numpy/random/bit_generator.pyx)
-_SEED_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
@@ -283,52 +283,37 @@ _POISSON_LAM_MAX = (np.iinfo(np.int64).max
 _PTRS_LAM_MIN = 10.0
 
 
-def _uint32_words(n: int) -> list:
-    """A non-negative int as little-endian uint32 words, as SeedSequence reads it."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _hash_consts(init: int, mult: int, done: int) -> np.ndarray:
+    """The next 5 constants of a SeedSequence hash after done hashes,
+    init * mult**k mod 2**32 for k = done .. done + 4, as uint32."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32
+                     for k in range(done, done + 5)], dtype=np.uint32)
 
 
 def _philox_keys(seed: int, channel: np.ndarray, point: np.ndarray) -> tuple:
     """SeedSequence(seed, spawn_key=(c, i)).generate_state(2, np.uint64)
     for each entry of the equal-shaped uint32 arrays channel and point.
+
+    SeedSequence(seed, spawn_key=(c,)).pool is that sequence's pool
+    before its last entropy word, i; only the mix of i into the pool
+    and the output hash are replayed here.
     """
-    run = _uint32_words(seed)
-    run += [0] * (_SEED_POOL_SIZE - len(run))
-    # seed words 1-d, so that uint32 arithmetic wraps without warnings
-    entropy = [np.array([w], dtype=np.uint32) for w in run] + [channel, point]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(word) for word in entropy[:_SEED_POOL_SIZE]]
-    for src in range(_SEED_POOL_SIZE):
-        for dst in range(_SEED_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_SEED_POOL_SIZE:]:
-        for dst in range(_SEED_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = []
-    for word in pool:
-        word = word ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        word = word * np.uint32(hash_const)
-        state.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
+    # one row per pool word, one column per channel index
+    table = np.array([np.random.SeedSequence(seed, spawn_key=(c,)).pool
+                      for c in range(len(_CHANNEL_ORDER))]).T
+    pool = np.take(table, channel, axis=1)
+    # numpy hashes each entropy word 4 times: the seed's uint32 words,
+    # padded to 4, then the channel word
+    n_seed_words = max(4, -(-int(seed).bit_length() // 32))
+    column = (-1,) + (1,) * point.ndim
+    a = _hash_consts(_INIT_A, _MULT_A, 4 * (n_seed_words + 1)).reshape(column)
+    word = (point ^ a[:-1]) * a[1:]
+    word ^= word >> np.uint32(16)
+    pool = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * word
+    pool ^= pool >> np.uint32(16)
+    b = _hash_consts(_INIT_B, _MULT_B, 0).reshape(column)
+    state = (pool ^ b[:-1]) * b[1:]
+    state = (state ^ (state >> np.uint32(16))).astype(np.uint64)
     shift = np.uint64(32)
     return state[0] | state[1] << shift, state[2] | state[3] << shift
 

@@ -44,7 +44,7 @@ class TestInvertField:
         assert abs(report["b0_mt"] - 32.59) <= 0.05
         assert abs(report["theta_deg"] - 3.5) <= 1.0
         assert report["version"] == __version__
-        assert "config_hash" in report and report["seed"] is None
+        assert "config_hash" in report and "seed" not in report
         text = capsys.readouterr().out
         assert "B0 = " in text and "g(914.7 MHz)" in text
 
@@ -160,6 +160,26 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "outside [0, 1]" in err
         assert not out.exists()
+
+    def test_noiseless_cpmg8_rounding_clipped(self, tmp_path):
+        # at a vanishing field the echo coherence rounds to 1 + 7e-16;
+        # SIG2 fell below the dark count REF2
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--kind", "cpmg8", "--noiseless",
+                   "--x-num", "30", "--t2-us", "6090267669236463.0",
+                   "--b0-mt", "1.6748958310171596e-33",
+                   "--out", str(out)) == 0
+        tr = read_trace(out)
+        assert np.all(tr.channel("SIG2") >= tr.channel("REF2"))
+        assert np.all(tr.channel("SIG1") <= tr.channel("REF1"))
+
+    def test_line_width_past_float_range(self, tmp_path):
+        # width ** 2 of a float raised OverflowError, a traceback; the
+        # line is flat at baseline + amplitude
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--kind", "cpmg-deer", "--noiseless",
+                   "--width-mhz", "1e300", "--out", str(out)) == 0
+        assert np.ptp(read_trace(out).channel("SIG1")) == 0.0
 
     def test_null_preset_spectrum_is_flat(self, tmp_path):
         out = tmp_path / "null.csv"
@@ -475,6 +495,16 @@ class TestConfig:
         assert run("simulate", "--kind", "rabi", "--config",
                    "/nonexistent/cfg.json") == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_empty_channel_list_rejected(self, tmp_path, capsys):
+        # an empty list is not the kind's default set: it draws nothing
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"sequence": {"channels": []}}')
+        out = tmp_path / "t.csv"
+        assert run("simulate", "--kind", "rabi", "--config", str(cfg),
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unread_truth_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

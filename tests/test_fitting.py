@@ -310,6 +310,24 @@ class TestDeerRabiFit:
         assert np.allclose(fit.params[:-1] / TWO_PI, [0.9, 1.7, 2.6],
                            atol=1e-4)
 
+    @pytest.mark.parametrize("omegas, t0, tol", [
+        ((7.0, 14.0, 20.0, 30.0), 0.4, 0.25),
+        ((6.0, 12.0, 19.0, 27.0, 36.0), 0.5, 0.3)])
+    def test_four_and_five_spins(self, omegas, t0, tol):
+        # above three couplings the perturbation ring is axis-aligned
+        trace = coherence_trace(synthesize(
+            default_sequence(SequenceKind.DEER_RABI),
+            TargetSpinModel(omegas=omegas, t0=t0),
+            detector(n_avg=1_260_000, seed=3)))
+        n = len(omegas)
+        fit = fit_deer_rabi(trace, n_spins=n)
+        peaks = [TWO_PI * f for f in
+                 _fft_peak_frequencies(trace.x, trace.channel("coherence"), 4)]
+        n_cand = len(_deer_rabi_candidates(peaks, n, W_LO, W_HI))
+        assert fit.converged and fit.n_starts == 2 * n_cand + 2 * n
+        assert np.all(np.abs(fit.params[:-1] - omegas) <= tol)
+        assert select_spin_count(trace, max_n=5).best_n == n
+
     def test_rejects_unnormalized_trace(self):
         t = np.linspace(0.0, 1.0, 101)
         y = 40.0 + 25.0 * np.cos(TWO_PI * 2.0 * t)  # raw counts scale

@@ -276,7 +276,10 @@ def noisy_runs(draw):
         lambda e: st.integers(2 ** e, 2 ** (e + 1))))
     seed = draw(st.one_of(st.integers(0, 2 ** 32 - 1),
                           st.integers(2 ** 32, 2 ** 128),
-                          st.integers(2 ** 128, 2 ** 200)))
+                          st.integers(2 ** 128, 2 ** 200),
+                          # DetectorModel takes numpy integers too
+                          st.integers(0, 2 ** 63 - 1).map(np.int64),
+                          st.integers(0, 2 ** 64 - 1).map(np.uint64)))
     counts_dark = draw(st.one_of(st.just(1e-9),
                                  st.floats(1e-9, 0.049)))
     det = DetectorModel(counts_dark=counts_dark, n_avg=n_avg, seed=seed,
