@@ -119,6 +119,14 @@ def _check_scalar(value, expected, where):
     if not ok:
         raise ConfigError(f"config field {where!r} must be {expected.__name__}, "
                           f"got {value!r}")
+    if expected is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(
+                f"config field {where!r} must be float, got an int of "
+                f"{len(str(abs(value)))} digits, past the float range"
+            ) from None
 
 
 def _validate_config(obj, schema, path="") -> None:

@@ -6,6 +6,13 @@ channel) pair, points in sweep order and channels cycling fastest.
 Frequencies are ordinary MHz and times us; values are rendered with
 repr so a round trip is exact.  All writes go through a temp file in
 the target directory followed by an atomic rename.
+
+Columns are rendered and parsed whole: each column's floats are
+formatted by one list repr and parsed by one map of float, and rows are
+interleaved or split by slicing, so the Python work per row is a few
+list slots.  The per-row writer and reader that this replaces live in
+tests/test_io.py as the oracles for the same bytes, values, checks and
+messages.
 """
 
 from __future__ import annotations
@@ -40,23 +47,33 @@ def atomic_write_text(path, text: str) -> None:
 
 def trace_to_csv(trace: Trace, comments: tuple = ()) -> str:
     """Render a Trace to the CSV text format."""
-    buf = _io.StringIO()
-    unit = trace.x_kind.unit
-    buf.write("# trace v1: x in %s, values in photons per repetition or "
-              "normalized units\n" % unit)
-    for line in comments:
-        buf.write(f"# {line}\n")
-    buf.write(",".join(TRACE_HEADER) + "\n")
-    kind = trace.x_kind.value
-    n_avg = trace.n_avg
+    head = ["# trace v1: x in %s, values in photons per repetition or "
+            "normalized units\n" % trace.x_kind.unit]
+    head += [f"# {line}\n" for line in comments]
+    head.append(",".join(TRACE_HEADER) + "\n")
     # only a channel name can need csv quoting; x, values and n_avg
     # render as bare numbers and x_kind as a bare word
-    columns = [(_csv_field(name), values.tolist())
-               for name, values in trace.channels.items()]
-    buf.writelines(f"{x!r},{kind},{name},{values[i]!r},{n_avg}\n"
-                   for i, x in enumerate(trace.x.tolist())
-                   for name, values in columns)
-    return buf.getvalue()
+    x = _reprs(trace.x)
+    tail = [f",{trace.n_avg}\n"] * len(x)
+    columns = []
+    for name, values in trace.channels.items():
+        middle = f",{trace.x_kind.value},{_csv_field(name)},"
+        columns += [x, [middle] * len(x), _reprs(values), tail]
+    return "".join(head) + _join_rows(columns)
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float of a 1-d array, formatted by one list repr."""
+    items = values.tolist()
+    return repr(items)[1:-1].split(", ") if items else []
+
+
+def _join_rows(columns: list[list[str]]) -> str:
+    """Equal-length columns of strings joined row-major into one string."""
+    pieces = [""] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        pieces[j::len(columns)] = column
+    return "".join(pieces)
 
 
 def _csv_field(text: str) -> str:
@@ -71,79 +88,140 @@ def write_trace(path, trace: Trace, comments: tuple = ()) -> None:
 
 
 def trace_from_csv(text: str, source: str = "<string>") -> Trace:
-    """Parse the CSV text format back into a Trace."""
-    rows = []
-    header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        # without a quote or NUL, a csv row is its comma split
-        if '"' in line or "\0" in line:
-            fields = next(csv.reader([line]))
-        else:
-            fields = line.split(",")
-        if not header_seen:
-            if tuple(f.strip() for f in fields) != TRACE_HEADER:
-                raise TraceFormatError(
-                    f"{source}:{lineno}: expected header "
-                    f"{','.join(TRACE_HEADER)!r}, got {line!r}")
-            header_seen = True
-            continue
-        if len(fields) != 5:
-            raise TraceFormatError(
-                f"{source}:{lineno}: expected 5 columns, got {len(fields)}")
-        rows.append((lineno, fields))
-    if not header_seen:
+    """Parse the CSV text format back into a Trace.
+
+    Channels may come in any interleaving: a channel's row of rank i (its
+    i-th row) must come after the first channel's row of rank i and hold
+    the same x.  Of several defects, the one on the earliest line is
+    reported, with its line number.
+    """
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and line[0] != "#"]
+    if not lines:
         raise TraceFormatError(f"{source}: missing header row")
-    if not rows:
+    if tuple(f.strip() for f in _fields(lines[0])) != TRACE_HEADER:
+        raise TraceFormatError(
+            f"{source}:{_line_number(text, 0)}: expected header "
+            f"{','.join(TRACE_HEADER)!r}, got {lines[0]!r}")
+    del lines[0]  # data row k is the (k + 1)-th line kept
+    if not lines:
         raise TraceFormatError(f"{source}: no data rows")
 
-    kinds = {f[1] for _, f in rows}
-    if len(kinds) != 1:
-        raise TraceFormatError(f"{source}: mixed x_kind values {sorted(kinds)}")
+    # all rows are split by one comma split; a line with a quote or NUL
+    # stands in it as five empty fields until its csv fields replace them
+    commas = list(map(str.count, lines, [","] * len(lines)))
+    quoted = {}
+    if '"' in text or "\0" in text:  # else no line needs csv.reader
+        quoted = {k: _fields(line) for k, line in enumerate(lines)
+                  if '"' in line or "\0" in line}
+    for k, fields in quoted.items():
+        commas[k] = len(fields) - 1
+        lines[k] = ",,,,"
+    if commas.count(4) != len(lines):
+        k = next(k for k, n in enumerate(commas) if n != 4)
+        raise TraceFormatError(
+            f"{source}:{_line_number(text, k + 1)}: expected 5 columns, "
+            f"got {commas[k] + 1}")
+    flat = ",".join(lines).split(",")
+    for k, fields in quoted.items():
+        flat[5 * k:5 * k + 5] = fields
+    xs, kinds, names, value_strs, n_avgs = (flat[j::5] for j in range(5))
+
+    if len(set(kinds)) != 1:
+        raise TraceFormatError(
+            f"{source}: mixed x_kind values {sorted(set(kinds))}")
     try:
-        x_kind = XKind(rows[0][1][1])
+        x_kind = XKind(kinds[0])
     except ValueError:
         raise TraceFormatError(
-            f"{source}: unknown x_kind {rows[0][1][1]!r}; valid values are "
+            f"{source}: unknown x_kind {kinds[0]!r}; valid values are "
             f"{[k.value for k in XKind]}") from None
-    n_avgs = {f[4] for _, f in rows}
-    if len(n_avgs) != 1:
+    if len(set(n_avgs)) != 1:
         raise TraceFormatError(f"{source}: inconsistent n_avg values")
 
-    x_values: list[float] = []
-    channels: dict[str, list[float]] = {}
-    order: list[str] = []
-    for lineno, fields in rows:
+    # each row's channel and rank; x is parsed on the first channel's rows
+    order = list(dict.fromkeys(names))
+    index = {name: c for c, name in enumerate(order)}
+    chan = np.fromiter(map(index.__getitem__, names), np.intp, len(names))
+    counts = np.bincount(chan)
+    by_chan = np.argsort(chan, kind="stable")
+    rank = np.empty_like(chan)
+    rank[by_chan] = (np.arange(chan.size)
+                     - np.repeat(np.cumsum(counts) - counts, counts))
+    first = by_chan[:counts[0]]
+    xs = np.array(xs, dtype=object)
+    x, x_error = _floats(xs[first])
+    values, value_error = _floats(value_strs)
+
+    # (row, order within the row, message) of the defects found
+    defects = []
+    if x_error:
+        defects.append((first[x_error[0]], 0, str(x_error[1])))
+    if value_error:
+        defects.append((value_error[0], 1, str(value_error[1])))
+    # a row of another channel is fine where it follows the first
+    # channel's row of its rank and holds the same x string, unless that
+    # x is nan; the others parse x and compare floats, in file order
+    same = np.minimum(rank, counts[0] - 1)
+    fine = ((rank < counts[0]) & (first[same] < np.arange(chan.size))
+            & (xs == xs[first[same]]) & ~np.isnan(x[same]))
+    stop = min(defects)[0] if defects else chan.size
+    for k in np.flatnonzero((chan != 0) & ~fine).tolist():
+        if k > stop:
+            break
         try:
-            x = float(fields[0])
-            value = float(fields[3])
+            x_k = float(xs[k])
         except ValueError as exc:
-            raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
-        name = fields[2]
-        if name not in channels:
-            channels[name] = []
-            order.append(name)
-        if name == order[0]:
-            x_values.append(x)
-        else:
-            i = len(channels[name])
-            if i >= len(x_values) or x_values[i] != x:
-                raise TraceFormatError(
-                    f"{source}:{lineno}: channel {name!r} x grid diverges "
-                    f"from channel {order[0]!r}")
-        channels[name].append(value)
-    lengths = {len(v) for v in channels.values()}
-    if len(lengths) != 1:
+            defects.append((k, 0, str(exc)))
+            break
+        i = rank[k]
+        if not (i < counts[0] and first[i] < k and x_k == x[i]):
+            defects.append((k, 2, f"channel {names[k]!r} x grid diverges "
+                                  f"from channel {order[0]!r}"))
+            break
+    if defects:
+        k, _, message = min(defects)
+        raise TraceFormatError(
+            f"{source}:{_line_number(text, k + 1)}: {message}")
+    if len(set(counts.tolist())) != 1:
         raise TraceFormatError(f"{source}: channels have unequal point counts")
     try:
-        n_avg = int(rows[0][1][4])
-        return Trace(np.array(x_values), x_kind,
-                     {name: np.array(channels[name]) for name in order},
+        n_avg = int(n_avgs[0])
+        return Trace(x, x_kind,
+                     dict(zip(order, values[by_chan].reshape(len(order), -1))),
                      n_avg=n_avg)
     except ValueError as exc:
         raise TraceFormatError(f"{source}: {exc}") from None
+
+
+def _fields(line: str) -> list[str]:
+    """The csv fields of one line; without a quote or NUL, its comma split."""
+    if '"' in line or "\0" in line:
+        return next(csv.reader([line]))
+    return line.split(",")
+
+
+def _line_number(text: str, k: int) -> int:
+    """Line number of the k-th line of text not blank and not a comment."""
+    return [n for n, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and line[0] != "#"][k]
+
+
+def _floats(strings) -> tuple:
+    """(array of float() of each string, None), or, where float() rejects
+    one, (array that holds nan from that string on, (index, its error))."""
+    try:
+        return np.array(list(map(float, strings))), None
+    except ValueError:
+        pass
+    parsed = []
+    for s in strings:
+        try:
+            parsed.append(float(s))
+        except ValueError as exc:
+            k = len(parsed)
+            parsed += [np.nan] * (len(strings) - k)
+            return np.array(parsed), (k, exc)
 
 
 def read_trace(path) -> Trace:
@@ -167,13 +245,15 @@ def write_columns(path, names, columns, comments: tuple = ()) -> None:
     columns = [np.asarray(c, dtype=float) for c in columns]
     if len(names) != len(columns):
         raise ValueError("one name per column required")
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("columns must be 1-d")
     if len({c.size for c in columns}) != 1:
         raise ValueError("columns must have equal lengths")
     buf = _io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
-    for i in range(columns[0].size):
-        writer.writerow([repr(float(c[i])) for c in columns])
+    buf.writelines(f"# {line}\n" for line in comments)
+    csv.writer(buf, lineterminator="\n").writerow(names)
+    n_rows = columns[0].size
+    cells = [item for c in columns for item in (_reprs(c), [","] * n_rows)]
+    cells[-1] = ["\n"] * n_rows
+    buf.write(_join_rows(cells))
     atomic_write_text(path, buf.getvalue())

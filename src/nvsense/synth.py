@@ -251,12 +251,18 @@ _KINDS = {
 
 
 def _model_values(spec: SequenceSpec, truth) -> np.ndarray:
-    """SIG1 population in [0, 1] on the sweep grid (see _population)."""
+    """SIG1 population in [0, 1] on the sweep grid (see _population).
+
+    A line width near the float range's ends overflows width**2 or
+    divides by its underflow to 0; both give the right limit of the
+    line, so only those two warnings are silenced.
+    """
     kind = _KINDS[spec.kind]
     if not isinstance(truth, kind.truth):
         raise ValueError(f"kind {spec.kind.value} needs "
                          f"{kind.truth.__name__}, got {type(truth).__name__}")
-    return kind.population(spec, truth)
+    with np.errstate(over="ignore", divide="ignore"):
+        return kind.population(spec, truth)
 
 
 _CHANNEL_VALUE = {

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,36 @@ class TestSimulate:
         assert "b_rms must be >= 0 uT" in capsys.readouterr().err
         assert not out.exists()
 
+    # exit code and sha256 (version line left out) of `simulate
+    # --noiseless` at line widths near the float range's ends, as before
+    # their overflow and divide-by-zero warnings were silenced: the line
+    # is flat at 1e300 and zero off its center at 1e-300
+    EXTREME_WIDTH = {
+        ("cpmg-deer", "--width-mhz", "1e300"): (0, "e273eca41d176f49e64c9834148cc04e8a22a3f8f8001bc1714131ed831024fe"),
+        ("cpmg-deer", "--width-mhz", "1e-300"): (0, "302ed1e697cca976a1c5e310ca5ae2c6b897accea58d757d7e317bc4f59fc1b3"),
+        ("pulsed-odmr", "--linewidth-mhz", "1e300"): (1, None),
+    }
+
+    @pytest.mark.parametrize("kind, flag, width", sorted(EXTREME_WIDTH))
+    def test_extreme_line_width_warns_nothing(self, tmp_path, capsys, kind,
+                                              flag, width):
+        out = tmp_path / "t.csv"
+        code, sha = self.EXTREME_WIDTH[kind, flag, width]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--kind", kind, flag, width,
+                       "--noiseless", "--out", str(out)) == code
+        err = capsys.readouterr().err
+        if sha is None:
+            # both dips span the whole grid and overlap
+            assert err.startswith("error: kind pulsed-odmr: population ")
+            assert not out.exists()
+            return
+        assert err == ""
+        data = b"".join(line for line in out.read_bytes().splitlines(True)
+                        if not line.startswith(b"# version:"))
+        assert hashlib.sha256(data).hexdigest() == sha
+
     def test_header_provenance_comments(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run("simulate", "--kind", "rabi", "--seed", "12",
@@ -460,6 +491,19 @@ class TestConfig:
         cfg.write_text('{"seed": "seven"}')
         assert run("simulate", "--kind", "rabi", "--config", str(cfg)) == 1
         assert "must be int" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth", [{"width_mhz": 10 ** 400},
+                                       {"omegas_mhz": [1.0, -10 ** 309]}])
+    def test_int_past_float_range_rejected(self, tmp_path, capsys, truth):
+        # json reads it as an int, which float() cannot hold
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"truth": truth}))
+        assert run("simulate", "--kind", "cpmg-deer", "--config", str(cfg),
+                   "--out", str(tmp_path / "t.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'truth.")
+        assert "past the float range" in err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_invalid_json_line_reported(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nvsense.core import Trace, TraceFormatError, XKind
 from nvsense.io import (TRACE_HEADER, atomic_write_text, read_json,
@@ -36,21 +36,243 @@ def per_row_csv(trace: Trace) -> str:
     return buf.getvalue()
 
 
+def per_row_trace_from_csv(text: str, source: str = "<string>") -> Trace:
+    """The oracle for trace_from_csv: the parser that read a row at a time."""
+    rows = []
+    header_seen = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        # without a quote or NUL, a csv row is its comma split
+        if '"' in line or "\0" in line:
+            fields = next(csv.reader([line]))
+        else:
+            fields = line.split(",")
+        if not header_seen:
+            if tuple(f.strip() for f in fields) != TRACE_HEADER:
+                raise TraceFormatError(
+                    f"{source}:{lineno}: expected header "
+                    f"{','.join(TRACE_HEADER)!r}, got {line!r}")
+            header_seen = True
+            continue
+        if len(fields) != 5:
+            raise TraceFormatError(
+                f"{source}:{lineno}: expected 5 columns, got {len(fields)}")
+        rows.append((lineno, fields))
+    if not header_seen:
+        raise TraceFormatError(f"{source}: missing header row")
+    if not rows:
+        raise TraceFormatError(f"{source}: no data rows")
+
+    kinds = {f[1] for _, f in rows}
+    if len(kinds) != 1:
+        raise TraceFormatError(f"{source}: mixed x_kind values {sorted(kinds)}")
+    try:
+        x_kind = XKind(rows[0][1][1])
+    except ValueError:
+        raise TraceFormatError(
+            f"{source}: unknown x_kind {rows[0][1][1]!r}; valid values are "
+            f"{[k.value for k in XKind]}") from None
+    n_avgs = {f[4] for _, f in rows}
+    if len(n_avgs) != 1:
+        raise TraceFormatError(f"{source}: inconsistent n_avg values")
+
+    x_values: list[float] = []
+    channels: dict[str, list[float]] = {}
+    order: list[str] = []
+    for lineno, fields in rows:
+        try:
+            x = float(fields[0])
+            value = float(fields[3])
+        except ValueError as exc:
+            raise TraceFormatError(f"{source}:{lineno}: {exc}") from None
+        name = fields[2]
+        if name not in channels:
+            channels[name] = []
+            order.append(name)
+        if name == order[0]:
+            x_values.append(x)
+        else:
+            i = len(channels[name])
+            if i >= len(x_values) or x_values[i] != x:
+                raise TraceFormatError(
+                    f"{source}:{lineno}: channel {name!r} x grid diverges "
+                    f"from channel {order[0]!r}")
+        channels[name].append(value)
+    lengths = {len(v) for v in channels.values()}
+    if len(lengths) != 1:
+        raise TraceFormatError(f"{source}: channels have unequal point counts")
+    try:
+        n_avg = int(rows[0][1][4])
+        return Trace(np.array(x_values), x_kind,
+                     {name: np.array(channels[name]) for name in order},
+                     n_avg=n_avg)
+    except ValueError as exc:
+        raise TraceFormatError(f"{source}: {exc}") from None
+
+
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([-0.0, 5e-324, -2.5e-310]))
 _ONE_LINE = st.text().filter(lambda name: "".join(name.splitlines()) == name)
 
 
 @st.composite
-def traces(draw):
+def traces(draw, min_channels=1):
     # unique=True counts -0.0 and 0.0 as equal, so the grid strictly rises
     x = sorted(draw(st.lists(_FINITE, min_size=2, max_size=6, unique=True)))
-    names = draw(st.lists(_ONE_LINE, min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(_ONE_LINE, min_size=min_channels, max_size=4,
+                          unique=True))
     channels = {name: draw(st.lists(_FINITE, min_size=len(x),
                                     max_size=len(x)))
                 for name in names}
     return Trace(np.array(x), draw(st.sampled_from(XKind)), channels,
                  n_avg=draw(st.integers(1, 2 ** 70)))
+
+
+def _csv_line(fields, quote_all=False) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="",
+               quoting=csv.QUOTE_ALL if quote_all else csv.QUOTE_MINIMAL
+               ).writerow(fields)
+    return buf.getvalue()
+
+
+# the same float in other spellings: 1.0 as 1.00, 1.0e0 or 1.0E+00
+_X_SPELLINGS = (
+    lambda s: s,
+    lambda s: s + "0" if "." in s and "e" not in s else s,
+    lambda s: s if "e" in s else s + "e0",
+    lambda s: s.replace("e", "E") if "e" in s else s + "E+00",
+)
+_FILLER = ("", "   ", "\t", "#", "# note", "  # indented, with a comma",
+           '# a "quoted" comment')
+_BAD_FLOATS = ("oops", "", "1.0.0", "0x1p0")
+_ODD_FLOATS = ("nan", "-inf", "1_0", " 2 ")  # float() takes these
+_CORRUPTIONS = ("add field", "drop field", "bad x", "bad value",
+                "bad x and value", "nan x at a point", "odd x at a point",
+                "other x_kind",
+                "unknown x_kind", "other n_avg", "other channel", "drop row",
+                "swap rows", "ahead of the first channel", "duplicate row",
+                "no header", "wrong header", "open quote", "nul")
+
+
+@st.composite
+def csv_texts(draw):
+    """trace_to_csv output re-laid, re-spelled, commented and at most
+    once corrupted: texts on which both parsers must agree."""
+    tr = draw(traces(min_channels=draw(st.sampled_from((1, 2, 3)))))
+    kind, n_avg = tr.x_kind.value, str(tr.n_avg)
+    names = tr.channel_names
+    head, header = trace_to_csv(tr).splitlines()[:2]
+    # channel c's row of point i sorts at (i + lag[c], c); lag 0 cycles
+    layout = draw(st.sampled_from(("cycling", "channel-major", "lagging")))
+    lag = {"cycling": [0] * len(names),
+           "channel-major": [tr.x.size * c for c in range(len(names))],
+           "lagging": [0] + draw(st.lists(st.integers(0, tr.x.size),
+                                          min_size=len(names) - 1,
+                                          max_size=len(names) - 1))}[layout]
+    keys = sorted((i + lag[c], c, i) for c in range(len(names))
+                  for i in range(tr.x.size))
+    cells = [(c, i) for _, c, i in keys]
+    respell = draw(st.booleans())
+    rows = [[(draw(st.sampled_from(_X_SPELLINGS)) if respell
+              else _X_SPELLINGS[0])(repr(float(tr.x[i]))),
+             kind, names[c], repr(float(tr.channel(names[c])[i])), n_avg]
+            for _, c, i in keys]
+    quote_all = draw(st.lists(st.booleans(), min_size=len(rows),
+                              max_size=len(rows)))
+
+    corruption = draw(st.sampled_from(_CORRUPTIONS)) \
+        if draw(st.booleans()) else None
+    r = draw(st.integers(0, len(rows) - 1))
+    fields = rows[r]
+    if corruption == "add field":
+        fields.insert(draw(st.integers(0, 5)),
+                      draw(st.sampled_from(("", "0.5", kind))))
+    elif corruption == "drop field":
+        del fields[draw(st.integers(0, 4))]
+    elif corruption in ("bad x", "bad value"):
+        fields[0 if corruption == "bad x" else 3] = draw(
+            st.sampled_from(_BAD_FLOATS + _ODD_FLOATS))
+    elif corruption == "bad x and value":
+        fields[0], fields[3] = draw(st.lists(st.sampled_from(_BAD_FLOATS),
+                                             min_size=2, max_size=2,
+                                             unique=True))
+    elif corruption in ("nan x at a point", "odd x at a point"):
+        odd = draw(st.sampled_from(_ODD_FLOATS)) \
+            if corruption == "odd x at a point" else "nan"
+        for row, (_, i) in zip(rows, cells):
+            if i == cells[r][1]:
+                row[0] = odd
+    elif corruption == "other x_kind":
+        fields[1] = draw(st.sampled_from([k.value for k in XKind]))
+    elif corruption == "unknown x_kind":
+        for row in rows:
+            row[1] = "bogus"
+    elif corruption == "other n_avg":
+        fields[4] = draw(st.sampled_from(("0", "-3", "1.5", n_avg + "0")))
+    elif corruption == "other channel":
+        fields[2] = draw(st.sampled_from(names + ("zz",)))
+    elif corruption == "drop row":
+        del rows[r]
+    elif corruption == "swap rows":
+        s = draw(st.integers(0, len(rows) - 1))
+        rows[r], rows[s] = rows[s], rows[r]
+    elif corruption == "ahead of the first channel" and len(names) > 1:
+        # a row of another channel moves just before the first
+        # channel's row of the same point
+        s = draw(st.sampled_from([j for j, (c, _) in enumerate(cells) if c]))
+        rows.insert(cells.index((0, cells[s][1])), rows.pop(s))
+    elif corruption == "duplicate row":
+        rows.insert(r, list(fields))
+    lines = [_csv_line(row, quoted) for row, quoted in zip(rows, quote_all)]
+    if corruption in ("open quote", "nul"):
+        at = draw(st.integers(0, len(lines[r])))
+        lines[r] = lines[r][:at] + ('"' if corruption == "open quote"
+                                    else "\0") + lines[r][at:]
+    if corruption == "wrong header":
+        header = draw(st.sampled_from(("x,kind,channel,value,n",
+                                       "x,x_kind,channel,value",
+                                       "value,x_kind,channel,x,n_avg")))
+    elif draw(st.booleans()):
+        header = " x , x_kind,channel ,value,n_avg "
+    lines = [head] + ([] if corruption == "no header" else [header]) + lines
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(_FILLER)))
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "", "\r\n")))
+
+
+def _outcome(parse, text):
+    """What a parser makes of text: the trace's bytes, or the error."""
+    try:
+        tr = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return (tr.x.tobytes(), tr.x_kind, tr.n_avg,
+            [(name, v.tobytes()) for name, v in tr.channels.items()])
+
+
+def _differential(max_examples):
+    return settings(max_examples=max_examples, derandomize=True,
+                    deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@_differential(600)
+@given(text=csv_texts())
+def test_parses_as_the_per_row_reader(text):
+    assert _outcome(trace_from_csv, text) == \
+        _outcome(per_row_trace_from_csv, text)
+
+
+@pytest.mark.slow
+@_differential(20_000)
+@given(text=csv_texts())
+def test_parses_as_the_per_row_reader_long(text):
+    assert _outcome(trace_from_csv, text) == \
+        _outcome(per_row_trace_from_csv, text)
 
 
 class TestCsvRoundTrip:
@@ -262,3 +484,25 @@ class TestWriteColumns:
             write_columns(tmp_path / "a.csv", ("x",), ([0.0], [1.0]))
         with pytest.raises(ValueError):
             write_columns(tmp_path / "b.csv", ("x", "y"), ([0.0], [1.0, 2.0]))
+        with pytest.raises(ValueError, match="1-d"):
+            write_columns(tmp_path / "c.csv", ("x",), ([[0.0], [1.0]],))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_per_row_writer(self, tmp_path_factory, data):
+        n_rows = data.draw(st.integers(0, 5))
+        names = data.draw(st.lists(_ONE_LINE, min_size=1, max_size=4))
+        columns = [data.draw(st.lists(st.floats(), min_size=n_rows,
+                                      max_size=n_rows))
+                   for _ in names]
+        path = tmp_path_factory.mktemp("cols") / "cols.csv"
+        write_columns(path, names, columns, comments=("rms=0.1",))
+        # the per-row writer it replaced
+        buf = io.StringIO()
+        buf.write("# rms=0.1\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(names)
+        for i in range(n_rows):
+            writer.writerow([repr(float(c[i])) for c in columns])
+        with open(path, newline="") as handle:
+            assert handle.read() == buf.getvalue()
