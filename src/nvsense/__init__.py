@@ -16,10 +16,8 @@ from .core import (DEFAULT_CONSTANTS, TWO_PI, ConfigError,
                    FieldEstimate, NoPeakError, NvSenseError,
                    PhysicalConstants, Trace, TraceFormatError, XKind,
                    angular_to_mhz, mhz_to_angular, spin1_operators)
-from .hamiltonian import (EigenConvergenceError, NvHamiltonian,
-                          TransitionPair, build_hamiltonian,
-                          eigen_hermitian_3, g_value, invert_field,
-                          transition_frequencies)
+from .hamiltonian import (TransitionPair, build_hamiltonian, g_value,
+                          invert_field, transition_frequencies)
 from .eseem import (BathModel, EseemNucleus, EseemSpectrum, HyperfineRecord,
                     HyperfineTensor, bath_decoherence, cpmg_echo_model,
                     density_matrix_eseem_oracle, electron_gamma_per_ut,
@@ -49,8 +47,7 @@ __all__ = [
     "TraceFormatError", "XKind", "angular_to_mhz", "mhz_to_angular",
     "spin1_operators",
     # hamiltonian
-    "EigenConvergenceError", "NvHamiltonian", "TransitionPair",
-    "build_hamiltonian", "eigen_hermitian_3", "g_value", "invert_field",
+    "TransitionPair", "build_hamiltonian", "g_value", "invert_field",
     "transition_frequencies",
     # eseem
     "BathModel", "EseemNucleus", "EseemSpectrum", "HyperfineRecord",

@@ -26,8 +26,8 @@ from .core import (TWO_PI, ConfigError, NvSenseError, Trace, TraceFormatError,
                    XKind)
 from .eseem import (HyperfineRecord, bath_decoherence, cpmg_echo_model,
                     eseem_modulation, nucleus_from_record)
-from .deer import (TargetSpinModel, gaussian_line, nv_epr_signal,
-                   nv_epr_signal_grid)
+from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
+                   nv_epr_signal, nv_epr_signal_grid)
 from .fitting import (GAUSSIAN_PARAMS, RABI_PARAMS, FitResult, fit_deer_rabi,
                       fit_gaussian_peak, fit_rabi, select_spin_count)
 from .hamiltonian import TransitionPair, g_value, invert_field
@@ -35,7 +35,7 @@ from .io import read_json, read_trace, write_columns, write_json, write_trace
 from .presets import (PRESETS, build_sequence, build_truth, carbon_bath,
                       detector, eseem_defaults, simulate_defaults, sweep_grid,
                       table_nuclei)
-from .synth import (DetectorModel, SequenceKind, coherence_trace,
+from .synth import (DetectorModel, RabiTruth, SequenceKind, coherence_trace,
                     difference_signal, normalized_channels, synthesize)
 
 
@@ -296,8 +296,9 @@ class _FitKind:
 
     reduce: object       # raw REF1/REF2 trace -> the one channel it fits
     recipe: object       # (trace, channel=, **reads) -> FitResult
-    model: object        # (params, x) -> the fitted curve, for report
-    param_names: object  # report params -> the order model takes them
+    param_names: object  # report params -> the order record takes them
+    record: object       # params -> the model record, which checks them
+    model: object        # (record, x) -> the fitted curve, for report
     # the fit config keys the recipe reads, with their defaults
     reads: dict = dataclasses.field(default_factory=dict)
 
@@ -321,25 +322,27 @@ _FITS = {
         reduce=lambda tr: tr.with_channels({"diff": difference_signal(tr)}),
         recipe=lambda tr, channel: fit_gaussian_peak(tr, channel=channel,
                                                      min_snr=0.0),
-        model=lambda p, x: gaussian_line(x, *p),
-        param_names=lambda params: GAUSSIAN_PARAMS),
+        param_names=lambda params: GAUSSIAN_PARAMS,
+        record=lambda p: DeerSpectrumModel(*p),
+        model=lambda line, x: deer_spectrum(x, line)),
     "rabi": _FitKind(
         reduce=lambda tr: tr.with_channels(
             {"SIG1n": normalized_channels(tr)["SIG1n"]}),
         recipe=lambda tr, channel: fit_rabi(tr, channel=channel),
+        param_names=lambda params: RABI_PARAMS,
+        record=lambda p: RabiTruth(*p),
         # the one-spin signal at omega = 2 pi f, fit_rabi's model bit for bit
-        model=lambda p, x: nv_epr_signal_grid(np.array([[TWO_PI * p[0]]]),
-                                              p[1:], x)[0],
-        param_names=lambda params: RABI_PARAMS),
+        model=lambda rabi, x: nv_epr_signal_grid(
+            np.array([[TWO_PI * rabi.f_mhz]]), np.array([rabi.t0_us]), x)[0]),
     "deer-rabi": _FitKind(
         reduce=coherence_trace,
         recipe=lambda tr, channel, n_spins: fit_deer_rabi(
             tr, n_spins=n_spins, channel=channel),
-        model=lambda p, x: nv_epr_signal(
-            TargetSpinModel(omegas=tuple(p[:-1]), t0=p[-1]), x),
         param_names=lambda params: [
             *sorted(key for key in params if key.startswith("omega_")),
             "t0_us"],
+        record=lambda p: TargetSpinModel(omegas=tuple(p[:-1]), t0=p[-1]),
+        model=lambda spins, x: nv_epr_signal(spins, x),
         reads={"n_spins": 2}),
 }
 _FIT_FLAGS = {"kind": {"choices": tuple(_FITS)}, "in": {"metavar": "IN_PATH"}}
@@ -544,20 +547,28 @@ def _cmd_report(args) -> int:
         if not _finite_number(params[name]):
             raise TraceFormatError(f"{kind} fit report param {name!r} must "
                                    f"be a finite number, got {params[name]!r}")
-    p = np.array([params[name] for name in names])
+    given = {name: params[name] for name in names}
+    try:
+        record = fit.record([float(value) for value in given.values()])
+    except ValueError as exc:
+        raise TraceFormatError(f"{kind} fit report params {given} are "
+                               f"outside the model: {exc}") from None
     channel = fit_report.get("channel")  # None: fitted the prepared trace
     work = fit.prepare(trace, channel)
     name = channel or next(iter(work.channels))
     data = work.channel(name)
-    model = fit.model(p, work.x)
-    residual = data - model
+    # as in synthesis: a param near the float range's ends overflows,
+    # or divides by an underflow to 0, on the way to the model's limit
+    with np.errstate(over="ignore", divide="ignore"):
+        model = fit.model(record, work.x)
+        residual = data - model
+        rms = float(np.sqrt(np.mean(residual ** 2)))
     write_columns(args.out, ("x", "data", "model", "residual"),
                   (work.x, data, model, residual),
                   comments=(f"model: {kind}",
                             f"params: {json.dumps(fit_report['params'], sort_keys=True)}",
                             f"source trace: {getattr(args, 'in_path')}",
                             f"version: {__version__}"))
-    rms = float(np.sqrt(np.mean(residual ** 2)))
     print(f"wrote {args.out}: {work.x.size} rows ({kind} model, channel "
           f"{name!r}, residual rms {rms:.4g})")
     return 0

@@ -115,10 +115,6 @@ def spin1_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 SX, SY, SZ = spin1_operators()
 
-# The |0> basis ket, for overlap labelling.
-KET_ZERO = np.array([0.0, 1.0, 0.0], dtype=complex)
-KET_ZERO.setflags(write=False)
-
 
 class XKind(enum.Enum):
     """What the swept x axis of a trace means (and its unit)."""

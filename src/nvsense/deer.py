@@ -200,8 +200,10 @@ def gaussian_line(f, center, width, amplitude, baseline=0.0):
     # same power of a numpy float is inf
     if isinstance(width, float):
         width = np.float64(width)
-    return baseline + amplitude * np.exp(-((f - center) ** 2)
-                                         / (2.0 * width ** 2))
+    d2, w2 = (f - center) ** 2, 2.0 * width ** 2
+    # 0/0 at the center of a width whose square underflows: its limit is 0
+    w2 = np.where((d2 == 0) & (w2 == 0), 1.0, w2)
+    return baseline + amplitude * np.exp(-d2 / w2)
 
 
 def deer_spectrum(f, model: DeerSpectrumModel):

@@ -556,10 +556,6 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     return _fit_result(runs, model, jacobian, y, RABI_PARAMS)
 
 
-def _epr_model(p, t):
-    return nv_epr_signal(TargetSpinModel(omegas=tuple(p[:-1]), t0=p[-1]), t)
-
-
 def _deer_rabi_candidates(peaks_w, n_spins, w_lo, w_hi):
     """Starting coupling tuples from spectral peaks of the cosine product.
 
@@ -740,12 +736,13 @@ def select_spin_count(trace: Trace, max_n: int = 3,
                       canonicalize: bool = True) -> SpinCountSelection:
     """Pick the spin count whose model has the best adjusted R^2.
 
-    Fits the 1..max_n spin models and compares adjusted R^2 with
-    k = n + 1 parameters each (couplings plus decay time), or a fixed k
-    for all models when k_fixed is given.  A larger count must beat the
-    incumbent by more than _SPIN_COUNT_MARGIN, so ties and smaller
-    improvements go to the smaller count.  no_signal is set when every
-    model does worse than the mean (adjusted R^2 <= 0 for all n).
+    Fits the 1..max_n spin models and compares the adjusted R^2 each fit
+    reports, with k = n + 1 parameters (couplings plus decay time), or
+    one recomputed with a fixed k for all models when k_fixed is given.
+    A larger count must beat the incumbent by more than
+    _SPIN_COUNT_MARGIN, so ties and smaller improvements go to the
+    smaller count.  no_signal is set when every model does worse than
+    the mean (adjusted R^2 <= 0 for all n).
     """
     if not 1 <= max_n <= 5:
         raise ValueError(f"max_n must be between 1 and 5, got {max_n}")
@@ -758,9 +755,14 @@ def select_spin_count(trace: Trace, max_n: int = 3,
     best_n, best_adj = None, -np.inf
     for n in range(1, max_n + 1):
         fit = fit_deer_rabi(unit_trace, n)
-        k = k_fixed if k_fixed is not None else n + 1
-        yhat = _epr_model(fit.params, x)
-        adj = adjusted_r_squared(y, yhat, k)
+        if k_fixed is None:
+            k, adj = n + 1, fit.adj_r2
+            if math.isnan(adj):  # the fit's adjusted_r_squared raised
+                raise ValueError("target is constant; R^2 is undefined")
+        else:
+            k = k_fixed
+            adj = adjusted_r_squared(
+                y, nv_epr_signal(target_model_from_fit(fit), x), k)
         entries[n] = SpinCountEntry(n_spins=n, k=k, adj_r2=adj, fit=fit)
         if math.isfinite(adj) and adj > best_adj + _SPIN_COUNT_MARGIN:
             best_n, best_adj = n, adj

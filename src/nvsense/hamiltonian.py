@@ -13,31 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_CONSTANTS, KET_ZERO, SX, SZ,
-                   DegenerateTransitionError, FieldEstimate, NvSenseError)
-
-
-class EigenConvergenceError(NvSenseError, ArithmeticError):
-    """Eigendecomposition residual exceeded tolerance."""
-
-
-@dataclass(frozen=True)
-class NvHamiltonian:
-    """3x3 Hermitian matrix in MHz plus the field that generated it."""
-
-    matrix: np.ndarray
-    b0: float     # mT
-    theta: float  # rad
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (3, 3):
-            raise ValueError(f"matrix must be 3x3, got {m.shape}")
-        if not np.allclose(m, m.conj().T, atol=1e-12 * max(1.0, np.abs(m).max())):
-            raise ValueError("matrix must be Hermitian")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+from .core import (DEFAULT_CONSTANTS, SX, SZ, DegenerateTransitionError,
+                   FieldEstimate)
 
 
 @dataclass(frozen=True)
@@ -56,68 +33,43 @@ class TransitionPair:
                 "outside the B0 < D/gamma regime this labelling breaks down")
 
 
-def build_hamiltonian(b0: float, theta: float) -> NvHamiltonian:
-    """Zeeman + zero-field-splitting Hamiltonian for field (b0, theta)."""
+def build_hamiltonian(b0: float, theta: float) -> np.ndarray:
+    """Zeeman + zero-field-splitting Hamiltonian (MHz), a read-only array."""
     if not (math.isfinite(b0) and b0 >= 0):
         raise ValueError(f"b0 must be finite and >= 0 mT, got {b0!r}")
     if not (math.isfinite(theta) and 0 <= theta <= math.pi / 2):
         raise ValueError(f"theta must lie in [0, pi/2] rad, got {theta!r}")
     gb = DEFAULT_CONSTANTS.gamma_nv * b0
+    if not math.isfinite(gb):
+        raise ValueError(f"b0 = {b0!r} mT overflows the Zeeman term")
     h = gb * (math.sin(theta) * SX + math.cos(theta) * SZ)
     h = h + DEFAULT_CONSTANTS.zero_field_d * (SZ @ SZ)
-    return NvHamiltonian(h, b0=b0, theta=theta)
-
-
-def eigen_hermitian_3(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors (columns) of a 3x3 Hermitian.
-
-    Accepts an NvHamiltonian or a bare array.  The decomposition is
-    verified against the residual || H v - v diag(w) ||_F; if it exceeds
-    1e-9 * ||H||_F the matrix is re-symmetrized and retried once before
-    raising EigenConvergenceError.
-    """
-    m = h.matrix if isinstance(h, NvHamiltonian) else np.asarray(h, dtype=complex)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    scale = max(1.0, np.linalg.norm(m))
-    for attempt in range(2):
-        w, v = np.linalg.eigh(m)
-        resid = np.linalg.norm(m @ v - v * w)
-        if resid <= 1e-9 * scale:
-            return w, v
-        m = 0.5 * (m + m.conj().T)
-    raise EigenConvergenceError(
-        f"eigendecomposition residual {resid:.3e} exceeds 1e-9 * ||H||")
-
-
-def _labelled_levels(ham: NvHamiltonian) -> dict[str, float]:
-    """Map zero-field labels '+1', '0', '-1' to eigenenergies.
-
-    The |0>-like state is found by overlap (its overlap tie is the
-    spec'd degeneracy signal).  The remaining pair is labelled by
-    energy, the lower as |-1> and the higher as |+1>: this agrees with
-    labelling by overlap wherever that is defined, and stays defined
-    at theta = pi/2, where the two states carry equal |+-1> character.
-    """
-    w, v = eigen_hermitian_3(ham)
-    overlap_0 = np.abs(v.conj().T @ KET_ZERO) ** 2
-    order = np.argsort(overlap_0)[::-1]
-    if overlap_0[order[0]] - overlap_0[order[1]] <= 1e-9:
-        raise DegenerateTransitionError(
-            f"two eigenstates carry equal |0> character "
-            f"(overlaps {overlap_0[order[0]]:.6f} vs "
-            f"{overlap_0[order[1]]:.6f}); labels are ambiguous at this field")
-    idx0 = int(order[0])
-    lower, upper = (idx for idx in range(3) if idx != idx0)  # w ascends
-    return {"0": float(w[idx0]), "+1": float(w[upper]), "-1": float(w[lower])}
+    h.setflags(write=False)
+    return h
 
 
 def transition_frequencies(b0: float, theta: float) -> TransitionPair:
-    """Resonances |0> -> |-1> (f_minus) and |0> -> |+1> (f_plus), MHz."""
-    levels = _labelled_levels(build_hamiltonian(b0, theta))
+    """Resonances |0> -> |-1> (f_minus) and |0> -> |+1> (f_plus), MHz.
+
+    The |0>-like eigenstate is the one with the largest |0> component
+    (an overlap tie is the spec'd degeneracy signal).  The remaining
+    pair is labelled by energy, the lower as |-1> and the higher as
+    |+1>: this agrees with labelling by overlap wherever that is
+    defined, and stays defined at theta = pi/2, where the two states
+    carry equal |+-1> character.
+    """
+    w, v = np.linalg.eigh(build_hamiltonian(b0, theta))
+    overlap_0 = np.abs(v[1]) ** 2  # |<0|v>|^2 of each eigenvector
+    _, second, first = np.sort(overlap_0)
+    if first - second <= 1e-9:
+        raise DegenerateTransitionError(
+            f"two eigenstates carry equal |0> character (overlaps {first:.6f}"
+            f" vs {second:.6f}); labels are ambiguous at this field")
+    idx0 = int(np.argmax(overlap_0))
+    lower, upper = (idx for idx in range(3) if idx != idx0)  # w ascends
     try:
-        return TransitionPair(f_minus=levels["-1"] - levels["0"],
-                              f_plus=levels["+1"] - levels["0"])
+        return TransitionPair(f_minus=float(w[lower]) - float(w[idx0]),
+                              f_plus=float(w[upper]) - float(w[idx0]))
     except ValueError as exc:
         # e.g. zero field, where the |+-1> pair is exactly degenerate
         raise DegenerateTransitionError(str(exc)) from None

@@ -12,10 +12,10 @@ import nvsense.cli as cli
 from nvsense import __version__, presets
 from nvsense.core import DEFAULT_CONSTANTS, TWO_PI
 from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
-                          nv_epr_signal_grid)
+                          nv_epr_signal, nv_epr_signal_grid)
 from nvsense.eseem import (BathModel, bath_decoherence, load_hyperfine_table,
                            nucleus_from_record)
-from nvsense.fitting import FitResult, _epr_model
+from nvsense.fitting import FitResult
 from nvsense.io import read_json, read_trace, write_columns
 from nvsense.synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
                            coherence_trace, difference_signal,
@@ -24,6 +24,12 @@ from nvsense.synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def _epr_model(params, t):
+    """fit_deer_rabi's model: params are omega_1 .. omega_n, t0_us."""
+    return nv_epr_signal(TargetSpinModel(omegas=tuple(params[:-1]),
+                                         t0=params[-1]), t)
 
 
 def _rabi_signal(params, t):
@@ -181,6 +187,36 @@ class TestSimulate:
         assert run("simulate", "--kind", "cpmg-deer", "--noiseless",
                    "--width-mhz", "1e300", "--out", str(out)) == 0
         assert np.ptp(read_trace(out).channel("SIG1")) == 0.0
+
+    def test_line_width_underflow_keeps_the_center(self, tmp_path, capsys):
+        # width ** 2 underflows to 0, and at a grid point on the center
+        # the quotient was 0/0: nan, a warning and exit 1.  The line is
+        # the one of any width too narrow to reach the next grid point
+        narrow, ref = tmp_path / "narrow.csv", tmp_path / "ref.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--kind", "cpmg-deer", "--noiseless",
+                       "--width-mhz", "1e-300", "--center-mhz", "915",
+                       "--out", str(narrow)) == 0
+        assert run("simulate", "--kind", "cpmg-deer", "--noiseless",
+                   "--width-mhz", "1e-100", "--center-mhz", "915",
+                   "--out", str(ref)) == 0
+        assert narrow.read_bytes() == ref.read_bytes()
+        tr = read_trace(narrow)
+        dip = tr.channel("SIG1") != tr.channel("SIG1")[0]
+        assert tr.x[dip].tolist() == [915.0]
+
+    def test_overflowing_field_names_b0(self, tmp_path, capsys):
+        # gamma_nv * b0 overflows: once a nan matrix and "matrix must be
+        # Hermitian", now an input error that names b0
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--kind", "pulsed-odmr", "--noiseless",
+                       "--b0-mt", "1e308", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: b0 = 1e+308 mT overflows"), err
+        assert not out.exists()
 
     def test_null_preset_spectrum_is_flat(self, tmp_path):
         out = tmp_path / "null.csv"
@@ -943,6 +979,14 @@ class TestReport:
         ("rabi", {"f_mhz": 5.5, "t0_us": float("nan")}, "'t0_us'"),
         ("rabi", {"f_mhz": 10 ** 400, "t0_us": 1.0}, "'f_mhz'"),
         ("deer-rabi", {"omega_1": [1.0], "t0_us": 1.0}, "'omega_1'"),
+        # finite, but outside what the model record accepts
+        ("rabi", {"f_mhz": 5.5, "t0_us": 0}, "'t0_us'"),
+        ("rabi", {"f_mhz": 5.5, "t0_us": -0.5}, "'t0_us'"),
+        ("rabi", {"f_mhz": -3, "t0_us": 1.0}, "'f_mhz'"),
+        ("gaussian", {"center_mhz": 915.0, "width_mhz": 0, "amplitude": 0.1,
+                      "baseline": 0.0}, "'width_mhz'"),
+        ("deer-rabi", {"omega_1_rad_us": 7.0, "t0_us": 0}, "'t0_us'"),
+        ("deer-rabi", {"t0_us": 0.3}, "1 to 5 target spins, got 0"),
     ])
     def test_malformed_param_is_data_error(self, tmp_path, capsys, model,
                                            params, key):
@@ -951,8 +995,10 @@ class TestReport:
         run("simulate", "--kind", "rabi", "--noiseless", "--out", str(trace))
         bad.write_text(json.dumps({"model": model, "params": params}))
         capsys.readouterr()
-        assert run("report", "--in", str(trace), "--fit", str(bad),
-                   "--out", str(cols)) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("report", "--in", str(trace), "--fit", str(bad),
+                       "--out", str(cols)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and key in err
         assert not cols.exists()

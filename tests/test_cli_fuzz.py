@@ -1,17 +1,21 @@
 """Random CLI commands: typed exits, no stray files, outputs that read back.
 
-Each example runs one random simulate, eseem, invert-field, fit or
-select-spins command, with random flags and values, in a fresh working
-directory under tmp_path, so that default output names land there.  The
-fit and select-spins inputs are small valid traces, some with one field
-corrupted.  Whatever the command, it must exit 0, 1, 2 or 3; exits 1 and
-2 print `error:` / `data error:` and leave the directory as it was; and
-every file written must read back.
+Each example runs one random simulate, eseem, invert-field, fit,
+select-spins or report command, with random flags and values, in a fresh
+working directory under tmp_path, so that default output names land
+there.  The fit and select-spins inputs are small valid traces, some with
+one field corrupted; the report inputs are a fit report of each kind with
+one param changed, against the small trace it fitted.  Whatever the
+command, it must exit 0, 1, 2 or 3; exits 1 and 2 print `error:` /
+`data error:` and leave the directory as it was; and every file written
+must read back, a report's columns finite.
 """
 
+import copy
 import functools
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +225,16 @@ def _between_references(trace) -> None:
             assert np.all((ref2 <= sig) & (sig <= ref1)), name
 
 
+def _finite_columns(path) -> None:
+    """A report's x, data, model, residual columns parse and are finite."""
+    rows = [line for line in Path(path).read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "x,data,model,residual"
+    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert values.shape == (len(rows) - 1, 4)
+    assert np.all(np.isfinite(values))
+
+
 def _run_checked(argv, files, tmp_path, monkeypatch, capsys) -> None:
     """Run argv in a fresh directory and check what it left behind."""
     monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
@@ -238,6 +252,9 @@ def _run_checked(argv, files, tmp_path, monkeypatch, capsys) -> None:
         return
     for name in sorted(after):
         if after[name] == before.get(name):
+            continue
+        if argv[0] == "report":
+            _finite_columns(name)
             continue
         if argv[0] not in ("simulate", "eseem"):
             read_json(name)
@@ -265,3 +282,54 @@ def test_noiseless_signal_between_references(kind, data, tmp_path,
             *_flags(data.draw, truth,
                     {key: cli._TRUTH_SCHEMA[key] for key in truth})]
     _run_checked(argv, {}, tmp_path, monkeypatch, capsys)
+
+
+@functools.cache
+def _fit_reports() -> dict:
+    """The fit report of each fit kind on its trace kind's small trace."""
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, out = Path(tmp, "in.csv"), Path(tmp, "fit.json")
+        for kind, fit_kind in _FIT_OF.items():
+            trace.write_text(_trace_texts()[kind])
+            assert cli.main(["fit", "--kind", fit_kind, "--in", str(trace),
+                             "--out", str(out)]) in (0, 3)
+            reports[kind] = read_json(out)
+    return reports
+
+
+_PARAM_VALUES = st.sampled_from([0, -1, float("nan"), 1e300, "abc", None])
+
+
+@st.composite
+def report_commands(draw):
+    """(argv, files) of a report on a fit report with one param changed."""
+    kind = draw(st.sampled_from(sorted(_FIT_OF)))
+    report = copy.deepcopy(_fit_reports()[kind])
+    params = report["params"]
+    change = draw(st.sampled_from(["value", "value", "missing", "coupling"]))
+    if change == "coupling":
+        n = sum(key.startswith("omega_") for key in params)
+        params[f"omega_{n + 1}_rad_us"] = draw(st.one_of(
+            st.floats(1.0, 30.0), _PARAM_VALUES))
+    else:
+        key = draw(st.sampled_from(sorted(params)))
+        if change == "missing":
+            del params[key]
+        else:
+            params[key] = draw(_PARAM_VALUES)
+    argv = ["report", "--in", "in.csv", "--fit", "fit.json"]
+    if draw(st.booleans()):
+        argv += ["--out", draw(_VALUES["out"])]
+    return argv, {"in.csv": _trace_texts()[kind],
+                  "fit.json": json.dumps(report)}
+
+
+@_fuzz(150)
+@given(command=report_commands())
+def test_random_reports(command, tmp_path, monkeypatch, capsys):
+    # a param the model record rejects is a data error, and a report
+    # that is written holds finite columns, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _run_checked(*command, tmp_path, monkeypatch, capsys)

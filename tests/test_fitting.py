@@ -10,8 +10,8 @@ from nvsense.deer import (DeerSpectrumModel, TargetSpinModel,
                           nv_epr_jacobian_grid, nv_epr_signal,
                           nv_epr_signal_grid)
 from nvsense.fitting import (FitProblem, FitResult, _deer_rabi_candidates,
-                             _epr_model, _fd_jacobian,
-                             _fft_peak_frequencies, _lockstep_lm,
+                             _fd_jacobian, _fft_peak_frequencies,
+                             _lockstep_lm,
                              _perturbation_starts, _solve_each,
                              adjusted_r_squared, fit_deer_rabi,
                              fit_gaussian_peak, fit_rabi, nlls_fit,
@@ -26,6 +26,11 @@ INF = math.inf
 
 def make_trace(x, y, kind=XKind.FREQUENCY, name="c"):
     return Trace(np.asarray(x, float), kind, {name: np.asarray(y, float)})
+
+
+def _epr_model(p, t):
+    """The n-spin signal of params (omega_1 .. omega_n in rad/us, t0)."""
+    return nv_epr_signal(TargetSpinModel(omegas=tuple(p[:-1]), t0=p[-1]), t)
 
 
 def epr_trace(omegas_mhz, t0=0.34, n=101, span=1.0, noise=0.0, seed=0):
@@ -427,17 +432,39 @@ class TestModelComparison:
         sel_default = select_spin_count(tr, max_n=3)
         assert [sel_default.entries[n].k for n in (1, 2, 3)] == [2, 3, 4]
 
-    def test_ties_break_toward_smaller_n(self):
-        # force a tie by fixing both k and the data so two models reach
-        # identical quality: equal-coupling data gives n=1 and n=2 the
-        # same perfect fit only in the k-fixed view
-        tr = epr_trace([1.5], t0=0.4)
-        sel = select_spin_count(tr, max_n=2, k_fixed=3)
-        if math.isclose(sel.entries[1].adj_r2, sel.entries[2].adj_r2,
-                        rel_tol=0, abs_tol=1e-12):
-            assert sel.best_n == 1
-        else:
-            assert sel.best_n == 1  # single-spin data: n=1 wins anyway
+    def test_ties_break_toward_smaller_n(self, monkeypatch):
+        # the selection reads each fit's own adjusted R^2; a larger count
+        # wins only by more than the margin over the incumbent
+        margin = fitting._SPIN_COUNT_MARGIN
+        adj = {}
+
+        def fake_fit(trace, n):
+            return FitResult(params=np.array([TWO_PI] * n + [0.34]),
+                             param_errors=None, ss_res=1.0, adj_r2=adj[n],
+                             converged=True, n_iter=1)
+
+        monkeypatch.setattr(fitting, "fit_deer_rabi", fake_fit)
+        tr = epr_trace([1.12, 2.24])
+        for gains, best_n in [
+                ((0.0, 0.0), 1),        # exact ties
+                ((0.999, 0.9995), 1),   # just under the margin over n = 1
+                ((1.001, 1.5), 2),      # n = 3 must beat n = 2, not n = 1
+                ((1.001, 2.003), 3),
+                ((-5.0, 1.001), 3)]:    # a worse n = 2 leaves n = 1 in place
+            adj.update(zip((1, 2, 3),
+                           (0.5, *(0.5 + g * margin for g in gains))))
+            sel = select_spin_count(tr, max_n=3)
+            assert [sel.entries[n].adj_r2 for n in (1, 2, 3)] == \
+                [adj[n] for n in (1, 2, 3)]
+            assert sel.best_n == best_n, gains
+
+    def test_constant_target_raises(self):
+        tr = make_trace(np.linspace(0.0, 1.0, 41), np.full(41, 0.5),
+                        XKind.PULSE_LENGTH)
+        with pytest.raises(ValueError, match="target is constant"):
+            select_spin_count(tr, max_n=2, canonicalize=False)
+        with pytest.raises(ValueError, match="target is constant"):
+            select_spin_count(tr, max_n=2, canonicalize=False, k_fixed=3)
 
 
 def _decay_model(p, x):

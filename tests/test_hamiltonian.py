@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import nvsense.fitting
 from nvsense.core import DEFAULT_CONSTANTS, DegenerateTransitionError
 from nvsense.hamiltonian import (TransitionPair, build_hamiltonian,
-                                 eigen_hermitian_3, g_value, invert_field,
+                                 g_value, invert_field,
                                  transition_frequencies)
 
 GB = DEFAULT_CONSTANTS.gamma_nv * 32.59  # 913.30216 MHz
@@ -16,18 +18,18 @@ D = DEFAULT_CONSTANTS.zero_field_d
 
 class TestBuildHamiltonian:
     def test_aligned_field_is_diagonal(self):
-        h = build_hamiltonian(32.59, 0.0).matrix
+        h = build_hamiltonian(32.59, 0.0)
         assert np.allclose(h, np.diag([D + GB, 0.0, D - GB]), atol=1e-9)
         assert np.diag(h)[0].real == pytest.approx(3783.30216)
         assert np.diag(h)[2].real == pytest.approx(1956.69784)
 
     def test_zero_field(self):
-        h = build_hamiltonian(0.0, 1.0).matrix
+        h = build_hamiltonian(0.0, 1.0)
         assert np.allclose(h, np.diag([D, 0.0, D]), atol=1e-12)
 
     def test_tilted_off_diagonal_structure(self):
         theta = math.radians(3.5)
-        h = build_hamiltonian(32.59, theta).matrix
+        h = build_hamiltonian(32.59, theta)
         assert np.allclose(h, h.conj().T)
         expected = GB * math.sin(theta) / math.sqrt(2.0)
         assert h[0, 1] == pytest.approx(expected)
@@ -44,22 +46,29 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(float("nan"), 0.0)
 
+    @pytest.mark.parametrize("b0", [1e308, 6.5e306])
+    def test_overflowing_zeeman_term_names_b0(self, b0):
+        # gamma_nv * b0 past the float range: rejected at the input, not
+        # as a non-Hermitian matrix of inf and nan entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"b0 = {b0!r} mT")):
+                build_hamiltonian(b0, 0.3)
+        build_hamiltonian(6.4e306, 0.3)  # the largest b0s stay accepted
+
+    def test_read_only_hermitian_array(self):
+        h = build_hamiltonian(32.59, math.radians(3.5))
+        assert isinstance(h, np.ndarray) and h.shape == (3, 3)
+        assert not h.flags.writeable
+        assert np.array_equal(h, h.conj().T)
+
 
 class TestEigen:
-    def test_diagonal_input(self):
-        w, v = eigen_hermitian_3(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-        # columns are standard basis vectors up to phase
-        assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
-
-    def test_identity_degenerate(self):
-        w, v = eigen_hermitian_3(np.eye(3))
-        assert np.allclose(w, [1.0, 1.0, 1.0])
-        assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
-
     def test_cubic_characteristic_polynomial_oracle(self):
-        # independent eigenvalue route: roots of det(H - x I)
-        h = build_hamiltonian(32.59, math.radians(3.5)).matrix
+        # independent eigenvalue route: roots of det(H - x I); at this
+        # field the |0>-like level is the lowest, so the forward map's
+        # pair is the other two roots measured from it
+        h = build_hamiltonian(32.59, math.radians(3.5))
         c2 = -np.trace(h).real
         minors = 0.0
         for i in range(3):
@@ -68,24 +77,31 @@ class TestEigen:
             minors += (sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]).real
         c0 = -np.linalg.det(h).real
         roots = np.sort(np.roots([1.0, c2, minors, c0]).real)
-        w, _ = eigen_hermitian_3(h)
+        w = np.linalg.eigh(h)[0]
         assert np.allclose(w, roots, rtol=1e-9, atol=1e-6)
+        pair = transition_frequencies(32.59, math.radians(3.5))
+        assert np.allclose([pair.f_minus, pair.f_plus], roots[1:] - roots[0],
+                           rtol=1e-9, atol=1e-6)
 
     def test_residual_property_random_fields(self):
+        # every eigenpair of the built matrix solves H v = w v, and the
+        # forward map's pair is two level differences from one level
         rng = np.random.default_rng(5)
         for _ in range(1000):
             b0 = rng.uniform(0.0, 200.0)
             theta = rng.uniform(0.0, math.pi / 2)
-            ham = build_hamiltonian(b0, theta)
-            w, v = eigen_hermitian_3(ham)
-            h = ham.matrix
+            h = build_hamiltonian(b0, theta)
+            w, v = np.linalg.eigh(h)
             scale = max(1.0, np.linalg.norm(h))
             assert np.linalg.norm(h @ v - v * w) <= 1e-9 * scale
             assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-10)
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            eigen_hermitian_3(np.eye(2))
+            try:
+                pair = transition_frequencies(b0, theta)
+            except DegenerateTransitionError:
+                continue
+            assert any(np.allclose(np.delete(w, i) - w[i],
+                                   [pair.f_minus, pair.f_plus], rtol=0,
+                                   atol=1e-9 * scale) for i in range(3))
 
 
 class TestTransitionFrequencies:
@@ -123,7 +139,7 @@ class TestTransitionFrequencies:
         pair = transition_frequencies(b0, 0.0)
         assert pair.f_minus == pytest.approx(D - gb, rel=1e-9)
         assert pair.f_plus == pytest.approx(D + gb, rel=1e-9)
-        w, _ = eigen_hermitian_3(build_hamiltonian(b0, 0.0))
+        w = np.linalg.eigh(build_hamiltonian(b0, 0.0))[0]
         assert abs(w[0]) < 1e-9  # |0> state is the bottom of the spectrum
 
     @pytest.mark.parametrize("b0", [1.0, 30.0, 90.0])
