@@ -15,22 +15,20 @@ from .core import (DEFAULT_CONSTANTS, TWO_PI, ConfigError,
                    DegenerateReferenceError, DegenerateTransitionError,
                    FieldEstimate, NoPeakError, NvSenseError,
                    PhysicalConstants, Trace, TraceFormatError, XKind,
-                   angular_to_mhz, mhz_to_angular, spin1_operators)
+                   spin1_operators)
 from .hamiltonian import (TransitionPair, build_hamiltonian, g_value,
                           invert_field, transition_frequencies)
 from .eseem import (BathModel, EseemNucleus, EseemSpectrum, HyperfineRecord,
-                    HyperfineTensor, bath_decoherence, cpmg_echo_model,
+                    bath_decoherence, cpmg_echo_model,
                     density_matrix_eseem_oracle, electron_gamma_per_ut,
                     eseem_modulation, eseem_spectrum, load_hyperfine_table,
-                    nucleus_from_record, project_hyperfine)
-from .deer import (DeerSpectrumModel, TargetSpin, TargetSpinModel,
-                   coupling_from_geometry, deer_phase, deer_spectrum,
+                    nucleus_from_record)
+from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
                    nv_epr_signal, statistical_average_bruteforce)
 from .fitting import (FitProblem, FitResult, SpinCountEntry,
                       SpinCountSelection, adjusted_r_squared, fit_deer_rabi,
                       fit_gaussian_peak, fit_rabi, nlls_fit,
-                      select_spin_count, spectrum_model_from_fit,
-                      target_model_from_fit)
+                      select_spin_count, target_model_from_fit)
 from .synth import (Cpmg8Truth, DetectorModel, OdmrTruth, RabiTruth,
                     SequenceKind, SequenceSpec, coherence_trace,
                     difference_signal, normalize_channels,
@@ -44,26 +42,22 @@ __all__ = [
     "DEFAULT_CONSTANTS", "TWO_PI", "ConfigError",
     "DegenerateReferenceError", "DegenerateTransitionError", "FieldEstimate",
     "NoPeakError", "NvSenseError", "PhysicalConstants", "Trace",
-    "TraceFormatError", "XKind", "angular_to_mhz", "mhz_to_angular",
-    "spin1_operators",
+    "TraceFormatError", "XKind", "spin1_operators",
     # hamiltonian
     "TransitionPair", "build_hamiltonian", "g_value", "invert_field",
     "transition_frequencies",
     # eseem
     "BathModel", "EseemNucleus", "EseemSpectrum", "HyperfineRecord",
-    "HyperfineTensor", "bath_decoherence", "cpmg_echo_model",
-    "density_matrix_eseem_oracle", "electron_gamma_per_ut",
-    "eseem_modulation", "eseem_spectrum", "load_hyperfine_table",
-    "nucleus_from_record", "project_hyperfine",
+    "bath_decoherence", "cpmg_echo_model", "density_matrix_eseem_oracle",
+    "electron_gamma_per_ut", "eseem_modulation", "eseem_spectrum",
+    "load_hyperfine_table", "nucleus_from_record",
     # deer
-    "DeerSpectrumModel", "TargetSpin", "TargetSpinModel",
-    "coupling_from_geometry", "deer_phase", "deer_spectrum", "nv_epr_signal",
+    "DeerSpectrumModel", "TargetSpinModel", "deer_spectrum", "nv_epr_signal",
     "statistical_average_bruteforce",
     # fitting
     "FitProblem", "FitResult", "SpinCountEntry", "SpinCountSelection",
     "adjusted_r_squared", "fit_deer_rabi", "fit_gaussian_peak", "fit_rabi",
-    "nlls_fit", "select_spin_count", "spectrum_model_from_fit",
-    "target_model_from_fit",
+    "nlls_fit", "select_spin_count", "target_model_from_fit",
     # synth
     "Cpmg8Truth", "DetectorModel", "OdmrTruth", "RabiTruth", "SequenceKind",
     "SequenceSpec", "coherence_trace", "difference_signal",

@@ -399,7 +399,9 @@ def _cmd_fit(args) -> int:
             "param_errors": (None if result.param_errors is None else
                              dict(zip(result.param_names,
                                       map(float, result.param_errors)))),
-            "adj_r2": result.adj_r2, "n_iter": result.n_iter,
+            # null where the adjusted R^2 is undefined (constant channel)
+            "adj_r2": result.adj_r2 if math.isfinite(result.adj_r2) else None,
+            "n_iter": result.n_iter,
             "model": kind, "channel": channel, "input": str(in_path),
             "n_points": int(work.x.size),
         })

@@ -7,23 +7,17 @@ Unit conventions used throughout the package:
 * frequencies f               MHz (ordinary, cycles per us)
 * angular frequencies omega   rad/us  (omega = 2*pi*f)
 * times                       us
-* distances                   nm
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# SI values used only to derive the dipolar prefactor below.
-_MU0_SI = 4.0e-7 * math.pi          # T m / A  (vacuum permeability / amp turn)
-_PLANCK_SI = 6.62607015e-34         # J s
-_G_FREE_ELECTRON = 2.0023193043617  # free electron g, dimensionless
 
 
 class NvSenseError(Exception):
@@ -56,9 +50,6 @@ class PhysicalConstants:
 
     gamma_nv, gamma_c13, gamma_n14 and mu_b_over_h are gyromagnetic ratios
     in MHz/mT.  zero_field_d is the S=1 zero-field splitting in MHz.
-    dipolar_prefactor (MHz nm^3) is derived from the other fields, never
-    hard-coded: mu0 * mu_B^2 * g_NV * g_e / (4 pi h) for two near-free
-    electron spins, with g_NV taken from gamma_nv.
     """
 
     gamma_nv: float = 28.024        # MHz/mT
@@ -66,7 +57,6 @@ class PhysicalConstants:
     gamma_c13: float = 0.010708     # MHz/mT
     gamma_n14: float = 0.003077     # MHz/mT
     mu_b_over_h: float = 13.9962    # MHz/mT, Bohr magneton over Planck constant
-    dipolar_prefactor: float = field(init=False)
 
     def __post_init__(self):
         for name in ("gamma_nv", "zero_field_d", "gamma_c13", "gamma_n14",
@@ -79,26 +69,9 @@ class PhysicalConstants:
             raise ValueError(
                 f"gamma_nv/mu_b_over_h = {g_nv:.4f} is outside the NV g-factor "
                 "range [2.000, 2.005]")
-        # mu0 mu_B^2 g_NV g_e / (4 pi h), expressed via the MHz/mT ratios:
-        # gamma_nv = g_NV mu_B/h [MHz/mT], so the product below carries
-        # (MHz/mT)^2 * (T m/A) * (J s) and lands at MHz nm^3 after the
-        # 1e39 unit collapse (mT->T twice, m^3->nm^3).
-        pref = (self.gamma_nv * (_G_FREE_ELECTRON * self.mu_b_over_h)
-                * _MU0_SI * _PLANCK_SI / (4.0 * math.pi) * 1e39)
-        object.__setattr__(self, "dipolar_prefactor", pref)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
-
-
-def mhz_to_angular(f):
-    """MHz -> rad/us."""
-    return TWO_PI * np.asarray(f, dtype=float) if np.ndim(f) else TWO_PI * float(f)
-
-
-def angular_to_mhz(w):
-    """rad/us -> MHz."""
-    return np.asarray(w, dtype=float) / TWO_PI if np.ndim(w) else float(w) / TWO_PI
 
 
 def spin1_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,61 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, DEFAULT_CONSTANTS
-
-
-@dataclass(frozen=True)
-class TargetSpin:
-    """Geometry of one g~2 electron spin relative to the NV axis.
-
-    r is the distance in nm, theta_d the angle between the inter-spin
-    vector and the NV axis, sigma the projection (+1 or -1) used when a
-    specific configuration is singled out.
-    """
-
-    r: float
-    theta_d: float
-    sigma: int = +1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"r must be positive, got {self.r!r}")
-        if not (math.isfinite(self.theta_d) and 0 <= self.theta_d <= math.pi):
-            raise ValueError(f"theta_d must lie in [0, pi], got {self.theta_d!r}")
-        if self.sigma not in (-1, 1):
-            raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
-
-
-def coupling_from_geometry(spin: TargetSpin) -> float:
-    """Secular dipolar coupling omega (rad/us) for a spin at (r, theta_d).
-
-    omega = 2 pi * prefactor * (3 cos^2(theta_d) - 1) / r^3, signed; it
-    vanishes at the magic angle and is negative between the magic angle
-    and 90 degrees.
-    """
-    c = math.cos(spin.theta_d)
-    return (TWO_PI * DEFAULT_CONSTANTS.dipolar_prefactor * (3.0 * c * c - 1.0)
-            / spin.r ** 3)
-
-
-def deer_phase(omegas, sigmas, t_mw2: float, resonant: bool = True) -> float:
-    """Echo phase sum_j omega_j sigma_j t accumulated over the MW2 window.
-
-    Off resonance the targets never flip and the CPMG train refocuses
-    their static field, so the phase is exactly zero.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    if omegas.shape != sigmas.shape:
-        raise ValueError("omegas and sigmas must have matching shapes")
-    if not np.all(np.isin(sigmas, (-1.0, 1.0))):
-        raise ValueError("sigmas must be +1 or -1")
-    if t_mw2 < 0:
-        raise ValueError(f"t_mw2 must be >= 0, got {t_mw2!r}")
-    if not resonant:
-        return 0.0
-    return float(np.sum(omegas * sigmas) * t_mw2)
-
 
 def statistical_average_bruteforce(omegas, t):
     """<cos(sum_j omega_j sigma_j t)> over all 2^N sign configurations.
@@ -201,6 +146,13 @@ def gaussian_line(f, center, width, amplitude, baseline=0.0):
     if isinstance(width, float):
         width = np.float64(width)
     d2, w2 = (f - center) ** 2, 2.0 * width ** 2
+    if np.isinf(w2).any():  # tested first: w2 has width's shape
+        # inf/inf where both squares overflow: divide before squaring
+        # there; the other elements of the fallback are discarded
+        both = np.isinf(d2) & np.isinf(w2)
+        with np.errstate(all="ignore"):
+            d2 = np.where(both, ((f - center) / width) ** 2 / 2.0, d2)
+        w2 = np.where(both, 1.0, w2)
     # 0/0 at the center of a width whose square underflows: its limit is 0
     w2 = np.where((d2 == 0) & (w2 == 0), 1.0, w2)
     return baseline + amplitude * np.exp(-d2 / w2)

@@ -23,36 +23,6 @@ from .core import TWO_PI, DEFAULT_CONSTANTS
 
 
 @dataclass(frozen=True)
-class HyperfineTensor:
-    """Axial hyperfine tensor in the frame of the quantization axis.
-
-    a_par and a_perp are the parallel and perpendicular couplings in
-    rad/us; theta_hf is the polar angle of the internuclear axis.
-    """
-
-    a_par: float
-    a_perp: float
-    theta_hf: float
-
-    def __post_init__(self):
-        for name in ("a_par", "a_perp", "theta_hf"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
-def project_hyperfine(tensor: HyperfineTensor) -> tuple[float, float]:
-    """Secular and pseudo-secular projections (A, B) of an axial tensor.
-
-    A = a_par cos^2(theta) + a_perp sin^2(theta)
-    B = (a_par - a_perp) sin(theta) cos(theta)
-    """
-    c, s = math.cos(tensor.theta_hf), math.sin(tensor.theta_hf)
-    a = tensor.a_par * c * c + tensor.a_perp * s * s
-    b = (tensor.a_par - tensor.a_perp) * s * c
-    return a, b
-
-
-@dataclass(frozen=True)
 class EseemNucleus:
     """One nuclear spin: projected couplings plus its Larmor frequency.
 

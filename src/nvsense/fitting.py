@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TWO_PI, NoPeakError, Trace, XKind
-from .deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
-                   nv_epr_jacobian_grid, nv_epr_signal, nv_epr_signal_grid)
+from .deer import (TargetSpinModel, gaussian_line, nv_epr_jacobian_grid,
+                   nv_epr_signal, nv_epr_signal_grid)
 
 _COST_FLOOR = 1e-300
 # damping schedule of _lockstep_lm (Madsen, Nielsen & Tingleff 2004):
@@ -510,14 +510,6 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
             f"fitted amplitude {result.params[2]:.3g} is below {min_snr} x "
             f"residual noise {noise:.3g}; no significant peak")
     return result
-
-
-def spectrum_model_from_fit(result: FitResult) -> DeerSpectrumModel:
-    """Package a fit_gaussian_peak solution as a DeerSpectrumModel."""
-    center, width, amplitude, baseline = result.params
-    return DeerSpectrumModel(center=float(center), width=abs(float(width)),
-                             amplitude=float(amplitude),
-                             baseline=float(baseline))
 
 
 def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:

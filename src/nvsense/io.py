@@ -231,8 +231,9 @@ def read_trace(path) -> Trace:
 
 
 def write_json(path, obj) -> None:
-    """Atomic JSON dump with stable key order."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Atomic JSON dump with stable key order; NaN or inf raises."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True,
+                                       allow_nan=False) + "\n")
 
 
 def read_json(path):

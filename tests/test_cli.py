@@ -10,13 +10,13 @@ import pytest
 
 import nvsense.cli as cli
 from nvsense import __version__, presets
-from nvsense.core import DEFAULT_CONSTANTS, TWO_PI
+from nvsense.core import DEFAULT_CONSTANTS, TWO_PI, Trace, XKind
 from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
                           nv_epr_signal, nv_epr_signal_grid)
 from nvsense.eseem import (BathModel, bath_decoherence, load_hyperfine_table,
                            nucleus_from_record)
 from nvsense.fitting import FitResult
-from nvsense.io import read_json, read_trace, write_columns
+from nvsense.io import read_json, read_trace, write_columns, write_trace
 from nvsense.synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
                            coherence_trace, difference_signal,
                            normalized_channels)
@@ -205,6 +205,21 @@ class TestSimulate:
         tr = read_trace(narrow)
         dip = tr.channel("SIG1") != tr.channel("SIG1")[0]
         assert tr.x[dip].tolist() == [915.0]
+
+    def test_line_offset_and_width_overflow_keep_the_limit(self, tmp_path):
+        # (f - center)^2 and 2 width^2 both overflow (inf/inf), yet the
+        # line has a limit: the one of center = width = 1e100, whose
+        # squares stay finite, flat at exp(-1/2)
+        huge, ref = tmp_path / "huge.csv", tmp_path / "ref.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--kind", "cpmg-deer", "--noiseless",
+                       "--center-mhz", "1e200", "--width-mhz", "1e200",
+                       "--out", str(huge)) == 0
+        assert run("simulate", "--kind", "cpmg-deer", "--noiseless",
+                   "--center-mhz", "1e100", "--width-mhz", "1e100",
+                   "--out", str(ref)) == 0
+        assert huge.read_bytes() == ref.read_bytes()
 
     def test_overflowing_field_names_b0(self, tmp_path, capsys):
         # gamma_nv * b0 overflows: once a nan matrix and "matrix must be
@@ -714,6 +729,22 @@ class TestFit:
                    "--out", str(out)) == 3
         report = read_json(out)
         assert report["converged"] is False
+
+    def test_constant_channel_report_is_strict_json(self, tmp_path, capsys):
+        # adjusted R^2 is undefined on a constant channel, and NaN is not
+        # JSON: the report holds null
+        trace, out = tmp_path / "flat.csv", tmp_path / "fit.json"
+        write_trace(trace, Trace(np.linspace(0.0, 2.0, 41),
+                                 XKind.PULSE_LENGTH, {"u": np.full(41, 0.5)}))
+        assert run("fit", "--kind", "deer-rabi", "--in", str(trace),
+                   "--out", str(out)) == 0
+        assert "adj R^2: nan" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["adj_r2"] is None
 
 
 class TestSelectSpins:

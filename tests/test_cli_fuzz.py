@@ -8,7 +8,8 @@ one field corrupted; the report inputs are a fit report of each kind with
 one param changed, against the small trace it fitted.  Whatever the
 command, it must exit 0, 1, 2 or 3; exits 1 and 2 print `error:` /
 `data error:` and leave the directory as it was; and every file written
-must read back, a report's columns finite.
+must read back: a JSON report under a parser that rejects NaN and
+Infinity, a report's columns finite.
 """
 
 import copy
@@ -24,7 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nvsense.cli as cli
 from nvsense.eseem import load_hyperfine_table
-from nvsense.io import read_json, read_trace, trace_to_csv
+from nvsense.io import read_trace, trace_to_csv
 from nvsense.presets import (DEFAULT_N_AVG, PRESETS, build_sequence,
                              default_truth, detector, eseem_defaults,
                              simulate_defaults)
@@ -225,6 +226,15 @@ def _between_references(trace) -> None:
             assert np.all((ref2 <= sig) & (sig <= ref1)), name
 
 
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _strict_json(path):
+    """A JSON report, read back by a parser that rejects NaN and Infinity."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
 def _finite_columns(path) -> None:
     """A report's x, data, model, residual columns parse and are finite."""
     rows = [line for line in Path(path).read_text().splitlines()
@@ -257,7 +267,7 @@ def _run_checked(argv, files, tmp_path, monkeypatch, capsys) -> None:
             _finite_columns(name)
             continue
         if argv[0] not in ("simulate", "eseem"):
-            read_json(name)
+            _strict_json(name)
             continue
         trace = read_trace(name)
         if argv[0] == "simulate" and "--noiseless" in argv:
@@ -294,7 +304,7 @@ def _fit_reports() -> dict:
             trace.write_text(_trace_texts()[kind])
             assert cli.main(["fit", "--kind", fit_kind, "--in", str(trace),
                              "--out", str(out)]) in (0, 3)
-            reports[kind] = read_json(out)
+            reports[kind] = _strict_json(out)
     return reports
 
 

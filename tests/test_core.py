@@ -8,9 +8,8 @@ import pytest
 
 import nvsense
 from nvsense.fitting import FitProblem
-from nvsense.core import (DEFAULT_CONSTANTS, TWO_PI, FieldEstimate,
-                          PhysicalConstants, Trace, XKind, angular_to_mhz,
-                          mhz_to_angular, spin1_operators)
+from nvsense.core import (DEFAULT_CONSTANTS, FieldEstimate,
+                          PhysicalConstants, Trace, XKind, spin1_operators)
 
 
 def test_default_constants_values():
@@ -20,23 +19,6 @@ def test_default_constants_values():
     assert c.gamma_c13 == pytest.approx(0.010708)
     assert c.gamma_n14 == pytest.approx(0.003077)
     assert c.mu_b_over_h == pytest.approx(13.9962, rel=1e-5)
-
-
-def test_dipolar_prefactor_against_si_constants():
-    # independent recomputation from CODATA values in SI units
-    mu0 = 1.25663706212e-6        # T m / A
-    h = 6.62607015e-34            # J s
-    mu_b = 9.2740100783e-24       # J / T
-    g_e = 2.00231930436
-    gamma_nv_hz_per_t = DEFAULT_CONSTANTS.gamma_nv * 1e6 * 1e3  # Hz/T
-    gamma_dark_hz_per_t = g_e * mu_b / h
-    # f(r, theta=0)/ (3cos^2-1)=... prefactor in MHz nm^3:
-    pref = (mu0 / (4 * np.pi)) * h * gamma_nv_hz_per_t * gamma_dark_hz_per_t
-    pref_mhz_nm3 = pref * 1e27 / 1e6
-    assert DEFAULT_CONSTANTS.dipolar_prefactor == pytest.approx(
-        pref_mhz_nm3, rel=1e-4)
-    # order of magnitude sanity: ~52 MHz nm^3
-    assert 51.5 < DEFAULT_CONSTANTS.dipolar_prefactor < 52.5
 
 
 def test_constants_g_sanity_check():
@@ -74,10 +56,11 @@ def test_constants_and_tolerances_are_not_settable():
     assert not hasattr(PhysicalConstants, "replace")
 
 
-def test_angular_conversions_round_trip():
-    f = np.array([0.314, 2.827, 921.080])
-    assert np.allclose(angular_to_mhz(mhz_to_angular(f)), f, rtol=1e-15)
-    assert mhz_to_angular(1.0) == pytest.approx(TWO_PI)
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from nvsense import *", namespace)
+    assert len(set(nvsense.__all__)) == len(nvsense.__all__)
+    assert set(nvsense.__all__) <= set(namespace)
 
 
 def test_spin1_operators_algebra():

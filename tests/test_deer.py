@@ -3,63 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nvsense.core import DEFAULT_CONSTANTS, TWO_PI
-from nvsense.deer import (DeerSpectrumModel, TargetSpin, TargetSpinModel,
-                          coupling_from_geometry, deer_phase, deer_spectrum,
+from nvsense.core import TWO_PI
+from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
                           nv_epr_signal, statistical_average_bruteforce)
-
-MAGIC = math.acos(1.0 / math.sqrt(3.0))
-
-
-class TestGeometry:
-    def test_magic_angle_nulls_coupling(self):
-        w = coupling_from_geometry(TargetSpin(r=5.0, theta_d=MAGIC))
-        assert abs(w) < 1e-9
-
-    def test_axial_coupling(self):
-        w = coupling_from_geometry(TargetSpin(r=10.0, theta_d=0.0))
-        expected = TWO_PI * DEFAULT_CONSTANTS.dipolar_prefactor * 2.0 / 1000.0
-        assert w == pytest.approx(expected, rel=1e-12)
-
-    def test_equatorial_sign_flip(self):
-        w = coupling_from_geometry(TargetSpin(r=10.0, theta_d=math.pi / 2))
-        axial = coupling_from_geometry(TargetSpin(r=10.0, theta_d=0.0))
-        assert w == pytest.approx(-axial / 2.0, rel=1e-12)
-
-    def test_inverse_cube_scaling(self):
-        w1 = coupling_from_geometry(TargetSpin(r=4.0, theta_d=0.3))
-        w2 = coupling_from_geometry(TargetSpin(r=8.0, theta_d=0.3))
-        assert w1 / w2 == pytest.approx(8.0, rel=1e-12)
-
-    def test_nanometer_scale_coupling_magnitude(self):
-        # a dark spin a few nm away couples at ~MHz: the regime the
-        # coupled-pair fixture (1.12, 2.24 MHz) lives in
-        f_mhz = coupling_from_geometry(
-            TargetSpin(r=4.0, theta_d=0.0)) / TWO_PI
-        assert 1.0 < f_mhz < 2.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            TargetSpin(r=0.0, theta_d=0.0)
-        with pytest.raises(ValueError):
-            TargetSpin(r=1.0, theta_d=4.0)
-        with pytest.raises(ValueError):
-            TargetSpin(r=1.0, theta_d=0.0, sigma=0)
-
-
-class TestDeerPhase:
-    def test_resonant_sum(self):
-        phi = deer_phase([2.0, 3.0], [1, -1], 0.5)
-        assert phi == pytest.approx((2.0 - 3.0) * 0.5)
-
-    def test_off_resonant_is_zero(self):
-        assert deer_phase([2.0, 3.0], [1, 1], 0.5, resonant=False) == 0.0
-
-    def test_sigma_validation(self):
-        with pytest.raises(ValueError):
-            deer_phase([2.0], [0.5], 0.1)
-        with pytest.raises(ValueError):
-            deer_phase([2.0, 3.0], [1], 0.1)
 
 
 class TestStatisticalAverage:

@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from nvsense.core import DEFAULT_CONSTANTS, TWO_PI
-from nvsense.eseem import (BathModel, EseemNucleus, HyperfineTensor,
-                           bath_decoherence, cpmg_echo_model,
-                           density_matrix_eseem_oracle, electron_gamma_per_ut,
-                           eseem_modulation, eseem_spectrum,
-                           load_hyperfine_table, nucleus_from_record,
-                           project_hyperfine)
+from nvsense.eseem import (BathModel, EseemNucleus, bath_decoherence,
+                           cpmg_echo_model, density_matrix_eseem_oracle,
+                           electron_gamma_per_ut, eseem_modulation,
+                           eseem_spectrum, load_hyperfine_table,
+                           nucleus_from_record)
 
 B0_MAIN = 32.59
 
@@ -52,22 +51,6 @@ def expm_walk_oracle(tau, n_pulses, nucleus):
             g_bra = u[((j + 1) % 2, mult)] @ g_bra
         out[idx] = 0.5 * np.real(np.trace(g_ket @ g_bra.conj().T))
     return out
-
-
-class TestProjection:
-    def test_axis_aligned(self):
-        a, b = project_hyperfine(HyperfineTensor(10.0, 4.0, 0.0))
-        assert (a, b) == (10.0, 0.0)
-
-    def test_perpendicular(self):
-        a, b = project_hyperfine(HyperfineTensor(10.0, 4.0, math.pi / 2))
-        assert a == pytest.approx(4.0)
-        assert b == pytest.approx(0.0, abs=1e-12)
-
-    def test_mid_angle(self):
-        a, b = project_hyperfine(HyperfineTensor(10.0, 4.0, math.pi / 4))
-        assert a == pytest.approx(7.0)
-        assert b == pytest.approx(3.0)
 
 
 class TestSpectrum:

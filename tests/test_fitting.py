@@ -15,8 +15,7 @@ from nvsense.fitting import (FitProblem, FitResult, _deer_rabi_candidates,
                              _perturbation_starts, _solve_each,
                              adjusted_r_squared, fit_deer_rabi,
                              fit_gaussian_peak, fit_rabi, nlls_fit,
-                             select_spin_count, spectrum_model_from_fit,
-                             target_model_from_fit)
+                             select_spin_count, target_model_from_fit)
 from nvsense.presets import default_sequence, detector, target_pair
 from nvsense.synth import (SequenceKind, coherence_trace, difference_signal,
                            synthesize)
@@ -247,13 +246,6 @@ class TestGaussianPeak:
         assert fit.converged
         assert fit.n_iter < fitting._MAX_ITER
         assert fit.params[1] == w_lo
-
-    def test_model_export(self):
-        x = self.x()
-        y = 0.5 - 0.3 * np.exp(-((x - 914.7) ** 2) / (2 * 81.0))
-        model = spectrum_model_from_fit(fit_gaussian_peak(make_trace(x, y)))
-        assert model.center == pytest.approx(914.7, abs=1e-6)
-        assert model.width == pytest.approx(9.0, abs=1e-6)
 
 
 class TestRabi:
