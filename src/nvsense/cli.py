@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data-format
 error in an input file, 3 fit non-convergence (the report is still
 written, flagged).  Config files are JSON with nested sections; flags
 override config values.  Frequencies are ordinary MHz and angles
-degrees at this boundary; angular rad/us quantities appear only inside
-the API.
+degrees at this boundary, with one exception: `fit --kind deer-rabi`
+prints and writes its couplings under the fit's own param names,
+omega_<i>_rad_us in rad/us, which `report` reads back.  `select-spins`
+reports the same couplings in MHz (omegas_mhz).
 """
 
 from __future__ import annotations

@@ -182,16 +182,6 @@ class _LockstepRuns:
     def converged(self) -> np.ndarray:
         return self.stop == "converged"
 
-    def extend(self, other: "_LockstepRuns") -> "_LockstepRuns":
-        """These runs followed by other's, as if started together."""
-        def cat(name):
-            return np.concatenate([getattr(self, name), getattr(other, name)])
-
-        return _LockstepRuns(params=cat("params"), cost=cat("cost"),
-                             stop=cat("stop"), n_iter=cat("n_iter"),
-                             n_evals=cat("n_evals"),
-                             history=self.history + other.history)
-
 
 def _solve_each(mats, rhs):
     """Solve mats[i] x = rhs[i] for every i.
@@ -593,21 +583,6 @@ def _deer_rabi_candidates(peaks_w, n_spins, w_lo, w_hi):
     return unique[:40]
 
 
-def _perturbation_starts(ws, delta, w_lo, w_hi):
-    """Sign-pattern offsets of delta around a coupling tuple (all-zero
-    pattern excluded); axis-aligned only above 3 couplings to keep the
-    count linear."""
-    n = len(ws)
-    clip = lambda w: min(max(w, w_lo * 1.0001), w_hi * 0.9999)
-    if n <= 3:
-        patterns = itertools.product((-1.0, 0.0, 1.0), repeat=n)
-    else:
-        patterns = [tuple(s if i == j else 0.0 for j in range(n))
-                    for i in range(n) for s in (-1.0, 1.0)]
-    return [tuple(clip(w + delta * s) for w, s in zip(ws, pat))
-            for pat in patterns if any(pat)]
-
-
 def fit_deer_rabi(trace: Trace, n_spins: int,
                   channel: str | None = None) -> FitResult:
     """Fit the n-spin double-resonance model to a drive-length sweep.
@@ -659,18 +634,6 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
                                                    w_lo, w_hi)
               for t00 in t0_starts]
     runs = _lockstep_lm(model, jacobian, y, starts, lo, hi)
-    win = int(np.argmin(runs.cost))
-    # the spectral starts can strand the solver one resolution element
-    # from the optimum; a fixed perturbation ring around the winner is
-    # deterministic and cheap insurance against that
-    scale = float(np.sum((y - y.mean()) ** 2))
-    if runs.cost[win] > 1e-12 * max(scale, 1e-30):
-        ring = [list(ws) + [runs.params[win, -1]]
-                for ws in _perturbation_starts(runs.params[win, :-1],
-                                               2.0 * np.pi * 0.3 / span,
-                                               w_lo, w_hi)]
-        runs = runs.extend(_lockstep_lm(model, jacobian, y, ring, lo, hi))
-
     fit = _fit_result(runs, model, jacobian, y,
                       tuple(f"omega_{i + 1}_rad_us" for i in range(n_spins))
                       + ("t0_us",))

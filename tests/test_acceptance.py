@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from nvsense.core import DEFAULT_CONSTANTS, TWO_PI, Trace, XKind
+from nvsense.core import DEFAULT_CONSTANTS, TWO_PI, Trace
 from nvsense.deer import (DeerSpectrumModel, statistical_average_bruteforce)
 from nvsense.eseem import (EseemNucleus, density_matrix_eseem_oracle,
                            eseem_modulation, eseem_spectrum,

@@ -11,8 +11,7 @@ from nvsense.deer import (DeerSpectrumModel, TargetSpinModel,
                           nv_epr_signal_grid)
 from nvsense.fitting import (FitProblem, FitResult, _deer_rabi_candidates,
                              _fd_jacobian, _fft_peak_frequencies,
-                             _lockstep_lm,
-                             _perturbation_starts, _solve_each,
+                             _lockstep_lm, _solve_each,
                              adjusted_r_squared, fit_deer_rabi,
                              fit_gaussian_peak, fit_rabi, nlls_fit,
                              select_spin_count, target_model_from_fit)
@@ -311,7 +310,6 @@ class TestDeerRabiFit:
         ((7.0, 14.0, 20.0, 30.0), 0.4, 0.25),
         ((6.0, 12.0, 19.0, 27.0, 36.0), 0.5, 0.3)])
     def test_four_and_five_spins(self, omegas, t0, tol):
-        # above three couplings the perturbation ring is axis-aligned
         trace = coherence_trace(synthesize(
             default_sequence(SequenceKind.DEER_RABI),
             TargetSpinModel(omegas=omegas, t0=t0),
@@ -321,7 +319,7 @@ class TestDeerRabiFit:
         peaks = [TWO_PI * f for f in
                  _fft_peak_frequencies(trace.x, trace.channel("coherence"), 4)]
         n_cand = len(_deer_rabi_candidates(peaks, n, W_LO, W_HI))
-        assert fit.converged and fit.n_starts == 2 * n_cand + 2 * n
+        assert fit.converged and fit.n_starts == 2 * n_cand
         assert np.all(np.abs(fit.params[:-1] - omegas) <= tol)
         assert select_spin_count(trace, max_n=5).best_n == n
 
@@ -779,7 +777,7 @@ def _fd_jacobian_extrapolated(f, p, lo, hi):
 
 def _serial_best_cost(x, y, n_spins):
     """Best cost of the serial recipe fit_deer_rabi runs in lockstep: one
-    _serial_lm per spectral start, then the perturbation ring."""
+    _serial_lm per spectral start."""
     span, dt = x[-1] - x[0], float(np.median(np.diff(x)))
     w_lo, w_hi = 0.5 * math.pi / span, 0.5 * math.pi / dt
     bounds = ((w_lo, w_hi),) * n_spins + ((dt, 10.0 * span),)
@@ -792,12 +790,6 @@ def _serial_best_cost(x, y, n_spins):
                                         bounds=bounds))
             if best is None or fit.ss_res < best.ss_res:
                 best = fit
-    for ws in _perturbation_starts(best.params[:-1], TWO_PI * 0.3 / span,
-                                   w_lo, w_hi):
-        fit = _serial_lm(FitProblem(model=_epr_model, x=x, y=y,
-                                    init=np.array(ws + (best.params[-1],)),
-                                    bounds=bounds))
-        best = fit if fit.ss_res < best.ss_res else best
     return best.ss_res
 
 
@@ -854,7 +846,7 @@ class TestDeerRabiLockstep:
         assert np.sum((yhat - y) ** 2) == pytest.approx(fit.ss_res, rel=1e-9)
         assert np.all(alias > 0.5 * math.pi / dt)
 
-    def test_work_counters(self):
+    def test_work_counters(self, monkeypatch):
         x = np.linspace(0.0, 1.0, 40)
         calls = []
 
@@ -868,12 +860,22 @@ class TestDeerRabiLockstep:
         assert fit.n_starts == 1 and fit.n_model_evals == len(calls)
 
         tr = epr_trace([1.12, 2.24], noise=0.05, seed=3)
-        fit = fit_deer_rabi(tr, 2)
         peaks = [TWO_PI * f for f in
                  _fft_peak_frequencies(tr.x, tr.channel("coherence"), 4)]
-        # two T0 starts per spectral start, then the 3^2 - 1 ring
-        n_cand = len(_deer_rabi_candidates(peaks, 2, W_LO, W_HI))
-        assert fit.n_starts == 2 * n_cand + 8
-        assert fit.n_model_evals > 2 * fit.n_starts
+        lockstep_calls = []
+
+        def counting_lockstep(*args, **kwargs):
+            lockstep_calls.append(1)
+            return _lockstep_lm(*args, **kwargs)
+
+        monkeypatch.setattr(fitting, "_lockstep_lm", counting_lockstep)
+        for n in (1, 2, 3):
+            lockstep_calls.clear()
+            fit = fit_deer_rabi(tr, n)
+            # one lockstep call, two T0 starts per spectral start
+            n_cand = len(_deer_rabi_candidates(peaks, n, W_LO, W_HI))
+            assert len(lockstep_calls) == 1
+            assert fit.n_starts == 2 * n_cand
+            assert fit.n_model_evals > 2 * fit.n_starts
         rabi = fit_rabi(epr_trace([1.3], t0=0.6))
         assert rabi.n_starts >= 2 and rabi.n_model_evals > rabi.n_starts

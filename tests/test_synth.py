@@ -15,9 +15,9 @@ from nvsense.hamiltonian import transition_frequencies
 from nvsense.presets import (DEFAULT_N_AVG, NULL_CENTERS, default_sequence,
                              default_truth, detector, echo_truth, epr_line,
                              odmr_truth, rabi_truth, target_pair)
-from nvsense.synth import (_CHANNEL_ORDER, _POISSON_LAM_MAX, Cpmg8Truth,
-                           DetectorModel, OdmrTruth, RabiTruth, SequenceKind,
-                           SequenceSpec, coherence_trace, difference_signal,
+from nvsense.synth import (_CHANNEL_ORDER, _POISSON_LAM_MAX, DetectorModel,
+                           RabiTruth, SequenceKind, SequenceSpec,
+                           coherence_trace, difference_signal,
                            normalize_channels, normalized_channels,
                            snr_estimate, synthesize)
 
