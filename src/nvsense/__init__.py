@@ -28,7 +28,7 @@ from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
 from .fitting import (FitProblem, FitResult, SpinCountEntry,
                       SpinCountSelection, adjusted_r_squared, fit_deer_rabi,
                       fit_gaussian_peak, fit_rabi, nlls_fit,
-                      select_spin_count, target_model_from_fit)
+                      select_spin_count)
 from .synth import (Cpmg8Truth, DetectorModel, OdmrTruth, RabiTruth,
                     SequenceKind, SequenceSpec, coherence_trace,
                     difference_signal, normalize_channels,
@@ -57,7 +57,7 @@ __all__ = [
     # fitting
     "FitProblem", "FitResult", "SpinCountEntry", "SpinCountSelection",
     "adjusted_r_squared", "fit_deer_rabi", "fit_gaussian_peak", "fit_rabi",
-    "nlls_fit", "select_spin_count", "target_model_from_fit",
+    "nlls_fit", "select_spin_count",
     # synth
     "Cpmg8Truth", "DetectorModel", "OdmrTruth", "RabiTruth", "SequenceKind",
     "SequenceSpec", "coherence_trace", "difference_signal",

@@ -483,14 +483,14 @@ def _cmd_eseem(args) -> int:
 def _cmd_select_spins(args) -> int:
     trace = _FITS["deer-rabi"].prepare(read_trace(getattr(args, "in_path")),
                                        None)
-    sel = select_spin_count(trace, max_n=args.max_n, k_fixed=args.k_fixed,
+    sel = select_spin_count(trace, max_n=args.max_n,
                             canonicalize=not args.no_canonicalize)
     print(" n  k   adj_R2     converged  couplings (MHz) and T0 (us)")
     for n, entry in sorted(sel.entries.items()):
         fit = entry.fit
         omegas = ", ".join(f"{w / TWO_PI:.3f}" for w in fit.params[:-1])
         mark = " *" if n == sel.best_n else "  "
-        print(f"{mark}{n}  {entry.k}  {entry.adj_r2: .4f}   "
+        print(f"{mark}{n}  {n + 1}  {fit.adj_r2: .4f}   "
               f"{'yes' if fit.converged else 'NO '}        "
               f"[{omegas}]  T0={fit.params[-1]:.3f}")
     print(f"best_n = {sel.best_n}" + ("  (no significant signal: all "
@@ -500,15 +500,15 @@ def _cmd_select_spins(args) -> int:
     if args.out:
         write_json(args.out, {
             **_provenance("select-spins", {
-                "max_n": args.max_n, "k_fixed": args.k_fixed,
+                "max_n": args.max_n,
                 "canonicalize": not args.no_canonicalize}),
             "input": str(getattr(args, "in_path")),
             "best_n": sel.best_n, "no_signal": sel.no_signal,
             "models": {
                 str(n): {
                     **_fit_summary(entry.fit),
-                    "k": entry.k,
-                    "adj_r2": entry.adj_r2,
+                    "k": n + 1,
+                    "adj_r2": entry.fit.adj_r2,
                     "omegas_mhz": [float(w / TWO_PI)
                                    for w in entry.fit.params[:-1]],
                     "t0_us": float(entry.fit.params[-1]),
@@ -627,7 +627,6 @@ def _build_parser() -> _Parser:
                          help="compare 1..max_n spin models by adjusted R^2")
     sel.add_argument("--in", dest="in_path", required=True)
     sel.add_argument("--max-n", type=int, default=3, dest="max_n")
-    sel.add_argument("--k-fixed", type=int, dest="k_fixed")
     sel.add_argument("--no-canonicalize", action="store_true",
                      dest="no_canonicalize")
     sel.add_argument("--out")

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# the photon-count channels in synthesis order: signal, its 3 pi / 2
+# complement, bright reference, dark reference
+PHOTON_CHANNELS = ("SIG1", "SIG2", "REF1", "REF2")
 
 
 class NvSenseError(Exception):

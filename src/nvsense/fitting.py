@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, NoPeakError, Trace, XKind
-from .deer import (TargetSpinModel, gaussian_line, nv_epr_jacobian_grid,
-                   nv_epr_signal, nv_epr_signal_grid)
+from .core import PHOTON_CHANNELS, TWO_PI, NoPeakError, Trace, XKind
+# no fit calls nv_epr_signal: perfbench/tracer.py wraps fitting.nv_epr_signal
+from .deer import (gaussian_line, nv_epr_jacobian_grid, nv_epr_signal,
+                   nv_epr_signal_grid)
 
 _COST_FLOOR = 1e-300
 # damping schedule of _lockstep_lm (Madsen, Nielsen & Tingleff 2004):
@@ -384,7 +385,9 @@ def adjusted_r_squared(y, yhat, k: int) -> float:
     return 1.0 - (ss_res / ss_tot) * (n - 1) / (n - k - 1)
 
 
-def _resolve_channel(trace: Trace, channel, kind: XKind, what: str):
+def _resolve_channel(trace: Trace, channel, kind: XKind, what: str,
+                     normalized: bool = False):
+    """x and the channel a fit reads; normalized rejects photon counts."""
     if trace.x_kind is not kind:
         raise ValueError(
             f"{what} expects x_kind {kind.value!r}, trace has "
@@ -394,6 +397,10 @@ def _resolve_channel(trace: Trace, channel, kind: XKind, what: str):
             raise ValueError(
                 f"trace has channels {sorted(trace.channels)}; pass channel=")
         channel = next(iter(trace.channels))
+    if normalized and channel in PHOTON_CHANNELS:
+        raise ValueError(
+            f"{what} fits a normalized signal; channel {channel!r} holds "
+            f"photon counts, so normalize it against REF1/REF2 first")
     return trace.x, trace.channel(channel)
 
 
@@ -506,14 +513,17 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     """Fit (1 + exp(-(t/T0)^2) cos(2 pi f t)) / 2 to a drive-length sweep.
 
     Returns params (f_mhz, t0_us).  The model is the one-spin
-    double-resonance signal at omega = 2 pi f.  The frequency starts
-    come from the FFT peaks, so anything below the Nyquist limit of the
-    grid is found without a prior guess; with two T0 starts each, all
-    (at most 4) run in one _lockstep_lm call on the closed-form
-    Jacobian, and the first with the lowest cost wins.  A start stuck
-    far above a converged one can be retired (see _lockstep_lm).
+    double-resonance signal at omega = 2 pi f, of a normalized channel
+    (SIG1n); photon counts (SIG1, SIG2, REF1, REF2) raise ValueError.
+    The frequency starts come from the FFT peaks, so anything below the
+    Nyquist limit of the grid is found without a prior guess; with two
+    T0 starts each, all (at most 4) run in one _lockstep_lm call on the
+    closed-form Jacobian, and the first with the lowest cost wins.  A
+    start stuck far above a converged one can be retired (see
+    _lockstep_lm).
     """
-    x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_rabi")
+    x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_rabi",
+                            normalized=True)
     if x.size < 6:
         raise ValueError(f"need at least 6 points, got {x.size}")
     span = float(x[-1] - x[0])
@@ -589,7 +599,8 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
 
     The input channel must already be normalized to the model scale
     (0.5 asymptote, values in roughly [0, 1]; see
-    synth.coherence_trace).  Returns params (omega_1 .. omega_n in
+    synth.coherence_trace); a photon-count channel (SIG1, SIG2, REF1 or
+    REF2) raises ValueError.  Returns params (omega_1 .. omega_n in
     rad/us, ascending, then t0_us).  Coupling bounds follow the grid:
     at least a quarter oscillation over the record (pi / 2 span) and at
     most one oscillation per four samples (pi / 2 dt).  The upper bound
@@ -605,7 +616,8 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     """
     if not 1 <= n_spins <= 5:
         raise ValueError(f"n_spins must be between 1 and 5, got {n_spins}")
-    x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_deer_rabi")
+    x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_deer_rabi",
+                            normalized=True)
     if x.size < n_spins + 3:
         raise ValueError("not enough points for this many spins")
     if np.ptp(y) > 10.0 or abs(float(np.mean(y)) - 0.5) > 5.0:
@@ -644,19 +656,11 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     return fit
 
 
-def target_model_from_fit(result: FitResult) -> TargetSpinModel:
-    """Package a fit_deer_rabi solution as a TargetSpinModel."""
-    return TargetSpinModel(omegas=tuple(result.params[:-1]),
-                           t0=float(result.params[-1]))
-
-
 @dataclass(frozen=True)
 class SpinCountEntry:
-    """One row of the model-count comparison."""
+    """One row of the model-count comparison: the n-spin fit."""
 
     n_spins: int
-    k: int
-    adj_r2: float
     fit: FitResult
 
 
@@ -686,44 +690,36 @@ def _canonicalize_unit(y):
 
 
 def select_spin_count(trace: Trace, max_n: int = 3,
-                      channel: str | None = None,
-                      k_fixed: int | None = None,
                       canonicalize: bool = True) -> SpinCountSelection:
     """Pick the spin count whose model has the best adjusted R^2.
 
-    Fits the 1..max_n spin models and compares the adjusted R^2 each fit
-    reports, with k = n + 1 parameters (couplings plus decay time), or
-    one recomputed with a fixed k for all models when k_fixed is given.
-    A larger count must beat the incumbent by more than
-    _SPIN_COUNT_MARGIN, so ties and smaller improvements go to the
-    smaller count.  no_signal is set when every model does worse than
-    the mean (adjusted R^2 <= 0 for all n).
+    The trace's one channel is first re-anchored onto the model's 0..1
+    scale (_canonicalize_unit: median to 0.5, 99.5% quantile to 1), so
+    any a*y + b with a > 0 selects alike.  canonicalize=False fits the
+    channel as given, for one already on that scale (coherence_trace):
+    re-anchoring stretches pure noise to full scale, where a fit can
+    find "signal" in it.  Each n-spin fit, n = 1..max_n, reports its
+    adjusted R^2 with k = n + 1 (couplings plus decay time); a larger
+    count must beat the incumbent by more than _SPIN_COUNT_MARGIN, so
+    ties and smaller gains go to the smaller count.  no_signal is set
+    when every model does worse than the mean (adjusted R^2 <= 0).
     """
     if not 1 <= max_n <= 5:
         raise ValueError(f"max_n must be between 1 and 5, got {max_n}")
-    x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH,
+    x, y = _resolve_channel(trace, None, XKind.PULSE_LENGTH,
                             "select_spin_count")
     if canonicalize:
         y = _canonicalize_unit(y)
     unit_trace = Trace(x, trace.x_kind, {"unit": y}, trace.n_avg)
     entries = {}
-    best_n, best_adj = None, -np.inf
+    best_n = 1
     for n in range(1, max_n + 1):
         fit = fit_deer_rabi(unit_trace, n)
-        if k_fixed is None:
-            k, adj = n + 1, fit.adj_r2
-            if math.isnan(adj):  # the fit's adjusted_r_squared raised
-                raise ValueError("target is constant; R^2 is undefined")
-        else:
-            k = k_fixed
-            adj = adjusted_r_squared(
-                y, nv_epr_signal(target_model_from_fit(fit), x), k)
-        entries[n] = SpinCountEntry(n_spins=n, k=k, adj_r2=adj, fit=fit)
-        if math.isfinite(adj) and adj > best_adj + _SPIN_COUNT_MARGIN:
-            best_n, best_adj = n, adj
-    if best_n is None:
-        best_n = 1
-    no_signal = all(not math.isfinite(e.adj_r2) or e.adj_r2 <= 0
-                    for e in entries.values())
+        if math.isnan(fit.adj_r2):  # the fit's adjusted_r_squared raised
+            raise ValueError("target is constant; R^2 is undefined")
+        entries[n] = SpinCountEntry(n_spins=n, fit=fit)
+        if fit.adj_r2 > entries[best_n].fit.adj_r2 + _SPIN_COUNT_MARGIN:
+            best_n = n
+    no_signal = all(e.fit.adj_r2 <= 0 for e in entries.values())
     return SpinCountSelection(best_n=best_n, entries=entries,
                               no_signal=no_signal)

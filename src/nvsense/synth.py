@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitting
-from .core import TWO_PI, DegenerateReferenceError, Trace, XKind
+from .core import (PHOTON_CHANNELS, TWO_PI, DegenerateReferenceError,
+                   Trace, XKind)
 from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
                    gaussian_line, nv_epr_signal, nv_epr_signal_grid)
 from .eseem import BathModel, EseemNucleus, cpmg_echo_model
 from .hamiltonian import transition_frequencies
 
-_CHANNEL_ORDER = ("SIG1", "SIG2", "REF1", "REF2")
 # snr_estimate's narrowest Gaussian, as a fraction of the sweep span
 _SNR_MIN_RELATIVE_WIDTH = 0.10
 # rounding a population may carry past [0, 1] before the clip
@@ -113,10 +113,10 @@ class SequenceSpec:
             channels = tuple(channels)
             if not channels:
                 raise ValueError("channels must name at least one channel")
-            bad = [c for c in channels if c not in _CHANNEL_ORDER]
+            bad = [c for c in channels if c not in PHOTON_CHANNELS]
             if bad:
                 raise ValueError(f"unknown channels {bad}; "
-                                 f"valid names are {_CHANNEL_ORDER}")
+                                 f"valid names are {PHOTON_CHANNELS}")
             if len(set(channels)) != len(channels):
                 raise ValueError("duplicate channel names")
             object.__setattr__(self, "channels", channels)
@@ -230,7 +230,7 @@ _KINDS = {
             spec.grid)[0],
         pulse_train=False),
     SequenceKind.CPMG8: _Kind(
-        XKind.EVOLUTION_TIME, _CHANNEL_ORDER, Cpmg8Truth,
+        XKind.EVOLUTION_TIME, PHOTON_CHANNELS, Cpmg8Truth,
         lambda spec, truth: _population(
             spec.kind, 0.5 * (1.0 + cpmg_echo_model(
                 spec.grid, truth.nuclei, truth.bath, truth.t2_us,
@@ -238,13 +238,13 @@ _KINDS = {
             "0.5 (1 + s)", "the echo coherence s must lie in [-1, 1]"),
         pulse_train=True),
     SequenceKind.CPMG_DEER: _Kind(
-        XKind.FREQUENCY, _CHANNEL_ORDER, DeerSpectrumModel,
+        XKind.FREQUENCY, PHOTON_CHANNELS, DeerSpectrumModel,
         lambda spec, truth: _population(
             spec.kind, 0.5 * (1.0 + deer_spectrum(spec.grid, truth)),
             "0.5 (1 + s)", "amplitude and baseline must keep it inside"),
         pulse_train=True),
     SequenceKind.DEER_RABI: _Kind(
-        XKind.PULSE_LENGTH, _CHANNEL_ORDER, TargetSpinModel,
+        XKind.PULSE_LENGTH, PHOTON_CHANNELS, TargetSpinModel,
         lambda spec, truth: nv_epr_signal(truth, spec.grid),
         pulse_train=True),
 }
@@ -306,7 +306,7 @@ def _philox_keys(seed: int, channel: np.ndarray, point: np.ndarray) -> tuple:
     """
     # one row per pool word, one column per channel index
     table = np.array([np.random.SeedSequence(seed, spawn_key=(c,)).pool
-                      for c in range(len(_CHANNEL_ORDER))]).T
+                      for c in range(len(PHOTON_CHANNELS))]).T
     pool = np.take(table, channel, axis=1)
     # numpy hashes each entropy word 4 times: the seed's uint32 words,
     # padded to 4, then the channel word
@@ -433,7 +433,7 @@ def synthesize(spec: SequenceSpec, truth, det: DetectorModel) -> Trace:
         return Trace(spec.grid, spec.x_kind, rates, n_avg=n_eff)
 
     lam = n_eff * np.array([rates[name] for name in names])
-    channel = np.array([_CHANNEL_ORDER.index(name) for name in names])
+    channel = np.array([PHOTON_CHANNELS.index(name) for name in names])
     counts = _poisson_counts(det.seed, channel[:, None],
                              np.arange(spec.grid.size), lam)
     if n_eff <= 2 ** 53 and counts.max() <= 2 ** 53:

@@ -730,6 +730,25 @@ class TestFit:
         report = read_json(out)
         assert report["converged"] is False
 
+    @pytest.mark.parametrize("kind", ["rabi", "deer-rabi"])
+    def test_photon_count_channel_is_error(self, tmp_path, capsys, kind):
+        # the drive-length models describe a normalized population; a
+        # fit to raw counts per shot would end far from any truth
+        trace, out = tmp_path / "dr.csv", tmp_path / "fit.json"
+        assert run("simulate", "--kind", "deer-rabi", "--seed", "5",
+                   "--out", str(trace)) == 0
+        one = tmp_path / "one.csv"
+        raw = read_trace(trace)
+        write_trace(one, raw.with_channels({"SIG1": raw.channel("SIG1")}))
+        for given in (("--in", str(trace), "--channel", "SIG1"),
+                      ("--in", str(one))):
+            capsys.readouterr()
+            assert run("fit", "--kind", kind, *given, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "channel 'SIG1' holds photon counts" in err
+            assert not out.exists()
+
     def test_constant_channel_report_is_strict_json(self, tmp_path, capsys):
         # adjusted R^2 is undefined on a constant channel, and NaN is not
         # JSON: the report holds null
@@ -761,13 +780,25 @@ class TestSelectSpins:
         report = read_json(out)
         assert report["best_n"] == 2
         assert sorted(report["models"]) == ["1", "2", "3"]
-        for model in report["models"].values():
+        for n, model in report["models"].items():
+            assert model["k"] == int(n) + 1
             assert model["n_starts"] >= 2
             assert model["n_model_evals"] > model["n_starts"]
             assert 0 <= model["n_retired"] < model["n_starts"]
         got = sorted(report["models"]["2"]["omegas_mhz"])
         assert abs(got[0] - 1.12) <= 0.2
         assert abs(got[1] - 2.24) <= 0.2
+
+    def test_k_fixed_flag_is_gone(self, tmp_path, capsys):
+        # one selection rule: each fit's own adjusted R^2 at k = n + 1
+        trace, out = tmp_path / "dr.csv", tmp_path / "sel.json"
+        assert run("simulate", "--kind", "deer-rabi", "--noiseless",
+                   "--out", str(trace)) == 0
+        capsys.readouterr()
+        assert run("select-spins", "--in", str(trace), "--k-fixed", "3",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestEseem:
@@ -947,35 +978,39 @@ class TestReport:
             assert cols.read_bytes() == expected.read_bytes()
 
     def test_report_uses_the_fit_channel(self, tmp_path):
-        trace, fit_json = tmp_path / "rabi.csv", tmp_path / "fit.json"
+        trace, fit_json = tmp_path / "deer.csv", tmp_path / "fit.json"
         cols = tmp_path / "cols.csv"
-        run("simulate", "--kind", "rabi", "--seed", "2", "--out", str(trace))
-        run("fit", "--kind", "rabi", "--channel", "SIG1", "--in", str(trace),
-            "--out", str(fit_json))
+        run("simulate", "--kind", "cpmg-deer", "--seed", "2",
+            "--out", str(trace))
+        run("fit", "--kind", "gaussian", "--channel", "SIG1",
+            "--in", str(trace), "--out", str(fit_json))
         report = read_json(fit_json)
         assert report["channel"] == "SIG1"
         assert run("report", "--in", str(trace), "--fit", str(fit_json),
                    "--out", str(cols)) == 0
         tr = read_trace(trace)
-        params = np.array([report["params"][n] for n in ("f_mhz", "t0_us")])
+        params = [report["params"][n] for n in ("center_mhz", "width_mhz",
+                                                "amplitude", "baseline")]
         data = np.loadtxt(cols, delimiter=",", comments="#", skiprows=5)
         np.testing.assert_array_equal(data[:, 1], tr.channel("SIG1"))
-        np.testing.assert_array_equal(data[:, 2], _rabi_signal(params, tr.x))
-        # a report from before the channel was recorded: normalized SIG1
+        np.testing.assert_array_equal(data[:, 2], gaussian_line(tr.x, *params))
+        # a report from before the channel was recorded: the difference
+        # signal
         del report["channel"]
         fit_json.write_text(json.dumps(report))
         assert run("report", "--in", str(trace), "--fit", str(fit_json),
                    "--out", str(cols)) == 0
         data = np.loadtxt(cols, delimiter=",", comments="#", skiprows=5)
-        np.testing.assert_array_equal(data[:, 1],
-                                      normalized_channels(tr)["SIG1n"])
+        np.testing.assert_array_equal(data[:, 1], difference_signal(tr))
 
     def test_missing_fit_channel_is_config_error(self, tmp_path, capsys):
-        trace, fit_json = tmp_path / "rabi.csv", tmp_path / "fit.json"
-        cols = tmp_path / "cols.csv"
-        run("simulate", "--kind", "rabi", "--seed", "2", "--out", str(trace))
-        run("fit", "--kind", "rabi", "--channel", "SIG1", "--in", str(trace),
-            "--out", str(fit_json))
+        trace, fit_json = tmp_path / "deer.csv", tmp_path / "fit.json"
+        cols, cfg = tmp_path / "cols.csv", tmp_path / "c.json"
+        cfg.write_text('{"sequence": {"channels": ["SIG1", "REF1", "REF2"]}}')
+        run("simulate", "--kind", "cpmg-deer", "--seed", "2",
+            "--config", str(cfg), "--out", str(trace))
+        run("fit", "--kind", "gaussian", "--channel", "SIG1",
+            "--in", str(trace), "--out", str(fit_json))
         report = read_json(fit_json)
         report["channel"] = "SIG2"
         fit_json.write_text(json.dumps(report))

@@ -200,9 +200,6 @@ def commands(draw):
             argv = [command, "--in", path, "--max-n",
                     str(draw(st.sampled_from([1, 2, 1, 2, 0, 6])))]
             if draw(st.booleans()):
-                argv += ["--k-fixed",
-                         str(draw(st.sampled_from([-1, 0, 3, 40])))]
-            if draw(st.booleans()):
                 argv.append("--no-canonicalize")
         if draw(st.booleans()):
             argv += ["--out", "report.json"]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvsense import fitting
-from nvsense.core import NoPeakError, TWO_PI, Trace, XKind
+from nvsense.core import PHOTON_CHANNELS, NoPeakError, TWO_PI, Trace, XKind
 from nvsense.deer import (DeerSpectrumModel, TargetSpinModel,
                           nv_epr_jacobian_grid, nv_epr_signal,
                           nv_epr_signal_grid)
@@ -14,7 +15,7 @@ from nvsense.fitting import (FitProblem, FitResult, _deer_rabi_candidates,
                              _lockstep_lm, _solve_each,
                              adjusted_r_squared, fit_deer_rabi,
                              fit_gaussian_peak, fit_rabi, nlls_fit,
-                             select_spin_count, target_model_from_fit)
+                             select_spin_count)
 from nvsense.presets import default_sequence, detector, target_pair
 from nvsense.synth import (SequenceKind, coherence_trace, difference_signal,
                            synthesize)
@@ -352,11 +353,19 @@ class TestDeerRabiFit:
                 peaks, 1, 0.5 * math.pi, 0.5 * math.pi / dt))
             assert fit.n_starts == n_cand
 
-    def test_model_export(self):
-        fit = fit_deer_rabi(epr_trace([1.12, 2.24]), n_spins=2)
-        model = target_model_from_fit(fit)
-        assert model.n_spins == 2
-        assert model.t0 == pytest.approx(0.34, abs=1e-5)
+    @pytest.mark.parametrize("channel", PHOTON_CHANNELS)
+    @pytest.mark.parametrize("fit", [
+        fit_rabi, functools.partial(fit_deer_rabi, n_spins=2)],
+        ids=["rabi", "deer-rabi"])
+    def test_photon_count_channel_raises(self, fit, channel):
+        # both drive-length models describe a normalized population
+        raw = synthesize(default_sequence(SequenceKind.DEER_RABI),
+                         target_pair(), detector(n_avg=1_260_000, seed=5))
+        message = f"channel {channel!r} holds photon counts"
+        with pytest.raises(ValueError, match=message):
+            fit(raw, channel=channel)
+        with pytest.raises(ValueError, match=message):
+            fit(raw.with_channels({channel: raw.channel(channel)}))
 
 
 class TestModelComparison:
@@ -369,12 +378,12 @@ class TestModelComparison:
         n = tr.x.size
 
         def raw_r2(entry):
-            return 1.0 - (1.0 - entry.adj_r2) \
-                * (n - entry.k - 1.0) / (n - 1.0)
+            k = entry.n_spins + 1
+            return 1.0 - (1.0 - entry.fit.adj_r2) * (n - k - 1.0) / (n - 1.0)
 
         r1, r2, r3 = (raw_r2(sel.entries[i]) for i in (1, 2, 3))
         assert r2 > r1
-        assert sel.entries[2].adj_r2 > sel.entries[3].adj_r2
+        assert sel.entries[2].fit.adj_r2 > sel.entries[3].fit.adj_r2
         assert sel.best_n == 2
 
     def test_noiseless_single_spin(self):
@@ -383,12 +392,12 @@ class TestModelComparison:
         sel = select_spin_count(tr, max_n=3, canonicalize=False)
         assert sel.best_n == 1
         assert not sel.no_signal
-        assert sel.entries[1].adj_r2 == pytest.approx(1.0, abs=1e-9)
+        assert sel.entries[1].fit.adj_r2 == pytest.approx(1.0, abs=1e-9)
         # quantile anchoring distorts an already-normalized trace only
         # at the fourth decimal and must not change the verdict
         sel_c = select_spin_count(tr, max_n=3)
         assert sel_c.best_n == 1
-        assert sel_c.entries[1].adj_r2 == pytest.approx(1.0, abs=1e-3)
+        assert sel_c.entries[1].fit.adj_r2 == pytest.approx(1.0, abs=1e-3)
 
     def test_pure_noise_flagged_no_signal(self):
         # on the raw coherence scale the model amplitude (1/2) cannot
@@ -400,7 +409,7 @@ class TestModelComparison:
         tr = make_trace(t, y, XKind.PULSE_LENGTH, "coherence")
         sel = select_spin_count(tr, max_n=3, canonicalize=False)
         assert sel.no_signal
-        assert all(e.adj_r2 <= 0.0 for e in sel.entries.values())
+        assert all(e.fit.adj_r2 <= 0.0 for e in sel.entries.values())
 
     def test_affine_invariance_exact(self):
         tr = epr_trace([1.12, 2.24], noise=0.05, seed=23)
@@ -412,15 +421,8 @@ class TestModelComparison:
             assert sel.best_n == sel0.best_n
             assert sel.no_signal == sel0.no_signal
             for n in sel.entries:
-                assert sel.entries[n].adj_r2 == pytest.approx(
-                    sel0.entries[n].adj_r2, rel=1e-9, abs=1e-12)
-
-    def test_k_fixed_switch(self):
-        tr = epr_trace([1.12, 2.24], noise=0.016, seed=5)
-        sel = select_spin_count(tr, max_n=3, k_fixed=3)
-        assert all(e.k == 3 for e in sel.entries.values())
-        sel_default = select_spin_count(tr, max_n=3)
-        assert [sel_default.entries[n].k for n in (1, 2, 3)] == [2, 3, 4]
+                assert sel.entries[n].fit.adj_r2 == pytest.approx(
+                    sel0.entries[n].fit.adj_r2, rel=1e-9, abs=1e-12)
 
     def test_ties_break_toward_smaller_n(self, monkeypatch):
         # the selection reads each fit's own adjusted R^2; a larger count
@@ -444,7 +446,7 @@ class TestModelComparison:
             adj.update(zip((1, 2, 3),
                            (0.5, *(0.5 + g * margin for g in gains))))
             sel = select_spin_count(tr, max_n=3)
-            assert [sel.entries[n].adj_r2 for n in (1, 2, 3)] == \
+            assert [sel.entries[n].fit.adj_r2 for n in (1, 2, 3)] == \
                 [adj[n] for n in (1, 2, 3)]
             assert sel.best_n == best_n, gains
 
@@ -453,8 +455,6 @@ class TestModelComparison:
                         XKind.PULSE_LENGTH)
         with pytest.raises(ValueError, match="target is constant"):
             select_spin_count(tr, max_n=2, canonicalize=False)
-        with pytest.raises(ValueError, match="target is constant"):
-            select_spin_count(tr, max_n=2, canonicalize=False, k_fixed=3)
 
 
 def _decay_model(p, x):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nvsense.core import TWO_PI, DegenerateReferenceError, Trace, XKind
+from nvsense.core import (PHOTON_CHANNELS, TWO_PI, DegenerateReferenceError,
+                          Trace, XKind)
 from nvsense.deer import DeerSpectrumModel, deer_spectrum, nv_epr_signal
 from nvsense.eseem import cpmg_echo_model
 from nvsense.fitting import fit_deer_rabi
@@ -15,11 +16,10 @@ from nvsense.hamiltonian import transition_frequencies
 from nvsense.presets import (DEFAULT_N_AVG, NULL_CENTERS, default_sequence,
                              default_truth, detector, echo_truth, epr_line,
                              odmr_truth, rabi_truth, target_pair)
-from nvsense.synth import (_CHANNEL_ORDER, _POISSON_LAM_MAX, DetectorModel,
-                           RabiTruth, SequenceKind, SequenceSpec,
-                           coherence_trace, difference_signal,
-                           normalize_channels, normalized_channels,
-                           snr_estimate, synthesize)
+from nvsense.synth import (_POISSON_LAM_MAX, DetectorModel, RabiTruth,
+                           SequenceKind, SequenceSpec, coherence_trace,
+                           difference_signal, normalize_channels,
+                           normalized_channels, snr_estimate, synthesize)
 
 ALL_KINDS = list(SequenceKind)
 
@@ -254,7 +254,7 @@ def synthesize_per_point(spec, truth, det):
     out = {name: np.empty(spec.grid.size) for name in clean.channel_names}
     for i in range(spec.grid.size):
         for name in clean.channel_names:
-            ci = _CHANNEL_ORDER.index(name)
+            ci = PHOTON_CHANNELS.index(name)
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(det.seed, spawn_key=(ci, i))))
             out[name][i] = rng.poisson(n_eff * clean.channels[name][i]) / n_eff
@@ -268,7 +268,7 @@ def noisy_runs(draw):
     spec = SequenceSpec(
         kind=kind, grid=np.linspace(base[0], base[-1],
                                     draw(st.integers(2, 300))),
-        channels=draw(st.lists(st.sampled_from(_CHANNEL_ORDER), min_size=1,
+        channels=draw(st.lists(st.sampled_from(PHOTON_CHANNELS), min_size=1,
                                max_size=4, unique=True)))
     # n_avg spans every lam regime: the multiplication method below 10,
     # PTRS, and lam beyond numpy's maximum from ~2**67 on
