@@ -516,11 +516,11 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     double-resonance signal at omega = 2 pi f, of a normalized channel
     (SIG1n); photon counts (SIG1, SIG2, REF1, REF2) raise ValueError.
     The frequency starts come from the FFT peaks, so anything below the
-    Nyquist limit of the grid is found without a prior guess; with two
-    T0 starts each, all (at most 4) run in one _lockstep_lm call on the
-    closed-form Jacobian, and the first with the lowest cost wins.  A
-    start stuck far above a converged one can be retired (see
-    _lockstep_lm).
+    Nyquist limit of the grid is found without a prior guess.  Each
+    starts at T0 = span / 3, raised to the T0 bound 2 dt; all (at most
+    2) run in one _lockstep_lm call on the closed-form Jacobian, and the
+    first with the lowest cost wins.  A start stuck far above a
+    converged one can be retired (see _lockstep_lm).
     """
     x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_rabi",
                             normalized=True)
@@ -541,8 +541,8 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
         jac[:, :, 0] *= TWO_PI
         return jac
 
-    starts = [[f0, t00] for f0 in peaks for t00 in (span / 5.0, span / 2.0)]
-    runs = _lockstep_lm(model, jacobian, y, starts,
+    t00 = max(span / 3.0, 2.0 * dt)
+    runs = _lockstep_lm(model, jacobian, y, [[f0, t00] for f0 in peaks],
                         np.array([f_lo, 2.0 * dt]),
                         np.array([f_hi, 50.0 * span]))
     return _fit_result(runs, model, jacobian, y, RABI_PARAMS)
@@ -605,14 +605,15 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     at least a quarter oscillation over the record (pi / 2 span) and at
     most one oscillation per four samples (pi / 2 dt).  The upper bound
     keeps sum lines of the cosine product below the Nyquist limit, where
-    an aliased coupling set would fit the samples equally well.  All
-    starts run in lockstep (see _lockstep_lm) with the closed-form
-    Jacobian; the first start with the lowest cost wins.  Starts stuck
-    far above a converged one, typically in a short-decay basin, are
-    retired early (n_retired counts them).  A retired start ends above
-    ten times a converged start's cost, so it never wins: the winner is
-    always a start that ran to its own end, on the path it takes when
-    no start is retired.
+    an aliased coupling set would fit the samples equally well.  Each
+    tuple of _deer_rabi_candidates is one start, at T0 = span / 3 raised
+    to the bound dt.  All starts run in lockstep (see _lockstep_lm) with
+    the closed-form Jacobian; the first start with the lowest cost wins.
+    Starts stuck far above a converged one, typically in a short-decay
+    basin, are retired early (n_retired counts them).  A retired start
+    ends above ten times a converged start's cost, so it never wins: the
+    winner is always a start that ran to its own end, on the path it
+    takes when no start is retired.
     """
     if not 1 <= n_spins <= 5:
         raise ValueError(f"n_spins must be between 1 and 5, got {n_spins}")
@@ -638,13 +639,10 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     def jacobian(p):
         return nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x)
 
-    # below 9 points span / 8 falls under the T0 bound dt
-    t0_starts = dict.fromkeys(min(max(t00, dt), 10.0 * span)
-                              for t00 in (span / 3.0, span / 8.0))
+    t00 = max(span / 3.0, dt)
     starts = [list(omegas0) + [t00]
               for omegas0 in _deer_rabi_candidates(peaks_w, n_spins,
-                                                   w_lo, w_hi)
-              for t00 in t0_starts]
+                                                   w_lo, w_hi)]
     runs = _lockstep_lm(model, jacobian, y, starts, lo, hi)
     fit = _fit_result(runs, model, jacobian, y,
                       tuple(f"omega_{i + 1}_rad_us" for i in range(n_spins))

@@ -265,6 +265,16 @@ class TestRabi:
         fit = fit_rabi(make_trace(t, y, XKind.PULSE_LENGTH))
         assert fit.params[0] == pytest.approx(0.8, abs=1e-3)
 
+    @pytest.mark.parametrize("n_points", [6, 8, 10])
+    def test_short_trace(self, n_points):
+        # on an even grid below 7 points the T0 start span / 3 is raised
+        # to the bound 2 dt
+        t = np.linspace(0.0, 1.0, n_points)
+        y = 0.5 * (1 + np.exp(-((t / 0.8) ** 2)) * np.cos(TWO_PI * 0.9 * t))
+        fit = fit_rabi(make_trace(t, y, XKind.PULSE_LENGTH))
+        assert fit.params[0] == pytest.approx(0.9, abs=1e-6)
+        assert fit.params[1] == pytest.approx(0.8, abs=1e-6)
+
     @settings(max_examples=300, deadline=None)
     @given(f=st.floats(0.01, 50.0), t0=st.floats(0.01, 100.0),
            t=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=30))
@@ -320,7 +330,7 @@ class TestDeerRabiFit:
         peaks = [TWO_PI * f for f in
                  _fft_peak_frequencies(trace.x, trace.channel("coherence"), 4)]
         n_cand = len(_deer_rabi_candidates(peaks, n, W_LO, W_HI))
-        assert fit.converged and fit.n_starts == 2 * n_cand
+        assert fit.converged and fit.n_starts == n_cand
         assert np.all(np.abs(fit.params[:-1] - omegas) <= tol)
         assert select_spin_count(trace, max_n=5).best_n == n
 
@@ -339,13 +349,13 @@ class TestDeerRabiFit:
 
     @pytest.mark.parametrize("n_points", [4, 6, 8])
     def test_short_trace(self, n_points):
-        # below 9 points the T0 start span / 8 lies under the bound dt
+        # the fewest points a 1-spin fit takes, and a few more
         tr = epr_trace([0.6], t0=0.5, n=n_points)
         fit = fit_deer_rabi(tr, n_spins=1)
         assert fit.params[0] / TWO_PI == pytest.approx(0.6, abs=1e-6)
         assert fit.params[1] == pytest.approx(0.5, abs=1e-6)
         if n_points == 4:
-            # span / 3 and span / 8 both clamp to dt: one T0 start each
+            # the T0 start span / 3 equals the bound dt
             dt = 1.0 / 3.0
             peaks = [TWO_PI * f for f in
                      _fft_peak_frequencies(tr.x, tr.channel("coherence"), 4)]
@@ -366,6 +376,44 @@ class TestDeerRabiFit:
             fit(raw, channel=channel)
         with pytest.raises(ValueError, match=message):
             fit(raw.with_channels({channel: raw.channel(channel)}))
+
+
+@st.composite
+def drive_length_grids(draw, min_points):
+    """Strictly increasing drive-length grids (us), even or uneven."""
+    n = draw(st.integers(min_points, 40))
+    t_first = draw(st.floats(0.0, 0.5))
+    if draw(st.booleans()):
+        return t_first + draw(st.floats(0.01, 0.2)) * np.arange(n)
+    gaps = draw(st.lists(st.floats(0.005, 0.3), min_size=n - 1,
+                         max_size=n - 1))
+    return t_first + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+class TestStartsOnAnyGrid:
+    # each recipe raises its T0 start to its own T0 bound, so no grid
+    # the recipe accepts puts a start outside the bounds
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_spins=st.integers(1, 3),
+           t0=st.floats(0.05, 3.0))
+    def test_deer_rabi(self, data, n_spins, t0):
+        x = data.draw(drive_length_grids(n_spins + 3))
+        omegas = data.draw(st.lists(st.floats(TWO_PI * 0.2, TWO_PI * 5.0),
+                                    min_size=n_spins, max_size=n_spins))
+        y = nv_epr_signal(TargetSpinModel(omegas=tuple(omegas), t0=t0), x)
+        fit = fit_deer_rabi(make_trace(x, y, XKind.PULSE_LENGTH), n_spins)
+        span, dt = x[-1] - x[0], float(np.median(np.diff(x)))
+        peaks = [TWO_PI * f for f in _fft_peak_frequencies(x, y, 4)]
+        assert fit.n_starts == len(_deer_rabi_candidates(
+            peaks, n_spins, 0.5 * math.pi / span, 0.5 * math.pi / dt))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), f=st.floats(0.2, 20.0), t0=st.floats(0.05, 3.0))
+    def test_rabi(self, data, f, t0):
+        x = data.draw(drive_length_grids(6))
+        y = 0.5 * (1 + np.exp(-((x / t0) ** 2)) * np.cos(TWO_PI * f * x))
+        assert fit_rabi(make_trace(x, y, XKind.PULSE_LENGTH)).n_starts <= 2
 
 
 class TestModelComparison:
@@ -784,12 +832,11 @@ def _serial_best_cost(x, y, n_spins):
     peaks = [TWO_PI * f for f in _fft_peak_frequencies(x, y, count=4)]
     best = None
     for ws in _deer_rabi_candidates(peaks, n_spins, w_lo, w_hi):
-        for t00 in (span / 3.0, span / 8.0):
-            fit = _serial_lm(FitProblem(model=_epr_model, x=x, y=y,
-                                        init=np.array(ws + (t00,)),
-                                        bounds=bounds))
-            if best is None or fit.ss_res < best.ss_res:
-                best = fit
+        fit = _serial_lm(FitProblem(model=_epr_model, x=x, y=y,
+                                    init=np.array(ws + (max(span / 3.0, dt),)),
+                                    bounds=bounds))
+        if best is None or fit.ss_res < best.ss_res:
+            best = fit
     return best.ss_res
 
 
@@ -872,10 +919,15 @@ class TestDeerRabiLockstep:
         for n in (1, 2, 3):
             lockstep_calls.clear()
             fit = fit_deer_rabi(tr, n)
-            # one lockstep call, two T0 starts per spectral start
+            # one lockstep call, one start per spectral start
             n_cand = len(_deer_rabi_candidates(peaks, n, W_LO, W_HI))
             assert len(lockstep_calls) == 1
-            assert fit.n_starts == 2 * n_cand
+            assert fit.n_starts == n_cand
             assert fit.n_model_evals > 2 * fit.n_starts
-        rabi = fit_rabi(epr_trace([1.3], t0=0.6))
-        assert rabi.n_starts >= 2 and rabi.n_model_evals > rabi.n_starts
+        # fit_rabi starts once per FFT peak inside its frequency bounds
+        tr = epr_trace([1.3], t0=0.6)
+        rabi = fit_rabi(tr)
+        f_peaks = [f for f in _fft_peak_frequencies(
+            tr.x, tr.channel("coherence"), count=2) if 0.25 < f < 50.0]
+        assert rabi.n_starts == max(len(f_peaks), 1) <= 2
+        assert rabi.n_model_evals > rabi.n_starts
