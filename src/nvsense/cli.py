@@ -358,10 +358,17 @@ def _provenance(command: str, hashed: dict) -> dict:
 
 
 def _fit_summary(result: FitResult) -> dict:
-    """How a fit ended and what it cost, as fit and select-spins report it."""
+    """How a fit ended and what it cost, as fit and select-spins report it.
+
+    stop_reason, winning_start and n_rounds are those of the winning
+    start: why it ended (converged, max_iter or stalled), its index among
+    the fit's starts and the engine rounds it ran.
+    """
     return {"converged": bool(result.converged), "ss_res": result.ss_res,
             "n_starts": result.n_starts, "n_model_evals": result.n_model_evals,
-            "n_retired": result.n_retired}
+            "n_retired": result.n_retired, "stop_reason": result.stop_reason,
+            "winning_start": result.winning_start,
+            "n_rounds": result.n_rounds}
 
 
 def _print_fit(result: FitResult) -> None:

@@ -76,30 +76,38 @@ def nv_epr_signal(model: TargetSpinModel, t):
     return float(signal) if np.ndim(t) == 0 else signal
 
 
-def nv_epr_signal_grid(omegas, t0, t):
+def nv_epr_signal_grid(omegas, t0, t, keep=False):
     """nv_epr_signal for many parameter sets at once, without validation.
 
     omegas is (s, n) in rad/us, t0 is (s,) in us (math.inf for no
     decay), t is (m,); returns the (s, m) signals.  Used inside fits,
-    where the bounds already keep every parameter valid.
+    where the bounds already keep every parameter valid.  keep=True
+    returns the pair (signals, kept) instead, kept = (cos, envelope),
+    the (s, n, m) cosines and (s, m) envelope that nv_epr_jacobian_grid
+    takes at the same parameters in place of computing them again.
     """
     envelope = np.exp(-((t / t0[:, None]) ** 2))
-    product = np.prod(np.cos(omegas[:, :, None] * t), axis=1)
-    return 0.5 + 0.5 * envelope * product
+    cos = np.cos(omegas[:, :, None] * t)
+    signal = 0.5 + 0.5 * envelope * np.prod(cos, axis=1)
+    return (signal, (cos, envelope)) if keep else signal
 
 
-def nv_epr_jacobian_grid(omegas, t0, t):
+def nv_epr_jacobian_grid(omegas, t0, t, kept=None):
     """Closed-form derivatives of nv_epr_signal_grid, shape (s, m, n + 1).
 
     With E = exp(-(t/T0)^2) and C = prod_j cos(omega_j t):
         dI/domega_j = -1/2 E t sin(omega_j t) prod_{i != j} cos(omega_i t)
         dI/dT0      = C E t^2 / T0^3
-    The last column is the T0 derivative.
+    The last column is the T0 derivative.  kept is the (cos, envelope)
+    of nv_epr_signal_grid(omegas, t0, t, keep=True), computed here when
+    None; either way the result has the same bits.  A coupling of 0
+    gives cos 1 and a zero column, and leaves every other column as it
+    is without that coupling.
     """
     n = omegas.shape[1]
     phase = omegas[:, :, None] * t
-    cos, sin = np.cos(phase), np.sin(phase)
-    envelope = np.exp(-((t / t0[:, None]) ** 2))
+    cos, envelope = kept or (np.cos(phase), np.exp(-((t / t0[:, None]) ** 2)))
+    sin = np.sin(phase)
     jac = np.empty((omegas.shape[0], t.size, n + 1))
     # prod_{i != j} cos as (product of cos_i, i < j) (product, i > j)
     left = [np.ones_like(envelope)]

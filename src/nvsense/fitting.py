@@ -3,10 +3,10 @@
 The engine is one small bounded Levenberg-Marquardt, _lockstep_lm:
 damped normal equations, steps clipped into box bounds, parameters held
 on a bound that the descent direction points out of, acceptance only on
-strict objective decrease.  It runs all the starts of a fit at once.
-Recipes give it model functions with closed-form Jacobians and
-data-driven starting values (FFT peaks for oscillatory models), and
-return a uniform FitResult record.  nlls_fit runs one start of the same
+strict objective decrease.  It runs all the starts of a fit, or of a
+whole spin-count selection, at once.  Recipes give it model functions
+with closed-form Jacobians and data-driven starting values (FFT peaks
+for oscillatory models), and return a uniform FitResult record.  nlls_fit runs one start of the same
 engine on a forward-difference Jacobian, for models without a closed
 form; tests/test_fitting.py keeps a serial copy of the loop as the
 engine's oracle.
@@ -32,7 +32,7 @@ _LAM_START, _LAM_MIN, _LAM_STALL, _NU_MAX = 1e-3, 1e-12, 1e14, 64.0
 # relative convergence tolerance and default accepted-step cap
 _TOL, _MAX_ITER = 1e-10, 200
 # _lockstep_lm retires a live start whose cost is above _RETIRE_FACTOR
-# times the best cost a start of the call has converged to and fell by at
+# times the best cost a start of its group has converged to and fell by at
 # most _RETIRE_GAIN of itself over its last _RETIRE_ROUNDS rounds
 _RETIRE_FACTOR, _RETIRE_GAIN, _RETIRE_ROUNDS = 10.0, 0.01, 10
 # a larger spin count must beat the incumbent's adjusted R^2 by more
@@ -89,7 +89,9 @@ class FitResult:
     they evaluated the model, over all runs: a closed-form Jacobian
     costs one of them, nlls_fit's forward-difference one k + 1.  n_retired
     counts the runs that _lockstep_lm ended early, stuck far above a
-    converged run (see there).
+    converged run (see there).  stop_reason says why the winning run
+    ended (a _LockstepRuns.stop value), winning_start is its index among
+    the fit's starts and n_rounds the engine rounds it was live for.
     """
 
     params: np.ndarray
@@ -103,6 +105,9 @@ class FitResult:
     n_starts: int = 1
     n_model_evals: int = 0
     n_retired: int = 0
+    stop_reason: str = ""
+    winning_start: int = 0
+    n_rounds: int = 0
 
 
 def _fd_jacobian(fun, p, lo, hi, r0):
@@ -136,9 +141,9 @@ def nlls_fit(problem: FitProblem) -> FitResult:
         return np.asarray(problem.model(q, x), dtype=float)
 
     def model(p):
-        return np.array([fun(q) for q in p])
+        return np.array([fun(q) for q in p]), ()
 
-    def jacobian(p):
+    def jacobian(p, kept):
         return np.array([_fd_jacobian(fun, q, lo, hi, fun(q)) for q in p])
 
     runs = _lockstep_lm(model, jacobian, problem.y, problem.init[None], lo,
@@ -169,7 +174,7 @@ class _LockstepRuns:
     """Per-start outcome of _lockstep_lm, one entry or row per start.
 
     stop says why each start ended: "converged", "max_iter", "stalled"
-    or "retired".
+    or "retired"; n_rounds counts the rounds each start was live for.
     """
 
     params: np.ndarray
@@ -177,11 +182,20 @@ class _LockstepRuns:
     stop: np.ndarray
     n_iter: np.ndarray
     n_evals: np.ndarray
+    n_rounds: np.ndarray
     history: list
 
     @property
     def converged(self) -> np.ndarray:
         return self.stop == "converged"
+
+    def take(self, rows, cols) -> _LockstepRuns:
+        """The runs of the starts in rows, with the params in cols."""
+        return _LockstepRuns(
+            params=self.params[np.ix_(rows, cols)], cost=self.cost[rows],
+            stop=self.stop[rows], n_iter=self.n_iter[rows],
+            n_evals=self.n_evals[rows], n_rounds=self.n_rounds[rows],
+            history=[self.history[i] for i in rows])
 
 
 def _solve_each(mats, rhs):
@@ -205,20 +219,26 @@ def _solve_each(mats, rhs):
         return x, ok
 
 
-def _lockstep_lm(model, jacobian, y, starts, lo, hi,
-                 max_iter=_MAX_ITER) -> _LockstepRuns:
+def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
+                 groups=None) -> _LockstepRuns:
     """Bounded LM from every row of starts, all in lockstep.
 
-    model(P) maps an (s, k) block of parameter rows to (s, m)
-    predictions of y, jacobian(P) to their (s, m, k) derivatives.  Each
-    start minimizes its sum of squared residuals on its own: damped
-    normal equations (J^T J + lambda diag(J^T J)) delta = -g with
-    g = J^T r and per-start lambda and nu, the trial p + delta clipped
-    into [lo, hi], acceptance only on strict decrease, convergence on a
-    gain or a flat trial within _TOL, lambda/3 after an accepted step
-    and lambda*nu after a rejected one, a stall above lambda 1e14 and at
-    most max_iter accepted steps.  Each round takes the Jacobian only
-    where the last step was accepted and drops finished starts.
+    model(P) maps an (s, k) block of parameter rows to a pair: the
+    (s, m) predictions of y and kept, a tuple of arrays with one row per
+    parameter row (by-products the Jacobian can reuse, or ()).
+    jacobian(P, kept) gives the (s, m, k) derivatives; the engine takes
+    it only at points the model has just evaluated, and passes their own
+    kept rows.  lo and hi are the box bounds, (k,) for every start or
+    (s, k) for each start its own; a parameter with low = high stays
+    where it starts.  Each start minimizes its sum of squared residuals
+    on its own: damped normal equations (J^T J + lambda diag(J^T J))
+    delta = -g with g = J^T r and per-start lambda and nu, the trial
+    p + delta clipped into its box, acceptance only on strict decrease,
+    convergence on a gain or a flat trial within _TOL, lambda/3 after an
+    accepted step and lambda*nu after a rejected one, a stall above
+    lambda 1e14 and at most max_iter accepted steps.  Each round takes
+    the Jacobian only where the last step was accepted and drops
+    finished starts.
 
     Bound rule: a parameter that sits on a bound and whose descent
     direction -g points out of the box is held fixed for the step.  Its
@@ -228,32 +248,43 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
     Optim. 20, 221 (1982)).  Without it the clipped steps of a pinned
     parameter creep towards max_iter.
 
-    One rule couples the starts.  Let B be the lowest cost any start of
-    this call has converged to so far.  A live start is retired when its
-    cost is above _RETIRE_FACTOR * B and fell by at most _RETIRE_GAIN of
-    itself over its last _RETIRE_ROUNDS rounds: it is stuck in a losing
-    basin.  Its cost is then more than _RETIRE_FACTOR times a final
-    cost, so it is never the lowest; the lowest cost is always that of a
-    start that ran to its own end.  Rows do not interact, so retiring
-    one leaves every other row's path unchanged.  A lone start never
-    meets the rule, since B exists only once it has converged.  A
-    retired start might have left its basin later; tests/test_fitting.py
-    holds spin-count selections to their results without the rule.
+    One rule couples the starts of a group.  groups gives each start a
+    group id 0, 1, ... (default: all in group 0), and B is the lowest
+    cost any start of the group has converged to so far.  A live start
+    is retired when its cost is above _RETIRE_FACTOR * B and fell by at
+    most _RETIRE_GAIN of itself over its last _RETIRE_ROUNDS rounds: it
+    is stuck in a losing basin.  Its cost is then more than
+    _RETIRE_FACTOR times a final cost of its group, so it is never the
+    group's lowest; that is always the cost of a start that ran to its
+    own end.  Rows do not interact otherwise, so retiring one leaves
+    every other row's path unchanged, and each group comes out as it
+    does alone.  A lone start never meets the rule, since B exists only
+    once it has converged.  A retired start might have left its basin
+    later; tests/test_fitting.py holds spin-count selections to their
+    results without the rule.
     """
     p = np.array(starts, dtype=float)
+    lo, hi = (np.array(np.broadcast_to(b, p.shape), dtype=float)
+              for b in (lo, hi))
     if np.any(p < lo) or np.any(p > hi):
         raise ValueError("starts must lie within bounds")
     n_start, k = p.shape
-    r = model(p) - y
+    group = (np.zeros(n_start, dtype=int) if groups is None
+             else np.asarray(groups, dtype=int))
+    yhat, kept = model(p)
+    r = yhat - y
     cost = np.einsum("ij,ij->i", r, r)
     runs = _LockstepRuns(params=p.copy(), cost=cost.copy(),
                          stop=np.full(n_start, "", dtype="<U9"),
                          n_iter=np.zeros(n_start, dtype=int),
                          n_evals=np.ones(n_start, dtype=int),
+                         n_rounds=np.zeros(n_start, dtype=int),
                          history=[[c] for c in cost.tolist()])
     # one row per unfinished start; live[row] is its index in runs
     live = np.arange(n_start)
-    best = math.inf  # lowest cost a start has converged to
+    # B of each group: the lowest cost a start of it has converged to
+    best = np.full(int(group.max()) + 1, math.inf)
+    any_best = False
     # past[row, t % _RETIRE_ROUNDS] holds the cost after round t; it is
     # read back, _RETIRE_ROUNDS rounds later, just before it is overwritten
     past = np.repeat(cost[:, None], _RETIRE_ROUNDS, axis=1)
@@ -269,11 +300,12 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
 
     while live.size:
         if stale.any():
-            jac = jacobian(p[stale])
+            # kept is that of the model call that evaluated p[stale]
+            jac = jacobian(p[stale], tuple(v[stale] for v in kept))
             jt = jac.transpose(0, 2, 1)
-            a[stale] = jt @ jac
+            a[stale] = jtj = jt @ jac
             g[stale] = (jt @ r[stale][:, :, None])[:, :, 0]
-            diag = np.diagonal(a[stale], axis1=1, axis2=2).copy()
+            diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
             # keep damping effective for insensitive parameters
             diag[diag <= 0] = 1.0
             d[stale] = diag
@@ -286,7 +318,8 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
             np.where(held, 0.0, -g))
         # an unsolved row has a nan trial and cost: rejected below
         trial = np.clip(p + delta, lo, hi)
-        r_t = model(trial) - y
+        yhat, kept = model(trial)
+        r_t = yhat - y
         cost_t = np.einsum("ij,ij->i", r_t, r_t)
         runs.n_evals[live[solved]] += 1
         better = cost_t < cost
@@ -308,25 +341,32 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi,
         stalled = lam > _LAM_STALL
         end = conv | maxed | stalled
         if conv.any():
-            best = min(best, float(cost[conv].min()))
+            # at most once per start: a loop over the groups that converged
+            for gid in set(group[conv].tolist()):
+                best[gid] = min(best[gid],
+                                float(cost[conv & (group == gid)].min()))
+            any_best = True
         n_round += 1
         slot = n_round % _RETIRE_ROUNDS
         fell = past[:, slot] - cost
         past[:, slot] = cost
-        if n_round >= _RETIRE_ROUNDS and best < math.inf:
-            end |= ((cost > _RETIRE_FACTOR * best)
+        if n_round >= _RETIRE_ROUNDS and any_best:
+            end |= ((cost > _RETIRE_FACTOR * best[group])
                     & (fell <= _RETIRE_GAIN * cost))
         if end.any():
             done = live[end]
             runs.params[done], runs.cost[done] = p[end], cost[end]
-            runs.stop[done] = np.select(
-                [conv[end], maxed[end], stalled[end]],
-                ["converged", "max_iter", "stalled"], "retired")
+            runs.stop[done] = np.where(
+                conv[end], "converged", np.where(
+                    maxed[end], "max_iter",
+                    np.where(stalled[end], "stalled", "retired")))
             runs.n_iter[done] = n_iter[end]
+            runs.n_rounds[done] = n_round
             keep = ~end
-            live, p, r, cost, lam, nu, n_iter, stale, a, g, d, past = (
-                v[keep] for v in (live, p, r, cost, lam, nu, n_iter, stale,
-                                  a, g, d, past))
+            (live, p, r, cost, lam, nu, n_iter, stale, a, g, d, past, lo, hi,
+             group) = (v[keep] for v in (live, p, r, cost, lam, nu, n_iter,
+                                         stale, a, g, d, past, lo, hi, group))
+            kept = tuple(v[keep] for v in kept)
 
     runs.history = [np.asarray(h) for h in runs.history]
     return runs
@@ -336,24 +376,28 @@ def _fit_result(runs: _LockstepRuns, model, jacobian, y,
                 param_names=()) -> FitResult:
     """FitResult of the first lowest-cost start of runs.
 
-    model and jacobian are those the runs used; the fitted curve gives
-    the adjusted R^2 and the Jacobian at the winner the 1-sigma errors.
+    model and jacobian are those the runs used (see _lockstep_lm); the
+    fitted curve gives the adjusted R^2 and the Jacobian at the winner
+    the 1-sigma errors.
     """
     win = int(np.argmin(runs.cost))
     p, cost = runs.params[win], float(runs.cost[win])
     n, k = y.size, p.size
+    yhat, kept = model(p[None])
     n_evals = int(runs.n_evals.sum()) + 1
     param_errors = None
     if n > k:
-        param_errors = _param_errors(jacobian(p[None])[0], cost, n - k)
+        param_errors = _param_errors(jacobian(p[None], kept)[0], cost, n - k)
         n_evals += 1
     return FitResult(
         params=p.copy(), param_errors=param_errors, ss_res=cost,
-        adj_r2=_adj_r2_or_nan(y, model(p[None])[0], k),
+        adj_r2=_adj_r2_or_nan(y, yhat[0], k),
         converged=bool(runs.converged[win]), n_iter=int(runs.n_iter[win]),
         param_names=tuple(param_names), cost_history=runs.history[win],
         n_starts=len(runs.cost), n_model_evals=n_evals,
-        n_retired=int(np.count_nonzero(runs.stop == "retired")))
+        n_retired=int(np.count_nonzero(runs.stop == "retired")),
+        stop_reason=str(runs.stop[win]), winning_start=win,
+        n_rounds=int(runs.n_rounds[win]))
 
 
 def _adj_r2_or_nan(y, yhat, k):
@@ -486,9 +530,9 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
         amp0 = float(np.ptp(y)) or 1.0
 
     def model(p):
-        return gaussian_line(x, *p.T[:, :, None])
+        return gaussian_line(x, *p.T[:, :, None]), ()
 
-    def jacobian(p):
+    def jacobian(p, kept):
         center, width, amplitude = p.T[:3, :, None]
         u = x - center
         e = np.exp(-(u ** 2) / (2.0 * width ** 2))
@@ -518,9 +562,10 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     The frequency starts come from the FFT peaks, so anything below the
     Nyquist limit of the grid is found without a prior guess.  Each
     starts at T0 = span / 3, raised to the T0 bound 2 dt; all (at most
-    2) run in one _lockstep_lm call on the closed-form Jacobian, and the
-    first with the lowest cost wins.  A start stuck far above a
-    converged one can be retired (see _lockstep_lm).
+    2) run in one _lockstep_lm call on the closed-form Jacobian, which
+    reuses the model's cosine and envelope, and the first with the
+    lowest cost wins.  A start stuck far above a converged one can be
+    retired (see _lockstep_lm).
     """
     x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_rabi",
                             normalized=True)
@@ -534,10 +579,10 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
                                          f_hi * 0.99)]
 
     def model(p):
-        return nv_epr_signal_grid(TWO_PI * p[:, :1], p[:, 1], x)
+        return nv_epr_signal_grid(TWO_PI * p[:, :1], p[:, 1], x, keep=True)
 
-    def jacobian(p):
-        jac = nv_epr_jacobian_grid(TWO_PI * p[:, :1], p[:, 1], x)
+    def jacobian(p, kept):
+        jac = nv_epr_jacobian_grid(TWO_PI * p[:, :1], p[:, 1], x, kept)
         jac[:, :, 0] *= TWO_PI
         return jac
 
@@ -593,6 +638,62 @@ def _deer_rabi_candidates(peaks_w, n_spins, w_lo, w_hi):
     return unique[:40]
 
 
+def _deer_rabi_fits(x, y, counts) -> dict:
+    """{n: the n-spin fit of y} for every n in counts, in one engine call.
+
+    fit_deer_rabi's recipe (see there) for several spin counts at once.
+    A start of a count n below n_max = max(counts) carries n_max - n pad
+    couplings after its own, each pinned at 0 by bounds [0, 0]: cos(0 t)
+    is 1, so its model and its other Jacobian columns are those of the
+    n-coupling start, and the pad column, 0, never moves the pad.  Each
+    count is one _lockstep_lm group, so it keeps its own retire rule,
+    and its FitResult is built from its own starts without the pads.
+    """
+    n_max = max(counts)
+    if x.size < n_max + 3:
+        raise ValueError("not enough points for this many spins")
+    if np.ptp(y) > 10.0 or abs(float(np.mean(y)) - 0.5) > 5.0:
+        raise ValueError(
+            "channel does not look normalized to [0, 1]; normalize the "
+            "difference signal before fitting")
+    span = float(x[-1] - x[0])
+    dt = float(np.median(np.diff(x)))
+    w_lo, w_hi = 0.5 * np.pi / span, 0.5 * np.pi / dt
+    peaks_w = [2.0 * np.pi * f for f in _fft_peak_frequencies(x, y, count=4)
+               if f > 0]
+    t00 = max(span / 3.0, dt)
+    starts, lo, hi, groups = [], [], [], []
+    for gid, n in enumerate(counts):
+        pad = [0.0] * (n_max - n)
+        for omegas0 in _deer_rabi_candidates(peaks_w, n, w_lo, w_hi):
+            starts.append([*omegas0, *pad, t00])
+            lo.append([w_lo] * n + pad + [dt])
+            hi.append([w_hi] * n + pad + [10.0 * span])
+            groups.append(gid)
+    groups = np.array(groups)
+
+    def model(p):
+        return nv_epr_signal_grid(p[:, :-1], p[:, -1], x, keep=True)
+
+    def jacobian(p, kept):
+        return nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x, kept)
+
+    runs = _lockstep_lm(model, jacobian, y, starts, lo, hi, groups=groups)
+    fits = {}
+    for gid, n in enumerate(counts):
+        rows = np.flatnonzero(groups == gid)
+        fit = _fit_result(runs.take(rows, [*range(n), n_max]), model,
+                          jacobian, y,
+                          tuple(f"omega_{i + 1}_rad_us" for i in range(n))
+                          + ("t0_us",))
+        order = np.append(np.argsort(fit.params[:-1]), n)
+        fit.params = fit.params[order]
+        if fit.param_errors is not None:
+            fit.param_errors = fit.param_errors[order]
+        fits[n] = fit
+    return fits
+
+
 def fit_deer_rabi(trace: Trace, n_spins: int,
                   channel: str | None = None) -> FitResult:
     """Fit the n-spin double-resonance model to a drive-length sweep.
@@ -608,50 +709,19 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     an aliased coupling set would fit the samples equally well.  Each
     tuple of _deer_rabi_candidates is one start, at T0 = span / 3 raised
     to the bound dt.  All starts run in lockstep (see _lockstep_lm) with
-    the closed-form Jacobian; the first start with the lowest cost wins.
-    Starts stuck far above a converged one, typically in a short-decay
-    basin, are retired early (n_retired counts them).  A retired start
-    ends above ten times a converged start's cost, so it never wins: the
-    winner is always a start that ran to its own end, on the path it
-    takes when no start is retired.
+    the closed-form Jacobian, which reuses the model's cosines and
+    envelope; the first start with the lowest cost wins.  Starts stuck
+    far above a converged one, typically in a short-decay basin, are
+    retired early (n_retired counts them).  A retired start ends above
+    ten times a converged start's cost, so it never wins: the winner is
+    always a start that ran to its own end, on the path it takes when no
+    start is retired.
     """
     if not 1 <= n_spins <= 5:
         raise ValueError(f"n_spins must be between 1 and 5, got {n_spins}")
     x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_deer_rabi",
                             normalized=True)
-    if x.size < n_spins + 3:
-        raise ValueError("not enough points for this many spins")
-    if np.ptp(y) > 10.0 or abs(float(np.mean(y)) - 0.5) > 5.0:
-        raise ValueError(
-            "channel does not look normalized to [0, 1]; normalize the "
-            "difference signal before fitting")
-    span = float(x[-1] - x[0])
-    dt = float(np.median(np.diff(x)))
-    w_lo, w_hi = 0.5 * np.pi / span, 0.5 * np.pi / dt
-    peaks_w = [2.0 * np.pi * f for f in _fft_peak_frequencies(x, y, count=4)
-               if f > 0]
-    lo = np.array([w_lo] * n_spins + [dt])
-    hi = np.array([w_hi] * n_spins + [10.0 * span])
-
-    def model(p):
-        return nv_epr_signal_grid(p[:, :-1], p[:, -1], x)
-
-    def jacobian(p):
-        return nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x)
-
-    t00 = max(span / 3.0, dt)
-    starts = [list(omegas0) + [t00]
-              for omegas0 in _deer_rabi_candidates(peaks_w, n_spins,
-                                                   w_lo, w_hi)]
-    runs = _lockstep_lm(model, jacobian, y, starts, lo, hi)
-    fit = _fit_result(runs, model, jacobian, y,
-                      tuple(f"omega_{i + 1}_rad_us" for i in range(n_spins))
-                      + ("t0_us",))
-    order = np.append(np.argsort(fit.params[:-1]), n_spins)
-    fit.params = fit.params[order]
-    if fit.param_errors is not None:
-        fit.param_errors = fit.param_errors[order]
-    return fit
+    return _deer_rabi_fits(x, y, (n_spins,))[n_spins]
 
 
 @dataclass(frozen=True)
@@ -696,11 +766,14 @@ def select_spin_count(trace: Trace, max_n: int = 3,
     any a*y + b with a > 0 selects alike.  canonicalize=False fits the
     channel as given, for one already on that scale (coherence_trace):
     re-anchoring stretches pure noise to full scale, where a fit can
-    find "signal" in it.  Each n-spin fit, n = 1..max_n, reports its
-    adjusted R^2 with k = n + 1 (couplings plus decay time); a larger
-    count must beat the incumbent by more than _SPIN_COUNT_MARGIN, so
-    ties and smaller gains go to the smaller count.  no_signal is set
-    when every model does worse than the mean (adjusted R^2 <= 0).
+    find "signal" in it.  The n-spin fits, n = 1..max_n, are those of
+    fit_deer_rabi, all run in one _lockstep_lm call (_deer_rabi_fits):
+    each count is a group of its own, so at max_n = 2 every fit has the
+    bits of its fit_deer_rabi.  Each reports its adjusted R^2 with
+    k = n + 1 (couplings plus decay time); a larger count must beat the
+    incumbent by more than _SPIN_COUNT_MARGIN, so ties and smaller gains
+    go to the smaller count.  no_signal is set when every model does
+    worse than the mean (adjusted R^2 <= 0).
     """
     if not 1 <= max_n <= 5:
         raise ValueError(f"max_n must be between 1 and 5, got {max_n}")
@@ -708,11 +781,9 @@ def select_spin_count(trace: Trace, max_n: int = 3,
                             "select_spin_count")
     if canonicalize:
         y = _canonicalize_unit(y)
-    unit_trace = Trace(x, trace.x_kind, {"unit": y}, trace.n_avg)
     entries = {}
     best_n = 1
-    for n in range(1, max_n + 1):
-        fit = fit_deer_rabi(unit_trace, n)
+    for n, fit in _deer_rabi_fits(x, y, range(1, max_n + 1)).items():
         if math.isnan(fit.adj_r2):  # the fit's adjusted_r_squared raised
             raise ValueError("target is constant; R^2 is undefined")
         entries[n] = SpinCountEntry(n_spins=n, fit=fit)

@@ -638,6 +638,10 @@ class TestFit:
         assert report["n_starts"] >= 2
         assert report["n_model_evals"] > report["n_starts"]
         assert report["n_retired"] == 0
+        # the winning start: why it ended, which it was, how long it ran
+        assert report["stop_reason"] == "converged"
+        assert 0 <= report["winning_start"] < report["n_starts"]
+        assert report["n_rounds"] >= report["n_iter"] >= 1
 
     def test_gaussian_end_to_end(self, tmp_path):
         trace = tmp_path / "deer.csv"
@@ -785,9 +789,33 @@ class TestSelectSpins:
             assert model["n_starts"] >= 2
             assert model["n_model_evals"] > model["n_starts"]
             assert 0 <= model["n_retired"] < model["n_starts"]
+            assert model["stop_reason"] in ("converged", "max_iter",
+                                            "stalled")
+            assert 0 <= model["winning_start"] < model["n_starts"]
+            assert model["n_rounds"] >= 1
         got = sorted(report["models"]["2"]["omegas_mhz"])
         assert abs(got[0] - 1.12) <= 0.2
         assert abs(got[1] - 2.24) <= 0.2
+
+    def test_two_spin_model_is_the_fit(self, tmp_path):
+        # the selection's 2-spin fit of a coherence trace, not re-anchored,
+        # is the one fit --kind deer-rabi gives
+        trace = tmp_path / "dr.csv"
+        fit_out, sel_out = tmp_path / "fit.json", tmp_path / "sel.json"
+        assert run("simulate", "--kind", "deer-rabi", "--seed", "5",
+                   "--out", str(trace)) == 0
+        assert run("fit", "--kind", "deer-rabi", "--in", str(trace),
+                   "--out", str(fit_out)) == 0
+        assert run("select-spins", "--in", str(trace), "--max-n", "2",
+                   "--no-canonicalize", "--out", str(sel_out)) == 0
+        fit, model = read_json(fit_out), read_json(sel_out)["models"]["2"]
+        for key in ("ss_res", "n_starts", "n_model_evals", "n_retired",
+                    "stop_reason", "winning_start", "n_rounds"):
+            assert model[key] == fit[key], key
+        omegas = [fit["params"][f"omega_{i}_rad_us"] / (2 * math.pi)
+                  for i in (1, 2)]
+        assert model["omegas_mhz"] == pytest.approx(omegas, rel=1e-12)
+        assert model["t0_us"] == fit["params"]["t0_us"]
 
     def test_k_fixed_flag_is_gone(self, tmp_path, capsys):
         # one selection rule: each fit's own adjusted R^2 at k = n + 1

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -478,12 +479,12 @@ class TestModelComparison:
         margin = fitting._SPIN_COUNT_MARGIN
         adj = {}
 
-        def fake_fit(trace, n):
-            return FitResult(params=np.array([TWO_PI] * n + [0.34]),
-                             param_errors=None, ss_res=1.0, adj_r2=adj[n],
-                             converged=True, n_iter=1)
+        def fake_fits(x, y, counts):
+            return {n: FitResult(params=np.array([TWO_PI] * n + [0.34]),
+                                 param_errors=None, ss_res=1.0, adj_r2=adj[n],
+                                 converged=True, n_iter=1) for n in counts}
 
-        monkeypatch.setattr(fitting, "fit_deer_rabi", fake_fit)
+        monkeypatch.setattr(fitting, "_deer_rabi_fits", fake_fits)
         tr = epr_trace([1.12, 2.24])
         for gains, best_n in [
                 ((0.0, 0.0), 1),        # exact ties
@@ -599,8 +600,8 @@ class TestLockstepEngine:
 
     def run(self, starts, max_iter=200):
         x, y = _decay_data()
-        return _lockstep_lm(lambda p: _decay_model(p, x),
-                            lambda p: _decay_jacobian(p, x), y, starts,
+        return _lockstep_lm(lambda p: (_decay_model(p, x), ()),
+                            lambda p, kept: _decay_jacobian(p, x), y, starts,
                             self.lo, self.hi, max_iter=max_iter)
 
     def problem(self, start, max_iter=200):
@@ -644,8 +645,8 @@ class TestLockstepEngine:
         x, y = _decay_data()
         g = _decay_jacobian(start, x)[0].T @ (_decay_model(start, x)[0] - y)
         assert g[0] < 0
-        runs = _lockstep_lm(lambda p: _decay_model(p, x),
-                            lambda p: _decay_jacobian(p, x), y, start,
+        runs = _lockstep_lm(lambda p: (_decay_model(p, x), ()),
+                            lambda p, kept: _decay_jacobian(p, x), y, start,
                             self.lo, hi)
         ref = _serial_lm(FitProblem(
             model=lambda p, x: _decay_model(p[None], x)[0], x=x, y=y,
@@ -670,9 +671,11 @@ class TestLockstepEngine:
         # unconstrained optimum (slope 3) outside the box; one start sits
         # on the wall from the outset
         x = np.linspace(0.0, 1.0, 10)
-        runs = _lockstep_lm(lambda p: p * x, lambda p: np.broadcast_to(
-            x[None, :, None], (len(p), x.size, 1)), 3.0 * x,
-            np.array([[1.0], [2.0]]), np.array([0.0]), np.array([2.0]))
+        runs = _lockstep_lm(lambda p: (p * x, ()),
+                            lambda p, kept: np.broadcast_to(
+                                x[None, :, None], (len(p), x.size, 1)),
+                            3.0 * x, np.array([[1.0], [2.0]]),
+                            np.array([0.0]), np.array([2.0]))
         assert np.all(runs.converged)
         assert np.allclose(runs.params, 2.0, atol=1e-9)
 
@@ -682,14 +685,14 @@ class TestLockstepEngine:
         # as they do without it
         x, y = _decay_data()
 
-        def jacobian(p):
+        def jacobian(p, kept):
             jac = _decay_jacobian(p, x)
             jac[p[:, 0] == 7.0] = np.nan
             return jac
 
         def run(starts):
-            return _lockstep_lm(lambda p: _decay_model(p, x), jacobian, y,
-                                starts, self.lo, self.hi)
+            return _lockstep_lm(lambda p: (_decay_model(p, x), ()), jacobian,
+                                y, starts, self.lo, self.hi)
 
         clean = run(self.starts)
         mixed = run(np.insert(self.starts, 1, [7.0, 1.0], axis=0))
@@ -732,13 +735,13 @@ class TestRetire:
                        [38.0, 38.0, 0.125]])
     stuck = 1
 
-    def run(self, starts):
+    def run(self, starts, groups=None):
         tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
         x, y = tr.x, tr.channel("coherence")
         return _lockstep_lm(
-            lambda p: nv_epr_signal_grid(p[:, :-1], p[:, -1], x),
-            lambda p: nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x),
-            y, starts, self.lo, self.hi)
+            lambda p: (nv_epr_signal_grid(p[:, :-1], p[:, -1], x), ()),
+            lambda p, kept: nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x),
+            y, starts, self.lo, self.hi, groups=groups)
 
     def test_stuck_start_retired_others_untouched(self, monkeypatch):
         runs = self.run(self.starts)
@@ -774,6 +777,25 @@ class TestRetire:
         tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
         fit = fit_deer_rabi(tr, 2)
         assert 0 < fit.n_retired < fit.n_starts
+
+    def test_groups_run_as_separate_calls(self):
+        # group 0 holds the three starts, so its stuck start is retired
+        # against group 0's B; group 1 holds a copy of the stuck start
+        # alone, which no converged start of its own group can retire
+        stuck = self.starts[self.stuck][None]
+        starts = np.vstack([self.starts, stuck])
+        fused = self.run(starts, groups=[0, 0, 0, 1])
+        for rows, alone in (([0, 1, 2], self.run(self.starts)),
+                            ([3], self.run(stuck))):
+            for name in ("params", "cost", "stop", "n_iter", "n_evals",
+                         "n_rounds"):
+                assert np.array_equal(getattr(fused, name)[rows],
+                                      getattr(alone, name)), name
+            for i, h in zip(rows, alone.history):
+                assert np.array_equal(fused.history[i], h)
+        assert fused.stop[[1, 3]].tolist() == ["retired", "converged"]
+        # in one group, the copy meets the B of the other starts
+        assert self.run(starts).stop[3] == "retired"
 
 
 def _selection_matches_without_retiring(monkeypatch, traces, max_n):
@@ -931,3 +953,140 @@ class TestDeerRabiLockstep:
             tr.x, tr.channel("coherence"), count=2) if 0.25 < f < 50.0]
         assert rabi.n_starts == max(len(f_peaks), 1) <= 2
         assert rabi.n_model_evals > rabi.n_starts
+
+
+def _same_fit(a: FitResult, b: FitResult):
+    """Every field of two fits, bit for bit."""
+    for name in ("params", "param_errors", "cost_history"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert (got is None) == (want is None), name
+        if want is not None:
+            np.testing.assert_array_equal(got, want, err_msg=name)
+    for name in ("ss_res", "adj_r2", "converged", "n_iter", "param_names",
+                 "n_starts", "n_model_evals", "n_retired", "stop_reason",
+                 "winning_start", "n_rounds"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got == want or (got != got and want != want), name
+
+
+def _unit_trace(tr, canonicalize):
+    """The trace select_spin_count fits, as a one-channel trace."""
+    y = tr.channel(next(iter(tr.channels)))
+    if canonicalize:
+        y = fitting._canonicalize_unit(y)
+    return make_trace(tr.x, y, XKind.PULSE_LENGTH)
+
+
+def _noise_trace(seed):
+    t = np.linspace(0.0, 1.0, 101)
+    y = 0.5 + 0.016 * np.random.default_rng(seed).standard_normal(101)
+    return make_trace(t, y, XKind.PULSE_LENGTH)
+
+
+class TestOneCallSelection:
+    """select_spin_count's one engine call against fit_deer_rabi per count."""
+
+    @pytest.mark.parametrize("n_avg", [1_260_000, 100_000, 30_000])
+    def test_two_spin_selection_is_the_per_count_fits(self, n_avg):
+        traces = [_preset_pair_trace(n_avg, seed) for seed in range(7)]
+        if n_avg == 30_000:
+            traces += [_noise_trace(seed) for seed in range(3)]
+        for tr, canonicalize in itertools.product(traces, (True, False)):
+            sel = select_spin_count(tr, max_n=2, canonicalize=canonicalize)
+            unit = _unit_trace(tr, canonicalize)
+            for n in (1, 2):
+                _same_fit(sel.entries[n].fit, fit_deer_rabi(unit, n))
+
+    def test_three_spin_selection_within_tolerance(self):
+        margin = fitting._SPIN_COUNT_MARGIN
+        traces = [_preset_pair_trace(n_avg, 11) for n_avg in
+                  (1_260_000, 100_000, 30_000)] + [_noise_trace(5)]
+        for tr in traces:
+            sel = select_spin_count(tr, max_n=3)
+            fits = {n: fit_deer_rabi(_unit_trace(tr, True), n)
+                    for n in (1, 2, 3)}
+            best_n = 1
+            for n in (2, 3):
+                if fits[n].adj_r2 > fits[best_n].adj_r2 + margin:
+                    best_n = n
+            assert sel.best_n == best_n
+            for n, fit in fits.items():
+                assert sel.entries[n].fit.ss_res == pytest.approx(
+                    fit.ss_res, rel=1e-9)
+            # the 3-spin starts carry no pad: their fit is the same
+            _same_fit(sel.entries[3].fit, fits[3])
+
+    def test_pad_couplings_stay_zero(self, monkeypatch):
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append((args, kwargs, _lockstep_lm(*args, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(fitting, "_lockstep_lm", capture)
+        sel = select_spin_count(_preset_pair_trace(100_000, 2), max_n=3)
+        (args, kwargs, runs), = calls  # one engine call for all counts
+        counts = np.array(kwargs["groups"]) + 1
+        assert np.count_nonzero(counts < 3) > 0
+        for row, n in enumerate(counts):
+            # a pad stays on its start, 0, and on its bounds [0, 0]
+            assert np.all(runs.params[row, n:3] == 0.0)
+            assert np.all(np.asarray(args[4])[row, n:3] == 0.0)
+            assert np.all(np.asarray(args[5])[row, n:3] == 0.0)
+        assert [sel.entries[n].fit.n_starts for n in (1, 2, 3)] == [
+            np.count_nonzero(counts == n) for n in (1, 2, 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(omegas=st.lists(st.floats(0.0, W_HI), min_size=1, max_size=5),
+           t0=st.floats(DT, 10.0 * SPAN), n_pad=st.integers(0, 2))
+    def test_kept_trig_jacobian_is_bit_identical(self, omegas, t0, n_pad):
+        w, t0 = np.array([omegas]), np.array([t0])
+        signal, kept = nv_epr_signal_grid(w, t0, GRID, keep=True)
+        np.testing.assert_array_equal(signal, nv_epr_signal_grid(w, t0, GRID))
+        jac = nv_epr_jacobian_grid(w, t0, GRID)
+        np.testing.assert_array_equal(
+            nv_epr_jacobian_grid(w, t0, GRID, kept), jac)
+        # pad couplings of 0 leave the model and every other column as
+        # they are, and their own columns 0
+        n = w.shape[1]
+        padded = np.append(w, np.zeros((1, n_pad)), axis=1)
+        np.testing.assert_array_equal(
+            nv_epr_signal_grid(padded, t0, GRID), signal)
+        jac_pad = nv_epr_jacobian_grid(padded, t0, GRID)
+        np.testing.assert_array_equal(jac_pad[:, :, :n], jac[:, :, :n])
+        np.testing.assert_array_equal(jac_pad[:, :, -1], jac[:, :, -1])
+        assert np.all(jac_pad[:, :, n:-1] == 0.0)
+
+
+class TestWinnerRecord:
+    """FitResult's stop_reason, winning_start and n_rounds."""
+
+    def test_deer_rabi_winner(self, monkeypatch):
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append(_lockstep_lm(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(fitting, "_lockstep_lm", capture)
+        fit = fit_deer_rabi(epr_trace([1.12, 2.24], noise=0.01, seed=0), 2)
+        runs, = calls
+        win = int(np.argmin(runs.cost))
+        assert fit.winning_start == win
+        assert fit.stop_reason == runs.stop[win] == "converged"
+        assert fit.n_rounds == runs.n_rounds[win] >= fit.n_iter
+        # a start is live for at least as many rounds as it accepts steps
+        assert np.all(runs.n_rounds >= runs.n_iter)
+        assert np.all(runs.n_rounds[runs.stop == "retired"]
+                      >= fitting._RETIRE_ROUNDS)
+
+    def test_max_iter_winner(self):
+        x, y = _decay_data()
+        fit = nlls_fit(FitProblem(
+            model=lambda p, x: _decay_model(p[None], x)[0], x=x, y=y,
+            init=np.array([1.0, 1.0]), bounds=((0.0, 10.0), (0.0, 10.0)),
+            max_iter=1))
+        assert not fit.converged
+        assert fit.stop_reason == "max_iter"
+        assert fit.winning_start == 0 and fit.n_iter == 1
+        assert fit.n_rounds >= 1
