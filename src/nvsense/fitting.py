@@ -156,15 +156,19 @@ def nlls_fit(problem: FitProblem) -> FitResult:
 def _param_errors(jac, cost, dof):
     """1-sigma errors from the covariance inv(J^T J) cost / dof.
 
-    None when J^T J is singular or the covariance has a non-finite or
-    negative diagonal.
+    None when J^T J overflows or is singular, or the covariance has a
+    non-finite or negative diagonal (an inverse with inf entries times a
+    cost of 0 gives nan), with no numpy warning.
     """
-    try:
-        cov = np.linalg.inv(jac.T @ jac) * (cost / dof)
-    except np.linalg.LinAlgError:
-        return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        jtj = jac.T @ jac
+        try:
+            cov = np.linalg.inv(jtj) * (cost / dof)
+        except np.linalg.LinAlgError:
+            return None
     diag = np.diag(cov)
-    if np.all(np.isfinite(diag)) and np.all(diag >= 0):
+    if (np.all(np.isfinite(jtj)) and np.all(np.isfinite(diag))
+            and np.all(diag >= 0)):
         return np.sqrt(diag)
     return None
 

@@ -273,153 +273,16 @@ _CHANNEL_VALUE = {
 }
 
 
-# numpy's SeedSequence hash mix (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-# Philox4x64-10 round multipliers and key increments (Random123)
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_PHILOX_ROUNDS = 10
-# Generator.poisson's largest lam (numpy/random/_common.pyx)
-_POISSON_LAM_MAX = (np.iinfo(np.int64).max
-                    - np.sqrt(np.iinfo(np.int64).max) * 10)
-# below this lam Generator.poisson uses the multiplication method, not PTRS
-_PTRS_LAM_MIN = 10.0
-
-
-def _hash_consts(init: int, mult: int, done: int) -> np.ndarray:
-    """The next 5 constants of a SeedSequence hash after done hashes,
-    init * mult**k mod 2**32 for k = done .. done + 4, as uint32."""
-    return np.array([init * pow(mult, k, 1 << 32) & _MASK32
-                     for k in range(done, done + 5)], dtype=np.uint32)
-
-
-def _philox_keys(seed: int, channel: np.ndarray, point: np.ndarray) -> tuple:
-    """SeedSequence(seed, spawn_key=(c, i)).generate_state(2, np.uint64)
-    for each entry of the equal-shaped uint32 arrays channel and point.
-
-    SeedSequence(seed, spawn_key=(c,)).pool is that sequence's pool
-    before its last entropy word, i; only the mix of i into the pool
-    and the output hash are replayed here.
-    """
-    # one row per pool word, one column per channel index
-    table = np.array([np.random.SeedSequence(seed, spawn_key=(c,)).pool
-                      for c in range(len(PHOTON_CHANNELS))]).T
-    pool = np.take(table, channel, axis=1)
-    # numpy hashes each entropy word 4 times: the seed's uint32 words,
-    # padded to 4, then the channel word
-    n_seed_words = max(4, -(-int(seed).bit_length() // 32))
-    column = (-1,) + (1,) * point.ndim
-    a = _hash_consts(_INIT_A, _MULT_A, 4 * (n_seed_words + 1)).reshape(column)
-    word = (point ^ a[:-1]) * a[1:]
-    word ^= word >> np.uint32(16)
-    pool = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * word
-    pool ^= pool >> np.uint32(16)
-    b = _hash_consts(_INIT_B, _MULT_B, 0).reshape(column)
-    state = (pool ^ b[:-1]) * b[1:]
-    state = (state ^ (state >> np.uint32(16))).astype(np.uint64)
-    shift = np.uint64(32)
-    return state[0] | state[1] << shift, state[2] | state[3] << shift
-
-
-def _mulhilo64(a: np.uint64, b: np.ndarray) -> tuple:
-    """High and low 64-bit words of a * b, from 32-bit halves."""
-    lo32, shift = np.uint64(_MASK32), np.uint64(32)
-    a_lo, a_hi = a & lo32, a >> shift
-    b_lo, b_hi = b & lo32, b >> shift
-    lo_lo = a_lo * b_lo
-    cross = (lo_lo >> shift) + (a_hi * b_lo & lo32) + a_lo * b_hi
-    hi = a_hi * b_hi + (a_hi * b_lo >> shift) + (cross >> shift)
-    return hi, a * b
-
-
-def _philox_first_block(key0: np.ndarray, key1: np.ndarray) -> tuple:
-    """The four uint64 words a fresh Philox(key=(key0, key1)) yields first.
-
-    numpy's Philox bumps the counter before each block, so the first
-    block is Philox4x64-10 at counter (1, 0, 0, 0).
-    """
-    zero = np.zeros_like(key0)
-    c0, c1, c2, c3 = zero + np.uint64(1), zero, zero, zero
-    k0, k1 = key0, key1
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo64(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo64(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
-
-
-def _unit_double(word: np.ndarray) -> np.ndarray:
-    """numpy's next_double: the top 53 bits of a uint64 as a double in [0, 1)."""
-    return (word >> np.uint64(11)).astype(float) * (1.0 / 9007199254740992.0)
-
-
-def _poisson_counts(seed: int, channel: np.ndarray, point: np.ndarray,
-                    lam: np.ndarray) -> np.ndarray:
-    """Generator(Philox(SeedSequence(seed, spawn_key=(c, i)))).poisson(lam)
-    for each entry, in whole arrays.
-
-    channel and point are integer arrays broadcast to lam's shape.  Most
-    draws with lam >= 10 end at the first PTRS try's quick accept, which
-    needs only the stream's first two doubles; it is replayed here with
-    numpy's arithmetic.  Every other draw (a PTRS rejection, lam < 10,
-    or a lam numpy refuses) runs numpy's own Generator.poisson on a
-    Philox reset to that stream, so it raises what numpy raises.
-    """
-    channel, point = np.broadcast_arrays(channel.astype(np.uint32),
-                                         point.astype(np.uint32))
-    key0, key1 = _philox_keys(seed, channel, point)
-    counts = np.zeros(lam.shape, dtype=np.int64)
-    todo = np.ones(lam.shape, dtype=bool)
-
-    ptrs = (lam >= _PTRS_LAM_MIN) & (lam <= _POISSON_LAM_MAX)
-    if ptrs.any():
-        w0, w1, _, _ = _philox_first_block(key0[ptrs], key1[ptrs])
-        lam_p = lam[ptrs]
-        slam = np.sqrt(lam_p)
-        b = 0.931 + 2.53 * slam
-        a = -0.059 + 0.02483 * b
-        vr = 0.9277 - 3.6224 / (b - 2)
-        u = _unit_double(w0) - 0.5
-        v = _unit_double(w1)
-        us = 0.5 - np.abs(u)
-        ok = (us >= 0.07) & (v <= vr)
-        k = np.floor((2 * a[ok] / us[ok] + b[ok]) * u[ok] + lam_p[ok] + 0.43)
-        where = np.flatnonzero(ptrs)[ok]
-        counts.flat[where] = k.astype(np.int64)
-        todo.flat[where] = False
-
-    left = np.flatnonzero(todo)
-    if left.size:
-        bitgen = np.random.Philox(key=0)
-        gen = np.random.Generator(bitgen)
-        state = bitgen.state
-        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-        for j in left:
-            state["state"] = {"counter": [0, 0, 0, 0],
-                              "key": [key0.flat[j], key1.flat[j]]}
-            bitgen.state = state
-            counts.flat[j] = gen.poisson(lam.flat[j])
-    return counts
-
-
 def synthesize(spec: SequenceSpec, truth, det: DetectorModel) -> Trace:
     """Generate a photon-count Trace for the sweep.
 
-    Channel values are photons per repetition (counts / n_avg).  The
-    noise of each (channel, grid point) pair depends only on (seed,
-    channel, point): it is the draw of
-    Generator(Philox(SeedSequence(seed, spawn_key=(c, i)))).poisson,
-    c the channel's index in SIG1, SIG2, REF1, REF2 and i the point's
-    index.  So the output is byte-identical across runs and whatever
-    other channels or points are drawn, and it follows numpy's
-    SeedSequence, Philox and Poisson streams.  The draws are computed
-    in whole arrays; tests/test_synth.py keeps the per-point loop as
-    the oracle and requires equal bytes.
+    Channel values are photons per repetition (counts / n_avg).  Each
+    channel's counts are one draw of
+    Generator(Philox(SeedSequence(seed, spawn_key=(c,)))).poisson over
+    the whole grid, c the channel's index in SIG1, SIG2, REF1, REF2.  So
+    a point's noise depends on (seed, channel) and on the points before
+    it in its channel, not on other channels or on the worker count, and
+    the output is byte-identical across runs.
     """
     model = _model_values(spec, truth)
     names = spec.resolved_channels()
@@ -432,10 +295,10 @@ def synthesize(spec: SequenceSpec, truth, det: DetectorModel) -> Trace:
     if det.noiseless:
         return Trace(spec.grid, spec.x_kind, rates, n_avg=n_eff)
 
-    lam = n_eff * np.array([rates[name] for name in names])
-    channel = np.array([PHOTON_CHANNELS.index(name) for name in names])
-    counts = _poisson_counts(det.seed, channel[:, None],
-                             np.arange(spec.grid.size), lam)
+    counts = np.array([
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            det.seed, spawn_key=(PHOTON_CHANNELS.index(name),))))
+        .poisson(n_eff * rates[name]) for name in names])
     if n_eff <= 2 ** 53 and counts.max() <= 2 ** 53:
         values = counts / n_eff
     else:
@@ -465,7 +328,14 @@ def normalize_channels(sig, ref1, ref2) -> np.ndarray:
 
 
 def normalized_channels(trace: Trace) -> dict:
-    """Normalized signal channels {name + 'n': values} using REF1/REF2."""
+    """Normalized signal channels {name + 'n': values} using REF1/REF2.
+
+    Every point is normalized against the sweep means of REF1 and REF2,
+    which the model holds constant.  A point's own references did no
+    better where the two were compared, and on a split budget, with few
+    shots per point, their separation can reach zero.  normalize_channels raises
+    DegenerateReferenceError if the mean separation is not positive.
+    """
     for ref in ("REF1", "REF2"):
         if ref not in trace.channels:
             raise ValueError(f"trace lacks {ref}; channels are "
@@ -474,6 +344,12 @@ def normalized_channels(trace: Trace) -> dict:
     sigs = [c for c in trace.channel_names if c.startswith("SIG")]
     if not sigs:
         raise ValueError("trace has no SIG channels")
+    # summing value / size overflows only where every value is within an
+    # ulp or so of the float range's end, and the clip restores the mean
+    with np.errstate(over="ignore"):
+        ref1, ref2 = (np.full_like(ref, np.clip(np.sum(ref / ref.size),
+                                                ref.min(), ref.max()))
+                      for ref in (ref1, ref2))
     return {name + "n": normalize_channels(trace.channel(name), ref1, ref2)
             for name in sigs}
 

@@ -10,7 +10,8 @@ import pytest
 
 import nvsense.cli as cli
 from nvsense import __version__, presets
-from nvsense.core import DEFAULT_CONSTANTS, TWO_PI, Trace, XKind
+from nvsense.core import (DEFAULT_CONSTANTS, PHOTON_CHANNELS, TWO_PI, Trace,
+                          XKind)
 from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
                           nv_epr_signal, nv_epr_signal_grid)
 from nvsense.eseem import (BathModel, bath_decoherence, load_hyperfine_table,
@@ -424,19 +425,21 @@ class TestSimulate:
             == self.NOISELESS_SHA256[kind, preset]
 
     # sha256 of noisy `simulate --seed 3` CSVs, version line left out,
-    # taken from the per-point synthesis loop that is now the oracle in
-    # test_synth.py: they fix numpy's SeedSequence/Philox/Poisson stream.
-    # --n-avg 100 puts every draw below lam = 10 (the multiplication
-    # method); --n-avg 220 straddles it.
+    # derived by drawing each channel with numpy's
+    # Generator(Philox(SeedSequence(3, spawn_key=(c,)))).poisson on the
+    # noiseless CSV's rates, as test_noisy_draw_is_numpys does: they fix
+    # the noise contract and numpy's Poisson stream.  --n-avg 100 puts
+    # every draw below lam = 10, where numpy's Poisson takes another
+    # method; --n-avg 220 straddles it.
     NOISY_SHA256 = {
-        ("pulsed-odmr", ()): "4bf42b144669f9361344e2404e7c7e13517619e14512fa6efcd16567ad63e9fd",
-        ("rabi", ()): "aca1c1e5c8b5aeef0eca02b5f61daace6525ec9ddc2bf63daa330ec192337bc8",
-        ("cpmg8", ()): "17e60d0471c6f9f00dae37648bb4bcc61be9b6122e9ccd4c6f836112b5311555",
-        ("cpmg-deer", ()): "f69fdf7b8b7cd6593d75b943c633bdb026e7c3d9c3617390420b0e3fb38e7794",
-        ("deer-rabi", ()): "945d787007b35885614fe112ed9f8e58dc3fbfeb6107ca992542d6995d1a6f1c",
-        ("cpmg8", ("--n-avg", "2000000", "--n-avg-total")): "31657dbe6f064f95f998ad42f92b83f9114c1ee0122d423d269b809422c038d5",
-        ("rabi", ("--n-avg", "100")): "6ae7c77d2b2c74fee7257cc77c8968a48c2c69b58e519b5e5aa3c846d9b83814",
-        ("deer-rabi", ("--n-avg", "220")): "623376e36d320b2dbb10ea838f0813912253d49202656eddfee804afac1c5db3",
+        ("pulsed-odmr", ()): "43e9f6fb7b1a914711780472ba7947ddf4e918a76d74fea74117153623799038",
+        ("rabi", ()): "ca53c8452c03783ccbd99d94eee543fd34c14e284c91b0176cd6f5bffc35066a",
+        ("cpmg8", ()): "7fb707e1a380141d9ba8f84901853a11605e199c9aad2debfefd24a171e21e5f",
+        ("cpmg-deer", ()): "9b18fef12ab6cce5fa432f5b20b6b208dee0aa1cd363569b8a6afd59c3aed591",
+        ("deer-rabi", ()): "faf34c248ba52600b93ae4418e0a282a2a8a79a2d7d0aed2a59b5dbc7c100f50",
+        ("cpmg8", ("--n-avg", "2000000", "--n-avg-total")): "f9f25a4a769a9cc464b0ef550c0dac4003e267c30068c840d8e836f58e373d0b",
+        ("rabi", ("--n-avg", "100")): "dcd2d8bcab61bc4a4cd29add26d34d30005bbe89eb3274a0eae6167256bffabf",
+        ("deer-rabi", ("--n-avg", "220")): "42897ed273bcc4b88b82bb732030ae2788194ea465501fa49cac7d96f88095fa",
     }
 
     @pytest.mark.parametrize("kind, extra", sorted(NOISY_SHA256))
@@ -448,6 +451,23 @@ class TestSimulate:
                         if not line.startswith(b"# version:"))
         assert hashlib.sha256(data).hexdigest() \
             == self.NOISY_SHA256[kind, extra]
+
+    @pytest.mark.parametrize("kind, extra", sorted(NOISY_SHA256))
+    def test_noisy_draw_is_numpys(self, tmp_path, kind, extra):
+        # the noise contract: channel c is one numpy Poisson draw over the
+        # grid from SeedSequence(seed, spawn_key=(c,)), over n_avg
+        clean, noisy = tmp_path / "clean.csv", tmp_path / "noisy.csv"
+        for path, flags in ((clean, ("--noiseless",)), (noisy, ())):
+            assert run("simulate", "--kind", kind, "--seed", "3", *extra,
+                       *flags, "--out", str(path)) == 0
+        rates, got = read_trace(clean), read_trace(noisy)
+        assert got.channel_names == rates.channel_names
+        n = got.n_avg
+        for name in rates.channel_names:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                3, spawn_key=(PHOTON_CHANNELS.index(name),))))
+            expect = rng.poisson(n * rates.channel(name)) / n
+            assert got.channel(name).tobytes() == expect.tobytes()
 
     def test_cpmg8_pulse_count_reaches_the_bath(self, tmp_path):
         # the bath filter takes the sequence's pulse count
