@@ -124,7 +124,7 @@ class Trace:
             raise ValueError("x must be a 1-d grid with at least 2 points")
         if not np.all(np.isfinite(x)):
             raise ValueError("x contains non-finite values")
-        if np.any(np.diff(x) <= 0):
+        if np.any(x[1:] <= x[:-1]):
             raise ValueError("x must be strictly increasing")
         if not isinstance(self.x_kind, XKind):
             raise ValueError(f"x_kind must be an XKind, got {self.x_kind!r}")

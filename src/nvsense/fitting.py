@@ -35,6 +35,10 @@ _TOL, _MAX_ITER = 1e-10, 200
 # times the best cost a start of its group has converged to and fell by at
 # most _RETIRE_GAIN of itself over its last _RETIRE_ROUNDS rounds
 _RETIRE_FACTOR, _RETIRE_GAIN, _RETIRE_ROUNDS = 10.0, 0.01, 10
+# it also retires a live start whose cost is above (1 + _TWIN_COST) times
+# that best cost and two of whose free exchangeable parameters are equal
+# within _TWIN_REL of their size
+_TWIN_COST, _TWIN_REL = 1e-6, 1e-9
 # a larger spin count must beat the incumbent's adjusted R^2 by more
 _SPIN_COUNT_MARGIN = 1e-3
 
@@ -89,9 +93,10 @@ class FitResult:
     they evaluated the model, over all runs: a closed-form Jacobian
     costs one of them, nlls_fit's forward-difference one k + 1.  n_retired
     counts the runs that _lockstep_lm ended early, stuck far above a
-    converged run (see there).  stop_reason says why the winning run
-    ended (a _LockstepRuns.stop value), winning_start is its index among
-    the fit's starts and n_rounds the engine rounds it was live for.
+    converged run or above it on equal exchangeable parameters (see
+    there).  stop_reason says why the winning run ended (a
+    _LockstepRuns.stop value), winning_start is its index among the
+    fit's starts and n_rounds the engine rounds it was live for.
     """
 
     params: np.ndarray
@@ -224,7 +229,7 @@ def _solve_each(mats, rhs):
 
 
 def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
-                 groups=None) -> _LockstepRuns:
+                 groups=None, exchangeable=()) -> _LockstepRuns:
     """Bounded LM from every row of starts, all in lockstep.
 
     model(P) maps an (s, k) block of parameter rows to a pair: the
@@ -252,20 +257,25 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     Optim. 20, 221 (1982)).  Without it the clipped steps of a pinned
     parameter creep towards max_iter.
 
-    One rule couples the starts of a group.  groups gives each start a
+    Two rules couple the starts of a group.  groups gives each start a
     group id 0, 1, ... (default: all in group 0), and B is the lowest
     cost any start of the group has converged to so far.  A live start
     is retired when its cost is above _RETIRE_FACTOR * B and fell by at
     most _RETIRE_GAIN of itself over its last _RETIRE_ROUNDS rounds: it
-    is stuck in a losing basin.  Its cost is then more than
-    _RETIRE_FACTOR times a final cost of its group, so it is never the
-    group's lowest; that is always the cost of a start that ran to its
-    own end.  Rows do not interact otherwise, so retiring one leaves
-    every other row's path unchanged, and each group comes out as it
-    does alone.  A lone start never meets the rule, since B exists only
-    once it has converged.  A retired start might have left its basin
-    later; tests/test_fitting.py holds spin-count selections to their
-    results without the rule.
+    is stuck in a losing basin.  It is also retired when its cost is
+    above (1 + _TWIN_COST) * B and two of its exchangeable parameters
+    (column indices; default none) are equal within _TWIN_REL, both free
+    (low < high): the model is symmetric in them, so their Jacobian
+    columns are equal too and the step keeps them equal up to rounding;
+    the start is caught on the saddle where the swap maps the model to
+    itself.  Either way its cost is above a final cost of its group, so
+    it is never the group's lowest; that is always the cost of a start
+    that ran to its own end.  Rows do not interact otherwise, so
+    retiring one leaves every other row's path unchanged, and each group
+    comes out as it does alone.  A lone start never meets a rule, since
+    B exists only once it has converged.  A retired start might have
+    left its basin or saddle later; tests/test_fitting.py holds
+    spin-count selections to their results without the rules.
     """
     p = np.array(starts, dtype=float)
     lo, hi = (np.array(np.broadcast_to(b, p.shape), dtype=float)
@@ -275,6 +285,7 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     n_start, k = p.shape
     group = (np.zeros(n_start, dtype=int) if groups is None
              else np.asarray(groups, dtype=int))
+    twins = np.asarray(exchangeable, dtype=int)
     yhat, kept = model(p)
     r = yhat - y
     cost = np.einsum("ij,ij->i", r, r)
@@ -357,6 +368,14 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
         if n_round >= _RETIRE_ROUNDS and any_best:
             end |= ((cost > _RETIRE_FACTOR * best[group])
                     & (fell <= _RETIRE_GAIN * cost))
+        if twins.size and any_best:
+            # sorted, a parameter's nearest equal is its neighbour; a
+            # parameter pinned by its bounds is nan and equals none
+            w = np.where(lo[:, twins] < hi[:, twins], p[:, twins], np.nan)
+            w.sort(axis=1)
+            end |= ((cost > (1.0 + _TWIN_COST) * best[group])
+                    & np.any(np.abs(np.diff(w, axis=1))
+                             <= _TWIN_REL * np.abs(w[:, 1:]), axis=1))
         if end.any():
             done = live[end]
             runs.params[done], runs.cost[done] = p[end], cost[end]
@@ -649,9 +668,11 @@ def _deer_rabi_fits(x, y, counts) -> dict:
     A start of a count n below n_max = max(counts) carries n_max - n pad
     couplings after its own, each pinned at 0 by bounds [0, 0]: cos(0 t)
     is 1, so its model and its other Jacobian columns are those of the
-    n-coupling start, and the pad column, 0, never moves the pad.  Each
-    count is one _lockstep_lm group, so it keeps its own retire rule,
-    and its FitResult is built from its own starts without the pads.
+    n-coupling start, and the pad column, 0, never moves the pad.  The
+    couplings are the engine's exchangeable columns; a pad is not free,
+    so two pads at 0 never count as equal couplings.  Each count is one
+    _lockstep_lm group, so it keeps its own retire rules, and its
+    FitResult is built from its own starts without the pads.
     """
     n_max = max(counts)
     if x.size < n_max + 3:
@@ -682,7 +703,8 @@ def _deer_rabi_fits(x, y, counts) -> dict:
     def jacobian(p, kept):
         return nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x, kept)
 
-    runs = _lockstep_lm(model, jacobian, y, starts, lo, hi, groups=groups)
+    runs = _lockstep_lm(model, jacobian, y, starts, lo, hi, groups=groups,
+                        exchangeable=range(n_max))
     fits = {}
     for gid, n in enumerate(counts):
         rows = np.flatnonzero(groups == gid)
@@ -714,12 +736,17 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     tuple of _deer_rabi_candidates is one start, at T0 = span / 3 raised
     to the bound dt.  All starts run in lockstep (see _lockstep_lm) with
     the closed-form Jacobian, which reuses the model's cosines and
-    envelope; the first start with the lowest cost wins.  Starts stuck
-    far above a converged one, typically in a short-decay basin, are
-    retired early (n_retired counts them).  A retired start ends above
-    ten times a converged start's cost, so it never wins: the winner is
-    always a start that ran to its own end, on the path it takes when no
-    start is retired.
+    envelope; the first start with the lowest cost wins.  Two kinds of
+    start are retired early (n_retired counts them; see _lockstep_lm):
+    those stuck far above a converged one, typically in a short-decay
+    basin, and those above it with two equal couplings.  The model is
+    symmetric in the couplings, so a start with equal ones keeps them
+    equal, creeping along that line; the repeated-peak tuples of
+    _deer_rabi_candidates start on it, and others fall onto it with both
+    couplings at the lower bound.  A retired start ends above a
+    converged start's cost, so it never wins: the winner is always a
+    start that ran to its own end, on the path it takes when no start is
+    retired.
     """
     if not 1 <= n_spins <= 5:
         raise ValueError(f"n_spins must be between 1 and 5, got {n_spins}")

@@ -97,7 +97,7 @@ class SequenceSpec:
         grid = np.asarray(self.grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be 1-d with at least 2 points")
-        if np.any(~np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
+        if np.any(~np.isfinite(grid)) or np.any(grid[1:] <= grid[:-1]):
             raise ValueError("grid must be finite and strictly increasing")
         grid = grid.copy()
         grid.setflags(write=False)

@@ -95,6 +95,16 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(np.array([2.0, 1.0]), XKind.FREQUENCY, {"a": np.zeros(2)})
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_spanning_the_float_range(self):
+        # the difference of the ends overflows; comparing neighbours does not
+        tr = Trace(np.array([-1e308, 1e308]), XKind.FREQUENCY,
+                   {"a": np.zeros(2)})
+        assert tr.x.tolist() == [-1e308, 1e308]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trace(np.array([1e308, -1e308]), XKind.FREQUENCY,
+                  {"a": np.zeros(2)})
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             Trace(np.array([0.0, 1.0]), XKind.FREQUENCY, {"a": np.zeros(3)})

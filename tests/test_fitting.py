@@ -754,14 +754,28 @@ class TestRetire:
     starts = np.array([[7.0, 14.0, 1 / 3], [38.0, 38.0, 1 / 3],
                        [38.0, 38.0, 0.125]])
     stuck = 1
+    # a start with equal couplings, still equal when the first start
+    # converges: the equal-coupling rule retires it then, in round 4, and
+    # the other rule in round 17
+    twin = np.array([5.0, 5.0, 1 / 3])
 
-    def run(self, starts, groups=None):
+    def run(self, starts, groups=None, exchangeable=(), lo=None, hi=None):
         tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
         x, y = tr.x, tr.channel("coherence")
         return _lockstep_lm(
             lambda p: (nv_epr_signal_grid(p[:, :-1], p[:, -1], x), ()),
             lambda p, kept: nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x),
-            y, starts, self.lo, self.hi, groups=groups)
+            y, starts, self.lo if lo is None else lo,
+            self.hi if hi is None else hi, groups=groups,
+            exchangeable=exchangeable)
+
+    def assert_same_runs(self, runs, rows, alone):
+        for name in ("params", "cost", "stop", "n_iter", "n_evals",
+                     "n_rounds"):
+            assert np.array_equal(getattr(runs, name)[rows],
+                                  getattr(alone, name)), name
+        for i, h in zip(rows, alone.history):
+            assert np.array_equal(runs.history[i], h)
 
     def test_stuck_start_retired_others_untouched(self, monkeypatch):
         runs = self.run(self.starts)
@@ -785,13 +799,81 @@ class TestRetire:
         assert full.n_evals.sum() > runs.n_evals.sum()
 
     def test_single_start_never_retires(self, monkeypatch):
-        alone = [self.run(start[None]) for start in self.starts]
+        starts = [*self.starts, self.twin]
+        alone = [self.run(start[None], exchangeable=(0, 1))
+                 for start in starts]
         monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
-        for start, runs in zip(self.starts, alone):
+        for start, runs in zip(starts, alone):
             assert runs.stop[0] != "retired"
             ref = self.run(start[None])
             assert np.array_equal(runs.params, ref.params)
             assert runs.stop.tolist() == ref.stop.tolist()
+
+    def test_equal_couplings_retired_others_untouched(self):
+        starts = np.insert(self.starts, 1, self.twin, axis=0)
+        runs = self.run(starts, exchangeable=(0, 1))
+        assert runs.stop[1] == "retired"
+        assert runs.n_rounds[1] < fitting._RETIRE_ROUNDS
+        w1, w2, _ = runs.params[1]
+        assert w1 == pytest.approx(w2, rel=fitting._TWIN_REL)
+        assert (runs.cost[1]
+                > (1.0 + fitting._TWIN_COST) * runs.cost[runs.converged].min())
+        others = [0, 2, 3]
+        self.assert_same_runs(runs, others,
+                              self.run(starts[others], exchangeable=(0, 1)))
+        self.assert_same_runs(runs, others, self.run(starts[others]))
+        # without exchangeable columns only the slower rule retires it
+        plain = self.run(starts)
+        assert plain.stop[1] == "retired"
+        assert plain.n_rounds[1] > runs.n_rounds[1]
+        self.assert_same_runs(plain, others, self.run(starts[others]))
+
+    def test_equal_pad_couplings_never_retired(self, monkeypatch):
+        # the layout of _deer_rabi_fits at three couplings: 1-spin starts
+        # carry two pads pinned at 0 by bounds [0, 0], equal to each other
+        monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
+        t0_hi = 10.0 * SPAN
+        lo = np.array([[W_LO, W_LO, 0.0, DT], [W_LO, 0.0, 0.0, DT],
+                       [W_LO, 0.0, 0.0, DT]])
+        hi = np.array([[W_HI, W_HI, 0.0, t0_hi], [W_HI, 0.0, 0.0, t0_hi],
+                       [W_HI, 0.0, 0.0, t0_hi]])
+        starts = np.array([[7.0, 14.0, 0.0, 1 / 3], [7.0, 0.0, 0.0, 1 / 3],
+                           [20.0, 0.0, 0.0, 1 / 3]])
+        runs = self.run(starts, exchangeable=(0, 1, 2), lo=lo, hi=hi)
+        assert runs.stop.tolist() == ["converged"] * 3
+        # the 1-spin starts stay live far above B after it is set
+        assert np.all(runs.n_rounds[1:] > runs.n_rounds[0])
+        assert np.all(runs.cost[1:] > 10.0 * runs.cost[0])
+        self.assert_same_runs(runs, [0, 1, 2],
+                              self.run(starts, lo=lo, hi=hi))
+
+    @pytest.mark.parametrize("t, stop", [(0.5, "converged"),
+                                         (5.0, "retired")])
+    def test_tie_retired_only_above_best_cost(self, t, stop):
+        # residuals (p0 - p1, p2, -1): a start with p2 = 0 converges in
+        # round 1 at B = 1, and one with p2 = t steps to p2 ~ 1e-3 t, at
+        # cost ~1 + 1e-6 t^2: within B (1 + 1e-6) for t = 0.5, above it
+        # for t = 5; both hold p0 = p1
+        def model(p):
+            return np.stack([p[:, 0] - p[:, 1], p[:, 2],
+                             np.zeros(len(p))], axis=1), ()
+
+        def jacobian(p, kept):
+            return np.broadcast_to([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                                    [0.0, 0.0, 0.0]], (len(p), 3, 3))
+
+        def run(exchangeable):
+            return _lockstep_lm(model, jacobian, np.array([0.0, 0.0, 1.0]),
+                                [[1.0, 1.0, 0.0], [1.0, 1.0, t]], -10.0, 10.0,
+                                exchangeable=exchangeable)
+
+        runs = run((0, 1))
+        assert runs.stop.tolist() == ["converged", stop]
+        assert runs.cost[0] == 1.0 and runs.n_rounds[0] == 1
+        if stop == "retired":
+            assert runs.n_rounds[1] == 1
+        else:
+            self.assert_same_runs(runs, [0, 1], run(()))
 
     def test_fit_counts_retired_starts(self):
         tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
@@ -807,24 +889,28 @@ class TestRetire:
         fused = self.run(starts, groups=[0, 0, 0, 1])
         for rows, alone in (([0, 1, 2], self.run(self.starts)),
                             ([3], self.run(stuck))):
-            for name in ("params", "cost", "stop", "n_iter", "n_evals",
-                         "n_rounds"):
-                assert np.array_equal(getattr(fused, name)[rows],
-                                      getattr(alone, name)), name
-            for i, h in zip(rows, alone.history):
-                assert np.array_equal(fused.history[i], h)
+            self.assert_same_runs(fused, rows, alone)
         assert fused.stop[[1, 3]].tolist() == ["retired", "converged"]
         # in one group, the copy meets the B of the other starts
         assert self.run(starts).stop[3] == "retired"
 
 
-def _selection_matches_without_retiring(monkeypatch, traces, max_n):
-    with_rule = [select_spin_count(tr, max_n=max_n) for tr in traces]
+def _selection_matches_without_retiring(monkeypatch, traces, max_n,
+                                        canonicalize=True):
+    def select(tr):
+        return select_spin_count(tr, max_n=max_n, canonicalize=canonicalize)
+
+    with_rule = [select(tr) for tr in traces]
     assert sum(e.fit.n_retired for sel in with_rule
                for e in sel.entries.values()) > 0
+    # the reference runs without either retire rule
     monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
+    engine = fitting._lockstep_lm
+    monkeypatch.setattr(fitting, "_lockstep_lm",
+                        lambda *args, exchangeable=(), **kwargs:
+                        engine(*args, **kwargs))
     for tr, sel in zip(traces, with_rule):
-        ref = select_spin_count(tr, max_n=max_n)
+        ref = select(tr)
         assert sel.best_n == ref.best_n
         for n, entry in ref.entries.items():
             assert entry.fit.n_retired == 0
@@ -842,6 +928,22 @@ def test_retiring_keeps_spin_count_selection(monkeypatch):
     traces = [_preset_pair_trace(n_avg, seed) for seed, n_avg in
               enumerate((1_260_000, 300_000, 100_000, 30_000, 1_260_000))]
     _selection_matches_without_retiring(monkeypatch, traces, max_n=3)
+
+
+@pytest.mark.parametrize("canonicalize", [True, False])
+@pytest.mark.parametrize("f_mhz", [1.12, 3.0])
+def test_retiring_keeps_equal_coupling_selection(monkeypatch, f_mhz,
+                                                 canonicalize):
+    # a pair of equal couplings: the best 2-spin fit lies near the line
+    # omega_1 = omega_2 (on it, within 4e-6, at 1.12 MHz, seed 1, not
+    # re-anchored), where the equal-coupling rule retires starts
+    truth = TargetSpinModel((TWO_PI * f_mhz,) * 2, target_pair().t0)
+    traces = [coherence_trace(synthesize(
+        default_sequence(SequenceKind.DEER_RABI), truth,
+        detector(n_avg=n_avg, seed=seed)))
+        for seed, n_avg in enumerate((1_260_000, 1_260_000, 100_000, 30_000))]
+    _selection_matches_without_retiring(monkeypatch, traces, max_n=2,
+                                        canonicalize=canonicalize)
 
 
 @pytest.mark.slow
@@ -1097,7 +1199,13 @@ class TestWinnerRecord:
         assert fit.n_rounds == runs.n_rounds[win] >= fit.n_iter
         # a start is live for at least as many rounds as it accepts steps
         assert np.all(runs.n_rounds >= runs.n_iter)
-        assert np.all(runs.n_rounds[runs.stop == "retired"]
+        # the stuck-cost rule waits _RETIRE_ROUNDS rounds, the equal-
+        # coupling rule does not
+        retired = runs.stop == "retired"
+        twin = (np.abs(runs.params[:, 0] - runs.params[:, 1])
+                <= fitting._TWIN_REL * runs.params[:, :2].max(axis=1))
+        assert np.any(retired & twin)
+        assert np.all(runs.n_rounds[retired & ~twin]
                       >= fitting._RETIRE_ROUNDS)
 
     def test_max_iter_winner(self):

@@ -63,6 +63,14 @@ class TestSequenceSpec:
         with pytest.raises(ValueError):
             SequenceSpec(kind=SequenceKind.RABI, grid=[0.0, 0.5, 0.5])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_spanning_the_float_range(self):
+        # the difference of the ends overflows; comparing neighbours does not
+        spec = SequenceSpec(kind=SequenceKind.RABI, grid=[-1e308, 1e308])
+        assert spec.grid.tolist() == [-1e308, 1e308]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SequenceSpec(kind=SequenceKind.RABI, grid=[1e308, -1e308])
+
     def test_grid_needs_two_points(self):
         with pytest.raises(ValueError):
             SequenceSpec(kind=SequenceKind.RABI, grid=[1.0])
