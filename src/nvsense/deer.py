@@ -102,21 +102,24 @@ def nv_epr_jacobian_grid(omegas, t0, t, kept=None):
     of nv_epr_signal_grid(omegas, t0, t, keep=True), computed here when
     None; either way the result has the same bits.  A coupling of 0
     gives cos 1 and a zero column, and leaves every other column as it
-    is without that coupling.
+    is without that coupling.  An empty product of the other cosines is
+    left out, not multiplied by as ones: x * 1.0 is exactly x.
     """
     n = omegas.shape[1]
     phase = omegas[:, :, None] * t
     cos, envelope = kept or (np.cos(phase), np.exp(-((t / t0[:, None]) ** 2)))
     sin = np.sin(phase)
     jac = np.empty((omegas.shape[0], t.size, n + 1))
-    # prod_{i != j} cos as (product of cos_i, i < j) (product, i > j)
-    left = [np.ones_like(envelope)]
-    for j in range(n):
+    # prod_{i != j} cos as (product of cos_i, i < j) (product, i > j);
+    # left[0], the empty product, is never read
+    left = [None, cos[:, 0]]
+    for j in range(1, n):
         left.append(left[-1] * cos[:, j])
     right = -0.5 * envelope * t
-    for j in reversed(range(n)):
+    for j in range(n - 1, 0, -1):
         jac[:, :, j] = right * sin[:, j] * left[j]
         right = right * cos[:, j]
+    jac[:, :, 0] = right * sin[:, 0]
     jac[:, :, n] = left[n] * envelope * t ** 2 / t0[:, None] ** 3
     return jac
 
@@ -162,7 +165,8 @@ def gaussian_line(f, center, width, amplitude, baseline=0.0):
             d2 = np.where(both, ((f - center) / width) ** 2 / 2.0, d2)
         w2 = np.where(both, 1.0, w2)
     # 0/0 at the center of a width whose square underflows: its limit is 0
-    w2 = np.where((d2 == 0) & (w2 == 0), 1.0, w2)
+    if not np.all(w2):
+        w2 = np.where((d2 == 0) & (w2 == 0), 1.0, w2)
     return baseline + amplitude * np.exp(-d2 / w2)
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -9,18 +11,22 @@ from hypothesis import given, settings, strategies as st
 
 from nvsense import fitting
 from nvsense.core import PHOTON_CHANNELS, NoPeakError, TWO_PI, Trace, XKind
-from nvsense.deer import (DeerSpectrumModel, TargetSpinModel,
+from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
                           nv_epr_jacobian_grid, nv_epr_signal,
                           nv_epr_signal_grid)
-from nvsense.fitting import (FitProblem, FitResult, _deer_rabi_candidates,
+from nvsense.fitting import (_COST_FLOOR, _LAM_MIN, _LAM_STALL, _LAM_START,
+                             _MAX_ITER, _NU_MAX, _RETIRE_FACTOR, _RETIRE_GAIN,
+                             _RETIRE_ROUNDS, _TOL, _TWIN_COST, _TWIN_REL,
+                             FitProblem, FitResult, _deer_rabi_candidates,
                              _fd_jacobian, _fft_peak_frequencies,
-                             _lockstep_lm, _param_errors, _solve_each,
-                             adjusted_r_squared, fit_deer_rabi,
+                             _lockstep_lm, _LockstepRuns, _param_errors,
+                             _solve_each, adjusted_r_squared, fit_deer_rabi,
                              fit_gaussian_peak, fit_rabi, nlls_fit,
                              select_spin_count)
-from nvsense.presets import default_sequence, detector, target_pair
+from nvsense.presets import (default_sequence, detector, epr_line, rabi_truth,
+                             target_pair)
 from nvsense.synth import (SequenceKind, coherence_trace, difference_signal,
-                           synthesize)
+                           normalized_channels, snr_estimate, synthesize)
 
 INF = math.inf
 
@@ -267,6 +273,62 @@ class TestGaussianPeak:
         assert fit.converged
         assert fit.n_iter < fitting._MAX_ITER
         assert fit.params[1] == w_lo
+
+    @pytest.mark.parametrize("band", [(5.0, 5.005), (1000.0, 1001.0)])
+    def test_narrow_width_band_converges(self, band):
+        # a band narrower than the width start's margins (w_hi < w_lo /
+        # 0.999) once put the start below w_lo, and the engine raised
+        x = self.x()
+        y = 0.5 - 0.3 * np.exp(-((x - 914.7) ** 2) / (2 * 81.0))
+        fit = fit_gaussian_peak(make_trace(x, y), min_snr=0.0,
+                                width_bounds=band)
+        assert fit.converged
+        assert band[0] <= fit.params[1] <= band[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(center=st.floats(880.0, 950.0), width=st.floats(0.14, 140.0),
+           amplitude=st.floats(-2.0, 2.0), baseline=st.floats(-1.0, 1.0))
+    def test_model_and_jacobian_read_the_one_gaussian_body(
+            self, center, width, amplitude, baseline):
+        # inside the default bounds (0.2 dx, 2 span) of this grid
+        x = self.x()
+        model, jacobian = _peak_closures()
+        p = np.array([[center, width, amplitude, baseline]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yhat, kept = model(p)
+            jac = jacobian(p, kept)[0]
+            fd = np.empty_like(jac)
+            for j, h in enumerate(1e-6 * np.array([width, width, 1.0, 1.0])):
+                step = np.zeros((1, 4))
+                step[0, j] = h
+                fd[:, j] = (model(p + step)[0][0]
+                            - model(p - step)[0][0]) / (2.0 * h)
+        assert _bits(yhat[0]) == _bits(gaussian_line(x, center, width,
+                                                     amplitude, baseline))
+        assert _bits(jac[:, 2]) == _bits(gaussian_line(x, center, width, 1.0))
+        assert np.all(jac[:, 3] == 1.0)
+        tol = 1e-6 * np.max(np.abs(jac), axis=0) + 1e-7
+        assert np.all(np.abs(jac - fd) <= tol)
+
+
+@functools.cache
+def _peak_closures():
+    """The model and Jacobian fit_gaussian_peak hands the engine, on
+    TestGaussianPeak's grid."""
+    captured = []
+
+    def capture(model, jacobian, *args, **kwargs):
+        captured.append((model, jacobian))
+        return _lockstep_lm(model, jacobian, *args, **kwargs)
+
+    x = TestGaussianPeak.x(None)
+    y = 0.5 - 0.3 * np.exp(-((x - 914.7) ** 2) / (2 * 81.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_lockstep_lm", capture)
+        fit_gaussian_peak(make_trace(x, y))
+    (model, jacobian), = captured
+    return model, jacobian
 
 
 class TestRabi:
@@ -731,6 +793,10 @@ class TestLockstepEngine:
         assert np.array_equal(x[0], [1.0, 2.0])
         assert np.array_equal(x[2], [1.5, 2.0])
         assert np.all(np.isnan(x[1]))
+        # with every row solved, ok is True rather than a mask
+        x, ok = _solve_each(mats[[0, 2]], rhs[[0, 2]])
+        assert ok is True
+        assert np.array_equal(x, [[1.0, 2.0], [1.5, 2.0]])
 
     def test_starts_outside_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -1218,3 +1284,277 @@ class TestWinnerRecord:
         assert fit.stop_reason == "max_iter"
         assert fit.winning_start == 0 and fit.n_iter == 1
         assert fit.n_rounds >= 1
+
+
+# _lockstep_lm and _solve_each as they were before the round was trimmed
+# to fewer numpy calls (see _lockstep_lm); only their names differ.
+def _reference_solve_each(mats, rhs):
+    """_solve_each with a mask for ok, also when every row is solved."""
+    try:
+        return (np.linalg.solve(mats, rhs[..., None])[..., 0],
+                np.ones(len(rhs), dtype=bool))
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.nan)
+        ok = np.zeros(len(rhs), dtype=bool)
+        for i in range(len(rhs)):
+            try:
+                x[i] = np.linalg.solve(mats[i], rhs[i])
+                ok[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, ok
+
+
+def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
+                           max_iter=_MAX_ITER, groups=None,
+                           exchangeable=()) -> _LockstepRuns:
+    """_lockstep_lm before its round was trimmed to fewer numpy calls.
+
+    Kept verbatim as the oracle of the trimmed round, which must give
+    the same bits (TestTrimmedRound).
+    """
+    p = np.array(starts, dtype=float)
+    lo, hi = (np.array(np.broadcast_to(b, p.shape), dtype=float)
+              for b in (lo, hi))
+    if np.any(p < lo) or np.any(p > hi):
+        raise ValueError("starts must lie within bounds")
+    n_start, k = p.shape
+    group = (np.zeros(n_start, dtype=int) if groups is None
+             else np.asarray(groups, dtype=int))
+    twins = np.asarray(exchangeable, dtype=int)
+    yhat, kept = model(p)
+    r = yhat - y
+    cost = np.einsum("ij,ij->i", r, r)
+    runs = _LockstepRuns(params=p.copy(), cost=cost.copy(),
+                         stop=np.full(n_start, "", dtype="<U9"),
+                         n_iter=np.zeros(n_start, dtype=int),
+                         n_evals=np.ones(n_start, dtype=int),
+                         n_rounds=np.zeros(n_start, dtype=int),
+                         history=[[c] for c in cost.tolist()])
+    # one row per unfinished start; live[row] is its index in runs
+    live = np.arange(n_start)
+    # B of each group: the lowest cost a start of it has converged to
+    best = np.full(int(group.max()) + 1, math.inf)
+    any_best = False
+    # past[row, t % _RETIRE_ROUNDS] holds the cost after round t; it is
+    # read back, _RETIRE_ROUNDS rounds later, just before it is overwritten
+    past = np.repeat(cost[:, None], _RETIRE_ROUNDS, axis=1)
+    n_round = 0
+    lam = np.full(n_start, _LAM_START)
+    nu = np.full(n_start, 2.0)
+    n_iter = np.zeros(n_start, dtype=int)
+    stale = np.ones(n_start, dtype=bool)  # Jacobian due at p
+    a = np.empty((n_start, k, k))
+    g = np.empty((n_start, k))
+    d = np.empty((n_start, k))
+    eye = np.eye(k)
+
+    while live.size:
+        if stale.any():
+            # kept is that of the model call that evaluated p[stale]
+            jac = jacobian(p[stale], tuple(v[stale] for v in kept))
+            jt = jac.transpose(0, 2, 1)
+            a[stale] = jtj = jt @ jac
+            g[stale] = (jt @ r[stale][:, :, None])[:, :, 0]
+            diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
+            # keep damping effective for insensitive parameters
+            diag[diag <= 0] = 1.0
+            d[stale] = diag
+            runs.n_evals[live[stale]] += 1
+        held = ((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0))
+        free = ~held
+        delta, solved = _reference_solve_each(
+            np.where(free[:, :, None] & free[:, None, :],
+                     a + (lam[:, None] * d)[:, :, None] * eye, eye),
+            np.where(held, 0.0, -g))
+        # an unsolved row has a nan trial and cost: rejected below
+        trial = np.clip(p + delta, lo, hi)
+        yhat, kept = model(trial)
+        r_t = yhat - y
+        cost_t = np.einsum("ij,ij->i", r_t, r_t)
+        runs.n_evals[live[solved]] += 1
+        better = cost_t < cost
+        # flat to within tolerance: at an optimum or pinned to a bound
+        flat = ~better & (np.abs(cost_t - cost)
+                          <= _TOL * np.maximum(cost, _COST_FLOOR))
+        conv = flat | (better & (cost - cost_t
+                                 <= _TOL * np.maximum(cost_t, _COST_FLOOR)))
+        for i, c in zip(live[better].tolist(), cost_t[better].tolist()):
+            runs.history[i].append(c)
+        p[better], r[better], cost[better] = (trial[better], r_t[better],
+                                              cost_t[better])
+        n_iter += better
+        lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN), lam * nu)
+        nu = np.where(better, 2.0, np.minimum(2.0 * nu, _NU_MAX))
+        stale = better
+        maxed = n_iter >= max_iter
+        # stalled: no acceptable step even at heavy damping
+        stalled = lam > _LAM_STALL
+        end = conv | maxed | stalled
+        if conv.any():
+            # at most once per start: a loop over the groups that converged
+            for gid in set(group[conv].tolist()):
+                best[gid] = min(best[gid],
+                                float(cost[conv & (group == gid)].min()))
+            any_best = True
+        n_round += 1
+        slot = n_round % _RETIRE_ROUNDS
+        fell = past[:, slot] - cost
+        past[:, slot] = cost
+        if n_round >= _RETIRE_ROUNDS and any_best:
+            end |= ((cost > _RETIRE_FACTOR * best[group])
+                    & (fell <= _RETIRE_GAIN * cost))
+        if twins.size and any_best:
+            # sorted, a parameter's nearest equal is its neighbour; a
+            # parameter pinned by its bounds is nan and equals none
+            w = np.where(lo[:, twins] < hi[:, twins], p[:, twins], np.nan)
+            w.sort(axis=1)
+            end |= ((cost > (1.0 + _TWIN_COST) * best[group])
+                    & np.any(np.abs(np.diff(w, axis=1))
+                             <= _TWIN_REL * np.abs(w[:, 1:]), axis=1))
+        if end.any():
+            done = live[end]
+            runs.params[done], runs.cost[done] = p[end], cost[end]
+            runs.stop[done] = np.where(
+                conv[end], "converged", np.where(
+                    maxed[end], "max_iter",
+                    np.where(stalled[end], "stalled", "retired")))
+            runs.n_iter[done] = n_iter[end]
+            runs.n_rounds[done] = n_round
+            keep = ~end
+            (live, p, r, cost, lam, nu, n_iter, stale, a, g, d, past, lo, hi,
+             group) = (v[keep] for v in (live, p, r, cost, lam, nu, n_iter,
+                                         stale, a, g, d, past, lo, hi, group))
+            kept = tuple(v[keep] for v in kept)
+
+    runs.history = [np.asarray(h) for h in runs.history]
+    return runs
+
+
+def _bits(value):
+    """value as nested tuples of bytes: == compares bit for bit."""
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name)))
+                     for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, dict):
+        return tuple((k, _bits(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _rabi_two_starts():
+    raw = synthesize(default_sequence(SequenceKind.RABI), rabi_truth(),
+                     detector(n_avg=100_000, seed=1))
+    fit = fit_rabi(Trace(raw.x, raw.x_kind,
+                         {"SIG1n": normalized_channels(raw)["SIG1n"]}))
+    assert fit.n_starts == 2
+    return fit
+
+
+def _spectrum(model, seed=0):
+    raw = synthesize(default_sequence(SequenceKind.CPMG_DEER), model,
+                     detector(n_avg=1_330_000, contrast=0.166, seed=seed))
+    return raw, make_trace(raw.x, difference_signal(raw))
+
+
+_FLAT = DeerSpectrumModel(center=914.7, width=9.0, amplitude=0.0,
+                          baseline=0.5)
+
+
+def _peak_width_on_bound():
+    # TestGaussianPeak.test_null_trace_converges_with_width_on_bound
+    raw, trace = _spectrum(_FLAT)
+    w_lo = 0.1 * float(raw.x[-1] - raw.x[0])
+    fit = fit_gaussian_peak(trace, min_snr=0.0, width_bounds=(w_lo, 5 * w_lo))
+    assert fit.params[1] == w_lo
+    return fit
+
+
+def _singular_row():
+    # row 1's Jacobian is (1, 2.2e-162) at the first point and 0 elsewhere:
+    # diag(J^T J) is (1, the smallest subnormal), lambda times the second
+    # underflows to 0, and elimination leaves an exact zero pivot, so
+    # _solve_each falls back to solving row by row
+    x, y = _decay_data()
+
+    def jacobian(p, kept):
+        jac = _decay_jacobian(p, x)
+        odd = p[:, 0] == 7.0
+        jac[odd] = 0.0
+        jac[odd, 0] = [1.0, 2.2e-162]
+        return jac
+
+    def model(p):
+        return _decay_model(p, x), ()
+
+    starts = np.insert(TestLockstepEngine.starts, 1, [7.0, 1.0], axis=0)
+    jac = jacobian(starts[1:2], ())[0]
+    damped = jac.T @ jac + _LAM_START * np.diag(np.diag(jac.T @ jac))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(damped, np.ones(2))
+    runs = fitting._lockstep_lm(model, jacobian, y, starts,
+                                TestLockstepEngine.lo, TestLockstepEngine.hi)
+    return runs, fitting._fit_result(runs, model, jacobian, y)
+
+
+def _both_retire_rules(runs):
+    # the stuck-cost rule retires after _RETIRE_ROUNDS rounds, the
+    # equal-coupling rule on two equal free couplings
+    (runs,) = runs
+    n = runs.params.shape[1] - 1
+    retired = runs.stop == "retired"
+    w = np.sort(runs.params[:, :n], axis=1)
+    twin = np.any((w[:, :-1] > 0)
+                  & (np.diff(w, axis=1) <= _TWIN_REL * w[:, 1:]), axis=1)
+    assert np.any(retired & twin) and np.any(retired & ~twin)
+
+
+_TRIMMED_ROUND_CASES = {
+    "rabi-two-starts": (_rabi_two_starts, None),
+    "peak-line": (lambda: fit_gaussian_peak(_spectrum(epr_line())[1],
+                                            min_snr=0.0), None),
+    "peak-null": (lambda: fit_gaussian_peak(_spectrum(_FLAT)[1],
+                                            min_snr=0.0), None),
+    "peak-width-on-bound": (_peak_width_on_bound, None),
+    "snr-null": (lambda: snr_estimate(_spectrum(_FLAT, seed=3)[0]), None),
+    "select-max-n-2": (lambda: select_spin_count(
+        _preset_pair_trace(1_260_000, 0), max_n=2), _both_retire_rules),
+    "select-max-n-3": (lambda: select_spin_count(
+        _preset_pair_trace(1_260_000, 0), max_n=3), _both_retire_rules),
+    "nlls-fit": (lambda: nlls_fit(FitProblem(
+        model=lambda p, x: p[0] * np.exp(-p[1] * x), x=_decay_data()[0],
+        y=_decay_data()[1], init=np.array([1.0, 1.0]),
+        bounds=((0.0, 10.0), (0.0, 10.0)))), None),
+    "singular-row": (_singular_row, None),
+}
+
+
+class TestTrimmedRound:
+    """_lockstep_lm against _reference_lockstep_lm, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_TRIMMED_ROUND_CASES))
+    def test_same_bits_as_reference_engine(self, monkeypatch, case):
+        run, check = _TRIMMED_ROUND_CASES[case]
+
+        def under(engine):
+            calls = []
+
+            def capture(*args, **kwargs):
+                calls.append(engine(*args, **kwargs))
+                return calls[-1]
+
+            monkeypatch.setattr(fitting, "_lockstep_lm", capture)
+            return run(), calls
+
+        out, runs = under(_lockstep_lm)
+        ref_out, ref_runs = under(_reference_lockstep_lm)
+        assert runs and len(runs) == len(ref_runs)
+        assert _bits(runs) == _bits(ref_runs)
+        assert _bits(out) == _bits(ref_out)
+        if check is not None:
+            check(runs)
