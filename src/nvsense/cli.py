@@ -29,7 +29,7 @@ from .core import (TWO_PI, ConfigError, NvSenseError, Trace, TraceFormatError,
 from .eseem import (HyperfineRecord, bath_decoherence, cpmg_echo_model,
                     eseem_modulation, nucleus_from_record)
 from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
-                   nv_epr_signal, nv_epr_signal_grid)
+                   nv_epr_signal)
 from .fitting import (GAUSSIAN_PARAMS, RABI_PARAMS, FitResult, fit_deer_rabi,
                       fit_gaussian_peak, fit_rabi, select_spin_count)
 from .hamiltonian import TransitionPair, g_value, invert_field
@@ -333,9 +333,7 @@ _FITS = {
         recipe=lambda tr, channel: fit_rabi(tr, channel=channel),
         param_names=lambda params: RABI_PARAMS,
         record=lambda p: RabiTruth(*p),
-        # the one-spin signal at omega = 2 pi f, fit_rabi's model bit for bit
-        model=lambda rabi, x: nv_epr_signal_grid(
-            np.array([[TWO_PI * rabi.f_mhz]]), np.array([rabi.t0_us]), x)[0]),
+        model=RabiTruth.signal),
     "deer-rabi": _FitKind(
         reduce=coherence_trace,
         recipe=lambda tr, channel, n_spins: fit_deer_rabi(
@@ -497,7 +495,7 @@ def _cmd_select_spins(args) -> int:
         fit = entry.fit
         omegas = ", ".join(f"{w / TWO_PI:.3f}" for w in fit.params[:-1])
         mark = " *" if n == sel.best_n else "  "
-        print(f"{mark}{n}  {n + 1}  {fit.adj_r2: .4f}   "
+        print(f"{mark}{n}  {fit.params.size}  {fit.adj_r2: .4f}   "
               f"{'yes' if fit.converged else 'NO '}        "
               f"[{omegas}]  T0={fit.params[-1]:.3f}")
     print(f"best_n = {sel.best_n}" + ("  (no significant signal: all "
@@ -514,7 +512,7 @@ def _cmd_select_spins(args) -> int:
             "models": {
                 str(n): {
                     **_fit_summary(entry.fit),
-                    "k": n + 1,
+                    "k": entry.fit.params.size,
                     "adj_r2": entry.fit.adj_r2,
                     "omegas_mhz": [float(w / TWO_PI)
                                    for w in entry.fit.params[:-1]],

@@ -168,6 +168,16 @@ class Trace:
         return Trace(self.x, self.x_kind, channels, self.n_avg)
 
 
+def grid_span(x) -> float:
+    """x[-1] - x[0]; ValueError where it overflows (Trace accepts such x)."""
+    with np.errstate(over="ignore"):
+        span = float(x[-1] - x[0])
+    if not math.isfinite(span):
+        raise ValueError(f"grid from {x[0]:.6g} to {x[-1]:.6g} spans more "
+                         f"than the float range")
+    return span
+
+
 @dataclass(frozen=True)
 class FieldEstimate:
     """Static field magnitude and polar tilt from the NV axis."""

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PHOTON_CHANNELS, TWO_PI, NoPeakError, Trace, XKind
+from .core import (PHOTON_CHANNELS, TWO_PI, NoPeakError, Trace, XKind,
+                   grid_span)
 # no fit calls nv_epr_signal: perfbench/tracer.py wraps fitting.nv_epr_signal
 from .deer import (gaussian_line, nv_epr_jacobian_grid, nv_epr_signal,
                    nv_epr_signal_grid)
@@ -513,8 +514,6 @@ def _fft_peak_frequencies(x, y, count=4):
     n_fft = 8 * y.size
     mag = np.abs(np.fft.rfft(yc, n=n_fft))
     freqs = np.fft.rfftfreq(n_fft, dt)
-    if mag.size < 3:
-        return []
     interior = mag[1:-1]
     is_peak = (interior >= mag[:-2]) & (interior >= mag[2:])
     idx = np.nonzero(is_peak)[0] + 1
@@ -574,7 +573,7 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     while right < n - 1 and abs(resid[right + 1]) >= half:
         right += 1
     dx = float(np.min(np.diff(x)))
-    span = float(x[-1] - x[0])
+    span = grid_span(x)
     if width_bounds is None:
         width_bounds = (0.2 * dx, 2.0 * span)
     w_lo, w_hi = float(width_bounds[0]), float(width_bounds[1])
@@ -610,7 +609,7 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     runs = _lockstep_lm(model, jacobian, y,
                         [[center0, width0, amp0, baseline0]], lo, hi)
     result = _fit_result(runs, model, jacobian, y, GAUSSIAN_PARAMS)
-    noise = math.sqrt(result.ss_res / (n - 4)) if n > 4 else 0.0
+    noise = math.sqrt(result.ss_res / (n - 4))
     if min_snr > 0 and abs(result.params[2]) < min_snr * noise:
         raise NoPeakError(
             f"fitted amplitude {result.params[2]:.3g} is below {min_snr} x "
@@ -636,7 +635,7 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
                             normalized=True)
     if x.size < 6:
         raise ValueError(f"need at least 6 points, got {x.size}")
-    span = float(x[-1] - x[0])
+    span = grid_span(x)
     dt = float(np.median(np.diff(x)))
     f_lo, f_hi = 0.25 / span, 0.5 / dt
     peaks = [f for f in _fft_peak_frequencies(x, y, count=2)
@@ -723,7 +722,7 @@ def _deer_rabi_fits(x, y, counts) -> dict:
         raise ValueError(
             "channel does not look normalized to [0, 1]; normalize the "
             "difference signal before fitting")
-    span = float(x[-1] - x[0])
+    span = grid_span(x)
     dt = float(np.median(np.diff(x)))
     w_lo, w_hi = 0.5 * np.pi / span, 0.5 * np.pi / dt
     peaks_w = [2.0 * np.pi * f for f in _fft_peak_frequencies(x, y, count=4)
@@ -810,8 +809,12 @@ class SpinCountSelection:
     """Adjusted-R^2 comparison across spin counts 1..max_n."""
 
     best_n: int
-    entries: dict
-    no_signal: bool
+    entries: dict  # n -> SpinCountEntry
+
+    @property
+    def no_signal(self) -> bool:
+        """Every model does worse than the mean (adjusted R^2 <= 0)."""
+        return all(e.fit.adj_r2 <= 0 for e in self.entries.values())
 
 
 def _canonicalize_unit(y):
@@ -834,7 +837,8 @@ def select_spin_count(trace: Trace, max_n: int = 3,
                       canonicalize: bool = True) -> SpinCountSelection:
     """Pick the spin count whose model has the best adjusted R^2.
 
-    The trace's one channel is first re-anchored onto the model's 0..1
+    The trace's one channel, normalized as for fit_deer_rabi (photon
+    counts raise ValueError), is first re-anchored onto the model's 0..1
     scale (_canonicalize_unit: median to 0.5, 99.5% quantile to 1), so
     any a*y + b with a > 0 selects alike.  canonicalize=False fits the
     channel as given, for one already on that scale (coherence_trace):
@@ -842,16 +846,15 @@ def select_spin_count(trace: Trace, max_n: int = 3,
     find "signal" in it.  The n-spin fits, n = 1..max_n, are those of
     fit_deer_rabi, all run in one _lockstep_lm call (_deer_rabi_fits):
     each count is a group of its own, so at max_n = 2 every fit has the
-    bits of its fit_deer_rabi.  Each reports its adjusted R^2 with
-    k = n + 1 (couplings plus decay time); a larger count must beat the
-    incumbent by more than _SPIN_COUNT_MARGIN, so ties and smaller gains
-    go to the smaller count.  no_signal is set when every model does
-    worse than the mean (adjusted R^2 <= 0).
+    bits of its fit_deer_rabi.  Each reports its adjusted R^2 with k its
+    parameter count (couplings plus decay time); a larger count must
+    beat the incumbent by more than _SPIN_COUNT_MARGIN, so ties and
+    smaller gains go to the smaller count.
     """
     if not 1 <= max_n <= 5:
         raise ValueError(f"max_n must be between 1 and 5, got {max_n}")
     x, y = _resolve_channel(trace, None, XKind.PULSE_LENGTH,
-                            "select_spin_count")
+                            "select_spin_count", normalized=True)
     if canonicalize:
         y = _canonicalize_unit(y)
     entries = {}
@@ -862,6 +865,4 @@ def select_spin_count(trace: Trace, max_n: int = 3,
         entries[n] = SpinCountEntry(n_spins=n, fit=fit)
         if fit.adj_r2 > entries[best_n].fit.adj_r2 + _SPIN_COUNT_MARGIN:
             best_n = n
-    no_signal = all(e.fit.adj_r2 <= 0 for e in entries.values())
-    return SpinCountSelection(best_n=best_n, entries=entries,
-                              no_signal=no_signal)
+    return SpinCountSelection(best_n=best_n, entries=entries)

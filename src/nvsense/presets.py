@@ -20,12 +20,11 @@ import numpy as np
 from .core import TWO_PI, DEFAULT_CONSTANTS, FieldEstimate
 from .deer import DeerSpectrumModel, TargetSpinModel
 from .eseem import BathModel, load_hyperfine_table, nucleus_from_record
-from .hamiltonian import TransitionPair, transition_frequencies
+from .hamiltonian import transition_frequencies
 from .synth import (Cpmg8Truth, DetectorModel, OdmrTruth, RabiTruth,
                     SequenceKind, SequenceSpec)
 
-# Measured resonance pair of the main center and its 1-sigma errors (MHz).
-MAIN_TRANSITIONS = TransitionPair(f_minus=1960.00, f_plus=3783.39)
+# 1-sigma errors (MHz) of the main center's measured resonance pair
 MAIN_TRANSITION_ERRORS = (6.78, 3.39)
 
 BATH_B_RMS_UT = 4.0  # RMS field of the carbon bath at natural abundance

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import fitting
 from .core import (PHOTON_CHANNELS, TWO_PI, DegenerateReferenceError,
-                   Trace, XKind)
+                   Trace, XKind, grid_span)
 from .deer import (DeerSpectrumModel, TargetSpinModel, deer_spectrum,
                    gaussian_line, nv_epr_signal, nv_epr_signal_grid)
 from .eseem import BathModel, EseemNucleus, cpmg_echo_model
@@ -163,6 +163,11 @@ class RabiTruth:
         if not self.t0_us > 0:
             raise ValueError("t0_us must be positive")
 
+    def signal(self, t) -> np.ndarray:
+        """fit_rabi's model bit for bit: the one-spin signal at 2 pi f."""
+        return nv_epr_signal_grid(np.array([[TWO_PI * self.f_mhz]]),
+                                  np.array([self.t0_us]), t)[0]
+
 
 @dataclass(frozen=True)
 class Cpmg8Truth:
@@ -224,11 +229,7 @@ _KINDS = {
         _odmr_population, pulse_train=False),
     SequenceKind.RABI: _Kind(
         XKind.PULSE_LENGTH, ("SIG1", "REF1", "REF2"), RabiTruth,
-        # the one-spin double-resonance signal at omega = 2 pi f
-        lambda spec, truth: nv_epr_signal_grid(
-            np.array([[TWO_PI * truth.f_mhz]]), np.array([truth.t0_us]),
-            spec.grid)[0],
-        pulse_train=False),
+        lambda spec, truth: truth.signal(spec.grid), pulse_train=False),
     SequenceKind.CPMG8: _Kind(
         XKind.EVOLUTION_TIME, PHOTON_CHANNELS, Cpmg8Truth,
         lambda spec, truth: _population(
@@ -391,12 +392,11 @@ def snr_estimate(trace: Trace) -> float:
     else:
         y = difference_signal(trace)
     work = Trace(trace.x, trace.x_kind, {"diff": y}, trace.n_avg)
-    span = float(trace.x[-1] - trace.x[0])
+    span = grid_span(trace.x)
     result = fitting.fit_gaussian_peak(
         work, min_snr=0.0,
         width_bounds=(_SNR_MIN_RELATIVE_WIDTH * span, 0.5 * span))
-    dof = trace.x.size - 4
-    noise = math.sqrt(result.ss_res / dof) if dof > 0 else 0.0
+    noise = math.sqrt(result.ss_res / (trace.x.size - 4))
     amp = abs(float(result.params[2]))
     if noise <= 0 or not math.isfinite(noise):
         return 1e12

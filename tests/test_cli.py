@@ -690,6 +690,24 @@ class TestFit:
             hashes.append(report["config_hash"])
         assert hashes[0] != hashes[1]
 
+    def test_grid_spanning_the_float_range_is_error(self, tmp_path, capsys):
+        # core.Trace (and so the CSV reader) accepts the grid; the fit
+        # refuses it as input, with no numpy warning on the way
+        x = np.concatenate([np.linspace(-1.7e308, -1e307, 10),
+                            np.linspace(1e307, 1.7e308, 10)])
+        trace, out = tmp_path / "wide.csv", tmp_path / "g.json"
+        write_trace(trace, Trace(x, XKind.FREQUENCY,
+                                 {"diff": np.cos(np.arange(20.0))}))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run("fit", "--kind", "gaussian", "--in", str(trace),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "spans more than the float range" in err
+        assert not out.exists()
+
     def test_kind_required(self, tmp_path, capsys):
         assert run("fit", "--in", str(tmp_path / "x.csv")) == 1
         assert "gaussian | rabi | deer-rabi" in capsys.readouterr().err
@@ -836,6 +854,27 @@ class TestSelectSpins:
                   for i in (1, 2)]
         assert model["omegas_mhz"] == pytest.approx(omegas, rel=1e-12)
         assert model["t0_us"] == fit["params"]["t0_us"]
+
+    @pytest.mark.parametrize("flags", [(), ("--no-canonicalize",)],
+                             ids=["default", "no-canonicalize"])
+    def test_photon_count_channel_is_error(self, tmp_path, capsys, flags):
+        # fit's input rule: a lone photon-count channel is no normalized
+        # signal, re-anchored or not
+        trace, out = tmp_path / "dr.csv", tmp_path / "sel.json"
+        assert run("simulate", "--kind", "deer-rabi", "--seed", "5",
+                   "--out", str(trace)) == 0
+        raw = read_trace(trace)
+        for channel in PHOTON_CHANNELS:
+            one = tmp_path / f"{channel}.csv"
+            write_trace(one, raw.with_channels({channel:
+                                                raw.channel(channel)}))
+            capsys.readouterr()
+            assert run("select-spins", "--in", str(one), "--max-n", "2",
+                       *flags, "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"channel {channel!r} holds photon counts" in err
+            assert not out.exists()
 
     def test_k_fixed_flag_is_gone(self, tmp_path, capsys):
         # one selection rule: each fit's own adjusted R^2 at k = n + 1

@@ -587,6 +587,39 @@ class TestModelComparison:
         with pytest.raises(ValueError, match="target is constant"):
             select_spin_count(tr, max_n=2, canonicalize=False)
 
+    @pytest.mark.parametrize("canonicalize", [True, False])
+    @pytest.mark.parametrize("channel", PHOTON_CHANNELS)
+    def test_photon_count_channel_raises(self, channel, canonicalize):
+        # fit_deer_rabi's input rule: counts per shot are no normalized
+        # signal, and re-anchoring them onto the model's scale would only
+        # hide that
+        raw = synthesize(default_sequence(SequenceKind.DEER_RABI),
+                         target_pair(), detector(n_avg=1_260_000, seed=5))
+        one = raw.with_channels({channel: raw.channel(channel)})
+        with pytest.raises(ValueError,
+                           match=f"channel {channel!r} holds photon counts"):
+            select_spin_count(one, max_n=2, canonicalize=canonicalize)
+
+
+# a finite, increasing grid (Trace accepts it) whose span x[-1] - x[0]
+# is past the float range
+WIDE_GRID = np.concatenate([np.linspace(-1.7e308, -1e307, 10),
+                            np.linspace(1e307, 1.7e308, 10)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fit, kind", [
+    (fit_gaussian_peak, XKind.FREQUENCY),
+    (snr_estimate, XKind.FREQUENCY),
+    (fit_rabi, XKind.PULSE_LENGTH),
+    (functools.partial(fit_deer_rabi, n_spins=2), XKind.PULSE_LENGTH),
+    (functools.partial(select_spin_count, max_n=2), XKind.PULSE_LENGTH)],
+    ids=["gaussian", "snr", "rabi", "deer-rabi", "select"])
+def test_grid_spanning_the_float_range_is_an_input_error(fit, kind):
+    tr = make_trace(WIDE_GRID, 0.5 + 0.3 * np.cos(np.arange(20.0)), kind)
+    with pytest.raises(ValueError, match="spans more than the float range"):
+        fit(tr)
+
 
 def _decay_model(p, x):
     return p[:, :1] * np.exp(-p[:, 1:] * x)
