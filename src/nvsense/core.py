@@ -168,13 +168,25 @@ class Trace:
         return Trace(self.x, self.x_kind, channels, self.n_avg)
 
 
+# the largest |x| a fit takes: past it a square of x, or the cube of
+# the Rabi fit's T0 bound (50 spans, 1e102 at most), leaves the float range
+GRID_LIMIT = 1e100
+
+
 def grid_span(x) -> float:
-    """x[-1] - x[0]; ValueError where it overflows (Trace accepts such x)."""
+    """x[-1] - x[0] of a grid the fits take, else ValueError.
+
+    Trace accepts any finite increasing x; a fit refuses one whose span
+    overflows or that reaches past +-GRID_LIMIT, before its engine runs.
+    """
     with np.errstate(over="ignore"):
         span = float(x[-1] - x[0])
     if not math.isfinite(span):
         raise ValueError(f"grid from {x[0]:.6g} to {x[-1]:.6g} spans more "
                          f"than the float range")
+    if max(-x[0], x[-1]) > GRID_LIMIT:
+        raise ValueError(f"grid from {x[0]:.6g} to {x[-1]:.6g} reaches past "
+                         f"+-{GRID_LIMIT:g}, where the fit models overflow")
     return span
 
 

@@ -508,6 +508,7 @@ def _fft_peak_frequencies(x, y, count=4):
     The transform is zero padded 8x so line positions are read off a
     grid much finer than 1/span, and reported peaks are kept at least
     half a resolution element apart so one broad lobe yields one entry.
+    Every frequency is positive on a grid that core.grid_span accepts.
     """
     dt = float(np.mean(np.diff(x)))
     yc = y - y.mean()
@@ -524,8 +525,6 @@ def _fft_peak_frequencies(x, y, count=4):
     chosen = []
     for i in order:
         f = float(freqs[i])
-        if f <= 0.0:
-            continue
         if all(abs(f - g) >= min_sep for g in chosen):
             chosen.append(f)
         if len(chosen) == count:
@@ -725,8 +724,7 @@ def _deer_rabi_fits(x, y, counts) -> dict:
     span = grid_span(x)
     dt = float(np.median(np.diff(x)))
     w_lo, w_hi = 0.5 * np.pi / span, 0.5 * np.pi / dt
-    peaks_w = [2.0 * np.pi * f for f in _fft_peak_frequencies(x, y, count=4)
-               if f > 0]
+    peaks_w = [2.0 * np.pi * f for f in _fft_peak_frequencies(x, y, count=4)]
     t00 = max(span / 3.0, dt)
     starts, lo, hi, groups = [], [], [], []
     for gid, n in enumerate(counts):

@@ -708,6 +708,27 @@ class TestFit:
         assert "spans more than the float range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, command", [
+        (XKind.FREQUENCY, ("fit", "--kind", "gaussian")),
+        (XKind.PULSE_LENGTH, ("fit", "--kind", "rabi")),
+        (XKind.PULSE_LENGTH, ("fit", "--kind", "deer-rabi")),
+        (XKind.PULSE_LENGTH, ("select-spins", "--max-n", "2"))],
+        ids=["gaussian", "rabi", "deer-rabi", "select-spins"])
+    def test_grid_past_the_limit_is_error(self, tmp_path, capsys, kind,
+                                          command):
+        # a finite span, but x past the fits' limit of +-1e100
+        trace, out = tmp_path / "far.csv", tmp_path / "fit.json"
+        write_trace(trace, Trace(np.linspace(0.0, 1e150, 20), kind,
+                                 {"c": 0.5 + 0.3 * np.cos(np.arange(20.0))}))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(*command, "--in", str(trace), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "reaches past +-1e+100" in err
+        assert not out.exists()
+
     def test_kind_required(self, tmp_path, capsys):
         assert run("fit", "--in", str(tmp_path / "x.csv")) == 1
         assert "gaussian | rabi | deer-rabi" in capsys.readouterr().err

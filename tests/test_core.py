@@ -2,6 +2,9 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -61,6 +64,40 @@ def test_star_import_binds_every_exported_name():
     exec("from nvsense import *", namespace)
     assert len(set(nvsense.__all__)) == len(nvsense.__all__)
     assert set(nvsense.__all__) <= set(namespace)
+
+
+def test_submodules_load_on_first_use():
+    # a fresh interpreter, so no other test has imported a submodule yet
+    code = textwrap.dedent("""
+        import importlib, sys
+        import nvsense
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("nvsense."))
+
+        assert loaded() == [], loaded()
+        nvsense.load_hyperfine_table()
+        assert loaded() == ["nvsense.core", "nvsense.eseem"], loaded()
+        for module in ("fitting", "presets", "cli"):
+            assert getattr(nvsense, module) is sys.modules[f"nvsense.{module}"]
+        assert set(nvsense.__all__) == {"__version__"}.union(
+            *nvsense._EXPORTS.values())
+        for module, names in nvsense._EXPORTS.items():
+            for name in names:
+                owner = importlib.import_module(f"nvsense.{module}")
+                assert getattr(nvsense, name) is getattr(owner, name), name
+        try:
+            nvsense.no_such_name
+        except AttributeError as exc:
+            assert str(exc) == ("module 'nvsense' has no attribute "
+                                "'no_such_name'"), exc
+        else:
+            raise AssertionError("no AttributeError")
+        assert set(nvsense.__all__) <= set(dir(nvsense))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_spin1_operators_algebra():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvsense import fitting
-from nvsense.core import PHOTON_CHANNELS, NoPeakError, TWO_PI, Trace, XKind
+from nvsense.core import (GRID_LIMIT, PHOTON_CHANNELS, NoPeakError, TWO_PI,
+                          Trace, XKind)
 from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
                           nv_epr_jacobian_grid, nv_epr_signal,
                           nv_epr_signal_grid)
@@ -607,18 +608,49 @@ WIDE_GRID = np.concatenate([np.linspace(-1.7e308, -1e307, 10),
                             np.linspace(1e307, 1.7e308, 10)])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("fit, kind", [
+_GRID_FITS = pytest.mark.parametrize("fit, kind", [
     (fit_gaussian_peak, XKind.FREQUENCY),
     (snr_estimate, XKind.FREQUENCY),
     (fit_rabi, XKind.PULSE_LENGTH),
     (functools.partial(fit_deer_rabi, n_spins=2), XKind.PULSE_LENGTH),
     (functools.partial(select_spin_count, max_n=2), XKind.PULSE_LENGTH)],
     ids=["gaussian", "snr", "rabi", "deer-rabi", "select"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_GRID_FITS
 def test_grid_spanning_the_float_range_is_an_input_error(fit, kind):
     tr = make_trace(WIDE_GRID, 0.5 + 0.3 * np.cos(np.arange(20.0)), kind)
     with pytest.raises(ValueError, match="spans more than the float range"):
         fit(tr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_GRID_FITS
+@pytest.mark.parametrize("top", [1e150, 1e160, 1.7e308])
+def test_grid_past_the_limit_is_an_input_error(fit, kind, top):
+    # the span is finite, but the models' powers of x and of the T0
+    # bound overflowed here
+    tr = make_trace(np.linspace(0.0, top, 20),
+                    0.5 + 0.3 * np.cos(np.arange(20.0)), kind)
+    with pytest.raises(ValueError, match=r"reaches past \+-1e\+100"):
+        fit(tr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_GRID_FITS
+@pytest.mark.parametrize("lo, hi", [(0.0, GRID_LIMIT),
+                                    (-GRID_LIMIT, GRID_LIMIT)])
+def test_grid_just_inside_the_limit_fits(fit, kind, lo, hi):
+    # a line for the peak fits, an undamped Rabi signal for the others,
+    # whose T0 runs to its bound of 50 spans
+    x = np.linspace(lo, hi, 40)
+    u = x / (hi - lo)
+    y = (0.5 + 0.3 * np.exp(-0.5 * ((u - u[20]) / 0.1) ** 2)
+         if kind is XKind.FREQUENCY else 0.5 + 0.5 * np.cos(6 * np.pi * u))
+    result = fit(make_trace(x, y, kind))
+    if fit is fit_rabi:
+        assert result.params[1] == 50.0 * (hi - lo)
 
 
 def _decay_model(p, x):
