@@ -171,13 +171,18 @@ class Trace:
 # the largest |x| a fit takes: past it a square of x, or the cube of
 # the Rabi fit's T0 bound (50 spans, 1e102 at most), leaves the float range
 GRID_LIMIT = 1e100
+# the smallest span a fit takes: at it the cube of the T0 lower bound
+# (one or two steps) is a normal float up to 3e12 points; on 1000 points
+# it underflowed to 0, which the T0 Jacobian divides by, from 1e-105
+GRID_MIN_SPAN = 1e-90
 
 
 def grid_span(x) -> float:
     """x[-1] - x[0] of a grid the fits take, else ValueError.
 
     Trace accepts any finite increasing x; a fit refuses one whose span
-    overflows or that reaches past +-GRID_LIMIT, before its engine runs.
+    overflows or falls below GRID_MIN_SPAN, or that reaches past
+    +-GRID_LIMIT, before its engine runs.
     """
     with np.errstate(over="ignore"):
         span = float(x[-1] - x[0])
@@ -187,6 +192,10 @@ def grid_span(x) -> float:
     if max(-x[0], x[-1]) > GRID_LIMIT:
         raise ValueError(f"grid from {x[0]:.6g} to {x[-1]:.6g} reaches past "
                          f"+-{GRID_LIMIT:g}, where the fit models overflow")
+    if span < GRID_MIN_SPAN:
+        raise ValueError(f"grid from {x[0]:.6g} to {x[-1]:.6g} spans less "
+                         f"than {GRID_MIN_SPAN:g}, where the fit models "
+                         f"underflow")
     return span
 
 

@@ -692,9 +692,12 @@ def _deer_rabi_candidates(peaks_w, n_spins, w_lo, w_hi):
     spread = tuple(clip(w_lo * (w_hi / w_lo) ** ((i + 1) / (n_spins + 1)))
                    for i in range(n_spins))
     candidates.append(spread)
+    # near-equal tuples share a key, in rad per span so that the
+    # resolution is the same on any grid: w_lo is a quarter turn per span
+    span = 0.5 * math.pi / w_lo
     seen, unique = set(), []
     for cand in candidates:
-        key = tuple(round(w, 6) for w in cand)
+        key = tuple(round(w * span, 6) for w in cand)
         if key not in seen:
             seen.add(key)
             unique.append(cand)

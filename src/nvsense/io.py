@@ -7,10 +7,13 @@ Frequencies are ordinary MHz and times us; values are rendered with
 repr so a round trip is exact.  All writes go through a temp file in
 the target directory followed by an atomic rename.
 
-Columns are rendered and parsed whole: each column's floats are
-formatted by one list repr and parsed by one map of float, and rows are
-interleaved or split by slicing, so the Python work per row is a few
-list slots.  The per-row writer and reader that this replaces live in
+Columns are rendered and parsed whole, and rows are interleaved or
+split by slicing, so the Python work per row is a few list slots.  A
+render formats each distinct float once, by one list repr, and maps the
+strings back to the places that hold it; a trace's grid and channels
+go in as one block, so a count that several channels hold is formatted
+once.  A parse splits every row by one comma split and maps float over
+each column.  The per-row writer and reader that this replaces live in
 tests/test_io.py as the oracles for the same bytes, values, checks and
 messages.
 """
@@ -53,19 +56,26 @@ def trace_to_csv(trace: Trace, comments: tuple = ()) -> str:
     head.append(",".join(TRACE_HEADER) + "\n")
     # only a channel name can need csv quoting; x, values and n_avg
     # render as bare numbers and x_kind as a bare word
-    x = _reprs(trace.x)
-    tail = [f",{trace.n_avg}\n"] * len(x)
+    n = trace.x.size
+    strings = _reprs(np.stack([trace.x, *trace.channels.values()]))
+    x, tail = strings[:n], [f",{trace.n_avg}\n"] * n
     columns = []
-    for name, values in trace.channels.items():
+    for c, name in enumerate(trace.channels, 1):
         middle = f",{trace.x_kind.value},{_csv_field(name)},"
-        columns += [x, [middle] * len(x), _reprs(values), tail]
+        columns += [x, [middle] * n, strings[c * n:(c + 1) * n], tail]
     return "".join(head) + _join_rows(columns)
 
 
 def _reprs(values: np.ndarray) -> list[str]:
-    """repr of each float of a 1-d array, formatted by one list repr."""
-    items = values.tolist()
-    return repr(items)[1:-1].split(", ") if items else []
+    """repr of each float of an array, in C order.
+
+    Each distinct bit pattern is formatted once, by one list repr, and
+    its string mapped back to every place it holds; -0.0 and 0.0 have
+    distinct bits, so each keeps its own string.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    strings = repr(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return list(map(strings.__getitem__, inverse.ravel().tolist()))
 
 
 def _join_rows(columns: list[list[str]]) -> str:
@@ -107,25 +117,27 @@ def trace_from_csv(text: str, source: str = "<string>") -> Trace:
     if not lines:
         raise TraceFormatError(f"{source}: no data rows")
 
-    # all rows are split by one comma split; a line with a quote or NUL
-    # stands in it as five empty fields until its csv fields replace them
-    commas = list(map(str.count, lines, [","] * len(lines)))
+    # all rows are split by one comma split, with a "\n" field between
+    # rows: no line holds a newline, so every row has five fields where
+    # the n - 1 "\n" fields sit at every sixth place.  A line with a
+    # quote or NUL stands in it as one comma fewer than its csv fields
+    # until they replace it
     quoted = {}
     if '"' in text or "\0" in text:  # else no line needs csv.reader
         quoted = {k: _fields(line) for k, line in enumerate(lines)
                   if '"' in line or "\0" in line}
     for k, fields in quoted.items():
-        commas[k] = len(fields) - 1
-        lines[k] = ",,,,"
-    if commas.count(4) != len(lines):
-        k = next(k for k, n in enumerate(commas) if n != 4)
+        lines[k] = "," * (len(fields) - 1)
+    flat = ",\n,".join(lines).split(",")
+    if len(flat) != 6 * len(lines) - 1 or \
+            flat[5::6].count("\n") != len(lines) - 1:
+        k = next(k for k, line in enumerate(lines) if line.count(",") != 4)
         raise TraceFormatError(
             f"{source}:{_line_number(text, k + 1)}: expected 5 columns, "
-            f"got {commas[k] + 1}")
-    flat = ",".join(lines).split(",")
+            f"got {lines[k].count(',') + 1}")
     for k, fields in quoted.items():
-        flat[5 * k:5 * k + 5] = fields
-    xs, kinds, names, value_strs, n_avgs = (flat[j::5] for j in range(5))
+        flat[6 * k:6 * k + 5] = fields
+    xs, kinds, names, value_strs, n_avgs = (flat[j::6] for j in range(5))
 
     if len(set(kinds)) != 1:
         raise TraceFormatError(
@@ -253,8 +265,6 @@ def write_columns(path, names, columns, comments: tuple = ()) -> None:
     buf = _io.StringIO()
     buf.writelines(f"# {line}\n" for line in comments)
     csv.writer(buf, lineterminator="\n").writerow(names)
-    n_rows = columns[0].size
-    cells = [item for c in columns for item in (_reprs(c), [","] * n_rows)]
-    cells[-1] = ["\n"] * n_rows
-    buf.write(_join_rows(cells))
+    ends = ([","] * (len(columns) - 1) + ["\n"]) * columns[0].size
+    buf.write(_join_rows([_reprs(np.stack(columns, axis=1)), ends]))
     atomic_write_text(path, buf.getvalue())

@@ -690,44 +690,52 @@ class TestFit:
             hashes.append(report["config_hash"])
         assert hashes[0] != hashes[1]
 
-    def test_grid_spanning_the_float_range_is_error(self, tmp_path, capsys):
-        # core.Trace (and so the CSV reader) accepts the grid; the fit
-        # refuses it as input, with no numpy warning on the way
-        x = np.concatenate([np.linspace(-1.7e308, -1e307, 10),
-                            np.linspace(1e307, 1.7e308, 10)])
-        trace, out = tmp_path / "wide.csv", tmp_path / "g.json"
-        write_trace(trace, Trace(x, XKind.FREQUENCY,
-                                 {"diff": np.cos(np.arange(20.0))}))
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert run("fit", "--kind", "gaussian", "--in", str(trace),
-                       "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "spans more than the float range" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("kind, command", [
+    _grid_fits = pytest.mark.parametrize("kind, command", [
         (XKind.FREQUENCY, ("fit", "--kind", "gaussian")),
         (XKind.PULSE_LENGTH, ("fit", "--kind", "rabi")),
         (XKind.PULSE_LENGTH, ("fit", "--kind", "deer-rabi")),
         (XKind.PULSE_LENGTH, ("select-spins", "--max-n", "2"))],
         ids=["gaussian", "rabi", "deer-rabi", "select-spins"])
-    def test_grid_past_the_limit_is_error(self, tmp_path, capsys, kind,
-                                          command):
-        # a finite span, but x past the fits' limit of +-1e100
-        trace, out = tmp_path / "far.csv", tmp_path / "fit.json"
-        write_trace(trace, Trace(np.linspace(0.0, 1e150, 20), kind,
-                                 {"c": 0.5 + 0.3 * np.cos(np.arange(20.0))}))
+
+    @staticmethod
+    def _refused(tmp_path, capsys, kind, command, x) -> str:
+        """stderr of command on a trace over x, which must exit 1 with no
+        numpy warning and no output file."""
+        trace, out = tmp_path / "grid.csv", tmp_path / "fit.json"
+        write_trace(trace, Trace(x, kind, {"c": 0.5 + 0.3 * np.cos(
+            np.arange(float(x.size)))}))
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run(*command, "--in", str(trace), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert "reaches past +-1e+100" in err
         assert not out.exists()
+        return err
+
+    def test_grid_spanning_the_float_range_is_error(self, tmp_path, capsys):
+        # core.Trace (and so the CSV reader) accepts the grid; the fit
+        # refuses it as input, with no numpy warning on the way
+        x = np.concatenate([np.linspace(-1.7e308, -1e307, 10),
+                            np.linspace(1e307, 1.7e308, 10)])
+        err = self._refused(tmp_path, capsys, XKind.FREQUENCY,
+                            ("fit", "--kind", "gaussian"), x)
+        assert "spans more than the float range" in err
+
+    @_grid_fits
+    def test_grid_past_the_limit_is_error(self, tmp_path, capsys, kind,
+                                          command):
+        # a finite span, but x past the fits' limit of +-1e100
+        err = self._refused(tmp_path, capsys, kind, command,
+                            np.linspace(0.0, 1e150, 20))
+        assert "reaches past +-1e+100" in err
+
+    @_grid_fits
+    def test_grid_below_the_min_span_is_error(self, tmp_path, capsys, kind,
+                                              command):
+        err = self._refused(tmp_path, capsys, kind, command,
+                            np.linspace(0.0, 1e-120, 20))
+        assert "spans less than 1e-90" in err
 
     def test_kind_required(self, tmp_path, capsys):
         assert run("fit", "--in", str(tmp_path / "x.csv")) == 1

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nvsense import fitting
-from nvsense.core import (GRID_LIMIT, PHOTON_CHANNELS, NoPeakError, TWO_PI,
-                          Trace, XKind)
+from nvsense.core import (GRID_LIMIT, GRID_MIN_SPAN, PHOTON_CHANNELS,
+                          NoPeakError, TWO_PI, Trace, XKind)
 from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
                           nv_epr_jacobian_grid, nv_epr_signal,
                           nv_epr_signal_grid)
@@ -418,6 +418,21 @@ class TestDeerRabiFit:
         assert np.all(np.abs(fit.params[:-1] - omegas) <= tol)
         assert select_spin_count(trace, max_n=5).best_n == n
 
+    @pytest.mark.parametrize("span", [1.0, 1e8, 1e10, 1e100])
+    def test_starts_kept_on_any_time_scale(self, span):
+        # an undamped pair of 3 and 5 cycles per span: starts are told
+        # apart in rad per span, so on a long grid they do not all round
+        # to one start of couplings near 0
+        x = np.linspace(0.0, span, 40)
+        u = x / span
+        tr = make_trace(x, 0.5 + 0.5 * np.cos(6 * np.pi * u)
+                        * np.cos(10 * np.pi * u), XKind.PULSE_LENGTH)
+        fit = fit_deer_rabi(tr, n_spins=2)
+        assert fit.n_starts == 17
+        assert fit.params[:2] * span == pytest.approx([6 * np.pi, 10 * np.pi],
+                                                      abs=0.01)
+        assert select_spin_count(tr, max_n=2, canonicalize=False).best_n == 2
+
     def test_rejects_unnormalized_trace(self):
         t = np.linspace(0.0, 1.0, 101)
         y = 40.0 + 25.0 * np.cos(TWO_PI * 2.0 * t)  # raw counts scale
@@ -639,8 +654,23 @@ def test_grid_past_the_limit_is_an_input_error(fit, kind, top):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @_GRID_FITS
+@pytest.mark.parametrize("span", [np.nextafter(GRID_MIN_SPAN, 0.0), 1e-120,
+                                  1e-300])
+def test_grid_below_the_min_span_is_an_input_error(fit, kind, span):
+    # the cube of the T0 bound underflowed to 0 from 1e-107 on 20 points,
+    # and at 1e-300 the peak fits divided by 0 too
+    tr = make_trace(np.linspace(0.0, span, 20),
+                    0.5 + 0.3 * np.cos(np.arange(20.0)), kind)
+    with pytest.raises(ValueError, match=r"spans less than 1e-90"):
+        fit(tr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_GRID_FITS
 @pytest.mark.parametrize("lo, hi", [(0.0, GRID_LIMIT),
-                                    (-GRID_LIMIT, GRID_LIMIT)])
+                                    (-GRID_LIMIT, GRID_LIMIT),
+                                    (0.0, GRID_MIN_SPAN),
+                                    (-GRID_MIN_SPAN / 2, GRID_MIN_SPAN / 2)])
 def test_grid_just_inside_the_limit_fits(fit, kind, lo, hi):
     # a line for the peak fits, an undamped Rabi signal for the others,
     # whose T0 runs to its bound of 50 spans

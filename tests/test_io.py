@@ -114,16 +114,19 @@ def per_row_trace_from_csv(text: str, source: str = "<string>") -> Trace:
 
 _FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([-0.0, 5e-324, -2.5e-310]))
+# few values, so most repeat within and across channels; 0.0 and -0.0
+# compare equal but render apart
+_POOLED = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 1.0 / 3.0, 7e22])
 _ONE_LINE = st.text().filter(lambda name: "".join(name.splitlines()) == name)
 
 
 @st.composite
-def traces(draw, min_channels=1):
+def traces(draw, min_channels=1, values=_FINITE):
     # unique=True counts -0.0 and 0.0 as equal, so the grid strictly rises
     x = sorted(draw(st.lists(_FINITE, min_size=2, max_size=6, unique=True)))
     names = draw(st.lists(_ONE_LINE, min_size=min_channels, max_size=4,
                           unique=True))
-    channels = {name: draw(st.lists(_FINITE, min_size=len(x),
+    channels = {name: draw(st.lists(values, min_size=len(x),
                                     max_size=len(x)))
                 for name in names}
     return Trace(np.array(x), draw(st.sampled_from(XKind)), channels,
@@ -302,8 +305,8 @@ class TestCsvRoundTrip:
         assert lines[1] == "# alpha=1"
         assert lines[2] == "x,x_kind,channel,value,n_avg"
 
-    @settings(max_examples=200, deadline=None)
-    @given(tr=traces())
+    @settings(max_examples=300, deadline=None)
+    @given(tr=traces() | traces(values=_POOLED))
     def test_any_trace_round_trips_bitwise(self, tr):
         text = trace_to_csv(tr)
         assert text == per_row_csv(tr)
@@ -351,10 +354,21 @@ class TestCsvDiagnostics:
             trace_from_csv(text)
 
     def test_wrong_column_count_names_line(self):
-        text = ("x,x_kind,channel,value,n_avg\n"
-                "0.0,pulse_length,SIG1,0.05\n")
-        with pytest.raises(TraceFormatError, match=r":2: expected 5 columns"):
-            trace_from_csv(text)
+        # in the second text a 4-field row and a later 6-field one hold
+        # the right total number of fields between them
+        for text, message in [
+                ("x,x_kind,channel,value,n_avg\n"
+                 "0.0,pulse_length,SIG1,0.05\n",
+                 "<string>:2: expected 5 columns, got 4"),
+                ("x,x_kind,channel,value,n_avg\n"
+                 "0.0,pulse_length,SIG1,0.05,100\n"
+                 "1.0,pulse_length,SIG1,0.05\n"
+                 "2.0,pulse_length,SIG1,0.05,100\n"
+                 "3.0,pulse_length,SIG1,0.05,100,7\n",
+                 "<string>:3: expected 5 columns, got 4")]:
+            with pytest.raises(TraceFormatError) as info:
+                trace_from_csv(text)
+            assert str(info.value) == message
 
     def test_open_quote_stays_on_its_line(self):
         # an unclosed quote ends with its line; it never swallows the next
