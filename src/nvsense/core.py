@@ -175,6 +175,12 @@ GRID_LIMIT = 1e100
 # (one or two steps) is a normal float up to 3e12 points; on 1000 points
 # it underflowed to 0, which the T0 Jacobian divides by, from 1e-105
 GRID_MIN_SPAN = 1e-90
+# the smallest median step a drive-length fit takes, as a fraction of
+# the span: its T0 lower bound is one or two median steps, and on a grid
+# of tiny steps followed by long ones (t / T0)^2 overflowed; at or above
+# it, and with the span at least GRID_MIN_SPAN, the cube of the bound
+# is a normal float too
+GRID_MIN_STEP = 1e-12
 
 
 def grid_span(x) -> float:
@@ -197,6 +203,21 @@ def grid_span(x) -> float:
                          f"than {GRID_MIN_SPAN:g}, where the fit models "
                          f"underflow")
     return span
+
+
+def grid_span_and_step(x) -> tuple[float, float]:
+    """grid_span(x) and the median step of a drive-length grid.
+
+    Raises ValueError, as grid_span does, where the median step is below
+    GRID_MIN_STEP times the span; the peak fits take such a grid.
+    """
+    span = grid_span(x)
+    step = float(np.median(np.diff(x)))
+    if step < GRID_MIN_STEP * span:
+        raise ValueError(f"grid median step {step:.6g} is less than "
+                         f"{GRID_MIN_STEP:g} of the span {span:.6g}, where "
+                         f"the drive-length models overflow")
+    return span, step
 
 
 @dataclass(frozen=True)

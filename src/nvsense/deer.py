@@ -152,11 +152,10 @@ def gaussian_line(f, center, width, amplitude, baseline=0.0):
     The one body of the Gaussian line: deer_spectrum, the peak fit and
     the synthesized resonance dips all evaluate it.
     """
-    # a float's ** raises OverflowError past the float range, where the
-    # same power of a numpy float is inf
-    if isinstance(width, float):
-        width = np.float64(width)
-    d2, w2 = (f - center) ** 2, 2.0 * width ** 2
+    # squared by multiplication: numpy's scalar ** is not correctly
+    # rounded, and a float's ** raises OverflowError past the float range
+    d = f - center
+    d2, w2 = d * d, 2.0 * (width * width)
     if np.isinf(w2).any():  # tested first: w2 has width's shape
         # inf/inf where both squares overflow: divide before squaring
         # there; the other elements of the fallback are discarded

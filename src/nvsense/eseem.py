@@ -121,7 +121,8 @@ def eseem_modulation(tau, n_pulses: int, nucleus: EseemNucleus):
     wa, wb = sp.omega_alpha, sp.omega_beta
     wp, wm = sp.omega_plus, sp.omega_minus
 
-    cos_half_phi = np.clip(mu * np.cos(wp * t) + lam * np.cos(wm * t), -1.0, 1.0)
+    cos_p, cos_m = np.cos(wp * t), np.cos(wm * t)
+    cos_half_phi = np.clip(mu * cos_p + lam * cos_m, -1.0, 1.0)
     phi = 2.0 * np.arccos(cos_half_phi)
     sin_half = np.sin(0.5 * phi)
     singular = np.abs(sin_half) < 1e-6
@@ -133,7 +134,7 @@ def eseem_modulation(tau, n_pulses: int, nucleus: EseemNucleus):
         -0.75 * k
         + 0.5 * k * (np.cos(wa * t) + np.cos(wb * t))
         + 0.25 * k * (np.cos(2 * wa * t) + np.cos(2 * wb * t))
-        + 0.5 * k * (mu - lam) * (np.cos(wp * t) - np.cos(wm * t))
+        + 0.5 * k * (mu - lam) * (cos_p - cos_m)
         + 0.25 * k * mu * np.cos(2 * wp * t)
         + 0.25 * k * lam * np.cos(2 * wm * t)
         - 0.5 * k * mu * (np.cos((wp + wa) * t) + np.cos((wp + wb) * t))
@@ -141,6 +142,11 @@ def eseem_modulation(tau, n_pulses: int, nucleus: EseemNucleus):
     )
     v = 1.0 + envelope * bracket
     return float(v) if np.ndim(tau) == 0 else v
+
+
+def _row_product(a, b, c, d):
+    """First row of [[a, b], [-b*, a*]] @ [[c, d], [-d*, c*]]."""
+    return a * c - b * d.conj(), a * d + b * c.conj()
 
 
 def density_matrix_eseem_oracle(tau, n_pulses: int, nucleus: EseemNucleus):
@@ -153,9 +159,14 @@ def density_matrix_eseem_oracle(tau, n_pulses: int, nucleus: EseemNucleus):
     square is the 2tau propagator.  The ket path starts in the ms_alpha
     branch and the bra path in ms_beta; each pi pulse swaps them along
     the interval pattern [tau, 2tau, ..., 2tau, tau].
-    V = Re Tr[G_ket G_bra^dag] / 2.  Works for any n_pulses >= 1, at
-    n_pulses + 1 batched 2x2 products over the whole grid.  Scalar in,
-    scalar out; array in, array of the same shape out.
+
+    H is traceless, so U and every product of such propagators has the
+    form [[a, b], [-b*, a*]] and is carried as its first row (a, b):
+    (a, b)(c, d) = (ac - bd*, ad + bc*), and
+    V = Re Tr[G_ket G_bra^dag] / 2 = Re(a_ket a_bra* + b_ket b_bra*).
+    Works for any n_pulses >= 1, at n_pulses + 1 elementwise products
+    over the whole grid.  Scalar in, scalar out; array in, array of the
+    same shape out.
     """
     if not (isinstance(n_pulses, (int, np.integer)) and n_pulses >= 1):
         raise ValueError(f"n_pulses must be a positive integer, got {n_pulses!r}")
@@ -169,15 +180,18 @@ def density_matrix_eseem_oracle(tau, n_pulses: int, nucleus: EseemNucleus):
                   for ms in (n.ms_alpha, n.ms_beta)])
     lam, w = np.linalg.eigh(h)
     phase = np.exp(-1j * lam[:, None, :] * tau_arr.reshape(-1, 1))
-    # [branch, grid point] propagators over tau and 2 tau
-    u1 = (w[:, None] * phase[:, :, None, :]) @ np.swapaxes(w, -1, -2)[:, None]
-    u2 = u1 @ u1
-    # g[0] is the ket path, g[1] the bra path; on odd intervals they swap
-    g = u1
+    # [branch, grid point, column]: U[0, j] = sum_k W[0, k] W[j, k] phase_k
+    row = phase @ (w[:, 0, :, None] * np.swapaxes(w, -1, -2))
+    a1, b1 = row[..., 0], row[..., 1]
+    a2, b2 = _row_product(a1, b1, a1, b1)
+    # [0] is the ket path, [1] the bra path; on odd intervals they swap
+    a, b = a1, b1
     for j in range(1, n_pulses):
-        g = (u2 if j % 2 == 0 else u2[::-1]) @ g
-    g = (u1 if n_pulses % 2 == 0 else u1[::-1]) @ g
-    v = 0.5 * np.real(np.sum(g[0] * g[1].conj(), axis=(-2, -1)))
+        c, d = (a2, b2) if j % 2 == 0 else (a2[::-1], b2[::-1])
+        a, b = _row_product(c, d, a, b)
+    c, d = (a1, b1) if n_pulses % 2 == 0 else (a1[::-1], b1[::-1])
+    a, b = _row_product(c, d, a, b)
+    v = np.real(a[0] * a[1].conj() + b[0] * b[1].conj())
     return float(v[0]) if np.ndim(tau) == 0 else v.reshape(tau_arr.shape)
 
 

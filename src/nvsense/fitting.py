@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (PHOTON_CHANNELS, TWO_PI, NoPeakError, Trace, XKind,
-                   grid_span)
+                   grid_span, grid_span_and_step)
 # no fit calls nv_epr_signal: perfbench/tracer.py wraps fitting.nv_epr_signal
 from .deer import (gaussian_line, nv_epr_jacobian_grid, nv_epr_signal,
                    nv_epr_signal_grid)
@@ -634,8 +634,7 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
                             normalized=True)
     if x.size < 6:
         raise ValueError(f"need at least 6 points, got {x.size}")
-    span = grid_span(x)
-    dt = float(np.median(np.diff(x)))
+    span, dt = grid_span_and_step(x)
     f_lo, f_hi = 0.25 / span, 0.5 / dt
     peaks = [f for f in _fft_peak_frequencies(x, y, count=2)
              if f_lo < f < f_hi] or [min(max(1.0 / span, f_lo * 1.01),
@@ -724,8 +723,7 @@ def _deer_rabi_fits(x, y, counts) -> dict:
         raise ValueError(
             "channel does not look normalized to [0, 1]; normalize the "
             "difference signal before fitting")
-    span = grid_span(x)
-    dt = float(np.median(np.diff(x)))
+    span, dt = grid_span_and_step(x)
     w_lo, w_hi = 0.5 * np.pi / span, 0.5 * np.pi / dt
     peaks_w = [2.0 * np.pi * f for f in _fft_peak_frequencies(x, y, count=4)]
     t00 = max(span / 3.0, dt)

@@ -737,6 +737,17 @@ class TestFit:
                             np.linspace(0.0, 1e-120, 20))
         assert "spans less than 1e-90" in err
 
+    @pytest.mark.parametrize("command", [
+        ("fit", "--kind", "rabi"), ("fit", "--kind", "deer-rabi"),
+        ("select-spins", "--max-n", "2")],
+        ids=["rabi", "deer-rabi", "select-spins"])
+    def test_grid_of_tiny_median_step_is_error(self, tmp_path, capsys,
+                                               command):
+        # a span of 1 whose median step, 1e-200, bounds T0 below
+        x = np.concatenate([np.arange(12) * 1e-200, np.linspace(0.5, 1.0, 8)])
+        err = self._refused(tmp_path, capsys, XKind.PULSE_LENGTH, command, x)
+        assert "median step 1e-200 is less than 1e-12" in err
+
     def test_kind_required(self, tmp_path, capsys):
         assert run("fit", "--in", str(tmp_path / "x.csv")) == 1
         assert "gaussian | rabi | deer-rabi" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nvsense import fitting
 from nvsense.core import (GRID_LIMIT, GRID_MIN_SPAN, PHOTON_CHANNELS,
@@ -289,6 +289,11 @@ class TestGaussianPeak:
     @settings(max_examples=200, deadline=None)
     @given(center=st.floats(880.0, 950.0), width=st.floats(0.14, 140.0),
            amplitude=st.floats(-2.0, 2.0), baseline=st.floats(-1.0, 1.0))
+    # numpy's scalar ** squares this width 1 ulp above the array square
+    @example(center=880.0, width=25.250908993568274, amplitude=1.0,
+             baseline=0.0)
+    @example(center=880.0, width=25.250908993568274, amplitude=0.0,
+             baseline=0.0)
     def test_model_and_jacobian_read_the_one_gaussian_body(
             self, center, width, amplitude, baseline):
         # inside the default bounds (0.2 dx, 2 span) of this grid
@@ -681,6 +686,36 @@ def test_grid_just_inside_the_limit_fits(fit, kind, lo, hi):
     result = fit(make_trace(x, y, kind))
     if fit is fit_rabi:
         assert result.params[1] == 50.0 * (hi - lo)
+
+
+# 12 points 1e-200 apart, then 8 on [0.5, 1]: the span is 1, the
+# median step 1e-200
+TINY_STEP_GRID = np.concatenate([np.arange(12) * 1e-200,
+                                 np.linspace(0.5, 1.0, 8)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fit", [
+    fit_rabi, functools.partial(fit_deer_rabi, n_spins=2),
+    functools.partial(select_spin_count, max_n=2, canonicalize=False)],
+    ids=["rabi", "deer-rabi", "select"])
+def test_grid_of_tiny_median_step_is_an_input_error(fit):
+    # the T0 lower bound is one or two median steps, and (t / T0)^2
+    # overflowed on the long steps
+    tr = make_trace(TINY_STEP_GRID, 0.5 + 0.3 * np.cos(np.arange(20.0)),
+                    XKind.PULSE_LENGTH)
+    with pytest.raises(ValueError,
+                       match=r"median step 1e-200 is less than 1e-12 of "
+                             r"the span 1,"):
+        fit(tr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("fit", [fit_gaussian_peak, snr_estimate],
+                         ids=["gaussian", "snr"])
+def test_peak_fits_take_a_grid_of_tiny_median_step(fit):
+    x = TINY_STEP_GRID
+    fit(make_trace(x, 0.5 + 0.3 * np.exp(-0.5 * ((x - x[15]) / 0.1) ** 2)))
 
 
 def _decay_model(p, x):
