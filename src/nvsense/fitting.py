@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (PHOTON_CHANNELS, TWO_PI, NoPeakError, Trace, XKind,
-                   grid_span, grid_span_and_step)
+from .core import (GRID_MIN_STEP, PHOTON_CHANNELS, TWO_PI, NoPeakError,
+                   Trace, XKind, grid_span, grid_span_and_step)
 # no fit calls nv_epr_signal: perfbench/tracer.py wraps fitting.nv_epr_signal
 from .deer import (gaussian_line, nv_epr_jacobian_grid, nv_epr_signal,
                    nv_epr_signal_grid)
@@ -231,6 +231,23 @@ def _solve_each(mats, rhs):
         return x, ok
 
 
+def _rejected_lam(lam, nu, g, delta, d):
+    """Each row's damping after its step delta was rejected.
+
+    max(lambda nu, -g.delta / delta.D.delta) with D = diag(d).  As
+    (A + lambda D) delta = -g, the quotient is delta.A.delta /
+    delta.D.delta + lambda, so the next step is about half as long
+    (More, Lecture Notes in Math. 630, 105 (1978)); a non-finite one
+    (the nan delta of an unsolved row, or delta = 0) leaves lambda nu.
+    The caller passes every row, so no row's bits depend on the others.
+    """
+    grown = lam * nu
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quot = (-np.einsum("ij,ij->i", g, delta)
+                / np.einsum("ij,ij,ij->i", delta, d, delta))
+    return np.where(np.isfinite(quot) & (quot > grown), quot, grown)
+
+
 def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                  groups=None, exchangeable=()) -> _LockstepRuns:
     """Bounded LM from every row of starts, all in lockstep.
@@ -248,10 +265,11 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     delta = -g with g = J^T r and per-start lambda and nu, the trial
     p + delta clipped into its box, acceptance only on strict decrease,
     convergence on a gain or a flat trial within _TOL, lambda/3 after an
-    accepted step and lambda*nu after a rejected one, a stall above
-    lambda 1e14 and at most max_iter accepted steps.  Each round takes
-    the Jacobian only where the last step was accepted and drops
-    finished starts.
+    accepted step and after a rejected one lambda*nu or, where it is
+    larger, the damping that about halves the step (_rejected_lam), a
+    stall above lambda 1e14 and at most max_iter accepted steps.  Each
+    round takes the Jacobian only where the last step was accepted and
+    drops finished starts.
 
     Beside the model and Jacobian, a round costs a fixed count of small
     numpy calls, not arithmetic: ~55 to 150 us on a 2-vCPU VM for the 1
@@ -374,10 +392,11 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                 runs.history[i].append(c)
             p[better], r[better], cost[better] = (trial[better], r_t[better],
                                                   cost_t[better])
-            lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN), lam * nu)
+            lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN),
+                           _rejected_lam(lam, nu, g, delta, d))
             nu = np.where(better, 2.0, np.minimum(2.0 * nu, _NU_MAX))
         else:
-            lam = lam * nu
+            lam = _rejected_lam(lam, nu, g, delta, d)
             nu = np.minimum(2.0 * nu, _NU_MAX)
         n_iter += better
         stale = better
@@ -548,9 +567,10 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     values come from the data (edge median baseline, extremal residual
     peak, half-maximum width, kept inside width_bounds even where the
     band is narrower than the start's 0.1% margins).  width_bounds
-    defaults to (0.2 dx, 2 span).  On a trace without a line the width
-    often ends on a bound; the engine's bound rule holds it there while
-    the other parameters converge.  Raises NoPeakError when the fitted
+    defaults to (max(0.2 dx, GRID_MIN_STEP span), 2 span), dx the
+    smallest step.  On a trace without a line the width often ends on a
+    bound; the engine's bound rule holds it there while the other
+    parameters converge.  Raises NoPeakError when the fitted
     amplitude is below min_snr times the residual noise; pass min_snr=0
     to always get the fit back.
     """
@@ -574,7 +594,10 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     dx = float(np.min(np.diff(x)))
     span = grid_span(x)
     if width_bounds is None:
-        width_bounds = (0.2 * dx, 2.0 * span)
+        # on a grid of tiny steps, a floor of GRID_MIN_STEP of the span
+        # keeps the width's square a normal float and (x - center)^2
+        # over it at most 1e24
+        width_bounds = (max(0.2 * dx, GRID_MIN_STEP * span), 2.0 * span)
     w_lo, w_hi = float(width_bounds[0]), float(width_bounds[1])
     if not 0 < w_lo < w_hi:
         raise ValueError(f"width_bounds must satisfy 0 < low < high, "

@@ -21,9 +21,9 @@ from nvsense.fitting import (_COST_FLOOR, _LAM_MIN, _LAM_STALL, _LAM_START,
                              FitProblem, FitResult, _deer_rabi_candidates,
                              _fd_jacobian, _fft_peak_frequencies,
                              _lockstep_lm, _LockstepRuns, _param_errors,
-                             _solve_each, adjusted_r_squared, fit_deer_rabi,
-                             fit_gaussian_peak, fit_rabi, nlls_fit,
-                             select_spin_count)
+                             _rejected_lam, _solve_each, adjusted_r_squared,
+                             fit_deer_rabi, fit_gaussian_peak, fit_rabi,
+                             nlls_fit, select_spin_count)
 from nvsense.presets import (default_sequence, detector, epr_line, rabi_truth,
                              target_pair)
 from nvsense.synth import (SequenceKind, coherence_trace, difference_signal,
@@ -710,12 +710,21 @@ def test_grid_of_tiny_median_step_is_an_input_error(fit):
         fit(tr)
 
 
+_TINY_STEP_LINE = 0.5 + 0.3 * np.exp(
+    -0.5 * ((TINY_STEP_GRID - TINY_STEP_GRID[15]) / 0.1) ** 2)
+# without a line the width runs to its lower bound, whose square
+# underflowed when the bound was 0.2 of the smallest step
+_TINY_STEP_NO_LINE = 0.5 + 0.3 * np.cos(np.arange(20.0))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("fit", [fit_gaussian_peak, snr_estimate],
-                         ids=["gaussian", "snr"])
-def test_peak_fits_take_a_grid_of_tiny_median_step(fit):
-    x = TINY_STEP_GRID
-    fit(make_trace(x, 0.5 + 0.3 * np.exp(-0.5 * ((x - x[15]) / 0.1) ** 2)))
+@pytest.mark.parametrize("fit, y", [
+    (fit_gaussian_peak, _TINY_STEP_LINE), (snr_estimate, _TINY_STEP_LINE),
+    (functools.partial(fit_gaussian_peak, min_snr=0.0), _TINY_STEP_NO_LINE),
+    (snr_estimate, _TINY_STEP_NO_LINE)],
+    ids=["gaussian", "snr", "gaussian-line-free", "snr-line-free"])
+def test_peak_fits_take_a_grid_of_tiny_median_step(fit, y):
+    fit(make_trace(TINY_STEP_GRID, y))
 
 
 def _decay_model(p, x):
@@ -733,13 +742,14 @@ def _decay_data():
     return x, 2.0 * np.exp(-1.3 * x) + 0.01 * rng.standard_normal(60)
 
 
-def _serial_lm(problem: FitProblem) -> FitResult:
+def _serial_lm(problem: FitProblem, jacobian=None) -> FitResult:
     """The bounded LM of _lockstep_lm as a serial loop: the test oracle.
 
-    One start, a forward-difference Jacobian, and the engine's rules
-    written out one step at a time: the damping schedule, clipping into
-    the box, the bound rule, acceptance on strict decrease and
-    convergence within _TOL.  params, ss_res, converged, n_iter and
+    One start, and the engine's rules written out one step at a time:
+    the damping schedule, clipping into the box, the bound rule,
+    acceptance on strict decrease and convergence within _TOL.  The
+    Jacobian is jacobian(p), (m, k), when given, else forward
+    differences (_fd_jacobian).  params, ss_res, converged, n_iter and
     cost_history are filled in.
     """
     lo, hi = problem.lo, problem.hi
@@ -757,7 +767,8 @@ def _serial_lm(problem: FitProblem) -> FitResult:
     n_accept = 0
 
     for _ in range(problem.max_iter):
-        jac = _fd_jacobian(residuals, p, lo, hi, r)
+        jac = (_fd_jacobian(residuals, p, lo, hi, r) if jacobian is None
+               else jacobian(p))
         a = jac.T @ jac
         g = jac.T @ r
         d = np.diag(a).copy()
@@ -791,7 +802,14 @@ def _serial_lm(problem: FitProblem) -> FitResult:
                 if abs(cost_t - cost) <= tol * max(cost, floor):
                     converged = True
                     break
-            lam = lam * nu
+            # rejected: lambda*nu, or where larger the finite damping that
+            # about halves the step, -g.delta / delta.D.delta
+            grown, quot = lam * nu, math.nan
+            if delta is not None:
+                den = float(delta @ (d * delta))
+                if den > 0:
+                    quot = float(-g @ delta) / den
+            lam = quot if math.isfinite(quot) and quot > grown else grown
             nu = min(2.0 * nu, fitting._NU_MAX)
             if lam > fitting._LAM_STALL:
                 stalled = True
@@ -816,32 +834,38 @@ class TestLockstepEngine:
                             lambda p, kept: _decay_jacobian(p, x), y, starts,
                             self.lo, self.hi, max_iter=max_iter)
 
-    def problem(self, start, max_iter=200):
+    def problem(self, start, max_iter=200, hi=None):
         x, y = _decay_data()
         return FitProblem(
             model=lambda p, x: _decay_model(p[None], x)[0], x=x, y=y,
-            init=start, bounds=tuple(zip(self.lo, self.hi)),
+            init=start,
+            bounds=tuple(zip(self.lo, self.hi if hi is None else hi)),
             max_iter=max_iter)
 
-    def serial(self, start, max_iter=200):
-        return _serial_lm(self.problem(start, max_iter))
+    def serial(self, start, max_iter=200, hi=None):
+        # on the engine's closed-form Jacobian, so both run the same
+        # arithmetic
+        x, _ = _decay_data()
+        problem = self.problem(start, max_iter, hi)
+        return _serial_lm(problem, lambda q: _decay_jacobian(q[None], x)[0])
 
     def assert_same_steps(self, runs, i, ref):
         assert runs.converged[i] == ref.converged
         assert np.allclose(runs.params[i], ref.params, atol=1e-6)
         assert runs.cost[i] == pytest.approx(ref.ss_res, rel=1e-9)
-        # same accepted steps: only the Jacobians differ (closed form
-        # against forward differences), so the paths agree closely
+        # same accepted steps on the same Jacobian: the paths differ by
+        # rounding only
         assert runs.n_iter[i] == ref.n_iter
         np.testing.assert_allclose(runs.history[i], ref.cost_history,
-                                   rtol=1e-4)
+                                   rtol=1e-12)
 
     def test_each_start_matches_nlls_fit(self):
         runs = self.run(self.starts)
         for i, start in enumerate(self.starts):
-            ref = self.serial(start)
-            self.assert_same_steps(runs, i, ref)
-            # nlls_fit is one lockstep start on the oracle's Jacobian
+            self.assert_same_steps(runs, i, self.serial(start))
+            # nlls_fit is one lockstep start on the oracle's
+            # forward-difference Jacobian
+            ref = _serial_lm(self.problem(start))
             fit = nlls_fit(self.problem(start))
             assert fit.n_iter == ref.n_iter
             assert fit.converged == ref.converged
@@ -860,9 +884,7 @@ class TestLockstepEngine:
         runs = _lockstep_lm(lambda p: (_decay_model(p, x), ()),
                             lambda p, kept: _decay_jacobian(p, x), y, start,
                             self.lo, hi)
-        ref = _serial_lm(FitProblem(
-            model=lambda p, x: _decay_model(p[None], x)[0], x=x, y=y,
-            init=start[0], bounds=tuple(zip(self.lo, hi))))
+        ref = self.serial(start[0], hi=hi)
         self.assert_same_steps(runs, 0, ref)
         assert runs.converged[0]
         assert runs.params[0, 0] == ref.params[0] == 1.5
@@ -933,6 +955,70 @@ class TestLockstepEngine:
             self.run(np.array([[11.0, 1.0]]))
 
 
+class TestRejectedDamping:
+    """The damping after a rejected step: lambda*nu, or more (_rejected_lam).
+
+    The problem is one parameter, tanh(p) against 0, from p = 1.2.  Its
+    Gauss-Newton step, -2.733, overshoots to a higher cost, and half of
+    it lowers the cost.
+    """
+
+    def run(self, monkeypatch, trials=None):
+        monkeypatch.setattr(fitting, "_LAM_START", 1e-9)
+
+        def model(p):
+            if trials is not None:
+                trials.append(float(p[0, 0]))
+            return np.tanh(p), ()
+
+        return _lockstep_lm(
+            model, lambda p, kept: (1.0 / np.cosh(p) ** 2)[:, :, None],
+            np.zeros(1), [[1.2]], -10.0, 10.0, max_iter=1)
+
+    def test_trial_after_rejection_is_half_the_step(self, monkeypatch):
+        # in one parameter the quotient is 1 + lambda, so the next step
+        # is (1 + lambda) / (2 + lambda) of the rejected one
+        trials = []
+        self.run(monkeypatch, trials)
+        p0, first, second = trials[:3]
+        assert first - p0 == pytest.approx(-2.7331, abs=1e-4)
+        assert (second - p0) / (first - p0) == pytest.approx(0.5, rel=1e-9)
+
+    def test_one_rejected_round_before_the_half_step(self, monkeypatch):
+        # max_iter=1 ends the run at its first accepted step
+        runs = self.run(monkeypatch)
+        assert runs.stop[0] == "max_iter" and runs.n_rounds[0] == 2
+        # lambda*nu alone takes 8 rejected rounds to grow lambda from
+        # 1e-9 past the 0.139 that the step needs: nu runs 2, 4, ..., 64
+        # and stays at its cap, and 2^27 * 1e-9 falls just short
+        monkeypatch.setattr(fitting, "_rejected_lam",
+                            lambda lam, nu, g, delta, d: lam * nu)
+        slow = self.run(monkeypatch)
+        assert slow.stop[0] == "max_iter" and slow.n_rounds[0] == 9
+        # and overshoots the damping: its step, 2.733 / (1 + 8.6), lowers
+        # the cost less than the half step
+        assert runs.cost[0] < 0.03 < 0.5 < slow.cost[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           lam=st.floats(1e-12, 1e14), nu=st.sampled_from(
+               [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]))
+    def test_never_below_lambda_nu(self, k, seed, lam, nu):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((k + 2, k)) * 10.0 ** rng.uniform(-3, 3, k)
+        a = b.T @ b
+        d = 10.0 ** rng.uniform(-3, 3, k)
+        g = rng.standard_normal(k)
+        delta = np.linalg.solve(a + lam * np.diag(d), -g)
+        # the second row is an unsolved one, whose delta is nan
+        new = _rejected_lam(np.array([lam, lam]), np.array([nu, nu]),
+                            np.array([g, g]),
+                            np.array([delta, np.full(k, np.nan)]),
+                            np.array([d, d]))
+        assert new[0] >= lam * nu
+        assert new[1] == lam * nu
+
+
 # the DEER-Rabi preset grid and the coupling and T0 bounds fit_deer_rabi
 # derives from it
 GRID = np.linspace(0.0, 1.0, 101)
@@ -945,14 +1031,20 @@ class TestRetire:
 
     lo = np.array([W_LO, W_LO, DT])
     hi = np.array([W_HI, W_HI, 10.0 * SPAN])
-    # two starts that reach the optimum and, between them, one that
-    # falls into the short-decay basin (T0 ~ 0.08 us) and creeps there
+    # two starts that reach the optimum (the first in round 4, the last
+    # in round 41) and, between them, one that falls into the
+    # short-decay basin (T0 ~ 0.08 us) and creeps there until the
+    # stuck-cost rule retires it in round 11.  The last starts on the
+    # equal-coupling saddle: with exchangeable couplings it walks to the
+    # (W_LO, W_LO) corner and is retired there in round 7; without, it
+    # leaves the saddle by rounding
     starts = np.array([[7.0, 14.0, 1 / 3], [38.0, 38.0, 1 / 3],
                        [38.0, 38.0, 0.125]])
     stuck = 1
     # a start with equal couplings, still equal when the first start
-    # converges: the equal-coupling rule retires it then, in round 4, and
-    # the other rule in round 17
+    # converges: the equal-coupling rule retires it then, in round 4;
+    # without it, it leaves the saddle by rounding and converges to the
+    # optimum with its couplings swapped in round 40
     twin = np.array([5.0, 5.0, 1 / 3])
 
     def run(self, starts, groups=None, exchangeable=(), lo=None, hi=None):
@@ -1017,12 +1109,23 @@ class TestRetire:
         others = [0, 2, 3]
         self.assert_same_runs(runs, others,
                               self.run(starts[others], exchangeable=(0, 1)))
-        self.assert_same_runs(runs, others, self.run(starts[others]))
-        # without exchangeable columns only the slower rule retires it
+        # against the run without exchangeable columns: a row the rule
+        # leaves live is bit-identical there; a row it retires sits on
+        # equal couplings above (1 + _TWIN_COST) B, and its path up to
+        # then is the plain run's, which goes on for more rounds
         plain = self.run(starts)
-        assert plain.stop[1] == "retired"
-        assert plain.n_rounds[1] > runs.n_rounds[1]
-        self.assert_same_runs(plain, others, self.run(starts[others]))
+        best = runs.cost[runs.converged].min()
+        w1, w2 = runs.params[:, 0], runs.params[:, 1]
+        twin = (runs.stop == "retired") & (
+            np.abs(w1 - w2) <= fitting._TWIN_REL * np.abs(w2))
+        assert twin.tolist() == [False, True, False, True]
+        live = np.flatnonzero(~twin)
+        self.assert_same_runs(runs, live, plain.take(live, [0, 1, 2]))
+        for i in np.flatnonzero(twin):
+            assert runs.cost[i] > (1.0 + fitting._TWIN_COST) * best
+            h = runs.history[i]
+            assert np.array_equal(plain.history[i][:h.size], h)
+            assert plain.n_rounds[i] > runs.n_rounds[i]
 
     def test_equal_pad_couplings_never_retired(self, monkeypatch):
         # the layout of _deer_rabi_fits at three couplings: 1-spin starts
@@ -1417,7 +1520,9 @@ class TestWinnerRecord:
 
 
 # _lockstep_lm and _solve_each as they were before the round was trimmed
-# to fewer numpy calls (see _lockstep_lm); only their names differ.
+# to fewer numpy calls (see _lockstep_lm); beside their names, only the
+# damping after a rejected step differs, written out as the engine's
+# _rejected_lam has it.
 def _reference_solve_each(mats, rhs):
     """_solve_each with a mask for ok, also when every row is solved."""
     try:
@@ -1440,8 +1545,9 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
                            exchangeable=()) -> _LockstepRuns:
     """_lockstep_lm before its round was trimmed to fewer numpy calls.
 
-    Kept verbatim as the oracle of the trimmed round, which must give
-    the same bits (TestTrimmedRound).
+    Kept as the oracle of the trimmed round, which must give the same
+    bits (TestTrimmedRound), with the engine's damping rule after a
+    rejected step.
     """
     p = np.array(starts, dtype=float)
     lo, hi = (np.array(np.broadcast_to(b, p.shape), dtype=float)
@@ -1514,7 +1620,15 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
         p[better], r[better], cost[better] = (trial[better], r_t[better],
                                               cost_t[better])
         n_iter += better
-        lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN), lam * nu)
+        # a rejected row: lambda*nu, or where larger the finite damping
+        # that about halves its step, -g.delta / delta.D.delta
+        grown = lam * nu
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            quot = (-np.einsum("ij,ij->i", g, delta)
+                    / np.einsum("ij,ij,ij->i", delta, d, delta))
+        lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN),
+                       np.where(np.isfinite(quot) & (quot > grown), quot,
+                                grown))
         nu = np.where(better, 2.0, np.minimum(2.0 * nu, _NU_MAX))
         stale = better
         maxed = n_iter >= max_iter
