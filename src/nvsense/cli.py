@@ -4,10 +4,9 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data-format
 error in an input file, 3 fit non-convergence (the report is still
 written, flagged).  Config files are JSON with nested sections; flags
 override config values.  Frequencies are ordinary MHz and angles
-degrees at this boundary, with one exception: `fit --kind deer-rabi`
-prints and writes its couplings under the fit's own param names,
-omega_<i>_rad_us in rad/us, which `report` reads back.  `select-spins`
-reports the same couplings in MHz (omegas_mhz).
+degrees at this boundary: `fit` and `select-spins` write each fit
+through _fit_record, which reports the library's omega_<i>_rad_us
+couplings as omega_<i>_mhz, and `report` reads them back in MHz.
 """
 
 from __future__ import annotations
@@ -318,6 +317,14 @@ class _FitKind:
         return self.reduce(trace)
 
 
+def _coupling_names(params: dict) -> list:
+    """A deer-rabi report's param names in record order: couplings, T0."""
+    if rad_us := sorted(k for k in params if k.endswith("_rad_us")):
+        raise TraceFormatError(f"deer-rabi fit report params {rad_us} are "
+                               "in rad/us; couplings are omega_<i>_mhz, MHz")
+    return sorted(k for k in params if k.startswith("omega_")) + ["t0_us"]
+
+
 # the recipes are looked up when called, not when the table is built
 _FITS = {
     "gaussian": _FitKind(
@@ -338,10 +345,9 @@ _FITS = {
         reduce=coherence_trace,
         recipe=lambda tr, channel, n_spins: fit_deer_rabi(
             tr, n_spins=n_spins, channel=channel),
-        param_names=lambda params: [
-            *sorted(key for key in params if key.startswith("omega_")),
-            "t0_us"],
-        record=lambda p: TargetSpinModel(omegas=tuple(p[:-1]), t0=p[-1]),
+        param_names=_coupling_names,
+        record=lambda p: TargetSpinModel(
+            omegas=tuple(TWO_PI * w for w in p[:-1]), t0=p[-1]),
         model=lambda spins, x: nv_epr_signal(spins, x),
         reads={"n_spins": 2}),
 }
@@ -355,28 +361,35 @@ def _provenance(command: str, hashed: dict) -> dict:
             "config_hash": hashlib.sha256(canonical.encode()).hexdigest()}
 
 
-def _fit_summary(result: FitResult) -> dict:
-    """How a fit ended and what it cost, as fit and select-spins report it.
+def _fit_record(result: FitResult) -> dict:
+    """One fit as fit and select-spins print and write it.
 
     stop_reason, winning_start and n_rounds are those of the winning
     start: why it ended (converged, max_iter or stalled), its index among
-    the fit's starts and the engine rounds it ran.
+    the fit's starts and the engine rounds it ran.  adj_r2 is null where
+    it is undefined (a constant channel).  params and param_errors are
+    keyed by the fit's param names, except that a coupling
+    omega_<i>_rad_us is reported as omega_<i>_mhz, divided by 2 pi.
     """
+    def keyed(values):
+        return None if values is None else {
+            name.replace("_rad_us", "_mhz"):
+                float(v) / (TWO_PI if name.endswith("_rad_us") else 1.0)
+            for name, v in zip(result.param_names, values)}
+
     return {"converged": bool(result.converged), "ss_res": result.ss_res,
             "n_starts": result.n_starts, "n_model_evals": result.n_model_evals,
             "n_retired": result.n_retired, "stop_reason": result.stop_reason,
             "winning_start": result.winning_start,
-            "n_rounds": result.n_rounds}
+            "n_rounds": result.n_rounds, "n_iter": result.n_iter,
+            "k": result.params.size,
+            "adj_r2": result.adj_r2 if math.isfinite(result.adj_r2) else None,
+            "params": keyed(result.params),
+            "param_errors": keyed(result.param_errors)}
 
 
-def _print_fit(result: FitResult) -> None:
-    print(f"converged: {'yes' if result.converged else 'NO'}  "
-          f"(iterations: {result.n_iter}, ss_res: {result.ss_res:.6g}, "
-          f"adj R^2: {result.adj_r2:.4f})")
-    errors = (result.param_errors if result.param_errors is not None
-              else [float("nan")] * len(result.params))
-    for name, value, err in zip(result.param_names, result.params, errors):
-        print(f"  {name} = {value:.6g} +/- {err:.3g}")
+def _adj_r2(record: dict) -> float:  # nan where the record holds null
+    return math.nan if record["adj_r2"] is None else record["adj_r2"]
 
 
 def _cmd_fit(args) -> int:
@@ -392,28 +405,25 @@ def _cmd_fit(args) -> int:
     _reject_unread(config, fit.reads, f"kind {kind}")
     reads = {**fit.reads, **config}
     work = fit.prepare(read_trace(in_path), channel)
-    result = fit.recipe(work, channel=channel, **reads)
-    _print_fit(result)
+    record = _fit_record(fit.recipe(work, channel=channel, **reads))
+    print(f"converged: {'yes' if record['converged'] else 'NO'}  "
+          f"(iterations: {record['n_iter']}, ss_res: {record['ss_res']:.6g}, "
+          f"adj R^2: {_adj_r2(record):.4f})")
+    errors = record["param_errors"] or {}
+    for name, value in record["params"].items():
+        print(f"  {name} = {value:.6g} +/- {errors.get(name, math.nan):.3g}")
     if out:
         # the hash covers every fit key but out, null where kind reads none
         hashed = {**{key: None for key in _FIT_SCHEMA if key != "out"},
                   "command": "fit", "kind": kind, "in": str(in_path),
                   "channel": channel, **reads}
         write_json(out, {
-            **_provenance("fit", hashed), **_fit_summary(result),
-            "params": dict(zip(result.param_names,
-                               map(float, result.params))),
-            "param_errors": (None if result.param_errors is None else
-                             dict(zip(result.param_names,
-                                      map(float, result.param_errors)))),
-            # null where the adjusted R^2 is undefined (constant channel)
-            "adj_r2": result.adj_r2 if math.isfinite(result.adj_r2) else None,
-            "n_iter": result.n_iter,
+            **_provenance("fit", hashed), **record,
             "model": kind, "channel": channel, "input": str(in_path),
             "n_points": int(work.x.size),
         })
         print(f"wrote {out}")
-    return 0 if result.converged else 3
+    return 0 if record["converged"] else 3
 
 
 # ---------------------------------------------------------------- invert-field
@@ -490,18 +500,18 @@ def _cmd_select_spins(args) -> int:
                                        None)
     sel = select_spin_count(trace, max_n=args.max_n,
                             canonicalize=not args.no_canonicalize)
+    records = {n: _fit_record(entry.fit)
+               for n, entry in sorted(sel.entries.items())}
     print(" n  k   adj_R2     converged  couplings (MHz) and T0 (us)")
-    for n, entry in sorted(sel.entries.items()):
-        fit = entry.fit
-        omegas = ", ".join(f"{w / TWO_PI:.3f}" for w in fit.params[:-1])
+    for n, record in records.items():
+        *omegas, t0 = record["params"].values()
         mark = " *" if n == sel.best_n else "  "
-        print(f"{mark}{n}  {fit.params.size}  {fit.adj_r2: .4f}   "
-              f"{'yes' if fit.converged else 'NO '}        "
-              f"[{omegas}]  T0={fit.params[-1]:.3f}")
+        print(f"{mark}{n}  {record['k']}  {_adj_r2(record): .4f}   "
+              f"{'yes' if record['converged'] else 'NO '}        "
+              f"[{', '.join(f'{w:.3f}' for w in omegas)}]  T0={t0:.3f}")
     print(f"best_n = {sel.best_n}" + ("  (no significant signal: all "
                                       "adjusted R^2 <= 0)" if sel.no_signal
                                       else ""))
-    best_fit = sel.entries[sel.best_n].fit
     if args.out:
         write_json(args.out, {
             **_provenance("select-spins", {
@@ -509,18 +519,10 @@ def _cmd_select_spins(args) -> int:
                 "canonicalize": not args.no_canonicalize}),
             "input": str(getattr(args, "in_path")),
             "best_n": sel.best_n, "no_signal": sel.no_signal,
-            "models": {
-                str(n): {
-                    **_fit_summary(entry.fit),
-                    "k": entry.fit.params.size,
-                    "adj_r2": entry.fit.adj_r2,
-                    "omegas_mhz": [float(w / TWO_PI)
-                                   for w in entry.fit.params[:-1]],
-                    "t0_us": float(entry.fit.params[-1]),
-                } for n, entry in sel.entries.items()},
+            "models": {str(n): record for n, record in records.items()},
         })
         print(f"wrote {args.out}")
-    return 0 if best_fit.converged else 3
+    return 0 if records[sel.best_n]["converged"] else 3
 
 
 # ---------------------------------------------------------------- report
@@ -608,14 +610,12 @@ def _build_parser() -> _Parser:
 
     inv = sub.add_parser("invert-field",
                          help="field magnitude and tilt from two resonances")
-    inv.add_argument("--f-minus", type=float, required=True, dest="f_minus")
-    inv.add_argument("--f-plus", type=float, required=True, dest="f_plus")
-    inv.add_argument("--f-minus-err", type=float, default=0.0,
-                     dest="f_minus_err")
-    inv.add_argument("--f-plus-err", type=float, default=0.0,
-                     dest="f_plus_err")
-    inv.add_argument("--b-max", type=float, default=300.0, dest="b_max")
-    inv.add_argument("--g-at", type=float, dest="g_at",
+    inv.add_argument("--f-minus", type=float, required=True)
+    inv.add_argument("--f-plus", type=float, required=True)
+    inv.add_argument("--f-minus-err", type=float, default=0.0)
+    inv.add_argument("--f-plus-err", type=float, default=0.0)
+    inv.add_argument("--b-max", type=float, default=300.0)
+    inv.add_argument("--g-at", type=float,
                      help="also print the g-value of a resonance at this "
                           "frequency (MHz)")
     inv.add_argument("--out")
@@ -631,9 +631,8 @@ def _build_parser() -> _Parser:
     sel = sub.add_parser("select-spins",
                          help="compare 1..max_n spin models by adjusted R^2")
     sel.add_argument("--in", dest="in_path", required=True)
-    sel.add_argument("--max-n", type=int, default=3, dest="max_n")
-    sel.add_argument("--no-canonicalize", action="store_true",
-                     dest="no_canonicalize")
+    sel.add_argument("--max-n", type=int, default=3)
+    sel.add_argument("--no-canonicalize", action="store_true")
     sel.add_argument("--out")
     sel.set_defaults(func=_cmd_select_spins)
 

@@ -93,18 +93,27 @@ def invert_field(pair: TransitionPair,
     theta_err = sigma_c / (2 |sin 2theta|), capped at pi/2, the whole
     theta domain, which also covers sin 2theta = 0.
 
-    Raises ValueError when no field within b0 <= b_max produces the
-    pair: s <= D^2, B0 > b_max, or |c| > 1 by more than sigma_c plus
-    the rounding allowance 16 eps T, where T is the sum of the
-    magnitudes of the terms of the c quotient divided by its
-    denominator.  On forward-map pairs at theta = 0 and 1e-7 rad below
-    90 deg, B0 in [1, 90] mT, c errs by at most 1.9 eps T.  Inside
-    the allowance c is clamped to +-1, so a noisy pair near zero tilt
-    still inverts to theta = 0.
+    Raises ValueError on freq_errors that are negative or not finite,
+    on a b_max that is not finite, and when no correctly labelled field
+    within b0 <= b_max produces the pair: s <= D^2, B0 > b_max, |c| > 1
+    by more than sigma_c plus the rounding allowance 16 eps T, or a
+    field whose |0>-like level is not the one the pair puts at
+    E0 = (2D - f- - f+) / 3.  T is the sum of the magnitudes of the
+    terms of the c quotient divided by its denominator.  On forward-map
+    pairs at theta = 0 and 1e-7 rad below 90 deg, B0 in [1, 90] mT, c
+    errs by at most 1.9 eps T.  Inside the allowance c is clamped to
+    +-1, so a noisy pair near zero tilt still inverts to theta = 0.
+    The |0> character of the level at energy l grows with
+    w = a^2 b^2 / (a^2 + b^2), a, b = D +- b_z - l (w = 0 where both
+    vanish), so E0 must have the largest w.  Past D / gamma on axis,
+    where transition_frequencies raises (f_minus < 0), it does not.
     """
     sig_m, sig_p = (float(freq_errors[0]), float(freq_errors[1]))
-    if sig_m < 0 or sig_p < 0:
-        raise ValueError("freq_errors must be non-negative")
+    if not (sig_m >= 0 and sig_p >= 0 and math.isfinite(sig_m + sig_p)):
+        raise ValueError(f"freq_errors must be finite and non-negative, "
+                         f"got {freq_errors!r}")
+    if not math.isfinite(b_max):
+        raise ValueError(f"b_max must be finite, got {b_max!r}")
     d, gamma = DEFAULT_CONSTANTS.zero_field_d, DEFAULT_CONSTANTS.gamma_nv
     fm, fp = pair.f_minus, pair.f_plus
     s = fm * fm + fp * fp - fm * fp
@@ -135,6 +144,17 @@ def invert_field(pair: TransitionPair,
             f"than its error {sig_c:.3g}; no field tilt produces this pair")
     c = min(max(c, -1.0), 1.0)
     theta = 0.5 * math.acos(c)
+    bz, e0 = gamma * b0 * math.cos(theta), (2.0 * d - fm - fp) / 3.0
+    weight = []
+    for level in (e0, e0 + fm, e0 + fp):
+        a, b = d + bz - level, d - bz - level
+        weight.append(a * a * b * b / (a * a + b * b) if a or b else 0.0)
+    if not weight[0] >= max(weight[1:]):
+        raise ValueError(
+            f"the pair needs B0 = {b0:.3f} mT at theta = "
+            f"{math.degrees(theta):.2f} deg, where the |0> level is not at "
+            f"(2D - f_minus - f_plus) / 3; no correctly labelled field "
+            f"produces this pair")
 
     b0_err = theta_err = 0.0
     if sig_m > 0 or sig_p > 0:

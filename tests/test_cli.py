@@ -16,7 +16,7 @@ from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
                           nv_epr_signal, nv_epr_signal_grid)
 from nvsense.eseem import (BathModel, bath_decoherence, load_hyperfine_table,
                            nucleus_from_record)
-from nvsense.fitting import FitResult
+from nvsense.fitting import FitResult, fit_deer_rabi
 from nvsense.io import read_json, read_trace, write_columns, write_trace
 from nvsense.synth import (Cpmg8Truth, OdmrTruth, RabiTruth, SequenceKind,
                            coherence_trace, difference_signal,
@@ -28,9 +28,15 @@ def run(*argv):
 
 
 def _epr_model(params, t):
-    """fit_deer_rabi's model: params are omega_1 .. omega_n, t0_us."""
-    return nv_epr_signal(TargetSpinModel(omegas=tuple(params[:-1]),
-                                         t0=params[-1]), t)
+    """fit_deer_rabi's model: params are omega_1_mhz .. omega_n_mhz, t0_us."""
+    return nv_epr_signal(TargetSpinModel(
+        omegas=tuple(TWO_PI * w for w in params[:-1]), t0=params[-1]), t)
+
+
+# the fields cli._fit_record writes for every fit
+RECORD_FIELDS = ("converged", "ss_res", "n_starts", "n_model_evals",
+                 "n_retired", "stop_reason", "winning_start", "n_rounds",
+                 "n_iter", "k", "adj_r2", "params", "param_errors")
 
 
 def _rabi_signal(params, t):
@@ -60,6 +66,26 @@ class TestInvertField:
         assert run("invert-field", "--f-minus", "7000", "--f-plus",
                    "7200") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--f-minus", "1333.6", "--f-plus", "7073.6"), "labelled"),
+        (("--f-minus", "212.6", "--f-plus", "5952.6"), "labelled"),
+        (("--f-minus", "1960", "--f-plus", "3783.39", "--f-minus-err",
+          "nan"), "freq_errors"),
+        (("--f-minus", "1960", "--f-plus", "3783.39", "--f-plus-err",
+          "inf"), "freq_errors"),
+        (("--f-minus", "1960", "--f-plus", "3783.39", "--b-max", "nan"),
+         "b_max"),
+    ])
+    def test_refused_input_writes_nothing(self, tmp_path, capsys, argv,
+                                          name):
+        # the on-axis lines of 150 and 110 mT, past D / gamma, and
+        # non-finite errors or b_max: exit 1, no report
+        out = tmp_path / "field.json"
+        assert run("invert-field", *argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not out.exists()
 
     def test_b_max_rejects_field_above_it(self, capsys):
         pair = ("--f-minus", "1960.00", "--f-plus", "3783.39")
@@ -871,13 +897,16 @@ class TestSelectSpins:
                                             "stalled")
             assert 0 <= model["winning_start"] < model["n_starts"]
             assert model["n_rounds"] >= 1
-        got = sorted(report["models"]["2"]["omegas_mhz"])
+        params = report["models"]["2"]["params"]
+        assert sorted(params) == ["omega_1_mhz", "omega_2_mhz", "t0_us"]
+        got = sorted(params[f"omega_{i}_mhz"] for i in (1, 2))
         assert abs(got[0] - 1.12) <= 0.2
         assert abs(got[1] - 2.24) <= 0.2
 
     def test_two_spin_model_is_the_fit(self, tmp_path):
         # the selection's 2-spin fit of a coherence trace, not re-anchored,
-        # is the one fit --kind deer-rabi gives
+        # is the one fit --kind deer-rabi gives: one record, field for
+        # field, couplings and their errors in MHz
         trace = tmp_path / "dr.csv"
         fit_out, sel_out = tmp_path / "fit.json", tmp_path / "sel.json"
         assert run("simulate", "--kind", "deer-rabi", "--seed", "5",
@@ -887,13 +916,11 @@ class TestSelectSpins:
         assert run("select-spins", "--in", str(trace), "--max-n", "2",
                    "--no-canonicalize", "--out", str(sel_out)) == 0
         fit, model = read_json(fit_out), read_json(sel_out)["models"]["2"]
-        for key in ("ss_res", "n_starts", "n_model_evals", "n_retired",
-                    "stop_reason", "winning_start", "n_rounds"):
-            assert model[key] == fit[key], key
-        omegas = [fit["params"][f"omega_{i}_rad_us"] / (2 * math.pi)
-                  for i in (1, 2)]
-        assert model["omegas_mhz"] == pytest.approx(omegas, rel=1e-12)
-        assert model["t0_us"] == fit["params"]["t0_us"]
+        assert sorted(model) == sorted(RECORD_FIELDS)
+        assert model == {key: fit[key] for key in RECORD_FIELDS}
+        names = ["omega_1_mhz", "omega_2_mhz", "t0_us"]
+        assert list(model["params"]) == list(model["param_errors"]) == names
+        assert model["params"]["omega_1_mhz"] == pytest.approx(1.12, abs=0.02)
 
     @pytest.mark.parametrize("flags", [(), ("--no-canonicalize",)],
                              ids=["default", "no-canonicalize"])
@@ -1073,7 +1100,7 @@ class TestReport:
         names = {"gaussian": ("center_mhz", "width_mhz", "amplitude",
                               "baseline"),
                  "rabi": ("f_mhz", "t0_us"),
-                 "deer-rabi": ("omega_1_rad_us", "omega_2_rad_us", "t0_us")}
+                 "deer-rabi": ("omega_1_mhz", "omega_2_mhz", "t0_us")}
         cases = (("gaussian", "cpmg-deer",
                   lambda p, x: gaussian_line(x, *p),
                   lambda tr: difference_signal(tr)),
@@ -1103,6 +1130,48 @@ class TestReport:
                                     f"source trace: {trace}",
                                     f"version: {__version__}"))
             assert cols.read_bytes() == expected.read_bytes()
+
+    def test_deer_rabi_rows_are_the_library_fit_model(self, tmp_path):
+        # report reads the couplings in MHz and takes them back to rad/us;
+        # on the seed-5 trace, whose couplings survive the round trip, its
+        # rows are those of the library fit's own rad/us params, as when
+        # reports carried rad/us (other traces can move by an ulp)
+        trace, fit_json = tmp_path / "dr.csv", tmp_path / "fit.json"
+        cols, expected = tmp_path / "cols.csv", tmp_path / "expected.csv"
+        assert run("simulate", "--kind", "deer-rabi", "--seed", "5",
+                   "--out", str(trace)) == 0
+        assert run("fit", "--kind", "deer-rabi", "--in", str(trace),
+                   "--out", str(fit_json)) == 0
+        assert run("report", "--in", str(trace), "--fit", str(fit_json),
+                   "--out", str(cols)) == 0
+        work = coherence_trace(read_trace(trace))
+        fit = fit_deer_rabi(work, n_spins=2)
+        model = nv_epr_signal(TargetSpinModel(omegas=tuple(fit.params[:-1]),
+                                              t0=fit.params[-1]), work.x)
+        data = work.channel("coherence")
+        write_columns(expected, ("x", "data", "model", "residual"),
+                      (work.x, data, model, data - model))
+        rows = [line for line in cols.read_text().splitlines(True)
+                if not line.startswith("#")]
+        assert "".join(rows) == expected.read_text()
+
+    def test_rad_us_couplings_are_data_error(self, tmp_path, capsys):
+        # a report keyed omega_<i>_rad_us would be read as MHz, 2 pi off
+        trace, fit_json = tmp_path / "dr.csv", tmp_path / "fit.json"
+        cols = tmp_path / "cols.csv"
+        run("simulate", "--kind", "deer-rabi", "--noiseless",
+            "--out", str(trace))
+        fit_json.write_text(json.dumps({"model": "deer-rabi", "params": {
+            "omega_1_rad_us": 7.04, "omega_2_rad_us": 14.07,
+            "t0_us": 0.34}}))
+        capsys.readouterr()
+        assert run("report", "--in", str(trace), "--fit", str(fit_json),
+                   "--out", str(cols)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "['omega_1_rad_us', 'omega_2_rad_us']" in err
+        assert "omega_<i>_mhz" in err
+        assert not cols.exists()
 
     def test_report_uses_the_fit_channel(self, tmp_path):
         trace, fit_json = tmp_path / "deer.csv", tmp_path / "fit.json"
@@ -1178,7 +1247,7 @@ class TestReport:
         ("rabi", {"f_mhz": -3, "t0_us": 1.0}, "'f_mhz'"),
         ("gaussian", {"center_mhz": 915.0, "width_mhz": 0, "amplitude": 0.1,
                       "baseline": 0.0}, "'width_mhz'"),
-        ("deer-rabi", {"omega_1_rad_us": 7.0, "t0_us": 0}, "'t0_us'"),
+        ("deer-rabi", {"omega_1_mhz": 1.1, "t0_us": 0}, "'t0_us'"),
         ("deer-rabi", {"t0_us": 0.3}, "1 to 5 target spins, got 0"),
     ])
     def test_malformed_param_is_data_error(self, tmp_path, capsys, model,

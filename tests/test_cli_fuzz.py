@@ -317,8 +317,8 @@ def report_commands(draw):
     change = draw(st.sampled_from(["value", "value", "missing", "coupling"]))
     if change == "coupling":
         n = sum(key.startswith("omega_") for key in params)
-        params[f"omega_{n + 1}_rad_us"] = draw(st.one_of(
-            st.floats(1.0, 30.0), _PARAM_VALUES))
+        params[f"omega_{n + 1}_mhz"] = draw(st.one_of(
+            st.floats(0.16, 4.8), _PARAM_VALUES))
     else:
         key = draw(st.sampled_from(sorted(params)))
         if change == "missing":

@@ -216,6 +216,46 @@ class TestInvertField:
         with pytest.raises(ValueError):
             invert_field(TransitionPair(1960.0, 3783.39), (-1.0, 0.0))
 
+    @pytest.mark.parametrize("errors, b_max, name", [
+        ((math.nan, 1.0), 300.0, "freq_errors"),
+        ((1.0, math.inf), 300.0, "freq_errors"),
+        ((-math.inf, 0.0), 300.0, "freq_errors"),
+        ((1.0, 1.0), math.nan, "b_max"),
+        ((1.0, 1.0), math.inf, "b_max"),
+    ])
+    def test_non_finite_errors_and_b_max_rejected(self, errors, b_max, name):
+        # nan fails every comparison, so sign and b_max tests alone let
+        # it through: a nan error gave +/- 0 and a nan b_max any field
+        with pytest.raises(ValueError, match=name):
+            invert_field(TransitionPair(1960.0, 3783.39), errors, b_max)
+
+    @pytest.mark.parametrize("b0", [110.0, 150.0])
+    def test_on_axis_pair_past_crossing_rejected(self, b0):
+        # past D / gamma the on-axis |-1> level falls below |0>: the
+        # forward map refuses the field, and the pair it would give,
+        # read as (f_minus, f_plus), is labelled by no field at all
+        gb = DEFAULT_CONSTANTS.gamma_nv * b0
+        with pytest.raises(DegenerateTransitionError):
+            transition_frequencies(b0, 0.0)
+        with pytest.raises(ValueError, match="no correctly labelled field"):
+            invert_field(TransitionPair(gb - D, gb + D))
+
+    def test_tilted_field_past_crossing_inverts(self):
+        # above D / gamma a tilted field can still keep |0> in the middle
+        pair = transition_frequencies(182.0, math.radians(47.61))
+        est = invert_field(pair)
+        assert est.b0 == pytest.approx(182.0, rel=1e-9)
+        assert math.degrees(est.theta) == pytest.approx(47.61, abs=1e-6)
+        est = invert_field(TransitionPair(4976.7, 10716.7))
+        assert abs(est.b0 - 182.0) < 0.01
+        assert abs(math.degrees(est.theta) - 47.61) < 0.01
+
+    def test_every_forward_pair_below_crossing_inverts(self):
+        for b0 in np.linspace(0.5, 102.0, 80):
+            for theta_deg in np.linspace(0.0, 90.0, 91):
+                pair = transition_frequencies(b0, math.radians(theta_deg))
+                assert abs(invert_field(pair).b0 - b0) <= 1e-9 * b0
+
 
 def _forward(b0, theta):
     pair = transition_frequencies(b0, theta)
