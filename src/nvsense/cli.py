@@ -1,7 +1,8 @@
 """Command-line interface: simulate, fit, invert-field, eseem, select-spins, report.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data-format
-error in an input file, 3 fit non-convergence (the report is still
+Exit codes: 0 success, 1 usage, configuration or file-system error (a
+missing path or a directory), 2 data-format error in an input file (not
+UTF-8 or not JSON included), 3 fit non-convergence (the report is still
 written, flagged).  Config files are JSON with nested sections; flags
 override config values.  Frequencies are ordinary MHz and angles
 degrees at this boundary: `fit` and `select-spins` write each fit
@@ -182,11 +183,9 @@ def _load_config(name, schema) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {name}")
     try:
-        with open(path, "r") as handle:
-            obj = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, "
-                          f"column {exc.colno}: {exc.msg}") from None
+        obj = read_json(path)
+    except TraceFormatError as exc:  # a bad config file exits 1
+        raise ConfigError(str(exc)) from None
     _validate_config(obj, schema)
     return obj
 
@@ -654,7 +653,7 @@ def main(argv=None) -> int:
     except TraceFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (NvSenseError, ValueError, FileNotFoundError) as exc:
+    except (NvSenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

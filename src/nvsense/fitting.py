@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,33 +88,33 @@ class FitResult:
     """Solution record shared by every fit in the package.
 
     param_errors is None when the covariance is not available (singular
-    Jacobian or zero degrees of freedom).  cost_history holds the
-    optimizer objective after each accepted step, first entry included,
-    and is non-increasing by construction.  n_starts counts the LM runs
+    Jacobian or zero degrees of freedom).  n_starts counts the LM runs
     behind the result and n_model_evals the parameter vectors at which
-    they evaluated the model, over all runs: a closed-form Jacobian
-    costs one of them, nlls_fit's forward-difference one k + 1.  n_retired
+    they evaluated the model, over all runs: a closed-form Jacobian costs
+    one of them, nlls_fit's forward-difference one k + 1.  n_retired
     counts the runs that _lockstep_lm ended early, stuck far above a
     converged run or above it on equal exchangeable parameters (see
     there).  stop_reason says why the winning run ended (a
-    _LockstepRuns.stop value), winning_start is its index among the
-    fit's starts and n_rounds the engine rounds it was live for.
+    _LockstepRuns.stop value; converged reads it), winning_start is its
+    index among the fit's starts and n_rounds the rounds it was live for.
     """
 
     params: np.ndarray
     param_errors: np.ndarray | None
     ss_res: float
     adj_r2: float
-    converged: bool
     n_iter: int
     param_names: tuple = ()
-    cost_history: np.ndarray = field(default_factory=lambda: np.empty(0))
     n_starts: int = 1
     n_model_evals: int = 0
     n_retired: int = 0
     stop_reason: str = ""
     winning_start: int = 0
     n_rounds: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def _fd_jacobian(fun, p, lo, hi, r0):
@@ -194,7 +194,6 @@ class _LockstepRuns:
     n_iter: np.ndarray
     n_evals: np.ndarray
     n_rounds: np.ndarray
-    history: list
 
     @property
     def converged(self) -> np.ndarray:
@@ -205,8 +204,7 @@ class _LockstepRuns:
         return _LockstepRuns(
             params=self.params[np.ix_(rows, cols)], cost=self.cost[rows],
             stop=self.stop[rows], n_iter=self.n_iter[rows],
-            n_evals=self.n_evals[rows], n_rounds=self.n_rounds[rows],
-            history=[self.history[i] for i in rows])
+            n_evals=self.n_evals[rows], n_rounds=self.n_rounds[rows])
 
 
 def _solve_each(mats, rhs):
@@ -325,8 +323,7 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                          stop=np.full(n_start, "", dtype="<U9"),
                          n_iter=np.zeros(n_start, dtype=int),
                          n_evals=np.zeros(n_start, dtype=int),
-                         n_rounds=np.zeros(n_start, dtype=int),
-                         history=[[c] for c in cost.tolist()])
+                         n_rounds=np.zeros(n_start, dtype=int))
     # one row per unfinished start; live[row] is its index in runs
     live = np.arange(n_start)
     # B of each group: the lowest cost a start of it has converged to
@@ -382,14 +379,10 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
             np.minimum(cost, cost_t), _COST_FLOOR)
         n_stale = np.count_nonzero(better)
         if n_stale == live.size:  # every row accepted: rebind, no masks
-            for i, c in zip(live.tolist(), cost_t.tolist()):
-                runs.history[i].append(c)
             p, r, cost = trial, r_t, cost_t
             lam = np.maximum(lam / 3.0, _LAM_MIN)
             nu.fill(2.0)
         elif n_stale:
-            for i, c in zip(live[better].tolist(), cost_t[better].tolist()):
-                runs.history[i].append(c)
             p[better], r[better], cost[better] = (trial[better], r_t[better],
                                                   cost_t[better])
             lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN),
@@ -441,7 +434,6 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
             kept = tuple(v[keep] for v in kept)
             n_stale = np.count_nonzero(stale)
 
-    runs.history = [np.asarray(h) for h in runs.history]
     return runs
 
 
@@ -464,13 +456,11 @@ def _fit_result(runs: _LockstepRuns, model, jacobian, y,
         n_evals += 1
     return FitResult(
         params=p.copy(), param_errors=param_errors, ss_res=cost,
-        adj_r2=_adj_r2_or_nan(y, yhat[0], k),
-        converged=bool(runs.converged[win]), n_iter=int(runs.n_iter[win]),
-        param_names=tuple(param_names), cost_history=runs.history[win],
-        n_starts=len(runs.cost), n_model_evals=n_evals,
+        adj_r2=_adj_r2_or_nan(y, yhat[0], k), n_iter=int(runs.n_iter[win]),
+        param_names=tuple(param_names), n_starts=len(runs.cost),
+        n_model_evals=n_evals, winning_start=win,
         n_retired=int(np.count_nonzero(runs.stop == "retired")),
-        stop_reason=str(runs.stop[win]), winning_start=win,
-        n_rounds=int(runs.n_rounds[win]))
+        stop_reason=str(runs.stop[win]), n_rounds=int(runs.n_rounds[win]))
 
 
 def _adj_r2_or_nan(y, yhat, k):

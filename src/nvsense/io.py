@@ -4,8 +4,8 @@ Trace CSV contract: comment lines starting with '#', then the header
 row `x,x_kind,channel,value,n_avg`, then one row per (grid point,
 channel) pair, points in sweep order and channels cycling fastest.
 Frequencies are ordinary MHz and times us; values are rendered with
-repr so a round trip is exact.  All writes go through a temp file in
-the target directory followed by an atomic rename.
+repr so a round trip is exact.  Files are UTF-8 whatever the locale,
+and writes go through a same-directory temp file and an atomic rename.
 
 Columns are rendered and parsed whole, and rows are interleaved or
 split by slicing, so the Python work per row is a few list slots.  A
@@ -39,7 +39,7 @@ def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -236,10 +236,17 @@ def _floats(strings) -> tuple:
             return np.array(parsed), (k, exc)
 
 
+def _read_text(path) -> str:
+    """path's text; bytes that are not UTF-8 raise TraceFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+
+
 def read_trace(path) -> Trace:
-    path = os.fspath(path)
-    with open(path, "r") as handle:
-        return trace_from_csv(handle.read(), source=path)
+    return trace_from_csv(_read_text(path), source=os.fspath(path))
 
 
 def write_json(path, obj) -> None:
@@ -249,8 +256,11 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(os.fspath(path), "r") as handle:
-        return json.load(handle)
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
+                               f"column {exc.colno}: {exc.msg}") from None
 
 
 def write_columns(path, names, columns, comments: tuple = ()) -> None:

@@ -828,7 +828,7 @@ class TestFit:
         def stuck(work, channel=None):
             return FitResult(params=np.array([5.5, 0.67]),
                              param_errors=None, ss_res=1.0, adj_r2=0.0,
-                             converged=False, n_iter=200,
+                             stop_reason="max_iter", n_iter=200,
                              param_names=("f_mhz", "t0_us"))
 
         monkeypatch.setattr(cli, "fit_rabi", stuck)
@@ -1264,6 +1264,73 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and key in err
         assert not cols.exists()
+
+
+class TestUnreadableInput:
+    """Paths that are directories, and inputs that are not UTF-8 or JSON."""
+
+    @pytest.fixture
+    def rabi(self, tmp_path):
+        trace, fit = tmp_path / "rabi.csv", tmp_path / "rabi.json"
+        assert run("simulate", "--kind", "rabi", "--noiseless",
+                   "--out", str(trace)) == 0
+        assert run("fit", "--kind", "rabi", "--in", str(trace),
+                   "--out", str(fit)) == 0
+        return trace, fit
+
+    def run_leaving_nothing(self, tmp_path, capsys, argv, **paths):
+        """Exit code and stderr of argv, whose {names} are paths, after
+        checking that tmp_path is left as it was."""
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        code = run(*(a.format(out=tmp_path / "out", **paths) for a in argv))
+        assert sorted(tmp_path.rglob("*")) == before
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--kind", "rabi", "--in", "{dir}", "--out", "{out}"),
+        ("simulate", "--kind", "rabi", "--out", "{dir}"),
+        ("simulate", "--kind", "rabi", "--config", "{dir}", "--out", "{out}"),
+        ("report", "--in", "{trace}", "--fit", "{dir}", "--out", "{out}"),
+    ])
+    def test_directory_path_is_error(self, tmp_path, capsys, rabi, argv):
+        # the simulate --out case fails at the rename of its temp file
+        directory = tmp_path / "d"
+        directory.mkdir()
+        code, err = self.run_leaving_nothing(tmp_path, capsys, argv,
+                                             dir=directory, trace=rabi[0])
+        assert code == 1
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--kind", "rabi", "--in", "{bad}", "--out", "{out}"),
+        ("select-spins", "--in", "{bad}", "--out", "{out}"),
+        ("report", "--in", "{bad}", "--fit", "{fit}", "--out", "{out}"),
+        ("report", "--in", "{trace}", "--fit", "{bad}", "--out", "{out}"),
+    ])
+    def test_undecodable_input_is_data_error(self, tmp_path, capsys, rabi,
+                                             argv):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        code, err = self.run_leaving_nothing(tmp_path, capsys, argv, bad=bad,
+                                             trace=rabi[0], fit=rabi[1])
+        assert code == 2
+        assert err == (f"data error: {bad}: 'utf-8' codec can't decode byte "
+                       "0xff in position 0: invalid start byte\n")
+
+    def test_truncated_fit_report_is_data_error(self, tmp_path, capsys,
+                                                rabi):
+        cut = tmp_path / "cut.json"
+        cut.write_text('{"model": "rabi", ')
+        code, err = self.run_leaving_nothing(
+            tmp_path, capsys,
+            ("report", "--in", "{trace}", "--fit", "{cut}", "--out", "{out}"),
+            trace=rabi[0], cut=cut)
+        assert code == 2
+        assert err == (f"data error: {cut}: invalid JSON at line 1, column "
+                       "19: Expecting property name enclosed in double "
+                       "quotes\n")
 
 
 class TestParser:

@@ -5,7 +5,8 @@ select-spins or report command, with random flags and values, in a fresh
 working directory under tmp_path, so that default output names land
 there.  The fit and select-spins inputs are small valid traces, some with
 one field corrupted; the report inputs are a fit report of each kind with
-one param changed, against the small trace it fitted.  Whatever the
+one param changed, or cut short, against the small trace it fitted.  An
+input or output path can be the working directory itself.  Whatever the
 command, it must exit 0, 1, 2 or 3; exits 1 and 2 print `error:` /
 `data error:` and leave the directory as it was; and every file written
 must read back: a JSON report under a parser that rejects NaN and
@@ -52,8 +53,8 @@ _WILD_INTS = st.one_of(st.integers(-2, 2), st.integers(-2 ** 70, 2 ** 70))
 _VALUES = {
     "kind": st.sampled_from(KINDS + ["gaussian", "bogus"]),
     "preset": st.sampled_from(PRESETS + ("bogus",)),
-    "out": st.sampled_from(["o.csv", "o.json", "missing/o.csv"]),
-    "in": st.sampled_from(["in.csv", "absent.csv"]),
+    "out": st.sampled_from(["o.csv", "o.json", "missing/o.csv", "."]),
+    "in": st.sampled_from(["in.csv", "absent.csv", "."]),
     "nucleus": st.sampled_from(LABELS + ["bogus"]),
     "species": st.sampled_from(["13C", "14N", "1H"]),
     "channel": st.sampled_from(CHANNELS + ("coherence", "diff", "bogus")),
@@ -186,7 +187,7 @@ def commands(draw):
             ["deer-rabi"] if command == "select-spins" else sorted(_FIT_OF)),
             st.sampled_from(KINDS)))
         files["in.csv"] = draw(_input_trace(kind))
-        path = draw(st.sampled_from(["in.csv", "in.csv", "absent.csv"]))
+        path = draw(st.sampled_from(["in.csv", "in.csv", "absent.csv", "."]))
         if command == "fit":
             fit_kind = draw(st.one_of(st.sampled_from(
                 [_FIT_OF.get(kind, "gaussian")]), _VALUES["kind"]))
@@ -310,12 +311,18 @@ _PARAM_VALUES = st.sampled_from([0, -1, float("nan"), 1e300, "abc", None])
 
 @st.composite
 def report_commands(draw):
-    """(argv, files) of a report on a fit report with one param changed."""
+    """(argv, files) of a report on a fit report with one param changed,
+    or cut short."""
     kind = draw(st.sampled_from(sorted(_FIT_OF)))
     report = copy.deepcopy(_fit_reports()[kind])
     params = report["params"]
-    change = draw(st.sampled_from(["value", "value", "missing", "coupling"]))
-    if change == "coupling":
+    change = draw(st.sampled_from(["value", "value", "missing", "coupling",
+                                   "cut"]))
+    text = None
+    if change == "cut":
+        whole = json.dumps(report)
+        text = whole[:draw(st.integers(0, len(whole) - 1))]
+    elif change == "coupling":
         n = sum(key.startswith("omega_") for key in params)
         params[f"omega_{n + 1}_mhz"] = draw(st.one_of(
             st.floats(0.16, 4.8), _PARAM_VALUES))
@@ -329,7 +336,7 @@ def report_commands(draw):
     if draw(st.booleans()):
         argv += ["--out", draw(_VALUES["out"])]
     return argv, {"in.csv": _trace_texts()[kind],
-                  "fit.json": json.dumps(report)}
+                  "fit.json": json.dumps(report) if text is None else text}
 
 
 @_fuzz(150)

@@ -77,18 +77,6 @@ class TestEngine:
         assert result.param_errors is not None
         assert np.all(result.param_errors > 0)
 
-    def test_cost_history_non_increasing(self):
-        rng = np.random.default_rng(9)
-        x = np.linspace(0.0, 2.0, 40)
-        y = np.sin(4.0 * x) + 0.1 * rng.standard_normal(40)
-        problem = FitProblem(model=lambda p, x: np.sin(p[0] * x) * p[1],
-                             x=x, y=y, init=np.array([3.0, 0.5]),
-                             bounds=((0.1, 20.0), (-5.0, 5.0)))
-        result = nlls_fit(problem)
-        hist = result.cost_history
-        assert hist.size >= 1
-        assert np.all(np.diff(hist) <= 1e-15)
-
     def test_solution_pinned_at_bound(self):
         # unconstrained optimum (slope 3) outside the box: solver must
         # stop at the wall and still report convergence
@@ -585,7 +573,8 @@ class TestModelComparison:
         def fake_fits(x, y, counts):
             return {n: FitResult(params=np.array([TWO_PI] * n + [0.34]),
                                  param_errors=None, ss_res=1.0, adj_r2=adj[n],
-                                 converged=True, n_iter=1) for n in counts}
+                                 stop_reason="converged", n_iter=1)
+                    for n in counts}
 
         monkeypatch.setattr(fitting, "_deer_rabi_fits", fake_fits)
         tr = epr_trace([1.12, 2.24])
@@ -742,15 +731,16 @@ def _decay_data():
     return x, 2.0 * np.exp(-1.3 * x) + 0.01 * rng.standard_normal(60)
 
 
-def _serial_lm(problem: FitProblem, jacobian=None) -> FitResult:
+def _serial_lm(problem: FitProblem, jacobian=None):
     """The bounded LM of _lockstep_lm as a serial loop: the test oracle.
 
     One start, and the engine's rules written out one step at a time:
     the damping schedule, clipping into the box, the bound rule,
     acceptance on strict decrease and convergence within _TOL.  The
     Jacobian is jacobian(p), (m, k), when given, else forward
-    differences (_fd_jacobian).  params, ss_res, converged, n_iter and
-    cost_history are filled in.
+    differences (_fd_jacobian).  Returns (result, history): params,
+    ss_res, stop_reason and n_iter of result are filled in, and history
+    holds the cost after each accepted step, the first included.
     """
     lo, hi = problem.lo, problem.hi
     tol, floor = fitting._TOL, fitting._COST_FLOOR
@@ -817,9 +807,72 @@ def _serial_lm(problem: FitProblem, jacobian=None) -> FitResult:
         if converged or stalled:
             break
 
-    return FitResult(params=p, param_errors=None, ss_res=cost,
-                     adj_r2=math.nan, converged=converged, n_iter=n_accept,
-                     cost_history=np.asarray(history))
+    stop = ("converged" if converged else "stalled" if stalled
+            else "max_iter")
+    return (FitResult(params=p, param_errors=None, ss_res=cost,
+                      adj_r2=math.nan, n_iter=n_accept, stop_reason=stop),
+            np.asarray(history))
+
+
+def _logging_engine(engine, calls):
+    """engine with the model and Jacobian calls of each run logged.
+
+    Each call of the returned engine appends (y, log, runs) to calls:
+    log holds, in call order, ("model", P, predictions, kept) and
+    ("jacobian", P, kept, derivatives), copied as passed and returned.
+    """
+    def run(model, jacobian, y, *args, **kwargs):
+        log = []
+
+        def logged_model(p):
+            yhat, kept = model(p)
+            log.append(("model", p.copy(), np.array(yhat),
+                        tuple(np.array(v) for v in kept)))
+            return yhat, kept
+
+        def logged_jacobian(p, kept):
+            jac = jacobian(p, kept)
+            log.append(("jacobian", p.copy(),
+                        tuple(np.array(v) for v in kept), np.array(jac)))
+            return jac
+
+        runs = engine(logged_model, logged_jacobian, y, *args, **kwargs)
+        calls.append((y, log, runs))
+        return runs
+
+    return run
+
+
+def _cost_paths(y, log, runs):
+    """Each start's cost after each accepted step, its first included.
+
+    Rebuilt from the model calls of one _lockstep_lm run (see
+    _logging_engine): call 0 holds every start and call t >= 1 the
+    starts live in round t (n_rounds >= t), in index order.  A trial is
+    accepted when its cost, the engine's einsum on the returned rows, is
+    below the start's current cost.
+    """
+    def costs(yhat):
+        r = yhat - y
+        return np.einsum("ij,ij->i", r, r).tolist()
+
+    first, *rounds = [yhat for kind, _, yhat, _ in log if kind == "model"]
+    paths = [[c] for c in costs(first)]
+    assert len(rounds) == runs.n_rounds.max()
+    for t, yhat in enumerate(rounds, 1):
+        live = np.flatnonzero(runs.n_rounds >= t)
+        assert len(yhat) == live.size
+        for i, c in zip(live.tolist(), costs(yhat)):
+            if c < paths[i][-1]:
+                paths[i].append(c)
+    return [np.asarray(h) for h in paths]
+
+
+def _run_with_paths(*args, **kwargs):
+    """_lockstep_lm(*args, **kwargs) and its starts' cost paths."""
+    calls = []
+    runs = _logging_engine(_lockstep_lm, calls)(*args, **kwargs)
+    return runs, _cost_paths(*calls[0])
 
 
 class TestLockstepEngine:
@@ -828,11 +881,13 @@ class TestLockstepEngine:
     lo, hi = np.array([0.0, 0.0]), np.array([10.0, 10.0])
     starts = np.array([[1.0, 1.0], [0.5, 3.0], [5.0, 0.2], [2.0, 1.3]])
 
-    def run(self, starts, max_iter=200):
+    def run(self, starts, max_iter=200, hi=None):
+        """The runs of starts and their cost paths (_cost_paths)."""
         x, y = _decay_data()
-        return _lockstep_lm(lambda p: (_decay_model(p, x), ()),
-                            lambda p, kept: _decay_jacobian(p, x), y, starts,
-                            self.lo, self.hi, max_iter=max_iter)
+        return _run_with_paths(lambda p: (_decay_model(p, x), ()),
+                               lambda p, kept: _decay_jacobian(p, x), y,
+                               starts, self.lo, self.hi if hi is None else hi,
+                               max_iter=max_iter)
 
     def problem(self, start, max_iter=200, hi=None):
         x, y = _decay_data()
@@ -849,28 +904,31 @@ class TestLockstepEngine:
         problem = self.problem(start, max_iter, hi)
         return _serial_lm(problem, lambda q: _decay_jacobian(q[None], x)[0])
 
-    def assert_same_steps(self, runs, i, ref):
+    def assert_same_steps(self, runs, paths, i, ref, ref_path):
         assert runs.converged[i] == ref.converged
         assert np.allclose(runs.params[i], ref.params, atol=1e-6)
         assert runs.cost[i] == pytest.approx(ref.ss_res, rel=1e-9)
         # same accepted steps on the same Jacobian: the paths differ by
         # rounding only
         assert runs.n_iter[i] == ref.n_iter
-        np.testing.assert_allclose(runs.history[i], ref.cost_history,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(paths[i], ref_path, rtol=1e-12)
 
-    def test_each_start_matches_nlls_fit(self):
-        runs = self.run(self.starts)
+    def test_each_start_matches_nlls_fit(self, monkeypatch):
+        runs, paths = self.run(self.starts)
+        calls = []
+        monkeypatch.setattr(fitting, "_lockstep_lm",
+                            _logging_engine(_lockstep_lm, calls))
         for i, start in enumerate(self.starts):
-            self.assert_same_steps(runs, i, self.serial(start))
+            self.assert_same_steps(runs, paths, i, *self.serial(start))
             # nlls_fit is one lockstep start on the oracle's
             # forward-difference Jacobian
-            ref = _serial_lm(self.problem(start))
+            ref, ref_path = _serial_lm(self.problem(start))
+            calls.clear()
             fit = nlls_fit(self.problem(start))
+            (path,) = _cost_paths(*calls[0])
             assert fit.n_iter == ref.n_iter
             assert fit.converged == ref.converged
-            np.testing.assert_allclose(fit.cost_history, ref.cost_history,
-                                       rtol=1e-9)
+            np.testing.assert_allclose(path, ref_path, rtol=1e-9)
 
     def test_start_on_bound_with_outward_gradient_held(self):
         # the amplitude's optimum, 2, lies above its bound 1.5: a start on
@@ -881,11 +939,9 @@ class TestLockstepEngine:
         x, y = _decay_data()
         g = _decay_jacobian(start, x)[0].T @ (_decay_model(start, x)[0] - y)
         assert g[0] < 0
-        runs = _lockstep_lm(lambda p: (_decay_model(p, x), ()),
-                            lambda p, kept: _decay_jacobian(p, x), y, start,
-                            self.lo, hi)
-        ref = self.serial(start[0], hi=hi)
-        self.assert_same_steps(runs, 0, ref)
+        runs, paths = self.run(start, hi=hi)
+        ref, ref_path = self.serial(start[0], hi=hi)
+        self.assert_same_steps(runs, paths, 0, ref, ref_path)
         assert runs.converged[0]
         assert runs.params[0, 0] == ref.params[0] == 1.5
         # the rate reaches the optimum of the one-parameter problem with
@@ -896,10 +952,10 @@ class TestLockstepEngine:
                                                   abs=1e-4)
 
     def test_max_iter_exhaustion_is_not_convergence(self):
-        runs = self.run(self.starts, max_iter=1)
+        runs, _ = self.run(self.starts, max_iter=1)
         assert not np.any(runs.converged)
         assert np.all(runs.n_iter == 1)
-        assert not self.serial(self.starts[0], max_iter=1).converged
+        assert not self.serial(self.starts[0], max_iter=1)[0].converged
 
     def test_start_pinned_at_bound(self):
         # unconstrained optimum (slope 3) outside the box; one start sits
@@ -1047,23 +1103,30 @@ class TestRetire:
     # optimum with its couplings swapped in round 40
     twin = np.array([5.0, 5.0, 1 / 3])
 
-    def run(self, starts, groups=None, exchangeable=(), lo=None, hi=None):
+    def run_paths(self, starts, groups=None, exchangeable=(), lo=None,
+                  hi=None):
+        """The runs of starts and their cost paths (_cost_paths)."""
         tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
         x, y = tr.x, tr.channel("coherence")
-        return _lockstep_lm(
+        return _run_with_paths(
             lambda p: (nv_epr_signal_grid(p[:, :-1], p[:, -1], x), ()),
             lambda p, kept: nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x),
             y, starts, self.lo if lo is None else lo,
             self.hi if hi is None else hi, groups=groups,
             exchangeable=exchangeable)
 
-    def assert_same_runs(self, runs, rows, alone):
+    def run(self, *args, **kwargs):
+        return self.run_paths(*args, **kwargs)[0]
+
+    def assert_same_runs(self, got, rows, alone):
+        """The rows of got, a (runs, paths) pair, are those of alone."""
+        (runs, paths), (alone, alone_paths) = got, alone
         for name in ("params", "cost", "stop", "n_iter", "n_evals",
                      "n_rounds"):
             assert np.array_equal(getattr(runs, name)[rows],
                                   getattr(alone, name)), name
-        for i, h in zip(rows, alone.history):
-            assert np.array_equal(runs.history[i], h)
+        for i, h in zip(rows, alone_paths):
+            assert np.array_equal(paths[i], h)
 
     def test_stuck_start_retired_others_untouched(self, monkeypatch):
         runs = self.run(self.starts)
@@ -1099,7 +1162,7 @@ class TestRetire:
 
     def test_equal_couplings_retired_others_untouched(self):
         starts = np.insert(self.starts, 1, self.twin, axis=0)
-        runs = self.run(starts, exchangeable=(0, 1))
+        got = runs, paths = self.run_paths(starts, exchangeable=(0, 1))
         assert runs.stop[1] == "retired"
         assert runs.n_rounds[1] < fitting._RETIRE_ROUNDS
         w1, w2, _ = runs.params[1]
@@ -1107,24 +1170,25 @@ class TestRetire:
         assert (runs.cost[1]
                 > (1.0 + fitting._TWIN_COST) * runs.cost[runs.converged].min())
         others = [0, 2, 3]
-        self.assert_same_runs(runs, others,
-                              self.run(starts[others], exchangeable=(0, 1)))
+        self.assert_same_runs(got, others, self.run_paths(
+            starts[others], exchangeable=(0, 1)))
         # against the run without exchangeable columns: a row the rule
         # leaves live is bit-identical there; a row it retires sits on
         # equal couplings above (1 + _TWIN_COST) B, and its path up to
         # then is the plain run's, which goes on for more rounds
-        plain = self.run(starts)
+        plain, plain_paths = self.run_paths(starts)
         best = runs.cost[runs.converged].min()
         w1, w2 = runs.params[:, 0], runs.params[:, 1]
         twin = (runs.stop == "retired") & (
             np.abs(w1 - w2) <= fitting._TWIN_REL * np.abs(w2))
         assert twin.tolist() == [False, True, False, True]
         live = np.flatnonzero(~twin)
-        self.assert_same_runs(runs, live, plain.take(live, [0, 1, 2]))
+        self.assert_same_runs(got, live, (plain.take(live, [0, 1, 2]),
+                                          [plain_paths[i] for i in live]))
         for i in np.flatnonzero(twin):
             assert runs.cost[i] > (1.0 + fitting._TWIN_COST) * best
-            h = runs.history[i]
-            assert np.array_equal(plain.history[i][:h.size], h)
+            h = paths[i]
+            assert np.array_equal(plain_paths[i][:h.size], h)
             assert plain.n_rounds[i] > runs.n_rounds[i]
 
     def test_equal_pad_couplings_never_retired(self, monkeypatch):
@@ -1138,13 +1202,14 @@ class TestRetire:
                        [W_HI, 0.0, 0.0, t0_hi]])
         starts = np.array([[7.0, 14.0, 0.0, 1 / 3], [7.0, 0.0, 0.0, 1 / 3],
                            [20.0, 0.0, 0.0, 1 / 3]])
-        runs = self.run(starts, exchangeable=(0, 1, 2), lo=lo, hi=hi)
+        got = runs, _ = self.run_paths(starts, exchangeable=(0, 1, 2),
+                                       lo=lo, hi=hi)
         assert runs.stop.tolist() == ["converged"] * 3
         # the 1-spin starts stay live far above B after it is set
         assert np.all(runs.n_rounds[1:] > runs.n_rounds[0])
         assert np.all(runs.cost[1:] > 10.0 * runs.cost[0])
-        self.assert_same_runs(runs, [0, 1, 2],
-                              self.run(starts, lo=lo, hi=hi))
+        self.assert_same_runs(got, [0, 1, 2],
+                              self.run_paths(starts, lo=lo, hi=hi))
 
     @pytest.mark.parametrize("t, stop", [(0.5, "converged"),
                                          (5.0, "retired")])
@@ -1162,17 +1227,18 @@ class TestRetire:
                                     [0.0, 0.0, 0.0]], (len(p), 3, 3))
 
         def run(exchangeable):
-            return _lockstep_lm(model, jacobian, np.array([0.0, 0.0, 1.0]),
-                                [[1.0, 1.0, 0.0], [1.0, 1.0, t]], -10.0, 10.0,
-                                exchangeable=exchangeable)
+            return _run_with_paths(
+                model, jacobian, np.array([0.0, 0.0, 1.0]),
+                [[1.0, 1.0, 0.0], [1.0, 1.0, t]], -10.0, 10.0,
+                exchangeable=exchangeable)
 
-        runs = run((0, 1))
+        got = runs, _ = run((0, 1))
         assert runs.stop.tolist() == ["converged", stop]
         assert runs.cost[0] == 1.0 and runs.n_rounds[0] == 1
         if stop == "retired":
             assert runs.n_rounds[1] == 1
         else:
-            self.assert_same_runs(runs, [0, 1], run(()))
+            self.assert_same_runs(got, [0, 1], run(()))
 
     def test_fit_counts_retired_starts(self):
         tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
@@ -1185,11 +1251,11 @@ class TestRetire:
         # alone, which no converged start of its own group can retire
         stuck = self.starts[self.stuck][None]
         starts = np.vstack([self.starts, stuck])
-        fused = self.run(starts, groups=[0, 0, 0, 1])
-        for rows, alone in (([0, 1, 2], self.run(self.starts)),
-                            ([3], self.run(stuck))):
+        fused = self.run_paths(starts, groups=[0, 0, 0, 1])
+        for rows, alone in (([0, 1, 2], self.run_paths(self.starts)),
+                            ([3], self.run_paths(stuck))):
             self.assert_same_runs(fused, rows, alone)
-        assert fused.stop[[1, 3]].tolist() == ["retired", "converged"]
+        assert fused[0].stop[[1, 3]].tolist() == ["retired", "converged"]
         # in one group, the copy meets the B of the other starts
         assert self.run(starts).stop[3] == "retired"
 
@@ -1275,9 +1341,9 @@ def _serial_best_cost(x, y, n_spins):
     peaks = [TWO_PI * f for f in _fft_peak_frequencies(x, y, count=4)]
     best = None
     for ws in _deer_rabi_candidates(peaks, n_spins, w_lo, w_hi):
-        fit = _serial_lm(FitProblem(model=_epr_model, x=x, y=y,
-                                    init=np.array(ws + (max(span / 3.0, dt),)),
-                                    bounds=bounds))
+        fit, _ = _serial_lm(FitProblem(
+            model=_epr_model, x=x, y=y,
+            init=np.array(ws + (max(span / 3.0, dt),)), bounds=bounds))
         if best is None or fit.ss_res < best.ss_res:
             best = fit
     return best.ss_res
@@ -1378,7 +1444,7 @@ class TestDeerRabiLockstep:
 
 def _same_fit(a: FitResult, b: FitResult):
     """Every field of two fits, bit for bit."""
-    for name in ("params", "param_errors", "cost_history"):
+    for name in ("params", "param_errors"):
         got, want = getattr(a, name), getattr(b, name)
         assert (got is None) == (want is None), name
         if want is not None:
@@ -1408,21 +1474,35 @@ class TestOneCallSelection:
     """select_spin_count's one engine call against fit_deer_rabi per count."""
 
     @pytest.mark.parametrize("n_avg", [1_260_000, 100_000, 30_000])
-    def test_two_spin_selection_is_the_per_count_fits(self, n_avg):
+    def test_two_spin_selection_is_the_per_count_fits(self, monkeypatch,
+                                                      n_avg):
+        calls = []
+        monkeypatch.setattr(fitting, "_lockstep_lm",
+                            _logging_engine(_lockstep_lm, calls))
         traces = [_preset_pair_trace(n_avg, seed) for seed in range(7)]
         if n_avg == 30_000:
             traces += [_noise_trace(seed) for seed in range(3)]
         for tr, canonicalize in itertools.product(traces, (True, False)):
+            calls.clear()
             sel = select_spin_count(tr, max_n=2, canonicalize=canonicalize)
             unit = _unit_trace(tr, canonicalize)
             for n in (1, 2):
                 _same_fit(sel.entries[n].fit, fit_deer_rabi(unit, n))
+            # the selection's starts, count by count, take the paths of
+            # the per-count fits' starts
+            fused, *alone = (_cost_paths(*call) for call in calls)
+            assert _bits(fused) == _bits([h for paths in alone
+                                          for h in paths])
 
-    def test_three_spin_selection_within_tolerance(self):
+    def test_three_spin_selection_within_tolerance(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fitting, "_lockstep_lm",
+                            _logging_engine(_lockstep_lm, calls))
         margin = fitting._SPIN_COUNT_MARGIN
         traces = [_preset_pair_trace(n_avg, 11) for n_avg in
                   (1_260_000, 100_000, 30_000)] + [_noise_trace(5)]
         for tr in traces:
+            calls.clear()
             sel = select_spin_count(tr, max_n=3)
             fits = {n: fit_deer_rabi(_unit_trace(tr, True), n)
                     for n in (1, 2, 3)}
@@ -1434,8 +1514,11 @@ class TestOneCallSelection:
             for n, fit in fits.items():
                 assert sel.entries[n].fit.ss_res == pytest.approx(
                     fit.ss_res, rel=1e-9)
-            # the 3-spin starts carry no pad: their fit is the same
+            # the 3-spin starts carry no pad: their fit and paths are the
+            # same
             _same_fit(sel.entries[3].fit, fits[3])
+            fused, three = _cost_paths(*calls[0]), _cost_paths(*calls[3])
+            assert _bits(fused[-fits[3].n_starts:]) == _bits(three)
 
     def test_pad_couplings_stay_zero(self, monkeypatch):
         calls = []
@@ -1565,8 +1648,7 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
                          stop=np.full(n_start, "", dtype="<U9"),
                          n_iter=np.zeros(n_start, dtype=int),
                          n_evals=np.ones(n_start, dtype=int),
-                         n_rounds=np.zeros(n_start, dtype=int),
-                         history=[[c] for c in cost.tolist()])
+                         n_rounds=np.zeros(n_start, dtype=int))
     # one row per unfinished start; live[row] is its index in runs
     live = np.arange(n_start)
     # B of each group: the lowest cost a start of it has converged to
@@ -1615,8 +1697,6 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
                           <= _TOL * np.maximum(cost, _COST_FLOOR))
         conv = flat | (better & (cost - cost_t
                                  <= _TOL * np.maximum(cost_t, _COST_FLOOR)))
-        for i, c in zip(live[better].tolist(), cost_t[better].tolist()):
-            runs.history[i].append(c)
         p[better], r[better], cost[better] = (trial[better], r_t[better],
                                               cost_t[better])
         n_iter += better
@@ -1671,7 +1751,6 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
                                          stale, a, g, d, past, lo, hi, group))
             kept = tuple(v[keep] for v in kept)
 
-    runs.history = [np.asarray(h) for h in runs.history]
     return runs
 
 
@@ -1787,18 +1866,15 @@ class TestTrimmedRound:
 
         def under(engine):
             calls = []
-
-            def capture(*args, **kwargs):
-                calls.append(engine(*args, **kwargs))
-                return calls[-1]
-
-            monkeypatch.setattr(fitting, "_lockstep_lm", capture)
+            monkeypatch.setattr(fitting, "_lockstep_lm",
+                                _logging_engine(engine, calls))
             return run(), calls
 
-        out, runs = under(_lockstep_lm)
-        ref_out, ref_runs = under(_reference_lockstep_lm)
-        assert runs and len(runs) == len(ref_runs)
-        assert _bits(runs) == _bits(ref_runs)
+        out, calls = under(_lockstep_lm)
+        ref_out, ref_calls = under(_reference_lockstep_lm)
+        assert calls and len(calls) == len(ref_calls)
+        # every model and Jacobian call, in order, and every run
+        assert _bits(calls) == _bits(ref_calls)
         assert _bits(out) == _bits(ref_out)
         if check is not None:
-            check(runs)
+            check([runs for _, _, runs in calls])

@@ -344,6 +344,15 @@ class TestCsvRoundTrip:
 
 
 class TestCsvDiagnostics:
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "bom16.csv"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(TraceFormatError) as exc:
+            read_trace(path)
+        assert str(exc.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte")
+
     def test_missing_header(self):
         with pytest.raises(TraceFormatError, match="missing header"):
             trace_from_csv("# only comments\n")
@@ -452,6 +461,21 @@ class TestJson:
         write_json(path, obj)
         assert read_json(path) == obj
 
+    def test_invalid_json_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{\n  "model": "rabi", ')
+        with pytest.raises(TraceFormatError) as exc:
+            read_json(path)
+        assert str(exc.value) == (
+            f"{path}: invalid JSON at line 2, column 20: Expecting property "
+            "name enclosed in double quotes")
+
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "bom16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(TraceFormatError, match="bom16.json: 'utf-8'"):
+            read_json(path)
+
     def test_sorted_keys_and_trailing_newline(self, tmp_path):
         path = tmp_path / "r.json"
         write_json(path, {"zeta": 1, "alpha": 2})
@@ -467,6 +491,15 @@ class TestAtomicWrite:
         assert path.read_text() == "hello"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
         assert leftovers == []
+
+    def test_text_is_utf8(self, tmp_path):
+        path = tmp_path / "out.csv"
+        atomic_write_text(path, "\u00b5s\n")
+        assert path.read_bytes() == b"\xc2\xb5s\n"
+        trace = Trace(np.array([0.0, 1.0]), XKind.PULSE_LENGTH,
+                      {"SIG\u00b5": np.array([0.5, 0.25])})
+        write_trace(path, trace)
+        assert list(read_trace(path).channels) == ["SIG\u00b5"]
 
     def test_overwrites_existing(self, tmp_path):
         path = tmp_path / "out.txt"
