@@ -4,13 +4,17 @@ The engine is one small bounded Levenberg-Marquardt, _lockstep_lm:
 damped normal equations, steps clipped into box bounds, parameters held
 on a bound that the descent direction points out of, acceptance only on
 strict objective decrease.  It runs all the starts of a fit, or of a
-whole spin-count selection, at once.  Recipes give it model functions
-with closed-form Jacobians and data-driven starting values (FFT peaks
-for oscillatory models), and return a uniform FitResult record.
+whole spin-count selection, at once: the array work batched in numpy
+over the starts, each start's control (acceptance, damping, stops and
+retirement) in plain Python floats, since most fits run one or two
+starts and a numpy call on so few costs more than its arithmetic.
+Recipes give it model functions with closed-form Jacobians and
+data-driven starting values (FFT peaks for oscillatory models), and
+return a uniform FitResult record.
 nlls_fit runs one start of the same engine on a forward-difference
 Jacobian, for models without a closed form; tests/test_fitting.py keeps
-a serial copy of the loop as the engine's oracle, and the engine's
-round as it was before it was trimmed, which must give the same bits.
+a serial copy of the loop as the engine's oracle, and the engine as it
+was with every decision a numpy mask, whose bits it must give.
 """
 
 from __future__ import annotations
@@ -246,6 +250,19 @@ def _rejected_lam(lam, nu, g, delta, d):
     return np.where(np.isfinite(quot) & (quot > grown), quot, grown)
 
 
+def _equal_pairs(w, free):
+    """Per row of w, whether two of its free entries are equal.
+
+    Equal within _TWIN_REL of their size.  Sorted, an entry's nearest
+    equal is its neighbour; an entry not free (pinned by its bounds) is
+    nan and equals none.
+    """
+    w = np.where(free, w, np.nan)
+    w.sort(axis=1)
+    tail = w[:, 1:]  # sorted, so each gap tail - w[:, :-1] is >= 0 or nan
+    return (tail - w[:, :-1] <= _TWIN_REL * np.abs(tail)).any(axis=1).tolist()
+
+
 def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                  groups=None, exchangeable=()) -> _LockstepRuns:
     """Bounded LM from every row of starts, all in lockstep.
@@ -269,14 +286,22 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     round takes the Jacobian only where the last step was accepted and
     drops finished starts.
 
-    Beside the model and Jacobian, a round costs a fixed count of small
-    numpy calls, not arithmetic: ~55 to 150 us on a 2-vCPU VM for the 1
-    to 22 rows of a Gaussian, Rabi or 2-spin selection fit.  So the
-    round makes as few as it can: a slice in place of a mask where every
-    row is stale, the held-parameter matrix only when a parameter is
-    held, one convergence test for a gain and a flat trial alike, and
-    plain rebinding where every row or none accepted its step.
-    tests/test_fitting.py keeps the round as it was before these trims
+    A round splits its work in two.  The array work is batched numpy
+    over the live rows: the Jacobian where the last step was accepted,
+    J^T J, g, the held mask, the damped matrix, the solve, the clipped
+    trial, the model, the costs, the damping after a rejected step and
+    the equal-parameter test below.  Each start's control is Python
+    floats and lists: its cost, lambda, nu, step and evaluation counts,
+    group and the window of the stuck rule, with one loop over the live
+    rows to accept, converge, damp and stop and one for the retire
+    rules.  They take the comparisons and products that numpy masks
+    would, so they give the same bits.  Most fits run one or two starts,
+    where a numpy call costs more than its arithmetic: the control of a
+    lone start's round takes ~15 us on a 2-vCPU VM, against ~28 us as
+    masks, and past a few dozen rows about what the masks took.  A row's
+    equal-parameter flag is taken only once some start of any group has
+    converged, and again only when its parameters move.
+    tests/test_fitting.py keeps the engine with every decision a mask
     and holds every output to its bits.
 
     Bound rule: a parameter that sits on a bound and whose descent
@@ -313,42 +338,45 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     if np.any(p < lo) or np.any(p > hi):
         raise ValueError("starts must lie within bounds")
     n_start, k = p.shape
-    group = (np.zeros(n_start, dtype=int) if groups is None
-             else np.asarray(groups, dtype=int))
     twins = np.asarray(exchangeable, dtype=int)
+    unpinned = lo[:, twins] < hi[:, twins]  # the free exchangeable ones
     yhat, kept = model(p)
     r = yhat - y
-    cost = np.einsum("ij,ij->i", r, r)
-    runs = _LockstepRuns(params=p.copy(), cost=cost.copy(),
+    runs = _LockstepRuns(params=p.copy(), cost=np.zeros(n_start),
                          stop=np.full(n_start, "", dtype="<U9"),
                          n_iter=np.zeros(n_start, dtype=int),
                          n_evals=np.zeros(n_start, dtype=int),
                          n_rounds=np.zeros(n_start, dtype=int))
-    # one row per unfinished start; live[row] is its index in runs
-    live = np.arange(n_start)
-    # B of each group: the lowest cost a start of it has converged to
-    best = np.full(int(group.max()) + 1, math.inf)
-    any_best = False
-    # past[row, t % _RETIRE_ROUNDS] holds the cost after round t; it is
-    # read back, _RETIRE_ROUNDS rounds later, just before it is overwritten
-    past = np.repeat(cost[:, None], _RETIRE_ROUNDS, axis=1)
-    n_round = 0
-    lam = np.full(n_start, _LAM_START)
-    nu = np.full(n_start, 2.0)
-    n_iter = np.zeros(n_start, dtype=int)
-    evals = np.ones(n_start, dtype=int)  # model evaluations, p's included
-    stale = np.ones(n_start, dtype=bool)  # Jacobian due at p
-    n_stale = n_start
     a = np.empty((n_start, k, k))
     g = np.empty((n_start, k))
     d = np.empty((n_start, k))
     eye = np.eye(k)
+    # one entry per unfinished start, in step with the rows of the arrays;
+    # live[row] is its index in runs
+    live = list(range(n_start))
+    cost = np.einsum("ij,ij->i", r, r).tolist()
+    lam, nu = [_LAM_START] * n_start, [2.0] * n_start
+    n_iter = [0] * n_start
+    evals = [1] * n_start  # model evaluations, p's included
+    stale = [True] * n_start  # Jacobian due at p
+    n_stale = n_start
+    group = ([0] * n_start if groups is None
+             else np.asarray(groups, dtype=int).tolist())
+    # past[row][t % _RETIRE_ROUNDS] holds the cost after round t; it is
+    # read back, _RETIRE_ROUNDS rounds later, just before it is overwritten
+    past = [[c] * _RETIRE_ROUNDS for c in cost]
+    # B of each group: the lowest cost a start of it has converged to
+    best = [math.inf] * (max(group) + 1)
+    any_best = False
+    twin = None  # _equal_pairs of every row, kept from the first B on
+    n_round = 0
 
-    while live.size:
+    while live:
+        n = len(live)
         if n_stale:
             # kept is that of the model call that evaluated p[at]; when
             # every row is stale, a slice stands in for the mask
-            at = slice(None) if n_stale == live.size else stale
+            at = slice(None) if n_stale == n else np.array(stale)
             jac = jacobian(p[at], tuple(v[at] for v in kept))
             jt = jac.transpose(0, 2, 1)
             a[at] = jtj = jt @ jac
@@ -356,9 +384,9 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
             diag = np.diagonal(jtj, axis1=1, axis2=2)
             # keep damping effective for insensitive parameters
             d[at] = np.where(diag <= 0, 1.0, diag)
-            evals[at] += 1
+        lam_rows = np.array(lam)
         held = ((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0))
-        damped = a + (lam[:, None] * d)[:, :, None] * eye
+        damped = a + (lam_rows[:, None] * d)[:, :, None] * eye
         if np.count_nonzero(held):
             free = ~held
             delta, solved = _solve_each(
@@ -370,69 +398,86 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
         trial = np.minimum(np.maximum(p + delta, lo), hi)
         yhat, kept = model(trial)
         r_t = yhat - y
-        cost_t = np.einsum("ij,ij->i", r_t, r_t)
-        evals += solved
-        better = cost_t < cost
-        # converged: a gain, or a flat trial (at an optimum or pinned to a
-        # bound), within _TOL of the lower of the two costs; never on a nan
-        conv = np.abs(cost_t - cost) <= _TOL * np.maximum(
-            np.minimum(cost, cost_t), _COST_FLOOR)
-        n_stale = np.count_nonzero(better)
-        if n_stale == live.size:  # every row accepted: rebind, no masks
-            p, r, cost = trial, r_t, cost_t
-            lam = np.maximum(lam / 3.0, _LAM_MIN)
-            nu.fill(2.0)
-        elif n_stale:
-            p[better], r[better], cost[better] = (trial[better], r_t[better],
-                                                  cost_t[better])
-            lam = np.where(better, np.maximum(lam / 3.0, _LAM_MIN),
-                           _rejected_lam(lam, nu, g, delta, d))
-            nu = np.where(better, 2.0, np.minimum(2.0 * nu, _NU_MAX))
+        cost_t = np.einsum("ij,ij->i", r_t, r_t).tolist()
+        solved = [True] * n if solved is True else solved.tolist()
+        better = [ct < c for ct, c in zip(cost_t, cost)]
+        n_stale = better.count(True)
+        if n_stale == n:  # every row accepted: rebind, no masks
+            p, r = trial, r_t
         else:
-            lam = _rejected_lam(lam, nu, g, delta, d)
-            nu = np.minimum(2.0 * nu, _NU_MAX)
-        n_iter += better
-        stale = better
-        maxed = n_iter >= max_iter
-        # stalled: no acceptable step even at heavy damping
-        stalled = lam > _LAM_STALL
-        end = conv | maxed | stalled
-        if np.count_nonzero(conv):
-            # at most once per start: a loop over the groups that converged
-            for gid in set(group[conv].tolist()):
-                best[gid] = min(best[gid],
-                                float(cost[conv & (group == gid)].min()))
-            any_best = True
+            rejected = _rejected_lam(lam_rows, np.array(nu), g, delta,
+                                     d).tolist()
+            if n_stale:
+                moved = np.array(better)
+                new = trial[moved]
+                p[moved], r[moved] = new, r_t[moved]
         n_round += 1
         slot = n_round % _RETIRE_ROUNDS
-        if n_round >= _RETIRE_ROUNDS and any_best:
-            end |= ((cost > _RETIRE_FACTOR * best[group])
-                    & (past[:, slot] - cost <= _RETIRE_GAIN * cost))
-        past[:, slot] = cost
-        if twins.size and any_best:
-            # sorted, a parameter's nearest equal is its neighbour; a
-            # parameter pinned by its bounds is nan and equals none
-            w = np.where(lo[:, twins] < hi[:, twins], p[:, twins], np.nan)
-            w.sort(axis=1)
-            end |= ((cost > (1.0 + _TWIN_COST) * best[group])
-                    & np.any(np.abs(np.diff(w, axis=1))
-                             <= _TWIN_REL * np.abs(w[:, 1:]), axis=1))
-        if np.count_nonzero(end):
-            done = live[end]
-            runs.params[done], runs.cost[done] = p[end], cost[end]
-            runs.stop[done] = np.where(
-                conv[end], "converged", np.where(
-                    maxed[end], "max_iter",
-                    np.where(stalled[end], "stalled", "retired")))
-            runs.n_iter[done], runs.n_evals[done] = n_iter[end], evals[end]
-            runs.n_rounds[done] = n_round
-            keep = ~end
-            (live, p, r, cost, lam, nu, n_iter, evals, stale, a, g, d, past,
-             lo, hi, group) = (v[keep] for v in (
-                 live, p, r, cost, lam, nu, n_iter, evals, stale, a, g, d,
-                 past, lo, hi, group))
-            kept = tuple(v[keep] for v in kept)
-            n_stale = np.count_nonzero(stale)
+        stop, fell = [""] * n, [0.0] * n
+        for i, (c, ct) in enumerate(zip(cost, cost_t)):
+            # converged: a gain, or a flat trial (at an optimum or pinned
+            # to a bound), within _TOL of the lower of the two costs; never
+            # on a nan
+            conv = abs(ct - c) <= _TOL * max(min(c, ct), _COST_FLOOR)
+            evals[i] += stale[i] + solved[i]
+            if better[i]:
+                cost[i] = c = ct
+                lam[i] = max(lam[i] / 3.0, _LAM_MIN)
+                nu[i] = 2.0
+                n_iter[i] += 1
+            else:
+                lam[i] = rejected[i]
+                nu[i] = min(2.0 * nu[i], _NU_MAX)
+            if conv:
+                stop[i] = "converged"
+                best[group[i]] = min(best[group[i]], c)
+                any_best = True
+            elif n_iter[i] >= max_iter:
+                stop[i] = "max_iter"
+            elif lam[i] > _LAM_STALL:  # no acceptable step at heavy damping
+                stop[i] = "stalled"
+            window = past[i]
+            fell[i] = window[slot] - c
+            window[slot] = c
+        stale = better
+        if any_best:
+            if twins.size:
+                if twin is None or n_stale == n:
+                    twin = _equal_pairs(p[:, twins], unpinned)
+                elif n_stale:
+                    for i, flag in zip(
+                            itertools.compress(range(n), better),
+                            _equal_pairs(new[:, twins], unpinned[moved])):
+                        twin[i] = flag
+            stuck = n_round >= _RETIRE_ROUNDS
+            for i, c in enumerate(cost):
+                b = best[group[i]]
+                if not stop[i] and (
+                        (stuck and c > _RETIRE_FACTOR * b
+                         and fell[i] <= _RETIRE_GAIN * c)
+                        or (twin is not None and twin[i]
+                            and c > (1.0 + _TWIN_COST) * b)):
+                    stop[i] = "retired"
+        if any(stop):
+            for i in range(n):
+                if stop[i]:
+                    at = live[i]
+                    runs.params[at], runs.cost[at] = p[i], cost[i]
+                    runs.stop[at], runs.n_rounds[at] = stop[i], n_round
+                    runs.n_iter[at], runs.n_evals[at] = n_iter[i], evals[i]
+            keep = [not s for s in stop]
+            if not any(keep):
+                break
+            rows = np.array(keep)
+            p, r, a, g, d, lo, hi, unpinned = (
+                v[rows] for v in (p, r, a, g, d, lo, hi, unpinned))
+            kept = tuple(v[rows] for v in kept)
+            (live, cost, lam, nu, n_iter, evals, stale, group, past) = (
+                list(itertools.compress(v, keep)) for v in (
+                    live, cost, lam, nu, n_iter, evals, stale, group, past))
+            if twin is not None:
+                twin = list(itertools.compress(twin, keep))
+            n_stale = stale.count(True)
 
     return runs
 

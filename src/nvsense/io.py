@@ -34,14 +34,21 @@ TRACE_HEADER = ("x", "x_kind", "channel", "value", "n_avg")
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    A failed rename raises its OSError naming path, not the temp file,
+    which is gone by then.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

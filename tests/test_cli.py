@@ -664,6 +664,27 @@ class TestConfig:
                    "--out", str(tmp_path / "t.csv")) == 1
         assert "kind rabi does not read n_pulses" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, argv, message", [
+        ({"truth": 5}, ("--kind", "rabi"),
+         "config section 'truth' must be an object"),
+        ({"sequence": {"channels": "SIG1"}}, ("--kind", "rabi"),
+         "config field 'sequence.channels' must be a list"),
+        ({"sequence": {"kind": "bogus"}}, (),
+         f"unknown kind 'bogus'; choose from "
+         f"{[k.value for k in SequenceKind]}"),
+        ({"preset": "bogus"}, ("--kind", "rabi"),
+         f"unknown preset 'bogus'; choose from {presets.PRESETS}"),
+    ], ids=["section-not-object", "list-not-list", "unknown-kind",
+            "unknown-preset"])
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, config,
+                                             argv, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run("simulate", *argv, "--config", str(cfg),
+                   "--out", str(tmp_path / "t.csv")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestFit:
     def test_rabi_end_to_end(self, tmp_path):
@@ -1302,6 +1323,8 @@ class TestUnreadableInput:
         assert code == 1
         assert err.startswith("error: [Errno 21] Is a directory: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+        # simulate --out names the directory, not its removed temp file
+        assert ".tmp-" not in err
 
     @pytest.mark.parametrize("argv", [
         ("fit", "--kind", "rabi", "--in", "{bad}", "--out", "{out}"),
@@ -1318,6 +1341,35 @@ class TestUnreadableInput:
         assert code == 2
         assert err == (f"data error: {bad}: 'utf-8' codec can't decode byte "
                        "0xff in position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--kind", "rabi", "--in", "{ab}", "--out", "{out}"),
+        ("fit", "--kind", "gaussian", "--in", "{ab}", "--out", "{out}"),
+        ("fit", "--kind", "deer-rabi", "--in", "{ab}", "--out", "{out}"),
+        ("select-spins", "--in", "{ab}", "--out", "{out}"),
+    ])
+    def test_channels_without_reference_pair_is_input_error(
+            self, tmp_path, capsys, rabi, argv):
+        # two channels, so no lone one to fit, and neither is REF1 or REF2
+        trace = read_trace(rabi[0])
+        ab = tmp_path / "ab.csv"
+        write_trace(ab, trace.with_channels({"A": trace.channel("SIG1"),
+                                             "B": trace.channel("REF1")}))
+        code, err = self.run_leaving_nothing(tmp_path, capsys, argv, ab=ab)
+        assert code == 1
+        assert err == ("error: trace has multiple channels but no REF1/REF2 "
+                       "pair; pass --channel to pick one\n")
+
+    def test_fit_report_not_an_object_is_data_error(self, tmp_path, capsys,
+                                                    rabi):
+        arr = tmp_path / "arr.json"
+        arr.write_text("[1]")
+        code, err = self.run_leaving_nothing(
+            tmp_path, capsys,
+            ("report", "--in", "{trace}", "--fit", "{arr}", "--out", "{out}"),
+            trace=rabi[0], arr=arr)
+        assert code == 2
+        assert err == f"data error: {arr}: fit report must be a JSON object\n"
 
     def test_truncated_fit_report_is_data_error(self, tmp_path, capsys,
                                                 rabi):

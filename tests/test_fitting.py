@@ -207,6 +207,14 @@ class TestGaussianPeak:
         assert p["baseline"] == pytest.approx(0.5, abs=1e-8)
         assert fit.converged
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_trace_fits_a_vanishing_line(self):
+        # no residual to start the amplitude from: it starts at 1 instead
+        fit = fit_gaussian_peak(make_trace(self.x(), np.full(101, 0.5)),
+                                min_snr=0.0)
+        assert fit.stop_reason == "converged" and fit.ss_res == 0.0
+        assert fit.params[3] == 0.5 and abs(fit.params[2]) < 1e-12
+
     def test_positive_peak(self):
         x = self.x()
         y = 0.1 + 0.6 * np.exp(-((x - 900.0) ** 2) / (2 * 25.0))
@@ -1837,6 +1845,26 @@ def _both_retire_rules(runs):
     assert np.any(retired & twin) and np.any(retired & ~twin)
 
 
+def _rabi_second_start_wins():
+    # the start of the second FFT peak ends lower: 139.48 against 139.97
+    raw = synthesize(default_sequence(SequenceKind.RABI), rabi_truth(),
+                     detector(n_avg=1_000, seed=5))
+    fit = fit_rabi(Trace(raw.x, raw.x_kind,
+                         {"SIG1n": normalized_channels(raw)["SIG1n"]}))
+    assert fit.n_starts == 2 and fit.winning_start == 1
+    return fit
+
+
+def _lone_stop(reason, n_rounds=None):
+    """Check that the one engine call ran one start, which ended so."""
+    def check(runs):
+        (runs,) = runs
+        assert runs.stop.tolist() == [reason]
+        if n_rounds is not None:
+            assert runs.n_rounds.tolist() == [n_rounds]
+    return check
+
+
 _TRIMMED_ROUND_CASES = {
     "rabi-two-starts": (_rabi_two_starts, None),
     "peak-line": (lambda: fit_gaussian_peak(_spectrum(epr_line())[1],
@@ -1854,6 +1882,18 @@ _TRIMMED_ROUND_CASES = {
         y=_decay_data()[1], init=np.array([1.0, 1.0]),
         bounds=((0.0, 10.0), (0.0, 10.0)))), None),
     "singular-row": (_singular_row, None),
+    # criterion 11's null trace whose line fit runs out of steps
+    "snr-null-max-iter": (
+        lambda: snr_estimate(_spectrum(_FLAT, seed=253)[0]),
+        _lone_stop("max_iter", n_rounds=203)),
+    # the line-free trace whose width runs to its lower bound
+    "peak-stalled": (lambda: fit_gaussian_peak(
+        make_trace(TINY_STEP_GRID, _TINY_STEP_NO_LINE), min_snr=0.0),
+        _lone_stop("stalled")),
+    "rabi-second-start-wins": (_rabi_second_start_wins, None),
+    # the most rows: 133 starts over five spin counts
+    "select-max-n-5": (lambda: select_spin_count(
+        _preset_pair_trace(1_260_000, 0), max_n=5), _both_retire_rules),
 }
 
 

@@ -507,6 +507,19 @@ class TestAtomicWrite:
         atomic_write_text(path, "new")
         assert path.read_text() == "new"
 
+    def test_failed_rename_names_the_destination(self, tmp_path):
+        # the temp file is removed before the error surfaces, so the
+        # error names the path the caller gave
+        path = tmp_path / "d"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as caught:
+            atomic_write_text(path, "text")
+        assert caught.value.filename == str(path)
+        assert caught.value.filename2 is None
+        assert str(caught.value) == f"[Errno 21] Is a directory: '{path}'"
+        assert list(tmp_path.iterdir()) == [path]
+        assert list(path.iterdir()) == []
+
 
 class TestWriteColumns:
     def test_layout(self, tmp_path):
