@@ -82,14 +82,16 @@ def nv_epr_signal_grid(omegas, t0, t, keep=False):
     omegas is (s, n) in rad/us, t0 is (s,) in us (math.inf for no
     decay), t is (m,); returns the (s, m) signals.  Used inside fits,
     where the bounds already keep every parameter valid.  keep=True
-    returns the pair (signals, kept) instead, kept = (cos, envelope),
-    the (s, n, m) cosines and (s, m) envelope that nv_epr_jacobian_grid
-    takes at the same parameters in place of computing them again.
+    returns the pair (signals, kept) instead, kept = (phase, cos,
+    envelope): the (s, n, m) phases omega_j t and their cosines and the
+    (s, m) envelope, which nv_epr_jacobian_grid takes at the same
+    parameters in place of computing them again.
     """
+    phase = omegas[:, :, None] * t
+    cos = np.cos(phase)
     envelope = np.exp(-((t / t0[:, None]) ** 2))
-    cos = np.cos(omegas[:, :, None] * t)
-    signal = 0.5 + 0.5 * envelope * np.prod(cos, axis=1)
-    return (signal, (cos, envelope)) if keep else signal
+    signal = 0.5 + 0.5 * envelope * np.multiply.reduce(cos, axis=1)
+    return (signal, (phase, cos, envelope)) if keep else signal
 
 
 def nv_epr_jacobian_grid(omegas, t0, t, kept=None):
@@ -98,18 +100,19 @@ def nv_epr_jacobian_grid(omegas, t0, t, kept=None):
     With E = exp(-(t/T0)^2) and C = prod_j cos(omega_j t):
         dI/domega_j = -1/2 E t sin(omega_j t) prod_{i != j} cos(omega_i t)
         dI/dT0      = C E t^2 / T0^3
-    The last column is the T0 derivative.  kept is the (cos, envelope)
-    of nv_epr_signal_grid(omegas, t0, t, keep=True), computed here when
-    None; either way the result has the same bits.  A coupling of 0
-    gives cos 1 and a zero column, and leaves every other column as it
-    is without that coupling.  An empty product of the other cosines is
-    left out, not multiplied by as ones: x * 1.0 is exactly x.
+    The last column is the T0 derivative.  kept is the (phase, cos,
+    envelope) of nv_epr_signal_grid(omegas, t0, t, keep=True), computed
+    here from omegas when None (omegas is read only then); either way
+    the result has the same bits.  A coupling of 0 gives cos 1 and a
+    zero column, and leaves every other column as it is without that
+    coupling.  An empty product of the other cosines is left out, not
+    multiplied by as ones: x * 1.0 is exactly x.
     """
-    n = omegas.shape[1]
-    phase = omegas[:, :, None] * t
-    cos, envelope = kept or (np.cos(phase), np.exp(-((t / t0[:, None]) ** 2)))
+    phase, cos, envelope = kept or nv_epr_signal_grid(omegas, t0, t,
+                                                      keep=True)[1]
     sin = np.sin(phase)
-    jac = np.empty((omegas.shape[0], t.size, n + 1))
+    n = phase.shape[1]
+    jac = np.empty((phase.shape[0], t.size, n + 1))
     # prod_{i != j} cos as (product of cos_i, i < j) (product, i > j);
     # left[0], the empty product, is never read
     left = [None, cos[:, 0]]
@@ -146,27 +149,38 @@ class DeerSpectrumModel:
             raise ValueError(f"width must be positive, got {self.width!r}")
 
 
-def gaussian_line(f, center, width, amplitude, baseline=0.0):
-    """baseline + amplitude exp(-(f - center)^2 / (2 width^2)), unchecked.
+def gaussian_unit(f, center, width):
+    """(exp(-(f - center)^2 / (2 width^2)), f - center), unchecked.
 
-    The one body of the Gaussian line: deer_spectrum, the peak fit and
-    the synthesized resonance dips all evaluate it.
+    The one body of the Gaussian line: the unit line e and the offset d
+    it was taken at, which the peak fit's Jacobian reuses.
+    gaussian_line, and through it deer_spectrum and the synthesized
+    resonance dips, is baseline + amplitude e.
     """
     # squared by multiplication: numpy's scalar ** is not correctly
     # rounded, and a float's ** raises OverflowError past the float range
     d = f - center
     d2, w2 = d * d, 2.0 * (width * width)
-    if np.isinf(w2).any():  # tested first: w2 has width's shape
+    squares = np.ravel(w2).tolist()  # w2 has width's shape
+    if math.inf in squares:
         # inf/inf where both squares overflow: divide before squaring
         # there; the other elements of the fallback are discarded
         both = np.isinf(d2) & np.isinf(w2)
         with np.errstate(all="ignore"):
-            d2 = np.where(both, ((f - center) / width) ** 2 / 2.0, d2)
+            d2 = np.where(both, (d / width) ** 2 / 2.0, d2)
         w2 = np.where(both, 1.0, w2)
     # 0/0 at the center of a width whose square underflows: its limit is 0
-    if not np.all(w2):
+    if 0.0 in squares:
         w2 = np.where((d2 == 0) & (w2 == 0), 1.0, w2)
-    return baseline + amplitude * np.exp(-d2 / w2)
+    return np.exp(-d2 / w2), d
+
+
+def gaussian_line(f, center, width, amplitude, baseline=0.0):
+    """baseline + amplitude exp(-(f - center)^2 / (2 width^2)), unchecked.
+
+    gaussian_unit's line, scaled and offset.
+    """
+    return baseline + amplitude * gaussian_unit(f, center, width)[0]
 
 
 def deer_spectrum(f, model: DeerSpectrumModel):

@@ -28,7 +28,7 @@ import numpy as np
 from .core import (GRID_MIN_STEP, PHOTON_CHANNELS, TWO_PI, NoPeakError,
                    Trace, XKind, grid_span, grid_span_and_step)
 # no fit calls nv_epr_signal: perfbench/tracer.py wraps fitting.nv_epr_signal
-from .deer import (gaussian_line, nv_epr_jacobian_grid, nv_epr_signal,
+from .deer import (gaussian_unit, nv_epr_jacobian_grid, nv_epr_signal,
                    nv_epr_signal_grid)
 
 _COST_FLOOR = 1e-300
@@ -263,6 +263,19 @@ def _equal_pairs(w, free):
     return (tail - w[:, :-1] <= _TWIN_REL * np.abs(tail)).any(axis=1).tolist()
 
 
+def _normal_equations(jac, r):
+    """J^T J, g = J^T r and the damping scale d of each row of jac.
+
+    d is the diagonal of J^T J, with 1 for a parameter the row is
+    insensitive to (a diagonal entry <= 0), so damping stays effective.
+    """
+    jt = jac.transpose(0, 2, 1)
+    jtj = jt @ jac
+    diag = np.diagonal(jtj, axis1=1, axis2=2)
+    return (jtj, (jt @ r[:, :, None])[:, :, 0],
+            np.where(diag <= 0, 1.0, diag))
+
+
 def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                  groups=None, exchangeable=()) -> _LockstepRuns:
     """Bounded LM from every row of starts, all in lockstep.
@@ -272,8 +285,8 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     parameter row (by-products the Jacobian can reuse, or ()).
     jacobian(P, kept) gives the (s, m, k) derivatives; the engine takes
     it only at points the model has just evaluated, and passes their own
-    kept rows (views when every row is due, so it writes into neither
-    P nor kept).  lo and hi are the box bounds, (k,) for every start or
+    kept rows (P and kept themselves when every row is due, so it writes
+    into neither).  lo and hi are the box bounds, (k,) for every start or
     (s, k) for each start its own; a parameter with low = high stays
     where it starts.  Each start minimizes its sum of squared residuals
     on its own: damped normal equations (J^T J + lambda diag(J^T J))
@@ -298,9 +311,12 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     would, so they give the same bits.  Most fits run one or two starts,
     where a numpy call costs more than its arithmetic: the control of a
     lone start's round takes ~15 us on a 2-vCPU VM, against ~28 us as
-    masks, and past a few dozen rows about what the masks took.  A row's
-    equal-parameter flag is taken only once some start of any group has
-    converged, and again only when its parameters move.
+    masks, and past a few dozen rows about what the masks took.  When
+    every row's Jacobian is due, as always in a lone start's round after
+    an accepted step, J^T J, g and the damping scale are the fresh
+    arrays, not copies into the old ones.  A row's equal-parameter flag
+    is taken only once a start of its own group has converged, and
+    again only when its parameters move.
     tests/test_fitting.py keeps the engine with every decision a mask
     and holds every output to its bits.
 
@@ -347,9 +363,6 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                          n_iter=np.zeros(n_start, dtype=int),
                          n_evals=np.zeros(n_start, dtype=int),
                          n_rounds=np.zeros(n_start, dtype=int))
-    a = np.empty((n_start, k, k))
-    g = np.empty((n_start, k))
-    d = np.empty((n_start, k))
     eye = np.eye(k)
     # one entry per unfinished start, in step with the rows of the arrays;
     # live[row] is its index in runs
@@ -368,24 +381,23 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     # B of each group: the lowest cost a start of it has converged to
     best = [math.inf] * (max(group) + 1)
     any_best = False
-    twin = None  # _equal_pairs of every row, kept from the first B on
+    # each row's _equal_pairs flag, None until its group has a B
+    twin = [None] * n_start
     n_round = 0
 
     while live:
         n = len(live)
-        if n_stale:
-            # kept is that of the model call that evaluated p[at]; when
-            # every row is stale, a slice stands in for the mask
-            at = slice(None) if n_stale == n else np.array(stale)
-            jac = jacobian(p[at], tuple(v[at] for v in kept))
-            jt = jac.transpose(0, 2, 1)
-            a[at] = jtj = jt @ jac
-            g[at] = (jt @ r[at][:, :, None])[:, :, 0]
-            diag = np.diagonal(jtj, axis1=1, axis2=2)
-            # keep damping effective for insensitive parameters
-            d[at] = np.where(diag <= 0, 1.0, diag)
+        if n_stale == n:
+            # every row is stale (always so in the first round): a, g and
+            # d are the fresh arrays, bound and not copied
+            a, g, d = _normal_equations(jacobian(p, kept), r)
+        elif n_stale:
+            # kept is that of the model call that evaluated p[at]
+            at = np.array(stale)
+            a[at], g[at], d[at] = _normal_equations(
+                jacobian(p[at], tuple(v[at] for v in kept)), r[at])
         lam_rows = np.array(lam)
-        held = ((p <= lo) & (g > 0)) | ((p >= hi) & (g < 0))
+        held = np.where(g > 0, p <= lo, (g < 0) & (p >= hi))
         damped = a + (lam_rows[:, None] * d)[:, :, None] * eye
         if np.count_nonzero(held):
             free = ~held
@@ -409,8 +421,7 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                                      d).tolist()
             if n_stale:
                 moved = np.array(better)
-                new = trial[moved]
-                p[moved], r[moved] = new, r_t[moved]
+                p[moved], r[moved] = trial[moved], r_t[moved]
         n_round += 1
         slot = n_round % _RETIRE_ROUNDS
         stop, fell = [""] * n, [0.0] * n
@@ -442,12 +453,14 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
         stale = better
         if any_best:
             if twins.size:
-                if twin is None or n_stale == n:
-                    twin = _equal_pairs(p[:, twins], unpinned)
-                elif n_stale:
-                    for i, flag in zip(
-                            itertools.compress(range(n), better),
-                            _equal_pairs(new[:, twins], unpinned[moved])):
+                # due where the group has a B and the row no flag yet, or
+                # a flag from before its step moved it
+                due = [i for i, (gid, flag, accepted) in enumerate(
+                    zip(group, twin, better))
+                       if (flag is None or accepted) and best[gid] < math.inf]
+                if due:
+                    for i, flag in zip(due, _equal_pairs(
+                            p[due][:, twins], unpinned[due])):
                         twin[i] = flag
             stuck = n_round >= _RETIRE_ROUNDS
             for i, c in enumerate(cost):
@@ -455,8 +468,7 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                 if not stop[i] and (
                         (stuck and c > _RETIRE_FACTOR * b
                          and fell[i] <= _RETIRE_GAIN * c)
-                        or (twin is not None and twin[i]
-                            and c > (1.0 + _TWIN_COST) * b)):
+                        or (twin[i] and c > (1.0 + _TWIN_COST) * b)):
                     stop[i] = "retired"
         if any(stop):
             for i in range(n):
@@ -472,11 +484,10 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
             p, r, a, g, d, lo, hi, unpinned = (
                 v[rows] for v in (p, r, a, g, d, lo, hi, unpinned))
             kept = tuple(v[rows] for v in kept)
-            (live, cost, lam, nu, n_iter, evals, stale, group, past) = (
+            (live, cost, lam, nu, n_iter, evals, stale, group, past, twin) = (
                 list(itertools.compress(v, keep)) for v in (
-                    live, cost, lam, nu, n_iter, evals, stale, group, past))
-            if twin is not None:
-                twin = list(itertools.compress(twin, keep))
+                    live, cost, lam, nu, n_iter, evals, stale, group, past,
+                    twin))
             n_stale = stale.count(True)
 
     return runs
@@ -596,12 +607,13 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     """Fit baseline + amplitude exp(-(f - center)^2 / 2 width^2).
 
     One _lockstep_lm start on gaussian_line with its closed-form
-    gradient.  The model keeps its unit line e = gaussian_line(x, center,
-    width, 1.0), the Jacobian's amplitude column, and the Jacobian reads
-    the other columns off it, so the exponent has one body.  Starting
-    values come from the data (edge median baseline, extremal residual
-    peak, half-maximum width, kept inside width_bounds even where the
-    band is narrower than the start's 0.1% margins).  width_bounds
+    gradient.  The model keeps gaussian_unit's unit line e, the
+    Jacobian's amplitude column, and offset x - center, and the Jacobian
+    reads the other columns off them, so the exponent has one body and
+    the offset one subtraction.  Starting values come from the data
+    (edge median baseline, extremal residual peak, half-maximum width,
+    kept inside width_bounds even where the band is narrower than the
+    start's 0.1% margins).  width_bounds
     defaults to (max(0.2 dx, GRID_MIN_STEP span), 2 span), dx the
     smallest step.  On a trace without a line the width often ends on a
     bound; the engine's bound rule holds it there while the other
@@ -614,7 +626,12 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     if n < 8:
         raise ValueError(f"need at least 8 points to fit a peak, got {n}")
     edge = max(2, n // 10)
-    baseline0 = float(np.median(np.concatenate([y[:edge], y[-edge:]])))
+    # the median of the 2 edge samples as np.median takes it: the mean
+    # of the middle two, whose sum numpy starts at 0.0, so that it is
+    # never -0.0 whichever of 0.0 and -0.0 the sort puts in the middle
+    low, high = np.sort(np.concatenate([y[:edge], y[-edge:]]))[
+        edge - 1:edge + 1].tolist()
+    baseline0 = (0.0 + low + high) / 2.0
     resid = y - baseline0
     i0 = int(np.argmax(np.abs(resid)))
     amp0 = float(resid[i0])
@@ -647,13 +664,12 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
 
     def model(p):
         center, width, amplitude, baseline = p.T[:, :, None]
-        e = gaussian_line(x, center, width, 1.0)
-        return baseline + amplitude * e, (e,)
+        e, u = gaussian_unit(x, center, width)
+        return baseline + amplitude * e, (e, u)
 
     def jacobian(p, kept):
-        center, width, amplitude = p.T[:3, :, None]
-        (e,) = kept
-        u = x - center
+        width, amplitude = p.T[1:3, :, None]
+        e, u = kept
         jac = np.empty(e.shape + (4,))
         jac[:, :, 0] = d_center = amplitude * e * u / width ** 2
         jac[:, :, 1] = d_center * u / width
@@ -684,7 +700,7 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     Nyquist limit of the grid is found without a prior guess.  Each
     starts at T0 = span / 3, raised to the T0 bound 2 dt; all (at most
     2) run in one _lockstep_lm call on the closed-form Jacobian, which
-    reuses the model's cosine and envelope, and the first with the
+    reuses the model's phase, cosine and envelope, and the first with the
     lowest cost wins.  A start stuck far above a converged one can be
     retired (see _lockstep_lm).
     """
@@ -702,7 +718,7 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
         return nv_epr_signal_grid(TWO_PI * p[:, :1], p[:, 1], x, keep=True)
 
     def jacobian(p, kept):
-        jac = nv_epr_jacobian_grid(TWO_PI * p[:, :1], p[:, 1], x, kept)
+        jac = nv_epr_jacobian_grid(None, p[:, 1], x, kept)
         jac[:, :, 0] *= TWO_PI
         return jac
 
@@ -833,8 +849,8 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     an aliased coupling set would fit the samples equally well.  Each
     tuple of _deer_rabi_candidates is one start, at T0 = span / 3 raised
     to the bound dt.  All starts run in lockstep (see _lockstep_lm) with
-    the closed-form Jacobian, which reuses the model's cosines and
-    envelope; the first start with the lowest cost wins.  Two kinds of
+    the closed-form Jacobian, which reuses the model's phases, cosines
+    and envelope; the first start with the lowest cost wins.  Two kinds of
     start are retired early (n_retired counts them; see _lockstep_lm):
     those stuck far above a converged one, typically in a short-decay
     basin, and those above it with two equal couplings.  The model is

@@ -384,8 +384,10 @@ def snr_estimate(trace: Trace) -> float:
     band (at least _SNR_MIN_RELATIVE_WIDTH of the sweep span), so a bare
     noise spike cannot masquerade as a peak.  Accepts a raw multichannel
     trace (difference taken internally) or an already-normalized
-    single-channel one.  Returns a large value (capped at 1e12) when the
-    residual noise underflows.
+    single-channel one.  The residual noise is floored at the float
+    resolution of the data, eps max|y|: on a noiseless trace the
+    residuals are rounding alone, so a line-free one reads well below 1
+    and a real line reads the cap, 1e12.  An all-zero trace reads 0.
     """
     if len(trace.channels) == 1:
         y = trace.channel(trace.channel_names[0])
@@ -396,8 +398,9 @@ def snr_estimate(trace: Trace) -> float:
     result = fitting.fit_gaussian_peak(
         work, min_snr=0.0,
         width_bounds=(_SNR_MIN_RELATIVE_WIDTH * span, 0.5 * span))
-    noise = math.sqrt(result.ss_res / (trace.x.size - 4))
+    noise = max(math.sqrt(result.ss_res / (trace.x.size - 4)),
+                np.finfo(float).eps * float(np.max(np.abs(y))))
     amp = abs(float(result.params[2]))
-    if noise <= 0 or not math.isfinite(noise):
+    if not math.isfinite(noise):
         return 1e12
-    return min(amp / noise, 1e12)
+    return min(amp / noise, 1e12) if noise else 0.0

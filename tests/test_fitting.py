@@ -10,10 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nvsense import fitting
-from nvsense.core import (GRID_LIMIT, GRID_MIN_SPAN, PHOTON_CHANNELS,
-                          NoPeakError, TWO_PI, Trace, XKind)
+from nvsense.core import (GRID_LIMIT, GRID_MIN_SPAN, GRID_MIN_STEP,
+                          PHOTON_CHANNELS, NoPeakError, TWO_PI, Trace, XKind)
 from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
-                          nv_epr_jacobian_grid, nv_epr_signal,
+                          gaussian_unit, nv_epr_jacobian_grid, nv_epr_signal,
                           nv_epr_signal_grid)
 from nvsense.fitting import (_COST_FLOOR, _LAM_MIN, _LAM_STALL, _LAM_START,
                              _MAX_ITER, _NU_MAX, _RETIRE_FACTOR, _RETIRE_GAIN,
@@ -314,23 +314,28 @@ class TestGaussianPeak:
         assert np.all(np.abs(jac - fd) <= tol)
 
 
-@functools.cache
-def _peak_closures():
-    """The model and Jacobian fit_gaussian_peak hands the engine, on
-    TestGaussianPeak's grid."""
+def _closures(fit, trace):
+    """The model and Jacobian that fit(trace) hands the engine."""
     captured = []
 
     def capture(model, jacobian, *args, **kwargs):
         captured.append((model, jacobian))
         return _lockstep_lm(model, jacobian, *args, **kwargs)
 
-    x = TestGaussianPeak.x(None)
-    y = 0.5 - 0.3 * np.exp(-((x - 914.7) ** 2) / (2 * 81.0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fitting, "_lockstep_lm", capture)
-        fit_gaussian_peak(make_trace(x, y))
+        fit(trace)
     (model, jacobian), = captured
     return model, jacobian
+
+
+@functools.cache
+def _peak_closures():
+    """The model and Jacobian fit_gaussian_peak hands the engine, on
+    TestGaussianPeak's grid."""
+    x = TestGaussianPeak.x(None)
+    y = 0.5 - 0.3 * np.exp(-((x - 914.7) ** 2) / (2 * 81.0))
+    return _closures(fit_gaussian_peak, make_trace(x, y))
 
 
 class TestRabi:
@@ -341,6 +346,20 @@ class TestRabi:
         assert fit.params[0] == pytest.approx(5.5, abs=1e-6)
         assert fit.params[1] == pytest.approx(0.67, abs=1e-4)
         assert fit.converged
+
+    def test_drive_near_nyquist_decaying_within_samples(self):
+        # 2 MHz on a 0.2 us grid (Nyquist 2.5 MHz), gone in a few samples:
+        # the padded spectrum rises all the way to the band edge, so there
+        # is no interior FFT peak and the fallback is the top bin, which
+        # fit_rabi's bound f < 0.5 / dt excludes; the fit starts from its
+        # own fallback inside the band and still lands on the drive
+        x = 0.1 + 0.2 * np.arange(8)
+        y = 0.5 * (1 + np.exp(-((x / 0.5) ** 2)) * np.cos(TWO_PI * 2.0 * x))
+        assert _fft_peak_frequencies(x, y, count=2) == [pytest.approx(2.5)]
+        fit = fit_rabi(make_trace(x, y, XKind.PULSE_LENGTH))
+        assert fit.converged and fit.n_starts == 1
+        assert fit.params[0] == pytest.approx(2.0, rel=1e-9)
+        assert fit.params[1] == pytest.approx(0.5, rel=1e-9)
 
     def test_slow_oscillation(self):
         # under one period across the record: FFT peak is at the floor,
@@ -1762,6 +1781,81 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
     return runs
 
 
+# the DEER-Rabi and Gaussian kernels and the fits' models and Jacobians
+# as they were before the fits passed their by-products to the Jacobian
+# (nv_epr_signal_grid's kept phase, gaussian_unit's offset): the oracles
+# of TestKernelBits, whose bits the kernels must give
+def _reference_signal_grid(omegas, t0, t, keep=False):
+    envelope = np.exp(-((t / t0[:, None]) ** 2))
+    cos = np.cos(omegas[:, :, None] * t)
+    signal = 0.5 + 0.5 * envelope * np.prod(cos, axis=1)
+    return (signal, (cos, envelope)) if keep else signal
+
+
+def _reference_jacobian_grid(omegas, t0, t, kept=None):
+    n = omegas.shape[1]
+    phase = omegas[:, :, None] * t
+    cos, envelope = kept or (np.cos(phase), np.exp(-((t / t0[:, None]) ** 2)))
+    sin = np.sin(phase)
+    jac = np.empty((omegas.shape[0], t.size, n + 1))
+    left = [None, cos[:, 0]]
+    for j in range(1, n):
+        left.append(left[-1] * cos[:, j])
+    right = -0.5 * envelope * t
+    for j in range(n - 1, 0, -1):
+        jac[:, :, j] = right * sin[:, j] * left[j]
+        right = right * cos[:, j]
+    jac[:, :, 0] = right * sin[:, 0]
+    jac[:, :, n] = left[n] * envelope * t ** 2 / t0[:, None] ** 3
+    return jac
+
+
+def _reference_gaussian_line(f, center, width, amplitude, baseline=0.0):
+    d = f - center
+    d2, w2 = d * d, 2.0 * (width * width)
+    if np.isinf(w2).any():
+        both = np.isinf(d2) & np.isinf(w2)
+        with np.errstate(all="ignore"):
+            d2 = np.where(both, ((f - center) / width) ** 2 / 2.0, d2)
+        w2 = np.where(both, 1.0, w2)
+    if not np.all(w2):
+        w2 = np.where((d2 == 0) & (w2 == 0), 1.0, w2)
+    return baseline + amplitude * np.exp(-d2 / w2)
+
+
+def _reference_peak_closures(x):
+    def model(p):
+        center, width, amplitude, baseline = p.T[:, :, None]
+        e = _reference_gaussian_line(x, center, width, 1.0)
+        return baseline + amplitude * e, (e,)
+
+    def jacobian(p, kept):
+        center, width, amplitude = p.T[:3, :, None]
+        (e,) = kept
+        u = x - center
+        jac = np.empty(e.shape + (4,))
+        jac[:, :, 0] = d_center = amplitude * e * u / width ** 2
+        jac[:, :, 1] = d_center * u / width
+        jac[:, :, 2] = e
+        jac[:, :, 3] = 1.0
+        return jac
+
+    return model, jacobian
+
+
+def _reference_rabi_closures(x):
+    def model(p):
+        return _reference_signal_grid(TWO_PI * p[:, :1], p[:, 1], x,
+                                      keep=True)
+
+    def jacobian(p, kept):
+        jac = _reference_jacobian_grid(TWO_PI * p[:, :1], p[:, 1], x, kept)
+        jac[:, :, 0] *= TWO_PI
+        return jac
+
+    return model, jacobian
+
+
 def _bits(value):
     """value as nested tuples of bytes: == compares bit for bit."""
     if dataclasses.is_dataclass(value):
@@ -1865,6 +1959,47 @@ def _lone_stop(reason, n_rounds=None):
     return check
 
 
+def _scripted_runs(residuals, groups=None):
+    """_lockstep_lm on a problem whose cost path is scripted.
+
+    Start i has the parameters (i, 0): its index, pinned by bounds, and a
+    free one.  The model reads only the index: at its t-th evaluation of
+    start i it returns residuals[i][t], a pair of integers, so the cost
+    is their sum of squares exactly.  Past the script it doubles the
+    last pair at each call, a rejected trial, until the start stalls.
+    """
+    calls = [0] * len(residuals)
+
+    def model(p):
+        rows = []
+        for i in p[:, 0].astype(int).tolist():
+            script, t = residuals[i], calls[i]
+            calls[i] += 1
+            past = t - len(script) + 1
+            rows.append(script[t] if past <= 0
+                        else [2.0 ** past * v for v in script[-1]])
+        return np.array(rows, dtype=float), ()
+
+    def jacobian(p, kept):
+        return np.tile([[0.0, 1.0]], (len(p), 2, 1))
+
+    index = np.arange(float(len(residuals)))
+    free = np.full(index.size, INF)
+    return fitting._lockstep_lm(
+        model, jacobian, np.zeros(2), np.column_stack([index, 0 * index]),
+        np.column_stack([index, -free]), np.column_stack([index, free]),
+        groups=groups)
+
+
+def _stops(reasons, n_rounds):
+    """Check that the one engine call's starts ended so, in those rounds."""
+    def check(runs):
+        (runs,) = runs
+        assert runs.stop.tolist() == reasons
+        assert runs.n_rounds.tolist() == n_rounds
+    return check
+
+
 _TRIMMED_ROUND_CASES = {
     "rabi-two-starts": (_rabi_two_starts, None),
     "peak-line": (lambda: fit_gaussian_peak(_spectrum(epr_line())[1],
@@ -1894,6 +2029,18 @@ _TRIMMED_ROUND_CASES = {
     # the most rows: 133 starts over five spin counts
     "select-max-n-5": (lambda: select_spin_count(
         _preset_pair_trace(1_260_000, 0), max_n=5), _both_retire_rules),
+    # costs on the convergence boundary, |c_t - c| = _TOL min(c, c_t)
+    # with 1e-10 * 1e10 exactly 1: the first start's trial gains exactly
+    # that, the second's is that much higher
+    "converged-on-the-tolerance": (lambda: _scripted_runs(
+        [[[100_000, 1], [100_000, 0]], [[100_000, 0], [100_000, 1]]]),
+        _stops(["converged", "converged"], [1, 1])),
+    # the first start converges at cost 1 in round 1; the second falls
+    # from 10,100 to 10,000 over 10 rounds, exactly _RETIRE_GAIN of its
+    # cost (0.01 * 10,000 is exactly 100), so the stuck rule retires it
+    "stuck-on-the-gain-limit": (lambda: _scripted_runs(
+        [[[1, 0], [1, 0]], [[100, k] for k in range(10, -1, -1)]]),
+        _stops(["converged", "retired"], [1, 10])),
 }
 
 
@@ -1918,3 +2065,157 @@ class TestTrimmedRound:
         assert _bits(out) == _bits(ref_out)
         if check is not None:
             check([runs for _, _, runs in calls])
+
+    def test_damping_on_the_stall_limit(self, monkeypatch):
+        # a rejected step that raises lambda to exactly _LAM_STALL leaves
+        # the start live; the next one, above it, stalls it
+        rises = []
+
+        def rejected_lam(lam, nu, g, delta, d):
+            rises.append(lam)
+            return np.full_like(lam, _LAM_STALL) if len(rises) == 1 \
+                else lam * nu
+
+        monkeypatch.setattr(fitting, "_rejected_lam", rejected_lam)
+        runs = _scripted_runs([[[1, 0], [2, 0], [2, 0]]])
+        assert runs.stop.tolist() == ["stalled"]
+        assert runs.n_rounds.tolist() == [2]
+        assert rises[1].tolist() == [_LAM_STALL]
+
+
+RABI_GRID = np.linspace(0.0, 2.0, 201)
+
+
+@functools.cache
+def _rabi_closures():
+    """The model and Jacobian fit_rabi hands the engine, on RABI_GRID."""
+    y = 0.5 + 0.5 * np.exp(-((RABI_GRID / 0.67) ** 2)) * np.cos(
+        TWO_PI * 5.5 * RABI_GRID)
+    return _closures(fit_rabi, Trace(RABI_GRID, XKind.PULSE_LENGTH,
+                                     {"SIG1n": y}))
+
+
+def _rows(data, count, strategy):
+    return [data.draw(strategy) for _ in range(count)]
+
+
+class TestKernelBits:
+    """The kernels and the fits' closures against their references.
+
+    TestTrimmedRound runs one model in both of its engines, so only
+    these oracles see a change to a model or a Jacobian itself.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), s=st.integers(1, 3))
+    def test_deer_rabi_kernels(self, data, n, s):
+        # couplings of 0 pad a start of fewer spins (_deer_rabi_fits)
+        n_pad = data.draw(st.integers(0, 5 - n))
+        w = np.array([row + [0.0] * n_pad for row in _rows(
+            data, s, st.lists(st.floats(0.0, W_HI), min_size=n, max_size=n))])
+        t0 = np.array(_rows(data, s, st.one_of(
+            st.floats(DT, 10.0 * SPAN), st.just(INF))))
+        signal, kept = nv_epr_signal_grid(w, t0, GRID, keep=True)
+        ref, ref_kept = _reference_signal_grid(w, t0, GRID, keep=True)
+        assert _bits(signal) == _bits(ref)
+        assert _bits(nv_epr_signal_grid(w, t0, GRID)) == _bits(ref)
+        ref_jac = _reference_jacobian_grid(w, t0, GRID, ref_kept)
+        assert _bits(nv_epr_jacobian_grid(w, t0, GRID, kept)) == _bits(ref_jac)
+        assert _bits(nv_epr_jacobian_grid(w, t0, GRID)) == _bits(ref_jac)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), s=st.integers(1, 2))
+    def test_rabi_closures(self, data, s):
+        # inside fit_rabi's bounds on RABI_GRID: f in (0.25 / span,
+        # 0.5 / dt), T0 in (2 dt, 50 span)
+        p = np.array(_rows(data, s, st.tuples(st.floats(0.125, 50.0),
+                                              st.floats(0.02, 100.0))))
+        model, jacobian = _rabi_closures()
+        ref_model, ref_jacobian = _reference_rabi_closures(RABI_GRID)
+        yhat, kept = model(p)
+        ref, ref_kept = ref_model(p)
+        assert _bits(yhat) == _bits(ref)
+        assert _bits(jacobian(p, kept)) == _bits(ref_jacobian(p, ref_kept))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), s=st.integers(1, 3))
+    def test_peak_closures(self, data, s):
+        # TestGaussianPeak's grid, span 70; widths from the floor of a
+        # tiny-step grid, GRID_MIN_STEP span, to the top bound 2 span
+        w_lo, w_hi = GRID_MIN_STEP * 70.0, 140.0
+        width = st.one_of(st.sampled_from([w_lo, w_hi]),
+                          st.floats(w_lo, w_hi))
+        p = np.array(_rows(data, s, st.tuples(
+            st.floats(880.0, 950.0), width, st.floats(-2.0, 2.0),
+            st.floats(-1.0, 1.0))))
+        model, jacobian = _peak_closures()
+        ref_model, ref_jacobian = _reference_peak_closures(
+            TestGaussianPeak.x(None))
+        yhat, kept = model(p)
+        ref, ref_kept = ref_model(p)
+        assert _bits(yhat) == _bits(ref)
+        assert _bits(jacobian(p, kept)) == _bits(ref_jacobian(p, ref_kept))
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=6),
+           center=st.floats(-1e300, 1e300),
+           width=st.floats(1e-300, 1e300), amplitude=st.floats(-2.0, 2.0),
+           baseline=st.floats(-1.0, 1.0), column=st.booleans())
+    # both guards: squares that overflow, and one that underflows at the
+    # center
+    @example(f=[1e160, 0.0, -1e300], center=0.0, width=1e160, amplitude=1.0,
+             baseline=0.0, column=False)
+    @example(f=[0.0, 1e-300, 1.0], center=0.0, width=1e-170, amplitude=1.0,
+             baseline=0.0, column=True)
+    def test_gaussian_line(self, f, center, width, amplitude, baseline,
+                           column):
+        # a scalar width, as the dips and deer_spectrum pass it, or a
+        # column of them, as the peak fit does
+        f = np.array(f)
+        if column:
+            center, width = np.array([[center], [0.0]]), np.array([[width],
+                                                                   [1.0]])
+        with np.errstate(all="ignore"):
+            line = gaussian_line(f, center, width, amplitude, baseline)
+            ref = _reference_gaussian_line(f, center, width, amplitude,
+                                           baseline)
+            unit, offset = gaussian_unit(f, center, width)
+            ref_unit = _reference_gaussian_line(f, center, width, 1.0)
+        assert _bits(line) == _bits(ref)
+        assert _bits(unit) == _bits(ref_unit)
+        assert _bits(offset) == _bits(f - center)
+
+    @pytest.mark.parametrize("width, f, squares", [
+        (1e160, [1e160, 0.0], INF), (1e-170, [0.0, 1.0], 0.0)])
+    def test_gaussian_line_guards_are_reached(self, width, f, squares):
+        # the examples above take each guard's branch
+        assert 2.0 * (width * width) == squares
+        with np.errstate(all="ignore"):
+            assert _bits(gaussian_line(np.array(f), 0.0, width, 1.0)) \
+                == _bits(_reference_gaussian_line(np.array(f), 0.0, width,
+                                                  1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.lists(st.floats(-1e6, 1e6), min_size=8, max_size=60))
+    # middle edge samples of 0.0 and -0.0, whose median is 0.0
+    @example(y=[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, -0.0, -0.0])
+    @example(y=[-0.0, -0.0, 5.0, 5.0, 5.0, 5.0, -0.0, -0.0])
+    def test_peak_baseline_start_is_the_edge_median(self, y):
+        # fit_gaussian_peak starts its baseline at np.median of its
+        # 2 max(2, n // 10) edge samples, an even count
+        class Started(Exception):
+            pass
+
+        def engine(model, jacobian, y, starts, *args, **kwargs):
+            raise Started(starts)
+
+        y = np.array(y)
+        x = np.linspace(880.0, 950.0, y.size)
+        with pytest.MonkeyPatch.context() as mp, \
+                pytest.raises(Started) as started:
+            mp.setattr(fitting, "_lockstep_lm", engine)
+            fit_gaussian_peak(make_trace(x, y))
+        edge = max(2, y.size // 10)
+        (starts,) = started.value.args
+        assert _bits(starts[0][3]) == _bits(
+            float(np.median(np.concatenate([y[:edge], y[-edge:]]))))

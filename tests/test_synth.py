@@ -438,6 +438,30 @@ class TestSnrEstimate:
         spec, truth, tr = _noiseless(SequenceKind.CPMG_DEER)
         assert snr_estimate(tr) >= 1e6
 
+    def test_noiseless_peak_reads_the_cap(self):
+        spec, truth, tr = _noiseless(SequenceKind.CPMG_DEER)
+        assert snr_estimate(tr) == 1e12
+
+    def test_noiseless_line_free_spectrum_reads_below_one(self):
+        # its line fit leaves a residual of rounding alone and a fitted
+        # amplitude of rounding too, ~1e-17
+        flat = DeerSpectrumModel(center=914.7, width=9.0, amplitude=0.0,
+                                 baseline=0.5)
+        raw = synthesize(default_sequence(SequenceKind.CPMG_DEER), flat,
+                         detector(n_avg=1000, noiseless=True))
+        assert snr_estimate(raw) < 1.0
+
+    @pytest.mark.parametrize("value", [0.5, -3.0, 1e-5])
+    def test_constant_trace_reads_below_one(self, value):
+        x = default_sequence(SequenceKind.CPMG_DEER).grid
+        assert snr_estimate(
+            Trace(x, XKind.FREQUENCY, {"d": np.full(x.size, value)})) < 1.0
+
+    def test_all_zero_trace_reads_zero(self):
+        x = default_sequence(SequenceKind.CPMG_DEER).grid
+        assert snr_estimate(
+            Trace(x, XKind.FREQUENCY, {"d": np.zeros(x.size)})) == 0.0
+
     def test_real_peak_detected(self):
         spec = default_sequence(SequenceKind.CPMG_DEER)
         det = detector(n_avg=DEFAULT_N_AVG[SequenceKind.CPMG_DEER], seed=0)
