@@ -169,7 +169,9 @@ class Trace:
 
 
 # the largest |x| a fit takes: past it a square of x, or the cube of
-# the Rabi fit's T0 bound (50 spans, 1e102 at most), leaves the float range
+# the Rabi fit's T0 bound (50 spans, 1e102 at most), leaves the float
+# range; it bounds the |y| of the channel a fit reads too, as past it the
+# squares of the residuals overflow
 GRID_LIMIT = 1e100
 # the smallest span a fit takes: at it the cube of the T0 lower bound
 # (one or two steps) is a normal float up to 3e12 points; on 1000 points

@@ -94,22 +94,20 @@ def nv_epr_signal_grid(omegas, t0, t, keep=False):
     return (signal, (phase, cos, envelope)) if keep else signal
 
 
-def nv_epr_jacobian_grid(omegas, t0, t, kept=None):
+def nv_epr_jacobian_grid(t0, t, kept):
     """Closed-form derivatives of nv_epr_signal_grid, shape (s, m, n + 1).
 
     With E = exp(-(t/T0)^2) and C = prod_j cos(omega_j t):
         dI/domega_j = -1/2 E t sin(omega_j t) prod_{i != j} cos(omega_i t)
         dI/dT0      = C E t^2 / T0^3
     The last column is the T0 derivative.  kept is the (phase, cos,
-    envelope) of nv_epr_signal_grid(omegas, t0, t, keep=True), computed
-    here from omegas when None (omegas is read only then); either way
-    the result has the same bits.  A coupling of 0 gives cos 1 and a
-    zero column, and leaves every other column as it is without that
-    coupling.  An empty product of the other cosines is left out, not
-    multiplied by as ones: x * 1.0 is exactly x.
+    envelope) of nv_epr_signal_grid(omegas, t0, t, keep=True), which
+    carries everything the couplings contribute.  A coupling of 0 gives
+    cos 1 and a zero column, and leaves every other column as it is
+    without that coupling.  An empty product of the other cosines is
+    left out, not multiplied by as ones: x * 1.0 is exactly x.
     """
-    phase, cos, envelope = kept or nv_epr_signal_grid(omegas, t0, t,
-                                                      keep=True)[1]
+    phase, cos, envelope = kept
     sin = np.sin(phase)
     n = phase.shape[1]
     jac = np.empty((phase.shape[0], t.size, n + 1))

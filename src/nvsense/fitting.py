@@ -13,8 +13,8 @@ data-driven starting values (FFT peaks for oscillatory models), and
 return a uniform FitResult record.
 nlls_fit runs one start of the same engine on a forward-difference
 Jacobian, for models without a closed form; tests/test_fitting.py keeps
-a serial copy of the loop as the engine's oracle, and the engine as it
-was with every decision a numpy mask, whose bits it must give.
+a serial copy of the loop and a copy with every decision a numpy mask
+as the engine's oracles, whose bits it must give.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (GRID_MIN_STEP, PHOTON_CHANNELS, TWO_PI, NoPeakError,
-                   Trace, XKind, grid_span, grid_span_and_step)
+from .core import (GRID_LIMIT, GRID_MIN_STEP, PHOTON_CHANNELS, TWO_PI,
+                   NoPeakError, Trace, XKind, grid_span, grid_span_and_step)
 # no fit calls nv_epr_signal: perfbench/tracer.py wraps fitting.nv_epr_signal
 from .deer import (gaussian_unit, nv_epr_jacobian_grid, nv_epr_signal,
                    nv_epr_signal_grid)
@@ -309,14 +309,12 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     rows to accept, converge, damp and stop and one for the retire
     rules.  They take the comparisons and products that numpy masks
     would, so they give the same bits.  Most fits run one or two starts,
-    where a numpy call costs more than its arithmetic: the control of a
-    lone start's round takes ~15 us on a 2-vCPU VM, against ~28 us as
-    masks, and past a few dozen rows about what the masks took.  When
-    every row's Jacobian is due, as always in a lone start's round after
-    an accepted step, J^T J, g and the damping scale are the fresh
-    arrays, not copies into the old ones.  A row's equal-parameter flag
-    is taken only once a start of its own group has converged, and
-    again only when its parameters move.
+    where a numpy call costs more than its arithmetic.  When every row's
+    Jacobian is due, as always in a lone start's round after an accepted
+    step, J^T J, g and the damping scale are the fresh arrays, not
+    copies into the old ones.  A row's equal-parameter flag is taken
+    only once a start of its own group has converged, and again only
+    when its parameters move.
     tests/test_fitting.py keeps the engine with every decision a mask
     and holds every output to its bits.
 
@@ -550,7 +548,10 @@ def adjusted_r_squared(y, yhat, k: int) -> float:
 
 def _resolve_channel(trace: Trace, channel, kind: XKind, what: str,
                      normalized: bool = False):
-    """x and the channel a fit reads; normalized rejects photon counts."""
+    """x and the channel a fit reads; normalized rejects photon counts.
+
+    A channel past +-GRID_LIMIT is refused: its residuals' squares overflow.
+    """
     if trace.x_kind is not kind:
         raise ValueError(
             f"{what} expects x_kind {kind.value!r}, trace has "
@@ -564,7 +565,11 @@ def _resolve_channel(trace: Trace, channel, kind: XKind, what: str,
         raise ValueError(
             f"{what} fits a normalized signal; channel {channel!r} holds "
             f"photon counts, so normalize it against REF1/REF2 first")
-    return trace.x, trace.channel(channel)
+    y = trace.channel(channel)
+    if float(np.max(np.abs(y))) > GRID_LIMIT:
+        raise ValueError(f"channel {channel!r} reaches past +-{GRID_LIMIT:g}, "
+                         f"where the fit residuals overflow")
+    return trace.x, y
 
 
 def _fft_peak_frequencies(x, y, count=4):
@@ -601,6 +606,16 @@ GAUSSIAN_PARAMS = ("center_mhz", "width_mhz", "amplitude", "baseline")
 RABI_PARAMS = ("f_mhz", "t0_us")
 
 
+def line_noise(ss_res: float, y) -> float:
+    """sqrt(ss_res / (n - 4)) of a line fit to y, floored at eps max|y|.
+
+    The floor is the float resolution of the data: on a noiseless trace
+    the residuals are rounding alone.
+    """
+    return max(math.sqrt(ss_res / (y.size - 4)),
+               np.finfo(float).eps * float(np.max(np.abs(y))))
+
+
 def fit_gaussian_peak(trace: Trace, channel: str | None = None,
                       min_snr: float = 2.0,
                       width_bounds: tuple | None = None) -> FitResult:
@@ -618,8 +633,8 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     smallest step.  On a trace without a line the width often ends on a
     bound; the engine's bound rule holds it there while the other
     parameters converge.  Raises NoPeakError when the fitted
-    amplitude is below min_snr times the residual noise; pass min_snr=0
-    to always get the fit back.
+    amplitude is below min_snr times the residual noise (line_noise, as
+    snr_estimate takes it); pass min_snr=0 to always get the fit back.
     """
     x, y = _resolve_channel(trace, channel, XKind.FREQUENCY, "fit_gaussian_peak")
     n = x.size
@@ -682,7 +697,7 @@ def fit_gaussian_peak(trace: Trace, channel: str | None = None,
     runs = _lockstep_lm(model, jacobian, y,
                         [[center0, width0, amp0, baseline0]], lo, hi)
     result = _fit_result(runs, model, jacobian, y, GAUSSIAN_PARAMS)
-    noise = math.sqrt(result.ss_res / (n - 4))
+    noise = line_noise(result.ss_res, y)
     if min_snr > 0 and abs(result.params[2]) < min_snr * noise:
         raise NoPeakError(
             f"fitted amplitude {result.params[2]:.3g} is below {min_snr} x "
@@ -718,7 +733,7 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
         return nv_epr_signal_grid(TWO_PI * p[:, :1], p[:, 1], x, keep=True)
 
     def jacobian(p, kept):
-        jac = nv_epr_jacobian_grid(None, p[:, 1], x, kept)
+        jac = nv_epr_jacobian_grid(p[:, 1], x, kept)
         jac[:, :, 0] *= TWO_PI
         return jac
 
@@ -815,7 +830,7 @@ def _deer_rabi_fits(x, y, counts) -> dict:
         return nv_epr_signal_grid(p[:, :-1], p[:, -1], x, keep=True)
 
     def jacobian(p, kept):
-        return nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x, kept)
+        return nv_epr_jacobian_grid(p[:, -1], x, kept)
 
     runs = _lockstep_lm(model, jacobian, y, starts, lo, hi, groups=groups,
                         exchangeable=range(n_max))

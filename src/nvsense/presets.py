@@ -209,10 +209,9 @@ def build_truth(kind: SequenceKind, truth: dict):
     if kind is SequenceKind.CPMG_DEER:
         return DeerSpectrumModel(truth["center_mhz"], truth["width_mhz"],
                                  truth["amplitude"], truth["baseline"])
-    if kind is SequenceKind.DEER_RABI:
-        return TargetSpinModel(tuple(TWO_PI * f for f in truth["omegas_mhz"]),
-                               truth["t0_us"])
-    raise ValueError(f"unhandled kind {kind!r}")
+    # the last SequenceKind, DEER_RABI
+    return TargetSpinModel(tuple(TWO_PI * f for f in truth["omegas_mhz"]),
+                           truth["t0_us"])
 
 
 def default_sequence(kind: SequenceKind) -> SequenceSpec:

@@ -384,23 +384,20 @@ def snr_estimate(trace: Trace) -> float:
     band (at least _SNR_MIN_RELATIVE_WIDTH of the sweep span), so a bare
     noise spike cannot masquerade as a peak.  Accepts a raw multichannel
     trace (difference taken internally) or an already-normalized
-    single-channel one.  The residual noise is floored at the float
-    resolution of the data, eps max|y|: on a noiseless trace the
-    residuals are rounding alone, so a line-free one reads well below 1
-    and a real line reads the cap, 1e12.  An all-zero trace reads 0.
+    single-channel one.  The residual noise is fitting.line_noise,
+    floored at the float resolution of the data, eps max|y|: a noiseless
+    line-free trace reads well below 1 and a real line reads the cap,
+    1e12.  An all-zero trace reads 0.  Data past +-GRID_LIMIT is refused
+    (ValueError), as by the fit.
     """
-    if len(trace.channels) == 1:
-        y = trace.channel(trace.channel_names[0])
-    else:
-        y = difference_signal(trace)
-    work = Trace(trace.x, trace.x_kind, {"diff": y}, trace.n_avg)
+    if len(trace.channels) > 1:
+        trace = Trace(trace.x, trace.x_kind, {"diff": difference_signal(trace)},
+                      trace.n_avg)
+    y = trace.channel(trace.channel_names[0])
     span = grid_span(trace.x)
     result = fitting.fit_gaussian_peak(
-        work, min_snr=0.0,
+        trace, min_snr=0.0,
         width_bounds=(_SNR_MIN_RELATIVE_WIDTH * span, 0.5 * span))
-    noise = max(math.sqrt(result.ss_res / (trace.x.size - 4)),
-                np.finfo(float).eps * float(np.max(np.abs(y))))
+    noise = fitting.line_noise(result.ss_res, y)
     amp = abs(float(result.params[2]))
-    if not math.isfinite(noise):
-        return 1e12
     return min(amp / noise, 1e12) if noise else 0.0

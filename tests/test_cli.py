@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import runpy
+import sys
 import warnings
 
 import numpy as np
@@ -745,12 +747,12 @@ class TestFit:
         ids=["gaussian", "rabi", "deer-rabi", "select-spins"])
 
     @staticmethod
-    def _refused(tmp_path, capsys, kind, command, x) -> str:
-        """stderr of command on a trace over x, which must exit 1 with no
-        numpy warning and no output file."""
+    def _refused(tmp_path, capsys, kind, command, x, scale=1.0) -> str:
+        """stderr of command on a trace over x, its channel times scale,
+        which must exit 1 with no numpy warning and no output file."""
         trace, out = tmp_path / "grid.csv", tmp_path / "fit.json"
-        write_trace(trace, Trace(x, kind, {"c": 0.5 + 0.3 * np.cos(
-            np.arange(float(x.size)))}))
+        write_trace(trace, Trace(x, kind, {"c": scale * (0.5 + 0.3 * np.cos(
+            np.arange(float(x.size))))}))
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -776,6 +778,14 @@ class TestFit:
         err = self._refused(tmp_path, capsys, kind, command,
                             np.linspace(0.0, 1e150, 20))
         assert "reaches past +-1e+100" in err
+
+    @_grid_fits
+    def test_channel_past_the_limit_is_error(self, tmp_path, capsys, kind,
+                                             command):
+        # the squares of its residuals would overflow
+        err = self._refused(tmp_path, capsys, kind, command,
+                            np.linspace(0.0, 1.0, 20), scale=1e160)
+        assert "channel 'c' reaches past +-1e+100" in err
 
     @_grid_fits
     def test_grid_below_the_min_span_is_error(self, tmp_path, capsys, kind,
@@ -1403,3 +1413,17 @@ class TestParser:
 
     def test_unknown_command(self):
         assert run("transmogrify") == 1
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0),
+                                            (["transmogrify"], 1)])
+    def test_module_entry_point_exits_with_the_code_of_main(
+            self, monkeypatch, capsys, argv, code):
+        # python -m nvsense.cli, where no nvsense script is on PATH; a
+        # loaded nvsense.cli would make runpy warn before running it
+        monkeypatch.delitem(sys.modules, "nvsense.cli", raising=False)
+        monkeypatch.setattr(sys, "argv", ["nvsense", *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("nvsense.cli", run_name="__main__")
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert (__version__ in out) if code == 0 else err.startswith("error:")

@@ -69,7 +69,7 @@ def test_star_import_binds_every_exported_name():
 def test_submodules_load_on_first_use():
     # a fresh interpreter, so no other test has imported a submodule yet
     code = textwrap.dedent("""
-        import importlib, sys
+        import sys
         import nvsense
 
         def loaded():
@@ -78,26 +78,28 @@ def test_submodules_load_on_first_use():
         assert loaded() == [], loaded()
         nvsense.load_hyperfine_table()
         assert loaded() == ["nvsense.core", "nvsense.eseem"], loaded()
-        for module in ("fitting", "presets", "cli"):
-            assert getattr(nvsense, module) is sys.modules[f"nvsense.{module}"]
-        assert set(nvsense.__all__) == {"__version__"}.union(
-            *nvsense._EXPORTS.values())
-        for module, names in nvsense._EXPORTS.items():
-            for name in names:
-                owner = importlib.import_module(f"nvsense.{module}")
-                assert getattr(nvsense, name) is getattr(owner, name), name
-        try:
-            nvsense.no_such_name
-        except AttributeError as exc:
-            assert str(exc) == ("module 'nvsense' has no attribute "
-                                "'no_such_name'"), exc
-        else:
-            raise AssertionError("no AttributeError")
-        assert set(nvsense.__all__) <= set(dir(nvsense))
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_lazy_names_resolve_to_their_modules(monkeypatch):
+    # without its global, presets is looked up through __getattr__
+    monkeypatch.delattr(nvsense, "presets")
+    for module in nvsense._SUBMODULES:
+        assert getattr(nvsense, module) is sys.modules[f"nvsense.{module}"]
+    assert set(nvsense.__all__) == {"__version__"}.union(
+        *nvsense._EXPORTS.values())
+    for module, names in nvsense._EXPORTS.items():
+        owner = importlib.import_module(f"nvsense.{module}")
+        for name in names:
+            assert getattr(nvsense, name) is getattr(owner, name), name
+    with pytest.raises(AttributeError) as caught:
+        nvsense.no_such_name
+    assert str(caught.value) == ("module 'nvsense' has no attribute "
+                                 "'no_such_name'")
+    assert set(nvsense.__all__) <= set(dir(nvsense))
 
 
 def test_spin1_operators_algebra():

@@ -215,6 +215,27 @@ class TestGaussianPeak:
         assert fit.stop_reason == "converged" and fit.ss_res == 0.0
         assert fit.params[3] == 0.5 and abs(fit.params[2]) < 1e-12
 
+    @pytest.mark.parametrize("trace", ["noiseless-spectrum", "constant"])
+    def test_noiseless_line_free_trace_has_no_peak(self, trace):
+        # the residual noise is line_noise, floored at eps max|y| as in
+        # snr_estimate; unfloored it was 0 here, and a fitted amplitude of
+        # rounding alone, -1.7e-17, passed as a peak
+        if trace == "constant":
+            tr = make_trace(self.x(), np.full(101, 0.5))
+        else:
+            flat = DeerSpectrumModel(center=914.7, width=9.0, amplitude=0.0,
+                                     baseline=0.5)
+            raw = synthesize(default_sequence(SequenceKind.CPMG_DEER), flat,
+                             detector(n_avg=1000, noiseless=True))
+            tr = make_trace(raw.x, difference_signal(raw))
+        with pytest.raises(NoPeakError, match="is below 2.0 x residual noise "
+                                              "1.11e-16"):
+            fit_gaussian_peak(tr)
+        fit = fit_gaussian_peak(tr, min_snr=0.0)
+        assert fit.ss_res == 0.0 and 0.0 < abs(fit.params[2]) < 1e-16
+        noise = fitting.line_noise(fit.ss_res, tr.channel("c"))
+        assert noise == np.finfo(float).eps * 0.5
+
     def test_positive_peak(self):
         x = self.x()
         y = 0.1 + 0.6 * np.exp(-((x - 900.0) ** 2) / (2 * 25.0))
@@ -704,6 +725,45 @@ def test_grid_just_inside_the_limit_fits(fit, kind, lo, hi):
         assert result.params[1] == 50.0 * (hi - lo)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_GRID_FITS
+@pytest.mark.parametrize("value", [np.nextafter(GRID_LIMIT, INF),
+                                   -np.nextafter(GRID_LIMIT, INF), 1e160])
+def test_channel_past_the_limit_is_an_input_error(fit, kind, value):
+    # past 1e154 the squares of the residuals overflow, and a line-free
+    # trace there would read as the strongest detection, SNR 1e12
+    y = 0.5 + 0.3 * np.cos(np.arange(20.0))
+    y[7] = value
+    tr = make_trace(np.linspace(0.0, 1.0, 20), y, kind, name="big")
+    with pytest.raises(ValueError, match=r"channel 'big' reaches past "
+                                         r"\+-1e\+100"):
+        fit(tr)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_channel_at_the_limit_fits(seed, sign):
+    # line-free noise, a line and a Rabi signal whose largest |y| is
+    # GRID_LIMIT itself
+    rng = np.random.default_rng(seed)
+    x = default_sequence(SequenceKind.CPMG_DEER).grid
+    u = (x - x[0]) / (x[-1] - x[0])
+    t = np.linspace(0.0, 2.0, 41)
+    noise = 0.5 + 0.01 * rng.standard_normal(x.size)
+    line = noise - 0.3 * np.exp(-0.5 * ((u - 0.5) / 0.1) ** 2)
+    rabi = 0.5 + 0.5 * np.exp(-(t / 1.5) ** 2) * np.cos(TWO_PI * 2.3 * t)
+
+    def at_limit(y):
+        return sign * y * (GRID_LIMIT / np.max(np.abs(y)))
+
+    assert 0.0 < snr_estimate(make_trace(x, at_limit(noise))) < 1.0
+    assert snr_estimate(make_trace(x, at_limit(line))) > 10.0
+    fit_gaussian_peak(make_trace(x, at_limit(noise)), min_snr=0.0)
+    fit = fit_rabi(make_trace(t, at_limit(rabi), XKind.PULSE_LENGTH))
+    assert fit.params[0] == pytest.approx(2.3, rel=0.05)
+
+
 # 12 points 1e-200 apart, then 8 on [0.5, 1]: the span is 1, the
 # median step 1e-200
 TINY_STEP_GRID = np.concatenate([np.arange(12) * 1e-200,
@@ -1136,8 +1196,8 @@ class TestRetire:
         tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
         x, y = tr.x, tr.channel("coherence")
         return _run_with_paths(
-            lambda p: (nv_epr_signal_grid(p[:, :-1], p[:, -1], x), ()),
-            lambda p, kept: nv_epr_jacobian_grid(p[:, :-1], p[:, -1], x),
+            lambda p: nv_epr_signal_grid(p[:, :-1], p[:, -1], x, keep=True),
+            lambda p, kept: nv_epr_jacobian_grid(p[:, -1], x, kept),
             y, starts, self.lo if lo is None else lo,
             self.hi if hi is None else hi, groups=groups,
             exchangeable=exchangeable)
@@ -1392,7 +1452,9 @@ class TestDeerRabiLockstep:
 
         lo = np.array([W_LO] * len(omegas) + [DT])
         hi = np.array([W_HI] * len(omegas) + [10.0 * SPAN])
-        jac = nv_epr_jacobian_grid(p[None, :-1], p[-1:], GRID)[0]
+        jac = nv_epr_jacobian_grid(
+            p[-1:], GRID, nv_epr_signal_grid(p[None, :-1], p[-1:], GRID,
+                                             keep=True)[1])[0]
         ref = _fd_jacobian_extrapolated(f, p, lo, hi)
         # 1e-5 of each column's scale, over a 1e-9 floor for the rounding
         # of differences taken at steps of ~1e-6
@@ -1574,16 +1636,14 @@ class TestOneCallSelection:
         w, t0 = np.array([omegas]), np.array([t0])
         signal, kept = nv_epr_signal_grid(w, t0, GRID, keep=True)
         np.testing.assert_array_equal(signal, nv_epr_signal_grid(w, t0, GRID))
-        jac = nv_epr_jacobian_grid(w, t0, GRID)
-        np.testing.assert_array_equal(
-            nv_epr_jacobian_grid(w, t0, GRID, kept), jac)
+        jac = nv_epr_jacobian_grid(t0, GRID, kept)
         # pad couplings of 0 leave the model and every other column as
         # they are, and their own columns 0
         n = w.shape[1]
         padded = np.append(w, np.zeros((1, n_pad)), axis=1)
-        np.testing.assert_array_equal(
-            nv_epr_signal_grid(padded, t0, GRID), signal)
-        jac_pad = nv_epr_jacobian_grid(padded, t0, GRID)
+        signal_pad, kept_pad = nv_epr_signal_grid(padded, t0, GRID, keep=True)
+        np.testing.assert_array_equal(signal_pad, signal)
+        jac_pad = nv_epr_jacobian_grid(t0, GRID, kept_pad)
         np.testing.assert_array_equal(jac_pad[:, :, :n], jac[:, :, :n])
         np.testing.assert_array_equal(jac_pad[:, :, -1], jac[:, :, -1])
         assert np.all(jac_pad[:, :, n:-1] == 0.0)
@@ -2120,8 +2180,7 @@ class TestKernelBits:
         assert _bits(signal) == _bits(ref)
         assert _bits(nv_epr_signal_grid(w, t0, GRID)) == _bits(ref)
         ref_jac = _reference_jacobian_grid(w, t0, GRID, ref_kept)
-        assert _bits(nv_epr_jacobian_grid(w, t0, GRID, kept)) == _bits(ref_jac)
-        assert _bits(nv_epr_jacobian_grid(w, t0, GRID)) == _bits(ref_jac)
+        assert _bits(nv_epr_jacobian_grid(t0, GRID, kept)) == _bits(ref_jac)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), s=st.integers(1, 2))

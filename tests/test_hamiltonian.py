@@ -156,6 +156,15 @@ class TestTransitionFrequencies:
         assert est.b0 == pytest.approx(b0, rel=1e-9)
         assert abs(est.theta - math.pi / 2) <= 1e-6
 
+    def test_equal_zero_character_is_ambiguous(self):
+        # found by bisection between 100 and 105 mT on the difference of
+        # the two largest |0> overlaps: at it two eigenstates share |0>
+        with pytest.raises(DegenerateTransitionError) as caught:
+            transition_frequencies(102.41229490800323, 1e-3)
+        assert str(caught.value) == (
+            "two eigenstates carry equal |0> character (overlaps 0.500000 "
+            "vs 0.500000); labels are ambiguous at this field")
+
     def test_beyond_crossing_flagged(self):
         # past gamma B = D the f_minus transition goes negative and the
         # two-sided labelling contract no longer applies
