@@ -503,11 +503,14 @@ def _cmd_select_spins(args) -> int:
                for n, entry in sorted(sel.entries.items())}
     print(" n  k   adj_R2     converged  couplings (MHz) and T0 (us)")
     for n, record in records.items():
-        *omegas, t0 = record["params"].values()
+        errors = record["param_errors"]
+        *omegas, t0 = (f"{value:.3f} +/- "
+                       + ("n/a" if errors is None else f"{errors[name]:.3g}")
+                       for name, value in record["params"].items())
         mark = " *" if n == sel.best_n else "  "
         print(f"{mark}{n}  {record['k']}  {_adj_r2(record): .4f}   "
               f"{'yes' if record['converged'] else 'NO '}        "
-              f"[{', '.join(f'{w:.3f}' for w in omegas)}]  T0={t0:.3f}")
+              f"[{', '.join(omegas)}]  T0={t0}")
     print(f"best_n = {sel.best_n}" + ("  (no significant signal: all "
                                       "adjusted R^2 <= 0)" if sel.no_signal
                                       else ""))

@@ -8,6 +8,7 @@ whole spin-count selection, at once: the array work batched in numpy
 over the starts, each start's control (acceptance, damping, stops and
 retirement) in plain Python floats, since most fits run one or two
 starts and a numpy call on so few costs more than its arithmetic.
+A start that reaches the minimum another has converged to stops there.
 Recipes give it model functions with closed-form Jacobians and
 data-driven starting values (FFT peaks for oscillatory models), and
 return a uniform FitResult record.
@@ -45,6 +46,11 @@ _RETIRE_FACTOR, _RETIRE_GAIN, _RETIRE_ROUNDS = 10.0, 0.01, 10
 # that best cost and two of whose free exchangeable parameters are equal
 # within _TWIN_REL of their size
 _TWIN_COST, _TWIN_REL = 1e-6, 1e-9
+# and it merges a live start whose cost is above B but within (1 +
+# _MERGE_TOL) B and whose distance from the start that set B, in that
+# start's J^T J, is within _MERGE_TOL B: about 0.3 sigma at 98 degrees of
+# freedom, so the start has arrived at that minimum
+_MERGE_TOL = 1e-3
 # a larger spin count must beat the incumbent's adjusted R^2 by more
 _SPIN_COUNT_MARGIN = 1e-3
 
@@ -98,9 +104,11 @@ class FitResult:
     one of them, nlls_fit's forward-difference one k + 1.  n_retired
     counts the runs that _lockstep_lm ended early, stuck far above a
     converged run or above it on equal exchangeable parameters (see
-    there).  stop_reason says why the winning run ended (a
-    _LockstepRuns.stop value; converged reads it), winning_start is its
-    index among the fit's starts and n_rounds the rounds it was live for.
+    there); it does not count the runs merged at a converged run's
+    minimum.  stop_reason says why the winning run ended (a
+    _LockstepRuns.stop value other than "retired" or "merged"; converged
+    reads it), winning_start is its index among the fit's starts and
+    n_rounds the rounds it was live for.
     """
 
     params: np.ndarray
@@ -188,8 +196,10 @@ def _param_errors(jac, cost, dof):
 class _LockstepRuns:
     """Per-start outcome of _lockstep_lm, one entry or row per start.
 
-    stop says why each start ended: "converged", "max_iter", "stalled"
-    or "retired"; n_rounds counts the rounds each start was live for.
+    stop says why each start ended: "converged", "max_iter", "stalled",
+    "retired" (stuck above a converged start) or "merged" (arrived at
+    a converged start's minimum); n_rounds counts the rounds each start
+    was live for.
     """
 
     params: np.ndarray
@@ -306,8 +316,8 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     the equal-parameter test below.  Each start's control is Python
     floats and lists: its cost, lambda, nu, step and evaluation counts,
     group and the window of the stuck rule, with one loop over the live
-    rows to accept, converge, damp and stop and one for the retire
-    rules.  They take the comparisons and products that numpy masks
+    rows to accept, converge, damp and stop and one for the retire and
+    merge rules.  They take the comparisons and products that numpy masks
     would, so they give the same bits.  Most fits run one or two starts,
     where a numpy call costs more than its arithmetic.  When every row's
     Jacobian is due, as always in a lone start's round after an accepted
@@ -326,7 +336,7 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     Optim. 20, 221 (1982)).  Without it the clipped steps of a pinned
     parameter creep towards max_iter.
 
-    Two rules couple the starts of a group.  groups gives each start a
+    Three rules couple the starts of a group.  groups gives each start a
     group id 0, 1, ... (default: all in group 0), and B is the lowest
     cost any start of the group has converged to so far.  A live start
     is retired when its cost is above _RETIRE_FACTOR * B and fell by at
@@ -337,13 +347,23 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     (low < high): the model is symmetric in them, so their Jacobian
     columns are equal too and the step keeps them equal up to rounding;
     the start is caught on the saddle where the swap maps the model to
-    itself.  Either way its cost is above a final cost of its group, so
-    it is never the group's lowest; that is always the cost of a start
-    that ran to its own end.  Rows do not interact otherwise, so
-    retiring one leaves every other row's path unchanged, and each group
+    itself.  A start that is not retired is merged when it has arrived
+    at the minimum that set B: the engine keeps the parameters p* and
+    the J^T J A* (taken at the start's last Jacobian) of the converged
+    start that last lowered B, and a live start with B < c <= (1 +
+    _MERGE_TOL) B and (p - p*).A*.(p - p*) <= _MERGE_TOL B ends there
+    (the critical distance of multi-level single linkage, Rinnooy Kan &
+    Timmer, Math. Program. 39, 57 (1987)).  A start converging to
+    another minimum at the same cost, such as the one with exchangeable
+    parameters swapped, is far from p* in that metric and runs on.
+    Under each rule the start's cost is above a final cost of its group,
+    so it is never the group's lowest; that is always the cost of a
+    start that ran to its own end.  Rows do not interact otherwise, so
+    ending one leaves every other row's path unchanged, and each group
     comes out as it does alone.  A lone start never meets a rule, since
     B exists only once it has converged.  A retired start might have
-    left its basin or saddle later; tests/test_fitting.py holds
+    left its basin or saddle later, and a merged one might have ended
+    below B by the convergence tolerance; tests/test_fitting.py holds
     spin-count selections to their results without the rules.
     """
     p = np.array(starts, dtype=float)
@@ -381,6 +401,8 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     any_best = False
     # each row's _equal_pairs flag, None until its group has a B
     twin = [None] * n_start
+    # each group's (p, J^T J) of the start that set its B
+    star = [None] * len(best)
     n_round = 0
 
     while live:
@@ -439,7 +461,9 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                 nu[i] = min(2.0 * nu[i], _NU_MAX)
             if conv:
                 stop[i] = "converged"
-                best[group[i]] = min(best[group[i]], c)
+                if c < best[group[i]]:
+                    best[group[i]] = c
+                    star[group[i]] = p[i].copy(), a[i].copy()
                 any_best = True
             elif n_iter[i] >= max_iter:
                 stop[i] = "max_iter"
@@ -461,13 +485,24 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                             p[due][:, twins], unpinned[due])):
                         twin[i] = flag
             stuck = n_round >= _RETIRE_ROUNDS
+            near = []
             for i, c in enumerate(cost):
+                if stop[i]:
+                    continue
                 b = best[group[i]]
-                if not stop[i] and (
-                        (stuck and c > _RETIRE_FACTOR * b
-                         and fell[i] <= _RETIRE_GAIN * c)
+                if ((stuck and c > _RETIRE_FACTOR * b
+                     and fell[i] <= _RETIRE_GAIN * c)
                         or (twin[i] and c > (1.0 + _TWIN_COST) * b)):
                     stop[i] = "retired"
+                elif b < c <= (1.0 + _MERGE_TOL) * b:
+                    near.append(i)
+            if near:
+                at_star, a_star = zip(*(star[group[i]] for i in near))
+                step = p[near] - at_star
+                for i, dist in zip(near, np.einsum(
+                        "ij,ijk,ik->i", step, a_star, step).tolist()):
+                    if dist <= _MERGE_TOL * best[group[i]]:
+                        stop[i] = "merged"
         if any(stop):
             for i in range(n):
                 if stop[i]:
@@ -717,7 +752,8 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     2) run in one _lockstep_lm call on the closed-form Jacobian, which
     reuses the model's phase, cosine and envelope, and the first with the
     lowest cost wins.  A start stuck far above a converged one can be
-    retired (see _lockstep_lm).
+    retired, and one that arrives at a converged one's minimum, as the
+    second start mostly does, is merged there (see _lockstep_lm).
     """
     x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_rabi",
                             normalized=True)
@@ -802,7 +838,7 @@ def _deer_rabi_fits(x, y, counts) -> dict:
     n-coupling start, and the pad column, 0, never moves the pad.  The
     couplings are the engine's exchangeable columns; a pad is not free,
     so two pads at 0 never count as equal couplings.  Each count is one
-    _lockstep_lm group, so it keeps its own retire rules, and its
+    _lockstep_lm group, so it keeps its own retire and merge rules, and its
     FitResult is built from its own starts without the pads.
     """
     n_max = max(counts)
@@ -875,7 +911,9 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     couplings at the lower bound.  A retired start ends above a
     converged start's cost, so it never wins: the winner is always a
     start that ran to its own end, on the path it takes when no start is
-    retired.
+    retired.  A start that arrives at the minimum of a converged one, at
+    a cost within _MERGE_TOL of it, is merged there (see _lockstep_lm):
+    it ends without being counted in n_retired.
     """
     if not 1 <= n_spins <= 5:
         raise ValueError(f"n_spins must be between 1 and 5, got {n_spins}")

@@ -934,6 +934,28 @@ class TestSelectSpins:
         assert abs(got[0] - 1.12) <= 0.2
         assert abs(got[1] - 2.24) <= 0.2
 
+    def test_table_prints_each_error(self, tmp_path, capsys):
+        # couplings 0.5 and 0.55 MHz at n_avg 30k: the 2-spin fit puts
+        # both on the lower bound, where J^T J is singular, so it has no
+        # errors to print
+        trace, out = tmp_path / "dr.csv", tmp_path / "sel.json"
+        assert run("simulate", "--kind", "deer-rabi", "--omegas-mhz",
+                   "0.5,0.55", "--n-avg", "30000", "--seed", "0",
+                   "--out", str(trace)) == 0
+        capsys.readouterr()
+        assert run("select-spins", "--in", str(trace), "--max-n", "2",
+                   "--out", str(out)) == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        one, two = read_json(out)["models"].values()
+        w, t0 = one["params"].values()
+        w_err, t0_err = one["param_errors"].values()
+        assert rows[0].endswith(
+            f"[{w:.3f} +/- {w_err:.3g}]  T0={t0:.3f} +/- {t0_err:.3g}")
+        assert two["param_errors"] is None
+        w1, w2, t0 = two["params"].values()
+        assert rows[1].endswith(
+            f"[{w1:.3f} +/- n/a, {w2:.3f} +/- n/a]  T0={t0:.3f} +/- n/a")
+
     def test_two_spin_model_is_the_fit(self, tmp_path):
         # the selection's 2-spin fit of a coherence trace, not re-anchored,
         # is the one fit --kind deer-rabi gives: one record, field for

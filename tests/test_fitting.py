@@ -16,8 +16,9 @@ from nvsense.deer import (DeerSpectrumModel, TargetSpinModel, gaussian_line,
                           gaussian_unit, nv_epr_jacobian_grid, nv_epr_signal,
                           nv_epr_signal_grid)
 from nvsense.fitting import (_COST_FLOOR, _LAM_MIN, _LAM_STALL, _LAM_START,
-                             _MAX_ITER, _NU_MAX, _RETIRE_FACTOR, _RETIRE_GAIN,
-                             _RETIRE_ROUNDS, _TOL, _TWIN_COST, _TWIN_REL,
+                             _MAX_ITER, _MERGE_TOL, _NU_MAX, _RETIRE_FACTOR,
+                             _RETIRE_GAIN, _RETIRE_ROUNDS, _TOL, _TWIN_COST,
+                             _TWIN_REL,
                              FitProblem, FitResult, _deer_rabi_candidates,
                              _fd_jacobian, _fft_peak_frequencies,
                              _lockstep_lm, _LockstepRuns, _param_errors,
@@ -968,13 +969,13 @@ class TestLockstepEngine:
     lo, hi = np.array([0.0, 0.0]), np.array([10.0, 10.0])
     starts = np.array([[1.0, 1.0], [0.5, 3.0], [5.0, 0.2], [2.0, 1.3]])
 
-    def run(self, starts, max_iter=200, hi=None):
+    def run(self, starts, max_iter=200, hi=None, groups=None):
         """The runs of starts and their cost paths (_cost_paths)."""
         x, y = _decay_data()
         return _run_with_paths(lambda p: (_decay_model(p, x), ()),
                                lambda p, kept: _decay_jacobian(p, x), y,
                                starts, self.lo, self.hi if hi is None else hi,
-                               max_iter=max_iter)
+                               max_iter=max_iter, groups=groups)
 
     def problem(self, start, max_iter=200, hi=None):
         x, y = _decay_data()
@@ -1001,7 +1002,9 @@ class TestLockstepEngine:
         np.testing.assert_allclose(paths[i], ref_path, rtol=1e-12)
 
     def test_each_start_matches_nlls_fit(self, monkeypatch):
-        runs, paths = self.run(self.starts)
+        # each start in a group of its own, so none is merged at the
+        # minimum another has converged to
+        runs, paths = self.run(self.starts, groups=range(len(self.starts)))
         calls = []
         monkeypatch.setattr(fitting, "_lockstep_lm",
                             _logging_engine(_lockstep_lm, calls))
@@ -1175,8 +1178,9 @@ class TestRetire:
     lo = np.array([W_LO, W_LO, DT])
     hi = np.array([W_HI, W_HI, 10.0 * SPAN])
     # two starts that reach the optimum (the first in round 4, the last
-    # in round 41) and, between them, one that falls into the
-    # short-decay basin (T0 ~ 0.08 us) and creeps there until the
+    # in round 41 in a group of its own; in the first's, the merge rule
+    # ends it there in round 38) and, between them, one that falls into
+    # the short-decay basin (T0 ~ 0.08 us) and creeps there until the
     # stuck-cost rule retires it in round 11.  The last starts on the
     # equal-coupling saddle: with exchangeable couplings it walks to the
     # (W_LO, W_LO) corner and is retired there in round 7; without, it
@@ -1216,20 +1220,22 @@ class TestRetire:
             assert np.array_equal(paths[i], h)
 
     def test_stuck_start_retired_others_untouched(self, monkeypatch):
-        runs = self.run(self.starts)
+        # the last start in a group of its own, so that it converges
+        groups = [0, 0, 1]
+        runs = self.run(self.starts, groups=groups)
         assert runs.stop[self.stuck] == "retired"
         assert not runs.converged[self.stuck]
         others = [0, 2]
         assert runs.stop[others].tolist() == ["converged", "converged"]
         assert runs.cost[self.stuck] > 10.0 * runs.cost[others].min()
-        alone = self.run(self.starts[others])
+        alone = self.run(self.starts[others], groups=[0, 1])
         assert np.array_equal(runs.params[others], alone.params)
         assert np.array_equal(runs.cost[others], alone.cost)
         assert np.array_equal(runs.n_iter[others], alone.n_iter)
         # left to run, it converges in the losing basin after many more
         # rounds
         monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
-        full = self.run(self.starts)
+        full = self.run(self.starts, groups=groups)
         assert full.stop[self.stuck] == "converged"
         assert full.cost[self.stuck] > 10.0 * full.cost[others].min()
         assert full.n_iter[self.stuck] > 5 * runs.n_iter[self.stuck]
@@ -1298,13 +1304,14 @@ class TestRetire:
         self.assert_same_runs(got, [0, 1, 2],
                               self.run_paths(starts, lo=lo, hi=hi))
 
-    @pytest.mark.parametrize("t, stop", [(0.5, "converged"),
+    @pytest.mark.parametrize("t, stop", [(0.5, "merged"),
                                          (5.0, "retired")])
     def test_tie_retired_only_above_best_cost(self, t, stop):
         # residuals (p0 - p1, p2, -1): a start with p2 = 0 converges in
         # round 1 at B = 1, and one with p2 = t steps to p2 ~ 1e-3 t, at
         # cost ~1 + 1e-6 t^2: within B (1 + 1e-6) for t = 0.5, above it
-        # for t = 5; both hold p0 = p1
+        # for t = 5; both hold p0 = p1.  Both are within the merge
+        # rule's limits, but the equal-parameter rule comes first
         def model(p):
             return np.stack([p[:, 0] - p[:, 1], p[:, 2],
                              np.zeros(len(p))], axis=1), ()
@@ -1321,11 +1328,65 @@ class TestRetire:
 
         got = runs, _ = run((0, 1))
         assert runs.stop.tolist() == ["converged", stop]
-        assert runs.cost[0] == 1.0 and runs.n_rounds[0] == 1
-        if stop == "retired":
-            assert runs.n_rounds[1] == 1
-        else:
+        assert runs.cost[0] == 1.0 and runs.n_rounds.tolist() == [1, 1]
+        if stop == "merged":
             self.assert_same_runs(got, [0, 1], run(()))
+
+    def test_swapped_minimum_not_merged(self):
+        # the twin start, without exchangeable columns, converges to the
+        # optimum with its couplings swapped: at the cost of the first
+        # start's minimum, but far from it
+        starts = np.array([self.starts[0], self.twin])
+        got = runs, _ = self.run_paths(starts)
+        assert runs.stop.tolist() == ["converged", "converged"]
+        assert runs.n_rounds[1] > runs.n_rounds[0]
+        assert runs.cost[1] <= (1.0 + _MERGE_TOL) * runs.cost[0]
+        np.testing.assert_allclose(runs.params[1, [1, 0, 2]], runs.params[0],
+                                   rtol=1e-6)
+        self.assert_same_runs(got, [0, 1], self.run_paths(starts,
+                                                          groups=[0, 1]))
+
+    def test_group_without_best_never_merges(self):
+        # the last start reaches the first one's minimum, but in a group
+        # of its own, which has no B until it converges itself
+        starts = self.starts[[0, 2]]
+        got = runs, _ = self.run_paths(starts, groups=[0, 1])
+        assert runs.stop.tolist() == ["converged", "converged"]
+        assert runs.cost[1] <= (1.0 + _MERGE_TOL) * runs.cost[0]
+        for row in (0, 1):
+            self.assert_same_runs(got, [row], self.run_paths(starts[[row]]))
+        fused = self.run(starts)
+        assert fused.stop.tolist() == ["converged", "merged"]
+        assert fused.n_rounds[1] < runs.n_rounds[1]
+
+    def test_merged_cost_above_best(self, monkeypatch):
+        # every merged start of these selections ended above its group's
+        # B (its final one, which later starts may have lowered), none
+        # won, and n_retired does not count them
+        calls = []
+
+        def capture(*args, groups, **kwargs):
+            calls.append((groups, _lockstep_lm(*args, groups=groups,
+                                               **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(fitting, "_lockstep_lm", capture)
+        traces = [_preset_pair_trace(n_avg, seed) for seed, n_avg in
+                  enumerate((1_260_000, 100_000, 30_000))]
+        fits = [select_spin_count(tr, max_n=3).entries for tr in traces]
+        n_merged = 0
+        for (groups, runs), entries in zip(calls, fits):
+            for n, entry in entries.items():
+                rows = np.flatnonzero(groups == n - 1)
+                stop, cost = runs.stop[rows], runs.cost[rows]
+                merged = stop == "merged"
+                n_merged += np.count_nonzero(merged)
+                best = cost[stop == "converged"].min()
+                assert np.all(cost[merged] > best)
+                assert stop[entry.fit.winning_start] == "converged"
+                assert entry.fit.n_retired == np.count_nonzero(
+                    stop == "retired")
+        assert n_merged > 0
 
     def test_fit_counts_retired_starts(self):
         tr = epr_trace([1.12, 2.24], noise=0.01, seed=0)
@@ -1402,6 +1463,37 @@ def test_retiring_keeps_equal_coupling_selection(monkeypatch, f_mhz,
 def test_retiring_keeps_criterion_07_selection(monkeypatch):
     traces = [_preset_pair_trace(1_260_000, seed) for seed in range(50)]
     _selection_matches_without_retiring(monkeypatch, traces, max_n=3)
+
+
+@pytest.mark.parametrize("canonicalize", [True, False])
+def test_merging_keeps_spin_count_selection(monkeypatch, canonicalize):
+    # against the engine without the merge rule: a merged start might
+    # have ended lower than the start that set B, by the convergence
+    # tolerance at most, so the winner may move within it but the count
+    # may not
+    truths = [target_pair(),
+              TargetSpinModel(tuple(TWO_PI * f for f in (0.8, 1.5, 2.6)), 0.6),
+              TargetSpinModel((TWO_PI * 0.5, TWO_PI * 0.55), target_pair().t0)]
+    traces = [coherence_trace(synthesize(
+        default_sequence(SequenceKind.DEER_RABI), truth,
+        detector(n_avg=n_avg, seed=seed)))
+        for truth in truths for n_avg in (1_260_000, 100_000, 30_000)
+        for seed in (0, 1)]
+
+    def select():
+        return [select_spin_count(tr, max_n=3, canonicalize=canonicalize)
+                for tr in traces]
+
+    merged = select()
+    monkeypatch.setattr(fitting, "_MERGE_TOL", 0.0)
+    for sel, ref in zip(merged, select()):
+        assert sel.best_n == ref.best_n
+        for n, entry in ref.entries.items():
+            fit, ref_fit = sel.entries[n].fit, entry.fit
+            if ref_fit.param_errors is not None:  # else the move has no sigma
+                assert np.all(np.abs(fit.params - ref_fit.params)
+                              <= 1e-3 * ref_fit.param_errors)
+            assert fit.ss_res <= ref_fit.ss_res * (1.0 + 1e-7)
 
 
 def _fd_jacobian_extrapolated(f, p, lo, hi):
@@ -1717,7 +1809,7 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
 
     Kept as the oracle of the trimmed round, which must give the same
     bits (TestTrimmedRound), with the engine's damping rule after a
-    rejected step.
+    rejected step and its merge rule, as masks.
     """
     p = np.array(starts, dtype=float)
     lo, hi = (np.array(np.broadcast_to(b, p.shape), dtype=float)
@@ -1741,6 +1833,9 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
     # B of each group: the lowest cost a start of it has converged to
     best = np.full(int(group.max()) + 1, math.inf)
     any_best = False
+    # each group's p and J^T J of the start that set its B
+    p_star = np.zeros((best.size, k))
+    a_star = np.zeros((best.size, k, k))
     # past[row, t % _RETIRE_ROUNDS] holds the cost after round t; it is
     # read back, _RETIRE_ROUNDS rounds later, just before it is overwritten
     past = np.repeat(cost[:, None], _RETIRE_ROUNDS, axis=1)
@@ -1805,8 +1900,13 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
         if conv.any():
             # at most once per start: a loop over the groups that converged
             for gid in set(group[conv].tolist()):
-                best[gid] = min(best[gid],
-                                float(cost[conv & (group == gid)].min()))
+                rows = conv & (group == gid)
+                low = float(cost[rows].min())
+                if low < best[gid]:
+                    # the first of the rows at that cost sets B
+                    first = np.flatnonzero(rows & (cost == low))[0]
+                    best[gid] = low
+                    p_star[gid], a_star[gid] = p[first], a[first]
             any_best = True
         n_round += 1
         slot = n_round % _RETIRE_ROUNDS
@@ -1823,13 +1923,24 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
             end |= ((cost > (1.0 + _TWIN_COST) * best[group])
                     & np.any(np.abs(np.diff(w, axis=1))
                              <= _TWIN_REL * np.abs(w[:, 1:]), axis=1))
+        merged = np.zeros(live.size, dtype=bool)
+        if any_best:
+            # arrived at the minimum that set B: a cost in (B, (1 + tol) B]
+            # and (p - p*).A*.(p - p*) <= tol B; never where B is inf
+            b = best[group]
+            step = p - p_star[group]
+            merged = ~end & (cost > b) & (cost <= (1.0 + _MERGE_TOL) * b) & (
+                np.einsum("ij,ijk,ik->i", step, a_star[group], step)
+                <= _MERGE_TOL * b)
+            end |= merged
         if end.any():
             done = live[end]
             runs.params[done], runs.cost[done] = p[end], cost[end]
             runs.stop[done] = np.where(
                 conv[end], "converged", np.where(
                     maxed[end], "max_iter",
-                    np.where(stalled[end], "stalled", "retired")))
+                    np.where(stalled[end], "stalled", np.where(
+                        merged[end], "merged", "retired"))))
             runs.n_iter[done] = n_iter[end]
             runs.n_rounds[done] = n_round
             keep = ~end
@@ -2019,14 +2130,15 @@ def _lone_stop(reason, n_rounds=None):
     return check
 
 
-def _scripted_runs(residuals, groups=None):
+def _scripted_runs(residuals, groups=None, jac=((0.0, 1.0), (0.0, 1.0))):
     """_lockstep_lm on a problem whose cost path is scripted.
 
     Start i has the parameters (i, 0): its index, pinned by bounds, and a
     free one.  The model reads only the index: at its t-th evaluation of
-    start i it returns residuals[i][t], a pair of integers, so the cost
-    is their sum of squares exactly.  Past the script it doubles the
-    last pair at each call, a rejected trial, until the start stalls.
+    start i it returns residuals[i][t], one integer per row of jac, so
+    the cost is their sum of squares exactly.  Past the script it doubles
+    the last residuals at each call, a rejected trial, until the start
+    stalls.  jac is every start's Jacobian.
     """
     calls = [0] * len(residuals)
 
@@ -2041,12 +2153,13 @@ def _scripted_runs(residuals, groups=None):
         return np.array(rows, dtype=float), ()
 
     def jacobian(p, kept):
-        return np.tile([[0.0, 1.0]], (len(p), 2, 1))
+        return np.tile(jac, (len(p), 1, 1))
 
     index = np.arange(float(len(residuals)))
     free = np.full(index.size, INF)
     return fitting._lockstep_lm(
-        model, jacobian, np.zeros(2), np.column_stack([index, 0 * index]),
+        model, jacobian, np.zeros(len(jac)),
+        np.column_stack([index, 0 * index]),
         np.column_stack([index, -free]), np.column_stack([index, free]),
         groups=groups)
 
@@ -2101,6 +2214,21 @@ _TRIMMED_ROUND_CASES = {
     "stuck-on-the-gain-limit": (lambda: _scripted_runs(
         [[[1, 0], [1, 0]], [[100, k] for k in range(10, -1, -1)]]),
         _stops(["converged", "retired"], [1, 10])),
+    # the merge rule's limits, B = 33,000 in each group: (1 + _MERGE_TOL) B
+    # is exactly 33,033 and _MERGE_TOL B exactly 33, the distance of
+    # neighbouring starts in the J^T J of every start, diag(33, 0); no
+    # step moves a start.  Start 1 sits on both limits and merges in
+    # round 1; start 2 is twice as far, start 4 costs 33,034 and start
+    # 6 costs B itself, so those three stall at the end of their scripts
+    "merged-on-both-limits": (lambda: _scripted_runs(
+        [[[2, 64, 170]] * 2, [[200, 0, 0], [1, 74, 166]],
+         [[200, 0, 0], [1, 74, 166]], [[2, 64, 170]] * 2,
+         [[200, 0, 0], [3, 25, 180]], [[2, 64, 170]] * 2,
+         [[200, 0, 0], [2, 64, 170]]],
+        groups=[0, 0, 0, 1, 1, 2, 2],
+        jac=((1.0, 0.0), (4.0, 0.0), (4.0, 0.0))),
+        _stops(["converged", "merged", "stalled", "converged", "stalled",
+                "converged", "stalled"], [1, 1, 14, 1, 14, 1, 14])),
 }
 
 

@@ -1,6 +1,7 @@
 """Print one sha256 per fit family over every field of a fixed set of fits.
 
     python3 tools/fit_digest.py
+    python3 tools/fit_digest.py --against OTHER/src
 
 It imports nvsense from the src/ next to its own tools/ directory, so
 a copy placed in another checkout's tools/ digests that checkout.  The
@@ -11,23 +12,31 @@ chosen count of a selection, the float of an SNR), bit for bit.  Two
 trees whose fits give the same bits print the same lines.  The bits
 depend on the BLAS that numpy runs on, so compare digests taken on one
 machine, not against numbers kept elsewhere.
+
+With --against, the same fits also run on the nvsense package under
+OTHER/src, and each family's line says how far they moved from this
+tree's: the largest parameter move in units of this tree's 1-sigma
+errors (param_errors; fits without them are left out), the largest
+relative change of ss_res (of the SNR itself for the snr_estimate
+families), and the number of selections whose best_n differs.  Every
+fit of a selection counts.  A tree compared against itself prints 0
+for each.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import importlib
+import math
 import pathlib
 import struct
 import sys
 
 import numpy as np
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
-
-from nvsense import fitting, synth  # noqa: E402
-from nvsense.core import Trace, XKind  # noqa: E402
-
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 SEEDS = range(12)
 # the preset grids and truths: Rabi drive, EPR line, DEER-Rabi pair
 RABI_X = np.linspace(0.0, 2.0, 201)
@@ -38,28 +47,69 @@ PAIR_X = np.linspace(0.0, 1.0, 101)
 PAIR_MHZ, PAIR_T0 = (1.12, 2.24), 0.34
 
 
-def _noisy(x, y, kind, seed, sigma):
+def _noisy(y, seed, sigma):
     rng = np.random.default_rng([seed, int(sigma * 1e4)])
-    return Trace(x, kind, {"y": y + rng.normal(0.0, sigma, y.size)})
+    return y + rng.normal(0.0, sigma, y.size)
 
 
 def _rabi(seed):
     y = 0.5 * (1.0 + np.exp(-((RABI_X / RABI_T0) ** 2))
                * np.cos(2.0 * np.pi * RABI_F * RABI_X))
-    return _noisy(RABI_X, y, XKind.PULSE_LENGTH, seed, 0.03)
+    return RABI_X, _noisy(y, seed, 0.03)
 
 
 def _line(seed, amplitude=LINE_AMP):
     y = LINE_BASE + amplitude * np.exp(
         -((LINE_X - LINE_CENTER) ** 2) / (2.0 * LINE_WIDTH ** 2))
-    return _noisy(LINE_X, y, XKind.FREQUENCY, seed, 0.02)
+    return LINE_X, _noisy(y, seed, 0.02)
 
 
 def _pair(seed):
     w = 2.0 * np.pi * np.array(PAIR_MHZ)
     y = 0.5 + 0.5 * np.exp(-((PAIR_X / PAIR_T0) ** 2)) * np.prod(
         np.cos(np.multiply.outer(w, PAIR_X)), axis=0)
-    return _noisy(PAIR_X, y, XKind.PULSE_LENGTH, seed, 0.01)
+    return PAIR_X, _noisy(y, seed, 0.01)
+
+
+def _load(src):
+    """nvsense's fitting, synth and core as imported from the tree src.
+
+    Any nvsense imported before is dropped from sys.modules first, so two
+    trees' modules live side by side, each bound to its own submodules.
+    """
+    for name in [m for m in sys.modules if m.split(".")[0] == "nvsense"]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        return tuple(importlib.import_module(f"nvsense.{m}")
+                     for m in ("fitting", "synth", "core"))
+    finally:
+        sys.path.remove(str(src))
+
+
+def families(fitting, synth, core):
+    """{family name: the fit of one seed} on these nvsense modules."""
+    pulse, freq = core.XKind.PULSE_LENGTH, core.XKind.FREQUENCY
+
+    def trace(data, kind):
+        x, y = data
+        return core.Trace(x, kind, {"y": y})
+
+    return {
+        "fit_rabi": lambda s: fitting.fit_rabi(trace(_rabi(s), pulse)),
+        "fit_gaussian_peak": lambda s: fitting.fit_gaussian_peak(
+            trace(_line(s), freq), min_snr=0.0),
+        "snr_estimate line": lambda s: synth.snr_estimate(
+            trace(_line(s), freq)),
+        "snr_estimate null": lambda s: synth.snr_estimate(
+            trace(_line(s, 0.0), freq)),
+        **{f"fit_deer_rabi n={n}": (lambda s, n=n: fitting.fit_deer_rabi(
+            trace(_pair(s), pulse), n)) for n in (1, 2, 3)},
+        **{f"select_spin_count max_n={n}": (
+            lambda s, n=n: fitting.select_spin_count(trace(_pair(s), pulse),
+                                                     max_n=n))
+           for n in (2, 3)},
+    }
 
 
 def _bits(value):
@@ -79,26 +129,51 @@ def _bits(value):
     return repr(value).encode()
 
 
-FAMILIES = {
-    "fit_rabi": lambda s: fitting.fit_rabi(_rabi(s)),
-    "fit_gaussian_peak": lambda s: fitting.fit_gaussian_peak(
-        _line(s), min_snr=0.0),
-    "snr_estimate line": lambda s: synth.snr_estimate(_line(s)),
-    "snr_estimate null": lambda s: synth.snr_estimate(_line(s, 0.0)),
-    **{f"fit_deer_rabi n={n}": (lambda s, n=n: fitting.fit_deer_rabi(
-        _pair(s), n)) for n in (1, 2, 3)},
-    **{f"select_spin_count max_n={n}": (
-        lambda s, n=n: fitting.select_spin_count(_pair(s), max_n=n))
-       for n in (2, 3)},
-}
+def _relative(a, b):
+    return 0.0 if a == b else abs(b - a) / abs(a) if a else math.inf
 
 
-def main():
-    for name, fit in FAMILIES.items():
-        digest = hashlib.sha256()
-        for seed in SEEDS:
-            digest.update(_bits(fit(seed)))
-        print(f"{name:28s} {digest.hexdigest()}")
+def _moves(a, b):
+    """(sigma move, relative change, best_n changed) from output a to b."""
+    if isinstance(a, float):  # an SNR
+        return 0.0, _relative(a, b), 0
+    if hasattr(a, "entries"):  # a selection: every count's fit
+        fits = [(a.entries[n].fit, b.entries[n].fit) for n in a.entries]
+        changed = int(a.best_n != b.best_n)
+    else:
+        fits, changed = [(a, b)], 0
+    sigma = 0.0
+    for fa, fb in fits:
+        if fa.param_errors is not None:
+            step = np.abs(fb.params - fa.params)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(step == 0, 0.0, step / fa.param_errors)
+            sigma = max(sigma, float(ratio.max()))
+    return sigma, max(_relative(fa.ss_res, fb.ss_res) for fa, fb in fits), \
+        changed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="also fit with the nvsense under OTHER_SRC and "
+                             "print how far each family moved")
+    args = parser.parse_args(argv)
+    mine = families(*_load(SRC))
+    if args.against is None:
+        for name, fit in mine.items():
+            digest = hashlib.sha256()
+            for seed in SEEDS:
+                digest.update(_bits(fit(seed)))
+            print(f"{name:28s} {digest.hexdigest()}")
+        return
+    other = families(*_load(pathlib.Path(args.against).resolve()))
+    print(f"{'family':28s} {'sigma':>9s} {'ss_res':>9s} {'best_n':>6s}")
+    for name, fit in mine.items():
+        moves = [_moves(fit(seed), other[name](seed)) for seed in SEEDS]
+        sigma, rel = (max(m[i] for m in moves) for i in (0, 1))
+        print(f"{name:28s} {sigma:9.3g} {rel:9.3g} "
+              f"{sum(m[2] for m in moves):6d}")
 
 
 if __name__ == "__main__":
