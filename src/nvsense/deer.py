@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the most target spins a model, a fit or a spin-count selection takes
+MAX_SPINS = 5
+
 
 def statistical_average_bruteforce(omegas, t):
     """<cos(sum_j omega_j sigma_j t)> over all 2^N sign configurations.
@@ -44,9 +47,9 @@ class TargetSpinModel:
 
     def __post_init__(self):
         omegas = tuple(float(w) for w in self.omegas)
-        if not 1 <= len(omegas) <= 5:
-            raise ValueError(
-                f"model supports 1 to 5 target spins, got {len(omegas)}")
+        if not 1 <= len(omegas) <= MAX_SPINS:
+            raise ValueError(f"model supports 1 to {MAX_SPINS} target "
+                             f"spins, got {len(omegas)}")
         if not all(math.isfinite(w) for w in omegas):
             raise ValueError("couplings must be finite")
         if not self.t0 > 0:  # math.inf allowed: no decay

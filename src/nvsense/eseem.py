@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -287,30 +286,26 @@ class HyperfineRecord:
     note: str = ""
 
 
+# nuclear sites coupled to the NV electron spin: the secular and
+# pseudo-secular projections A and B in MHz (times 2 pi for rad/us)
+_HYPERFINE_TABLE = (
+    HyperfineRecord("nearest-13c", "13C", 921.080, -229.240,
+                    "first-shell carbon, site-resolved"),
+    HyperfineRecord("second-13c", "13C", 94.288, -15.498,
+                    "second-shell carbon, site-resolved"),
+    HyperfineRecord("near-13c", "13C", 0.314, 2.827,
+                    "weakly coupled carbon seen in echo modulation"),
+    HyperfineRecord("14n", "14N", -13.459, 0.214,
+                    "intrinsic nitrogen of the center"),
+)
+
+
 def load_hyperfine_table() -> dict[str, HyperfineRecord]:
-    """Read the packaged table of nuclear sites near the NV center."""
-    text = (resources.files("nvsense") / "data" / "hyperfine_table.txt").read_text()
-    records: dict[str, HyperfineRecord] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 4)
-        if len(parts) < 4:
-            raise ValueError(
-                f"hyperfine table line {lineno}: expected at least 4 columns, "
-                f"got {line!r}")
-        label, species, a_str, b_str = parts[:4]
-        note = parts[4] if len(parts) == 5 else ""
-        if species not in ("13C", "14N"):
-            raise ValueError(
-                f"hyperfine table line {lineno}: unknown species {species!r}")
-        records[label] = HyperfineRecord(label=label, species=species,
-                                         a_mhz=float(a_str), b_mhz=float(b_str),
-                                         note=note)
-    if not records:
-        raise ValueError("hyperfine table is empty")
-    return records
+    """{label: record} of the nuclear sites near the NV center.
+
+    A new dict on each call, so a caller may change it freely.
+    """
+    return {record.label: record for record in _HYPERFINE_TABLE}
 
 
 def nucleus_from_record(record: HyperfineRecord, b0: float) -> EseemNucleus:

@@ -29,8 +29,8 @@ import numpy as np
 from .core import (GRID_LIMIT, GRID_MIN_STEP, PHOTON_CHANNELS, TWO_PI,
                    NoPeakError, Trace, XKind, grid_span, grid_span_and_step)
 # no fit calls nv_epr_signal: perfbench/tracer.py wraps fitting.nv_epr_signal
-from .deer import (gaussian_unit, nv_epr_jacobian_grid, nv_epr_signal,
-                   nv_epr_signal_grid)
+from .deer import (MAX_SPINS, gaussian_unit, nv_epr_jacobian_grid,
+                   nv_epr_signal, nv_epr_signal_grid)
 
 _COST_FLOOR = 1e-300
 # damping schedule of _lockstep_lm (Madsen, Nielsen & Tingleff 2004):
@@ -322,9 +322,7 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     where a numpy call costs more than its arithmetic.  When every row's
     Jacobian is due, as always in a lone start's round after an accepted
     step, J^T J, g and the damping scale are the fresh arrays, not
-    copies into the old ones.  A row's equal-parameter flag is taken
-    only once a start of its own group has converged, and again only
-    when its parameters move.
+    copies into the old ones.
     tests/test_fitting.py keeps the engine with every decision a mask
     and holds every output to its bits.
 
@@ -373,7 +371,6 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
         raise ValueError("starts must lie within bounds")
     n_start, k = p.shape
     twins = np.asarray(exchangeable, dtype=int)
-    unpinned = lo[:, twins] < hi[:, twins]  # the free exchangeable ones
     yhat, kept = model(p)
     r = yhat - y
     runs = _LockstepRuns(params=p.copy(), cost=np.zeros(n_start),
@@ -390,7 +387,6 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     n_iter = [0] * n_start
     evals = [1] * n_start  # model evaluations, p's included
     stale = [True] * n_start  # Jacobian due at p
-    n_stale = n_start
     group = ([0] * n_start if groups is None
              else np.asarray(groups, dtype=int).tolist())
     # past[row][t % _RETIRE_ROUNDS] holds the cost after round t; it is
@@ -398,15 +394,13 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     past = [[c] * _RETIRE_ROUNDS for c in cost]
     # B of each group: the lowest cost a start of it has converged to
     best = [math.inf] * (max(group) + 1)
-    any_best = False
-    # each row's _equal_pairs flag, None until its group has a B
-    twin = [None] * n_start
     # each group's (p, J^T J) of the start that set its B
     star = [None] * len(best)
     n_round = 0
 
     while live:
         n = len(live)
+        n_stale = stale.count(True)
         if n_stale == n:
             # every row is stale (always so in the first round): a, g and
             # d are the fresh arrays, bound and not copied
@@ -433,13 +427,12 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
         cost_t = np.einsum("ij,ij->i", r_t, r_t).tolist()
         solved = [True] * n if solved is True else solved.tolist()
         better = [ct < c for ct, c in zip(cost_t, cost)]
-        n_stale = better.count(True)
-        if n_stale == n:  # every row accepted: rebind, no masks
+        if all(better):  # every row accepted: rebind, no masks
             p, r = trial, r_t
         else:
             rejected = _rejected_lam(lam_rows, np.array(nu), g, delta,
                                      d).tolist()
-            if n_stale:
+            if any(better):
                 moved = np.array(better)
                 p[moved], r[moved] = trial[moved], r_t[moved]
         n_round += 1
@@ -464,7 +457,6 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                 if c < best[group[i]]:
                     best[group[i]] = c
                     star[group[i]] = p[i].copy(), a[i].copy()
-                any_best = True
             elif n_iter[i] >= max_iter:
                 stop[i] = "max_iter"
             elif lam[i] > _LAM_STALL:  # no acceptable step at heavy damping
@@ -473,17 +465,9 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
             fell[i] = window[slot] - c
             window[slot] = c
         stale = better
-        if any_best:
-            if twins.size:
-                # due where the group has a B and the row no flag yet, or
-                # a flag from before its step moved it
-                due = [i for i, (gid, flag, accepted) in enumerate(
-                    zip(group, twin, better))
-                       if (flag is None or accepted) and best[gid] < math.inf]
-                if due:
-                    for i, flag in zip(due, _equal_pairs(
-                            p[due][:, twins], unpinned[due])):
-                        twin[i] = flag
+        if min(best) < math.inf:
+            twin = (_equal_pairs(p[:, twins], lo[:, twins] < hi[:, twins])
+                    if twins.size else [False] * n)
             stuck = n_round >= _RETIRE_ROUNDS
             near = []
             for i, c in enumerate(cost):
@@ -514,14 +498,12 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
             if not any(keep):
                 break
             rows = np.array(keep)
-            p, r, a, g, d, lo, hi, unpinned = (
-                v[rows] for v in (p, r, a, g, d, lo, hi, unpinned))
+            p, r, a, g, d, lo, hi = (
+                v[rows] for v in (p, r, a, g, d, lo, hi))
             kept = tuple(v[rows] for v in kept)
-            (live, cost, lam, nu, n_iter, evals, stale, group, past, twin) = (
+            live, cost, lam, nu, n_iter, evals, stale, group, past = (
                 list(itertools.compress(v, keep)) for v in (
-                    live, cost, lam, nu, n_iter, evals, stale, group, past,
-                    twin))
-            n_stale = stale.count(True)
+                    live, cost, lam, nu, n_iter, evals, stale, group, past))
 
     return runs
 
@@ -915,8 +897,9 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     a cost within _MERGE_TOL of it, is merged there (see _lockstep_lm):
     it ends without being counted in n_retired.
     """
-    if not 1 <= n_spins <= 5:
-        raise ValueError(f"n_spins must be between 1 and 5, got {n_spins}")
+    if not 1 <= n_spins <= MAX_SPINS:
+        raise ValueError(
+            f"n_spins must be between 1 and {MAX_SPINS}, got {n_spins}")
     x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_deer_rabi",
                             normalized=True)
     return _deer_rabi_fits(x, y, (n_spins,))[n_spins]
@@ -977,8 +960,9 @@ def select_spin_count(trace: Trace, max_n: int = 3,
     beat the incumbent by more than _SPIN_COUNT_MARGIN, so ties and
     smaller gains go to the smaller count.
     """
-    if not 1 <= max_n <= 5:
-        raise ValueError(f"max_n must be between 1 and 5, got {max_n}")
+    if not 1 <= max_n <= MAX_SPINS:
+        raise ValueError(
+            f"max_n must be between 1 and {MAX_SPINS}, got {max_n}")
     x, y = _resolve_channel(trace, None, XKind.PULSE_LENGTH,
                             "select_spin_count", normalized=True)
     if canonicalize:

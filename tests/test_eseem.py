@@ -377,6 +377,30 @@ class TestHyperfineTable:
         assert table["14n"].species == "14N"
         assert table["near-13c"].species == "13C"
 
+    def test_records_in_order_field_for_field(self):
+        # label, species, A and B in MHz, note, as the table has held them
+        assert [(r.label, r.species, r.a_mhz, r.b_mhz, r.note)
+                for r in load_hyperfine_table().values()] == [
+            ("nearest-13c", "13C", 921.080, -229.240,
+             "first-shell carbon, site-resolved"),
+            ("second-13c", "13C", 94.288, -15.498,
+             "second-shell carbon, site-resolved"),
+            ("near-13c", "13C", 0.314, 2.827,
+             "weakly coupled carbon seen in echo modulation"),
+            ("14n", "14N", -13.459, 0.214,
+             "intrinsic nitrogen of the center"),
+        ]
+        assert all(label == record.label
+                   for label, record in load_hyperfine_table().items())
+
+    def test_caller_changes_do_not_reach_the_next_call(self):
+        table = load_hyperfine_table()
+        table["14n"] = table.pop("nearest-13c")
+        table.clear()
+        assert list(load_hyperfine_table()) == [
+            "nearest-13c", "second-13c", "near-13c", "14n"]
+        assert load_hyperfine_table() is not load_hyperfine_table()
+
     def test_nucleus_from_record_scaling(self):
         table = load_hyperfine_table()
         nuc = nucleus_from_record(table["near-13c"], B0_MAIN)

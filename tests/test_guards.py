@@ -5,12 +5,10 @@ message it raises; tools/line_coverage.py lists what is still unreached.
 """
 
 import math
-import types
 
 import numpy as np
 import pytest
 
-from nvsense import eseem
 from nvsense.core import FieldEstimate, PhysicalConstants, Trace, XKind
 from nvsense.deer import DeerSpectrumModel, TargetSpinModel, nv_epr_signal
 from nvsense.eseem import (EseemNucleus, cpmg_echo_model,
@@ -97,21 +95,4 @@ def test_guard_raises_its_message(case):
     call, message = GUARDS[case]
     with pytest.raises(ValueError) as caught:
         call()
-    assert str(caught.value) == message
-
-
-@pytest.mark.parametrize("table, message", [
-    ("a 13C 1.0\n", "hyperfine table line 1: expected at least 4 columns, "
-                    "got 'a 13C 1.0'"),
-    ("# comment\na 15N 1.0 2.0\n",
-     "hyperfine table line 2: unknown species '15N'"),
-    ("# comment only\n", "hyperfine table is empty"),
-])
-def test_malformed_hyperfine_table(monkeypatch, tmp_path, table, message):
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "hyperfine_table.txt").write_text(table)
-    monkeypatch.setattr(eseem, "resources",
-                        types.SimpleNamespace(files=lambda package: tmp_path))
-    with pytest.raises(ValueError) as caught:
-        eseem.load_hyperfine_table()
     assert str(caught.value) == message

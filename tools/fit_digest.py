@@ -16,11 +16,13 @@ machine, not against numbers kept elsewhere.
 With --against, the same fits also run on the nvsense package under
 OTHER/src, and each family's line says how far they moved from this
 tree's: the largest parameter move in units of this tree's 1-sigma
-errors (param_errors; fits without them are left out), the largest
-relative change of ss_res (of the SNR itself for the snr_estimate
-families), and the number of selections whose best_n differs.  Every
-fit of a selection counts.  A tree compared against itself prints 0
-for each.
+errors (param_errors; fits without them, and parameters whose error is
+nan, on a bound, are left out), the largest relative change of ss_res
+(of the SNR itself for the snr_estimate families), the number of
+selections whose best_n differs, and the number of parameters whose
+error differs, a null (None or nan) one against a number included.
+Every fit of a selection counts.  A tree compared against itself prints
+0 for each.
 """
 
 from __future__ import annotations
@@ -133,24 +135,34 @@ def _relative(a, b):
     return 0.0 if a == b else abs(b - a) / abs(a) if a else math.inf
 
 
+def _errors(fit):
+    """fit's 1-sigma errors, a list with None for each null one."""
+    if fit.param_errors is None:
+        return [None] * fit.params.size
+    return [None if math.isnan(e) else e for e in fit.param_errors.tolist()]
+
+
 def _moves(a, b):
-    """(sigma move, relative change, best_n changed) from output a to b."""
+    """(sigma move, relative change, best_n changed, errors changed) from
+    output a to b."""
     if isinstance(a, float):  # an SNR
-        return 0.0, _relative(a, b), 0
+        return 0.0, _relative(a, b), 0, 0
     if hasattr(a, "entries"):  # a selection: every count's fit
         fits = [(a.entries[n].fit, b.entries[n].fit) for n in a.entries]
         changed = int(a.best_n != b.best_n)
     else:
         fits, changed = [(a, b)], 0
-    sigma = 0.0
+    sigma, errors = 0.0, 0
     for fa, fb in fits:
         if fa.param_errors is not None:
             step = np.abs(fb.params - fa.params)
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(step == 0, 0.0, step / fa.param_errors)
+                ratio = np.where((step == 0) | np.isnan(fa.param_errors),
+                                 0.0, step / fa.param_errors)
             sigma = max(sigma, float(ratio.max()))
+        errors += sum(ea != eb for ea, eb in zip(_errors(fa), _errors(fb)))
     return sigma, max(_relative(fa.ss_res, fb.ss_res) for fa, fb in fits), \
-        changed
+        changed, errors
 
 
 def main(argv=None):
@@ -168,12 +180,13 @@ def main(argv=None):
             print(f"{name:28s} {digest.hexdigest()}")
         return
     other = families(*_load(pathlib.Path(args.against).resolve()))
-    print(f"{'family':28s} {'sigma':>9s} {'ss_res':>9s} {'best_n':>6s}")
+    print(f"{'family':28s} {'sigma':>9s} {'ss_res':>9s} {'best_n':>6s} "
+          f"{'errors':>6s}")
     for name, fit in mine.items():
         moves = [_moves(fit(seed), other[name](seed)) for seed in SEEDS]
         sigma, rel = (max(m[i] for m in moves) for i in (0, 1))
         print(f"{name:28s} {sigma:9.3g} {rel:9.3g} "
-              f"{sum(m[2] for m in moves):6d}")
+              f"{sum(m[2] for m in moves):6d} {sum(m[3] for m in moves):6d}")
 
 
 if __name__ == "__main__":
