@@ -368,13 +368,15 @@ def _fit_record(result: FitResult) -> dict:
     the fit's starts and the engine rounds it ran.  adj_r2 is null where
     it is undefined (a constant channel).  params and param_errors are
     keyed by the fit's param names, except that a coupling
-    omega_<i>_rad_us is reported as omega_<i>_mhz, divided by 2 pi.
+    omega_<i>_rad_us is reported as omega_<i>_mhz, divided by 2 pi.  The
+    error of a parameter on its bound, nan in the fit, is null.
     """
     def keyed(values):
         return None if values is None else {
             name.replace("_rad_us", "_mhz"):
-                float(v) / (TWO_PI if name.endswith("_rad_us") else 1.0)
-            for name, v in zip(result.param_names, values)}
+                None if math.isnan(v)
+                else v / (TWO_PI if name.endswith("_rad_us") else 1.0)
+            for name, v in zip(result.param_names, values.tolist())}
 
     return {"converged": bool(result.converged), "ss_res": result.ss_res,
             "n_starts": result.n_starts, "n_model_evals": result.n_model_evals,
@@ -389,6 +391,12 @@ def _fit_record(result: FitResult) -> dict:
 
 def _adj_r2(record: dict) -> float:  # nan where the record holds null
     return math.nan if record["adj_r2"] is None else record["adj_r2"]
+
+
+def _plus_minus(record: dict, name: str) -> str:
+    """'+/- error' of a record's parameter, 'n/a' where it has none."""
+    error = (record["param_errors"] or {}).get(name)
+    return "+/- " + ("n/a" if error is None else f"{error:.3g}")
 
 
 def _cmd_fit(args) -> int:
@@ -408,9 +416,8 @@ def _cmd_fit(args) -> int:
     print(f"converged: {'yes' if record['converged'] else 'NO'}  "
           f"(iterations: {record['n_iter']}, ss_res: {record['ss_res']:.6g}, "
           f"adj R^2: {_adj_r2(record):.4f})")
-    errors = record["param_errors"] or {}
     for name, value in record["params"].items():
-        print(f"  {name} = {value:.6g} +/- {errors.get(name, math.nan):.3g}")
+        print(f"  {name} = {value:.6g} {_plus_minus(record, name)}")
     if out:
         # the hash covers every fit key but out, null where kind reads none
         hashed = {**{key: None for key in _FIT_SCHEMA if key != "out"},
@@ -503,9 +510,7 @@ def _cmd_select_spins(args) -> int:
                for n, entry in sorted(sel.entries.items())}
     print(" n  k   adj_R2     converged  couplings (MHz) and T0 (us)")
     for n, record in records.items():
-        errors = record["param_errors"]
-        *omegas, t0 = (f"{value:.3f} +/- "
-                       + ("n/a" if errors is None else f"{errors[name]:.3g}")
+        *omegas, t0 = (f"{value:.3f} {_plus_minus(record, name)}"
                        for name, value in record["params"].items())
         mark = " *" if n == sel.best_n else "  "
         print(f"{mark}{n}  {record['k']}  {_adj_r2(record): .4f}   "

@@ -281,13 +281,12 @@ class HyperfineRecord:
 
     label: str
     species: str  # "13C" or "14N"
-    a_mhz: float
-    b_mhz: float
+    a_mhz: float  # secular projection A
+    b_mhz: float  # pseudo-secular projection B
     note: str = ""
 
 
-# nuclear sites coupled to the NV electron spin: the secular and
-# pseudo-secular projections A and B in MHz (times 2 pi for rad/us)
+# the nuclear sites coupled to the NV electron spin
 _HYPERFINE_TABLE = (
     HyperfineRecord("nearest-13c", "13C", 921.080, -229.240,
                     "first-shell carbon, site-resolved"),
@@ -301,10 +300,7 @@ _HYPERFINE_TABLE = (
 
 
 def load_hyperfine_table() -> dict[str, HyperfineRecord]:
-    """{label: record} of the nuclear sites near the NV center.
-
-    A new dict on each call, so a caller may change it freely.
-    """
+    """A new {label: record} dict of the nuclear sites near the NV."""
     return {record.label: record for record in _HYPERFINE_TABLE}
 
 

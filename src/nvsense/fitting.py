@@ -98,10 +98,11 @@ class FitResult:
     """Solution record shared by every fit in the package.
 
     param_errors is None when the covariance is not available (singular
-    Jacobian or zero degrees of freedom).  n_starts counts the LM runs
-    behind the result and n_model_evals the parameter vectors at which
-    they evaluated the model, over all runs: a closed-form Jacobian costs
-    one of them, nlls_fit's forward-difference one k + 1.  n_retired
+    Jacobian or zero degrees of freedom); a parameter that ended on one
+    of its bounds has a nan error (see _fit_result).  n_starts counts the
+    LM runs behind the result and n_model_evals the parameter vectors at
+    which they evaluated the model, over all runs: a closed-form Jacobian
+    costs one of them, nlls_fit's forward-difference one k + 1.  n_retired
     counts the runs that _lockstep_lm ended early, stuck far above a
     converged run or above it on equal exchangeable parameters (see
     there); it does not count the runs merged at a converged run's
@@ -199,7 +200,7 @@ class _LockstepRuns:
     stop says why each start ended: "converged", "max_iter", "stalled",
     "retired" (stuck above a converged start) or "merged" (arrived at
     a converged start's minimum); n_rounds counts the rounds each start
-    was live for.
+    was live for, and lo and hi hold its box bounds.
     """
 
     params: np.ndarray
@@ -208,6 +209,8 @@ class _LockstepRuns:
     n_iter: np.ndarray
     n_evals: np.ndarray
     n_rounds: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     @property
     def converged(self) -> np.ndarray:
@@ -215,10 +218,12 @@ class _LockstepRuns:
 
     def take(self, rows, cols) -> _LockstepRuns:
         """The runs of the starts in rows, with the params in cols."""
+        cells = np.ix_(rows, cols)
         return _LockstepRuns(
-            params=self.params[np.ix_(rows, cols)], cost=self.cost[rows],
+            params=self.params[cells], cost=self.cost[rows],
             stop=self.stop[rows], n_iter=self.n_iter[rows],
-            n_evals=self.n_evals[rows], n_rounds=self.n_rounds[rows])
+            n_evals=self.n_evals[rows], n_rounds=self.n_rounds[rows],
+            lo=self.lo[cells], hi=self.hi[cells])
 
 
 def _solve_each(mats, rhs):
@@ -377,7 +382,7 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
                          stop=np.full(n_start, "", dtype="<U9"),
                          n_iter=np.zeros(n_start, dtype=int),
                          n_evals=np.zeros(n_start, dtype=int),
-                         n_rounds=np.zeros(n_start, dtype=int))
+                         n_rounds=np.zeros(n_start, dtype=int), lo=lo, hi=hi)
     eye = np.eye(k)
     # one entry per unfinished start, in step with the rows of the arrays;
     # live[row] is its index in runs
@@ -514,7 +519,9 @@ def _fit_result(runs: _LockstepRuns, model, jacobian, y,
 
     model and jacobian are those the runs used (see _lockstep_lm); the
     fitted curve gives the adjusted R^2 and the Jacobian at the winner
-    the 1-sigma errors.
+    the 1-sigma errors.  A parameter on one of its bounds, where the
+    minimum need not be, gets a nan error and the others those of the
+    covariance of their own Jacobian columns.
     """
     win = int(np.argmin(runs.cost))
     p, cost = runs.params[win], float(runs.cost[win])
@@ -523,8 +530,13 @@ def _fit_result(runs: _LockstepRuns, model, jacobian, y,
     n_evals = int(runs.n_evals.sum()) + 1
     param_errors = None
     if n > k:
-        param_errors = _param_errors(jacobian(p[None], kept)[0], cost, n - k)
+        free = (p > runs.lo[win]) & (p < runs.hi[win])
+        errors = _param_errors(jacobian(p[None], kept)[0][:, free], cost,
+                               n - k)
         n_evals += 1
+        if errors is not None:
+            param_errors = np.full(k, np.nan)
+            param_errors[free] = errors
     return FitResult(
         params=p.copy(), param_errors=param_errors, ss_res=cost,
         adj_r2=_adj_r2_or_nan(y, yhat[0], k), n_iter=int(runs.n_iter[win]),

@@ -869,6 +869,27 @@ class TestFit:
         report = read_json(out)
         assert report["converged"] is False
 
+    def test_error_of_a_parameter_on_its_bound_is_null(self, tmp_path,
+                                                      capsys):
+        # the 2-spin fit of couplings 0.5 and 0.55 MHz at n_avg 30k puts
+        # both on the lower bound: their errors are null, printed n/a
+        trace, out = tmp_path / "dr.csv", tmp_path / "fit.json"
+        assert run("simulate", "--kind", "deer-rabi", "--omegas-mhz",
+                   "0.5,0.55", "--n-avg", "30000", "--seed", "0",
+                   "--out", str(trace)) == 0
+        capsys.readouterr()
+        assert run("fit", "--kind", "deer-rabi", "--in", str(trace),
+                   "--out", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()[1:4]
+        report = read_json(out)
+        w1, w2, t0 = report["params"].values()
+        assert w1 == w2 == pytest.approx(0.25, rel=1e-12)
+        *w_errs, t0_err = report["param_errors"].values()
+        assert w_errs == [None, None] and 0 < t0_err < t0
+        assert lines == [f"  omega_1_mhz = {w1:.6g} +/- n/a",
+                         f"  omega_2_mhz = {w2:.6g} +/- n/a",
+                         f"  t0_us = {t0:.6g} +/- {t0_err:.3g}"]
+
     @pytest.mark.parametrize("kind", ["rabi", "deer-rabi"])
     def test_photon_count_channel_is_error(self, tmp_path, capsys, kind):
         # the drive-length models describe a normalized population; a
@@ -935,9 +956,9 @@ class TestSelectSpins:
         assert abs(got[1] - 2.24) <= 0.2
 
     def test_table_prints_each_error(self, tmp_path, capsys):
-        # couplings 0.5 and 0.55 MHz at n_avg 30k: the 2-spin fit puts
-        # both on the lower bound, where J^T J is singular, so it has no
-        # errors to print
+        # couplings 0.5 and 0.55 MHz at n_avg 30k: the 1-spin fit puts its
+        # coupling on the lower bound pi / 2 span, 0.25 MHz, and the 2-spin
+        # fit both, so only T0 has an error; the others print n/a
         trace, out = tmp_path / "dr.csv", tmp_path / "sel.json"
         assert run("simulate", "--kind", "deer-rabi", "--omegas-mhz",
                    "0.5,0.55", "--n-avg", "30000", "--seed", "0",
@@ -948,13 +969,18 @@ class TestSelectSpins:
         rows = capsys.readouterr().out.splitlines()[1:3]
         one, two = read_json(out)["models"].values()
         w, t0 = one["params"].values()
+        assert w == pytest.approx(0.25, rel=1e-12)
         w_err, t0_err = one["param_errors"].values()
+        assert w_err is None and 0 < t0_err < t0
         assert rows[0].endswith(
-            f"[{w:.3f} +/- {w_err:.3g}]  T0={t0:.3f} +/- {t0_err:.3g}")
-        assert two["param_errors"] is None
+            f"[{w:.3f} +/- n/a]  T0={t0:.3f} +/- {t0_err:.3g}")
         w1, w2, t0 = two["params"].values()
+        assert w1 == w2 == w
+        *w_errs, t0_err = two["param_errors"].values()
+        assert w_errs == [None, None] and 0 < t0_err < t0
         assert rows[1].endswith(
-            f"[{w1:.3f} +/- n/a, {w2:.3f} +/- n/a]  T0={t0:.3f} +/- n/a")
+            f"[{w1:.3f} +/- n/a, {w2:.3f} +/- n/a]  T0={t0:.3f} "
+            f"+/- {t0_err:.3g}")
 
     def test_two_spin_model_is_the_fit(self, tmp_path):
         # the selection's 2-spin fit of a coherence trace, not re-anchored,

@@ -181,6 +181,21 @@ class TestParamErrors:
         expect = np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)) * 0.5)
         assert np.allclose(_param_errors(jac, 1.0, 2), expect, rtol=1e-12)
 
+    def test_parameter_on_its_bound_has_nan_error(self):
+        # the intercept of y = 2x - 1 + noise, bounded below by 0, ends on
+        # its bound: its error is nan, and the slope's that of its own
+        # column, with the dof of both parameters
+        x = np.linspace(0.0, 1.0, 12)
+        y = 2.0 * x - 1.0 + 0.01 * np.cos(7.0 * x)
+        fit = nlls_fit(FitProblem(model=lambda p, x: p[0] * x + p[1], x=x,
+                                  y=y, init=np.array([1.0, 0.5]),
+                                  bounds=((-INF, INF), (0.0, 1.0))))
+        assert fit.params[1] == 0.0
+        slope = _param_errors(x[:, None], fit.ss_res, x.size - 2)
+        assert math.isnan(fit.param_errors[1])
+        # nlls_fit's Jacobian is a forward difference
+        assert fit.param_errors[0] == pytest.approx(slope[0], rel=1e-6)
+
     @pytest.mark.parametrize("jac, cost", [
         # the inverse has an inf entry, and times a cost of 0 gives nan
         (np.array([[1e-160, 0.0], [0.0, 1.0]]), 0.0),
@@ -1491,8 +1506,11 @@ def test_merging_keeps_spin_count_selection(monkeypatch, canonicalize):
         for n, entry in ref.entries.items():
             fit, ref_fit = sel.entries[n].fit, entry.fit
             if ref_fit.param_errors is not None:  # else the move has no sigma
-                assert np.all(np.abs(fit.params - ref_fit.params)
-                              <= 1e-3 * ref_fit.param_errors)
+                # a parameter with a nan error is on its bound: it stays
+                step, sigma = (np.abs(fit.params - ref_fit.params),
+                               ref_fit.param_errors)
+                assert np.all(np.where(np.isnan(sigma), step == 0,
+                                       step <= 1e-3 * sigma))
             assert fit.ss_res <= ref_fit.ss_res * (1.0 + 1e-7)
 
 
@@ -1827,7 +1845,7 @@ def _reference_lockstep_lm(model, jacobian, y, starts, lo, hi,
                          stop=np.full(n_start, "", dtype="<U9"),
                          n_iter=np.zeros(n_start, dtype=int),
                          n_evals=np.ones(n_start, dtype=int),
-                         n_rounds=np.zeros(n_start, dtype=int))
+                         n_rounds=np.zeros(n_start, dtype=int), lo=lo, hi=hi)
     # one row per unfinished start; live[row] is its index in runs
     live = np.arange(n_start)
     # B of each group: the lowest cost a start of it has converged to
