@@ -143,8 +143,7 @@ def _errors(fit):
 
 
 def _moves(a, b):
-    """(sigma move, relative change, best_n changed, errors changed) from
-    output a to b."""
+    """(sigma move, relative change, best_n and error changes), a to b."""
     if isinstance(a, float):  # an SNR
         return 0.0, _relative(a, b), 0, 0
     if hasattr(a, "entries"):  # a selection: every count's fit
