@@ -40,8 +40,9 @@ _LAM_START, _LAM_MIN, _LAM_STALL, _NU_MAX = 1e-3, 1e-12, 1e14, 64.0
 _TOL, _MAX_ITER = 1e-10, 200
 # _lockstep_lm retires a live start whose cost is above _RETIRE_FACTOR
 # times the best cost a start of its group has converged to and fell by at
-# most _RETIRE_GAIN of itself over its last _RETIRE_ROUNDS rounds
-_RETIRE_FACTOR, _RETIRE_GAIN, _RETIRE_ROUNDS = 10.0, 0.01, 10
+# most _RETIRE_GAIN of itself over its last _RETIRE_ROUNDS rounds; at 1.5
+# times over 2 rounds a spin-count selection first moved (1 in 240)
+_RETIRE_FACTOR, _RETIRE_GAIN, _RETIRE_ROUNDS = 2.0, 0.01, 3
 # it also retires a live start whose cost is above (1 + _TWIN_COST) times
 # that best cost and two of whose free exchangeable parameters are equal
 # within _TWIN_REL of their size
@@ -103,8 +104,8 @@ class FitResult:
     LM runs behind the result and n_model_evals the parameter vectors at
     which they evaluated the model, over all runs: a closed-form Jacobian
     costs one of them, nlls_fit's forward-difference one k + 1.  n_retired
-    counts the runs that _lockstep_lm ended early, stuck far above a
-    converged run or above it on equal exchangeable parameters (see
+    counts the runs that _lockstep_lm ended early, stuck above twice a
+    converged run's cost or above it on equal exchangeable parameters (see
     there); it does not count the runs merged at a converged run's
     minimum.  stop_reason says why the winning run ended (a
     _LockstepRuns.stop value other than "retired" or "merged"; converged
@@ -344,7 +345,8 @@ def _lockstep_lm(model, jacobian, y, starts, lo, hi, max_iter=_MAX_ITER,
     cost any start of the group has converged to so far.  A live start
     is retired when its cost is above _RETIRE_FACTOR * B and fell by at
     most _RETIRE_GAIN of itself over its last _RETIRE_ROUNDS rounds: it
-    is stuck in a losing basin.  It is also retired when its cost is
+    is stuck in a losing basin, or creeping out of one too slowly to
+    matter.  It is also retired when its cost is
     above (1 + _TWIN_COST) * B and two of its exchangeable parameters
     (column indices; default none) are equal within _TWIN_REL, both free
     (low < high): the model is symmetric in them, so their Jacobian
@@ -745,9 +747,10 @@ def fit_rabi(trace: Trace, channel: str | None = None) -> FitResult:
     starts at T0 = span / 3, raised to the T0 bound 2 dt; all (at most
     2) run in one _lockstep_lm call on the closed-form Jacobian, which
     reuses the model's phase, cosine and envelope, and the first with the
-    lowest cost wins.  A start stuck far above a converged one can be
-    retired, and one that arrives at a converged one's minimum, as the
-    second start mostly does, is merged there (see _lockstep_lm).
+    lowest cost wins.  A start stuck above twice a converged one's cost
+    is retired, as the second start often is on a short-T0 detour, and
+    one that arrives at a converged one's minimum, as it mostly does
+    otherwise, is merged there (see _lockstep_lm).
     """
     x, y = _resolve_channel(trace, channel, XKind.PULSE_LENGTH, "fit_rabi",
                             normalized=True)
@@ -897,17 +900,17 @@ def fit_deer_rabi(trace: Trace, n_spins: int,
     the closed-form Jacobian, which reuses the model's phases, cosines
     and envelope; the first start with the lowest cost wins.  Two kinds of
     start are retired early (n_retired counts them; see _lockstep_lm):
-    those stuck far above a converged one, typically in a short-decay
-    basin, and those above it with two equal couplings.  The model is
-    symmetric in the couplings, so a start with equal ones keeps them
-    equal, creeping along that line; the repeated-peak tuples of
-    _deer_rabi_candidates start on it, and others fall onto it with both
-    couplings at the lower bound.  A retired start ends above a
-    converged start's cost, so it never wins: the winner is always a
-    start that ran to its own end, on the path it takes when no start is
-    retired.  A start that arrives at the minimum of a converged one, at
-    a cost within _MERGE_TOL of it, is merged there (see _lockstep_lm):
-    it ends without being counted in n_retired.
+    those stuck above twice a converged one's cost, typically in or on
+    the way out of a short-decay basin, and those above it with two
+    equal couplings.  The model is symmetric in the couplings, so a
+    start with equal ones keeps them equal, creeping along that line;
+    the repeated-peak tuples of _deer_rabi_candidates start on it, and
+    others fall onto it with both couplings at the lower bound.  A
+    retired start ends above a converged start's cost, so it never wins:
+    the winner is always a start that ran to its own end, on the path it
+    takes when no start is retired.  A start that arrives at the minimum
+    of a converged one, at a cost within _MERGE_TOL of it, is merged
+    there (see _lockstep_lm): it ends without being counted in n_retired.
     """
     if not 1 <= n_spins <= MAX_SPINS:
         raise ValueError(
@@ -946,8 +949,7 @@ def _canonicalize_unit(y):
     (the t ~ 0 recovery) goes to 1.  Both anchors are affine-equivariant,
     so any a*y + b with a > 0 canonicalizes to the same signal.
     """
-    q50 = float(np.quantile(y, 0.5))
-    q_hi = float(np.quantile(y, 0.995))
+    q50, q_hi = np.quantile(y, [0.5, 0.995]).tolist()
     scale = q_hi - q50
     if scale <= 0:
         raise ValueError("channel has no dynamic range above its median")

@@ -1193,20 +1193,23 @@ class TestRetire:
     lo = np.array([W_LO, W_LO, DT])
     hi = np.array([W_HI, W_HI, 10.0 * SPAN])
     # two starts that reach the optimum (the first in round 4, the last
-    # in round 41 in a group of its own; in the first's, the merge rule
-    # ends it there in round 38) and, between them, one that falls into
-    # the short-decay basin (T0 ~ 0.08 us) and creeps there until the
-    # stuck-cost rule retires it in round 11.  The last starts on the
-    # equal-coupling saddle: with exchangeable couplings it walks to the
-    # (W_LO, W_LO) corner and is retired there in round 7; without, it
-    # leaves the saddle by rounding
+    # in round 41 in a group of its own) and, between them, one that falls
+    # into the short-decay basin (T0 ~ 0.08 us) and creeps there: the
+    # stuck-cost rule retires it in round 4, once the first start has set
+    # B, and without that rule it converges there in round 331.  In the
+    # first's group the last start, too, creeps far above B on its way
+    # (T0 ~ 0.09 us), so the stuck-cost rule retires it in round 14;
+    # without that rule the merge rule ends it at the optimum in round 38.
+    # The last starts on the equal-coupling saddle: with exchangeable
+    # couplings it walks to the (W_LO, W_LO) corner and is retired there
+    # in round 7; without, it leaves the saddle by rounding
     starts = np.array([[7.0, 14.0, 1 / 3], [38.0, 38.0, 1 / 3],
                        [38.0, 38.0, 0.125]])
     stuck = 1
     # a start with equal couplings, still equal when the first start
     # converges: the equal-coupling rule retires it then, in round 4;
-    # without it, it leaves the saddle by rounding and converges to the
-    # optimum with its couplings swapped in round 40
+    # without either retire rule, it leaves the saddle by rounding and
+    # converges to the optimum with its couplings swapped in round 40
     twin = np.array([5.0, 5.0, 1 / 3])
 
     def run_paths(self, starts, groups=None, exchangeable=(), lo=None,
@@ -1268,11 +1271,14 @@ class TestRetire:
             assert np.array_equal(runs.params, ref.params)
             assert runs.stop.tolist() == ref.stop.tolist()
 
-    def test_equal_couplings_retired_others_untouched(self):
+    def test_equal_couplings_retired_others_untouched(self, monkeypatch):
+        # with the stuck-cost rule off, only the equal-coupling rule
+        # retires a start; it ends the twin in the round that sets B
+        monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
         starts = np.insert(self.starts, 1, self.twin, axis=0)
         got = runs, paths = self.run_paths(starts, exchangeable=(0, 1))
         assert runs.stop[1] == "retired"
-        assert runs.n_rounds[1] < fitting._RETIRE_ROUNDS
+        assert runs.n_rounds[1] == runs.n_rounds[0]
         w1, w2, _ = runs.params[1]
         assert w1 == pytest.approx(w2, rel=fitting._TWIN_REL)
         assert (runs.cost[1]
@@ -1347,10 +1353,12 @@ class TestRetire:
         if stop == "merged":
             self.assert_same_runs(got, [0, 1], run(()))
 
-    def test_swapped_minimum_not_merged(self):
+    def test_swapped_minimum_not_merged(self, monkeypatch):
         # the twin start, without exchangeable columns, converges to the
         # optimum with its couplings swapped: at the cost of the first
-        # start's minimum, but far from it
+        # start's minimum, but far from it.  On its way it creeps far
+        # above B, where the stuck-cost rule would retire it first
+        monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
         starts = np.array([self.starts[0], self.twin])
         got = runs, _ = self.run_paths(starts)
         assert runs.stop.tolist() == ["converged", "converged"]
@@ -1361,9 +1369,11 @@ class TestRetire:
         self.assert_same_runs(got, [0, 1], self.run_paths(starts,
                                                           groups=[0, 1]))
 
-    def test_group_without_best_never_merges(self):
+    def test_group_without_best_never_merges(self, monkeypatch):
         # the last start reaches the first one's minimum, but in a group
-        # of its own, which has no B until it converges itself
+        # of its own, which has no B until it converges itself.  In the
+        # first one's group the stuck-cost rule would retire it on its way
+        monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
         starts = self.starts[[0, 2]]
         got = runs, _ = self.run_paths(starts, groups=[0, 1])
         assert runs.stop.tolist() == ["converged", "converged"]
@@ -1478,6 +1488,60 @@ def test_retiring_keeps_equal_coupling_selection(monkeypatch, f_mhz,
 def test_retiring_keeps_criterion_07_selection(monkeypatch):
     traces = [_preset_pair_trace(1_260_000, seed) for seed in range(50)]
     _selection_matches_without_retiring(monkeypatch, traces, max_n=3)
+
+
+@pytest.mark.parametrize("truth", [
+    TargetSpinModel(tuple(TWO_PI * f for f in (0.8, 1.5, 2.6)), 0.6),
+    TargetSpinModel((TWO_PI * 0.5, TWO_PI * 0.55), target_pair().t0)],
+    ids=["three-spins", "close-pair"])
+@pytest.mark.parametrize("canonicalize", [True, False])
+def test_retiring_keeps_low_n_avg_selection(monkeypatch, truth,
+                                            canonicalize):
+    # the truths and noise levels where slow starts are most common: three
+    # spins whose 3-spin starts creep, and a close pair
+    traces = [coherence_trace(synthesize(
+        default_sequence(SequenceKind.DEER_RABI), truth,
+        detector(n_avg=n_avg, seed=seed)))
+        for n_avg in (100_000, 30_000) for seed in (0, 1)]
+    _selection_matches_without_retiring(monkeypatch, traces, max_n=3,
+                                        canonicalize=canonicalize)
+
+
+def test_retiring_keeps_equal_pair_three_spin_fit(monkeypatch):
+    # of 240 max_n=3 selections (four truths, three n_avg, seeds 0-9,
+    # re-anchored or not) the one whose count a stuck rule of 1.5 B over
+    # 2 rounds moves: that rule retires its 3-spin winner on the way
+    truth = TargetSpinModel((TWO_PI * 1.12,) * 2, target_pair().t0)
+    trace = coherence_trace(synthesize(
+        default_sequence(SequenceKind.DEER_RABI), truth,
+        detector(n_avg=30_000, seed=2)))
+    _selection_matches_without_retiring(monkeypatch, [trace], max_n=3,
+                                        canonicalize=False)
+
+
+def _rabi_trace(n_avg, seed):
+    """The normalized SIG1 of a preset Rabi trace."""
+    raw = synthesize(default_sequence(SequenceKind.RABI), rabi_truth(),
+                     detector(n_avg=n_avg, seed=seed))
+    return Trace(raw.x, raw.x_kind,
+                 {"SIG1n": normalized_channels(raw)["SIG1n"]})
+
+
+def test_retiring_keeps_rabi_winner(monkeypatch):
+    # the second FFT peak's start wins on these seeds at n_avg 1,000, on
+    # 5 and 13 still live after the first start has set B; at 100,000 it
+    # wins on seeds 0 and 51 and is retired on a short-T0 detour on 1, 7
+    traces = [_rabi_trace(n_avg, seed) for n_avg, seeds in (
+        (1_000, (2, 5, 12, 13)), (100_000, (0, 1, 7, 51))) for seed in seeds]
+    fits = [fit_rabi(tr) for tr in traces]
+    assert sum(fit.n_retired for fit in fits) > 0
+    monkeypatch.setattr(fitting, "_RETIRE_FACTOR", math.inf)
+    refs = [fit_rabi(tr) for tr in traces]
+    assert [ref.winning_start for ref in refs] == [1, 1, 1, 1, 1, 0, 0, 1]
+    for fit, ref in zip(fits, refs):
+        assert ref.n_retired == 0
+        assert fit.winning_start == ref.winning_start
+        assert fit.ss_res == pytest.approx(ref.ss_res, rel=1e-9)
 
 
 @pytest.mark.parametrize("canonicalize", [True, False])
@@ -2130,10 +2194,7 @@ def _both_retire_rules(runs):
 
 def _rabi_second_start_wins():
     # the start of the second FFT peak ends lower: 139.48 against 139.97
-    raw = synthesize(default_sequence(SequenceKind.RABI), rabi_truth(),
-                     detector(n_avg=1_000, seed=5))
-    fit = fit_rabi(Trace(raw.x, raw.x_kind,
-                         {"SIG1n": normalized_channels(raw)["SIG1n"]}))
+    fit = fit_rabi(_rabi_trace(1_000, 5))
     assert fit.n_starts == 2 and fit.winning_start == 1
     return fit
 
@@ -2227,11 +2288,14 @@ _TRIMMED_ROUND_CASES = {
         [[[100_000, 1], [100_000, 0]], [[100_000, 0], [100_000, 1]]]),
         _stops(["converged", "converged"], [1, 1])),
     # the first start converges at cost 1 in round 1; the second falls
-    # from 10,100 to 10,000 over 10 rounds, exactly _RETIRE_GAIN of its
-    # cost (0.01 * 10,000 is exactly 100), so the stuck rule retires it
+    # from 10,100 to 10,000 over _RETIRE_ROUNDS rounds (residuals (100,
+    # 10), then (100, k) for k = _RETIRE_ROUNDS - 1, ..., 0), exactly
+    # _RETIRE_GAIN of its cost (0.01 * 10,000 is exactly 100), so the
+    # stuck rule retires it
     "stuck-on-the-gain-limit": (lambda: _scripted_runs(
-        [[[1, 0], [1, 0]], [[100, k] for k in range(10, -1, -1)]]),
-        _stops(["converged", "retired"], [1, 10])),
+        [[[1, 0], [1, 0]],
+         [[100, k] for k in (10, *range(_RETIRE_ROUNDS - 1, -1, -1))]]),
+        _stops(["converged", "retired"], [1, _RETIRE_ROUNDS])),
     # the merge rule's limits, B = 33,000 in each group: (1 + _MERGE_TOL) B
     # is exactly 33,033 and _MERGE_TOL B exactly 33, the distance of
     # neighbouring starts in the J^T J of every start, diag(33, 0); no

@@ -54,10 +54,10 @@ def _noisy(y, seed, sigma):
     return y + rng.normal(0.0, sigma, y.size)
 
 
-def _rabi(seed):
+def _rabi(seed, sigma=0.03):
     y = 0.5 * (1.0 + np.exp(-((RABI_X / RABI_T0) ** 2))
                * np.cos(2.0 * np.pi * RABI_F * RABI_X))
-    return RABI_X, _noisy(y, seed, 0.03)
+    return RABI_X, _noisy(y, seed, sigma)
 
 
 def _line(seed, amplitude=LINE_AMP):
@@ -99,6 +99,9 @@ def families(fitting, synth, core):
 
     return {
         "fit_rabi": lambda s: fitting.fit_rabi(trace(_rabi(s), pulse)),
+        # noisy enough that the second FFT peak's start wins some seeds
+        "fit_rabi noise=0.3": lambda s: fitting.fit_rabi(
+            trace(_rabi(s, 0.3), pulse)),
         "fit_gaussian_peak": lambda s: fitting.fit_gaussian_peak(
             trace(_line(s), freq), min_snr=0.0),
         "snr_estimate line": lambda s: synth.snr_estimate(
